@@ -11,6 +11,7 @@ survive a failed run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
 from .presets import demo_config_dict, preset_manipulation
 from .remote import RemoteDenoiser, serve_stream, serve_tcp
 from .rng import standard_normals, substream
-from .sampler import ddim_invert, generate
+from .sampler import _step_table, ddim_invert, generate
 
 DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-grid")
 
@@ -45,10 +46,29 @@ class ArtifactWriter:
         self.written.append(path)
         return path
 
-    def discard(self) -> None:
-        for path in self.written:
+
+@contextlib.contextmanager
+def _artifacts(config: RunConfig, denoiser):
+    """Writer for one run's artifacts.
+
+    On failure every file written so far is removed; the denoiser is closed
+    either way; on success the seed, config digest and written files are
+    announced.
+    """
+    writer = ArtifactWriter(config.output.directory)
+    try:
+        yield writer
+    except BaseException:
+        for path in writer.written:
             path.unlink(missing_ok=True)
-        self.written.clear()
+        raise
+    finally:
+        close = getattr(denoiser, "close", None)
+        if close is not None:
+            close()
+    print(f"seed={config.seed} config_digest={config_digest(config)}")
+    for path in writer.written:
+        print(f"wrote {path}")
 
 
 def _load_config(args) -> RunConfig:
@@ -68,12 +88,6 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "output", None):
         data.setdefault("output", {})["directory"] = args.output
     return RunConfig.from_dict(data)
-
-
-def _announce(config: RunConfig, writer: ArtifactWriter) -> None:
-    print(f"seed={config.seed} config_digest={config_digest(config)}")
-    for path in writer.written:
-        print(f"wrote {path}")
 
 
 def _pick_denoiser(args, config: RunConfig):
@@ -97,31 +111,23 @@ def _pick_denoiser(args, config: RunConfig):
     raise ConfigError("--remote must be 'tcp:HOST:PORT' or 'cmd:ARGV...'")
 
 
-def _close_denoiser(denoiser) -> None:
-    close = getattr(denoiser, "close", None)
-    if close is not None:
-        close()
-
-
-def _latent_steps(config: RunConfig):
-    grid = config.build_grid()
-    t = grid.t_sample
-    sampling = [t - i for i in range(t + 1)]
-    levels = [grid.level(i) for i in range(t)] + [0]
-    return grid, sampling, levels
+def _latent_steps(grid, schedule):
+    """Sampling step and training level of each latent of a generation path."""
+    table = _step_table(grid, schedule)
+    return [s.sampling_step for s in table] + [0], [s.level for s in table] + [0]
 
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
-    conditions = config.build_conditions()
-    if args.condition not in conditions:
-        raise ConfigError(f"unknown condition {args.condition!r}")
-    schedule = config.build_noise_schedule()
-    grid, sampling, levels = _latent_steps(config)
-    x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
-    writer = ArtifactWriter(config.output.directory)
-    try:
+    with _artifacts(config, denoiser) as writer:
+        conditions = config.build_conditions()
+        if args.condition not in conditions:
+            raise ConfigError(f"unknown condition {args.condition!r}")
+        schedule = config.build_noise_schedule()
+        grid = config.build_grid()
+        sampling, levels = _latent_steps(grid, schedule)
+        x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path = generate(denoiser, x_top, conditions[args.condition], grid, schedule)
         if "csv" in config.output.formats:
             writer.write_text("path.csv", path_csv(path.latents, path.noises,
@@ -132,12 +138,6 @@ def cmd_generate(args) -> int:
                  ("endpoint", path.x0[None, :])],
                 title=f"generation under {args.condition!r} (seed {config.seed})",
                 connect=True))
-    except BaseException:
-        writer.discard()
-        raise
-    finally:
-        _close_denoiser(denoiser)
-    _announce(config, writer)
     return 0
 
 
@@ -149,13 +149,13 @@ def cmd_invert(args) -> int:
         raise ConfigError(f"unknown condition {args.condition!r}")
     c = conditions[args.condition]
     schedule = config.build_noise_schedule()
-    grid, sampling, levels = _latent_steps(config)
+    grid = config.build_grid()
+    sampling, levels = _latent_steps(grid, schedule)
     x0 = denoiser.sample_clean(c, 1, substream(config.seed, "x0"))[0]
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
     regen = generate(denoiser, inv.x_top, c, grid, schedule)
     rel_err = float(np.linalg.norm(regen.x0 - x0) / np.linalg.norm(x0))
-    writer = ArtifactWriter(config.output.directory)
-    try:
+    with _artifacts(config, denoiser) as writer:
         if "csv" in config.output.formats:
             writer.write_text("inversion.csv", path_csv(
                 inv.latents, inv.noises, sampling[::-1], levels[::-1], config.seed))
@@ -168,15 +168,11 @@ def cmd_invert(args) -> int:
                  ("regenerated", np.array(regen.latents))],
                 title=f"round trip under {args.condition!r} (seed {config.seed})",
                 connect=True))
-    except BaseException:
-        writer.discard()
-        raise
-    _announce(config, writer)
     print(f"round-trip relative error: {rel_err:.6e}")
     return 0
 
 
-def _edit_setup(config: RunConfig, denoiser):
+def _edit_setup(config: RunConfig):
     if config.manipulation is None:
         raise ConfigError("this command needs a manipulation section (or --preset)")
     conditions = config.build_conditions()
@@ -184,15 +180,14 @@ def _edit_setup(config: RunConfig, denoiser):
     c_b = conditions[config.manipulation.condition_b]
     schedule = config.build_noise_schedule()
     grid = config.build_grid()
-    return denoiser, c_a, c_b, grid, schedule
+    return c_a, c_b, grid, schedule
 
 
 def cmd_edit(args) -> int:
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
-    writer = ArtifactWriter(config.output.directory)
-    try:
-        denoiser, c_a, c_b, grid, schedule = _edit_setup(config, denoiser)
+    with _artifacts(config, denoiser) as writer:
+        c_a, c_b, grid, schedule = _edit_setup(config)
         manip = config.build_manipulation()
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path_b = generate(denoiser, x_top, c_b, grid, schedule)
@@ -218,12 +213,6 @@ def cmd_edit(args) -> int:
                  ("path B endpoint", path_b.x0[None, :]),
                  ("edited endpoint", result.path.x0[None, :])],
                 title=f"{manip.kind} edit (seed {config.seed})"))
-    except BaseException:
-        writer.discard()
-        raise
-    finally:
-        _close_denoiser(denoiser)
-    _announce(config, writer)
     return 0
 
 
@@ -250,7 +239,7 @@ def _parse_axes(args, config: RunConfig) -> dict:
 
 def _sweep_and_write(config: RunConfig, denoiser, axes: dict, writer: ArtifactWriter,
                      csv_name: str, svg_name: str) -> metrics_mod.SweepTable:
-    denoiser, c_a, c_b, grid, schedule = _edit_setup(config, denoiser)
+    c_a, c_b, grid, schedule = _edit_setup(config)
     scenario = SweepScenario(denoiser=denoiser, score_params=config.build_model(),
                              c_a=c_a, c_b=c_b, grid=grid, noise_schedule=schedule,
                              base=config.build_manipulation())
@@ -270,26 +259,29 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     axes = _parse_axes(args, config)
     denoiser = _pick_denoiser(args, config)
-    writer = ArtifactWriter(config.output.directory)
-    try:
+    with _artifacts(config, denoiser) as writer:
         table = _sweep_and_write(config, denoiser, axes, writer, "sweep.csv", "sweep.svg")
-    except BaseException:
-        writer.discard()
-        raise
-    finally:
-        _close_denoiser(denoiser)
-    _announce(config, writer)
     print(f"rows={len(table.rows)} sweep_digest={table.digest}")
     return 0
 
 
 def cmd_demo(args) -> int:
     config = _load_config(args)
+    total = config.sampler.t_sample
+    if args.scenario == "guidance-grid":
+        data = config.to_dict()
+        data["manipulation"] = {
+            "kind": "guidance",
+            "schedule": {"kind": "constant", "t_min": 0, "t_max": total, "amplitude": 1.0},
+            "beta": -0.3,
+            "condition_a": data["manipulation"]["condition_a"],
+            "condition_b": data["manipulation"]["condition_b"],
+        }
+        config = RunConfig.from_dict(data)
     denoiser = _pick_denoiser(args, config)
-    writer = ArtifactWriter(config.output.directory)
-    try:
+    with _artifacts(config, denoiser) as writer:
         if args.scenario == "prompt-switch":
-            denoiser, c_a, c_b, grid, schedule = _edit_setup(config, denoiser)
+            c_a, c_b, grid, schedule = _edit_setup(config)
             x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
             t = grid.t_sample
             endpoints = []
@@ -314,7 +306,6 @@ def cmd_demo(args) -> int:
                     title=f"condition switch sweep (seed {config.seed})",
                     connect=True))
         else:
-            total = config.sampler.t_sample
             if args.scenario == "window-grid":
                 axes = {"t_max": (total, total - 2, total - 4, total - 6, total - 8),
                         "t_m": (5, 10, 15, 20, 25)}
@@ -322,26 +313,10 @@ def cmd_demo(args) -> int:
                 axes = {"schedule": ("linear", "cosine", "exponential"),
                         "t_m": (20, 25, 30, 35, 40, 45, 50)}
             else:  # guidance-grid
-                data = config.to_dict()
-                data["manipulation"] = {
-                    "kind": "guidance",
-                    "schedule": {"kind": "constant", "t_min": 0, "t_max": total,
-                                 "amplitude": 1.0},
-                    "beta": -0.3,
-                    "condition_a": data["manipulation"]["condition_a"],
-                    "condition_b": data["manipulation"]["condition_b"],
-                }
-                config = RunConfig.from_dict(data)
                 axes = {"beta": (0.7, 0.3, 0.0, -0.3, -0.7),
                         "t_m": (10, 20, 30, 40, 50)}
             name = args.scenario.replace("-", "_")
             _sweep_and_write(config, denoiser, axes, writer, f"{name}.csv", f"{name}.svg")
-    except BaseException:
-        writer.discard()
-        raise
-    finally:
-        _close_denoiser(denoiser)
-    _announce(config, writer)
     return 0
 
 
@@ -363,17 +338,12 @@ def cmd_report(args) -> int:
     schedule = config.build_noise_schedule()
     t_values = tuple(int(v) for v in (args.t_sample or [50, 100, 200]))
     rows = inversion_report(denoiser, c, schedule, t_values, args.samples, config.seed)
-    writer = ArtifactWriter(config.output.directory)
-    try:
+    with _artifacts(config, denoiser) as writer:
         if "csv" in config.output.formats:
             writer.write_text("inversion_report.csv", table_csv(
                 ["t_sample", "mean_rel_error", "max_rel_error", "seed"],
                 [[r.t_sample, r.mean_rel_error, r.max_rel_error, config.seed]
                  for r in rows]))
-    except BaseException:
-        writer.discard()
-        raise
-    _announce(config, writer)
     return 0
 
 

@@ -75,8 +75,6 @@ class Denoiser(abc.ABC):
     m: int
     #: whether independent calls may run concurrently
     concurrent_safe: bool = True
-    #: whether attention-style introspection hooks can query internals
-    supports_introspection: bool = False
 
     @abc.abstractmethod
     def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
@@ -153,28 +151,38 @@ def _check_alpha_bar(alpha_bar: float, *, allow_one: bool) -> float:
     return a
 
 
-def gmm_responsibilities(params: GMMDenoiserParams, x: np.ndarray,
-                         c: ConditionEmbedding, alpha_bar: float) -> np.ndarray:
-    """Posterior component weights of x_t under the noised mixture.
+def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: ConditionEmbedding,
+                    alpha_bar: float):
+    """Means, marginal variances, residuals and responsibilities of x_t's components.
 
     The marginal of x_t is a mixture of N(sqrt(a)*mu_k, (a*s2_k + 1 - a) I);
     the softmax over its component log densities is evaluated after
-    subtracting the max so it is stable at any noise level.
+    subtracting the max so it is stable at any noise level.  The
+    responsibilities are None when a marginal variance is zero.
     """
     a = _check_alpha_bar(alpha_bar, allow_one=True)
     x = np.asarray(x, dtype=np.float64)
-    mus = params.component_means(c)
-    var = a * params.variances + (1.0 - a)
+    mus = params.component_means(c)                      # (K, d)
+    var = a * params.variances + (1.0 - a)               # (K,)
+    resid = x - np.sqrt(a) * mus                         # (K, d)
     if np.any(var == 0.0):
-        raise ParameterError(
-            "degenerate mixture (zero marginal variance) at alpha_bar = 1")
-    resid = x - np.sqrt(a) * mus
+        return mus, var, resid, None
     log_resp = (np.log(params.weights)
                 - 0.5 * params.d * np.log(2.0 * np.pi * var)
                 - 0.5 * np.einsum("kd,kd->k", resid, resid) / var)
     log_resp -= log_resp.max()
     resp = np.exp(log_resp)
-    return resp / resp.sum()
+    return mus, var, resid, resp / resp.sum()
+
+
+def gmm_responsibilities(params: GMMDenoiserParams, x: np.ndarray,
+                         c: ConditionEmbedding, alpha_bar: float) -> np.ndarray:
+    """Posterior component weights of x_t under the noised mixture."""
+    resp = _noised_mixture(params, x, c, alpha_bar)[3]
+    if resp is None:
+        raise ParameterError(
+            "degenerate mixture (zero marginal variance) at alpha_bar = 1")
+    return resp
 
 
 def gmm_posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
@@ -185,21 +193,14 @@ def gmm_posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
     mu_k + sqrt(a)*s2_k / (a*s2_k + 1 - a) * (x - sqrt(a)*mu_k), weighted by
     its responsibility.
     """
-    a = _check_alpha_bar(alpha_bar, allow_one=True)
-    x = np.asarray(x, dtype=np.float64)
-    mus = params.component_means(c)                      # (K, d)
-    var = a * params.variances + (1.0 - a)               # (K,)
-    if np.any(var == 0.0):
+    mus, var, resid, resp = _noised_mixture(params, x, c, alpha_bar)
+    if resp is None:
         if params.k == 1:
             return mus[0].copy()
         raise ParameterError(
             "degenerate mixture (zero marginal variance) with K > 1 at alpha_bar = 1")
-    sqrt_a = np.sqrt(a)
-    resid = x - sqrt_a * mus                             # (K, d)
-    resp = gmm_responsibilities(params, x, c, a)
-    shrink = sqrt_a * params.variances / var             # (K,)
-    cond_means = mus + shrink[:, None] * resid           # (K, d)
-    return resp @ cond_means
+    shrink = np.sqrt(float(alpha_bar)) * params.variances / var  # (K,)
+    return resp @ (mus + shrink[:, None] * resid)
 
 
 def predict_noise(params: GMMDenoiserParams, x: np.ndarray,
@@ -233,7 +234,6 @@ class GMMDenoiser(Denoiser):
     """In-process analytic denoiser backed by :class:`GMMDenoiserParams`."""
 
     concurrent_safe = True
-    supports_introspection = True
 
     def __init__(self, params: GMMDenoiserParams):
         self.params = params

@@ -41,7 +41,7 @@ import numpy as np
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import ParameterError
 from .sampler import (GENERATION, PathRecord, cfg_combine, ddim_step,
-                      effective_noise, generate, _as_latent, _predict)
+                      effective_noise, generate, _predict, _Step, _walk)
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
@@ -103,12 +103,7 @@ def validate_mask(mask, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CamContext:
-    """What an attention-style hook may look at for one step.
-
-    Hooks that need model internals beyond predictions should check
-    ``denoiser.supports_introspection`` before digging; the shipped hooks
-    only use the prediction interface and recorded reference noise.
-    """
+    """What an attention-style hook may look at for one step."""
 
     denoiser: Denoiser
     x_ref: np.ndarray
@@ -235,68 +230,51 @@ def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
         else:
             _check_path(path_b, "editing")
 
-    x = _as_latent(x_top)
-    latents = [x.copy()]
-    noises: list[np.ndarray] = []
+    kind = config.kind
     weights: list[float] = []
-    for i in range(t_sample):
-        level = grid.level(i)
-        sampling_step = t_sample - i
-        a_t = schedule.at(level)
-        a_prev = schedule.at(grid.prev_level(i))
-        w = omega(config.schedule, sampling_step)
+
+    def choose_eps(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
+        a_t, a_prev = step.a_t, step.a_prev
+        w = omega(config.schedule, step.sampling_step)
         weights.append(w)
         if w == 0.0:
-            eps = _predict(denoiser, x, c_b, a_t, level, sampling_step)
-            x = ddim_step(x, eps, a_t, a_prev)
-        elif config.kind == "noise_interp":
-            eps = lerp(path_a.noises[i], path_b.noises[i], w)
-            x = ddim_step(x, eps, a_t, a_prev)
-        elif config.kind == "noise_mask":
-            eps = apply_mask(path_a.noises[i], path_b.noises[i], config.mask)
-            x = ddim_step(x, eps, a_t, a_prev)
-        elif config.kind == "cond_interp":
-            blended = ConditionEmbedding(lerp(c_a.values, c_b.values, w))
-            eps = _predict(denoiser, x, blended, a_t, level, sampling_step)
-            x = ddim_step(x, eps, a_t, a_prev)
-        elif config.kind == "guidance":
-            eps_a = _predict(denoiser, x, c_a, a_t, level, sampling_step)
-            eps_b = _predict(denoiser, x, c_b, a_t, level, sampling_step)
-            eps = cfg_combine(eps_a, eps_b, config.beta)
-            x = ddim_step(x, eps, a_t, a_prev)
-        elif config.kind in ("latent_interp", "latent_mask"):
-            eps_b = _predict(denoiser, x, c_b, a_t, level, sampling_step)
+            return _predict(denoiser, x, c_b, step)
+        if kind == "noise_interp":
+            return lerp(path_a.noises[i], path_b.noises[i], w)
+        if kind == "noise_mask":
+            return apply_mask(path_a.noises[i], path_b.noises[i], config.mask)
+        if kind == "cond_interp":
+            return _predict(denoiser, x, ConditionEmbedding(lerp(c_a.values, c_b.values, w)),
+                            step)
+        if kind == "guidance":
+            return cfg_combine(_predict(denoiser, x, c_a, step),
+                               _predict(denoiser, x, c_b, step), config.beta)
+        if kind in ("latent_interp", "latent_mask"):
+            eps_b = _predict(denoiser, x, c_b, step)
             stepped = ddim_step(x, eps_b, a_t, a_prev)
             ref = path_a.latents[i + 1]
-            blended = lerp(ref, stepped, w) if config.kind == "latent_interp" \
+            blended = lerp(ref, stepped, w) if kind == "latent_interp" \
                 else apply_mask(ref, stepped, config.mask)
+            # a no-op blend keeps the directly predicted noise so the step is
+            # identical to plain denoising
             if np.array_equal(blended, stepped):
-                # blend is a no-op; keep the directly predicted noise so the
-                # step is identical to plain denoising
-                eps, x = eps_b, stepped
-            else:
-                eps = effective_noise(x, blended, a_t, a_prev)
-                x = ddim_step(x, eps, a_t, a_prev)
-        else:  # attention
-            ctx = CamContext(denoiser=denoiser, x_ref=path_a.latents[i],
-                             eps_ref=path_a.noises[i], c_a=c_a, c_b=c_b,
-                             alpha_bar=a_t, level=level, sampling_step=sampling_step)
-            eps_hook = np.asarray(_CAM_HOOKS[config.cam_hook](ctx), dtype=np.float64)
-            if eps_hook.shape != x.shape:
-                raise ParameterError(
-                    f"cam_hook {config.cam_hook!r} returned shape {eps_hook.shape}")
-            if np.array_equal(x, path_a.latents[i]):
-                # evolving latent coincides with the reference; step directly
-                eps = eps_hook
-                x = ddim_step(x, eps, a_t, a_prev)
-            else:
-                stepped = ddim_step(path_a.latents[i], eps_hook, a_t, a_prev)
-                eps = effective_noise(x, stepped, a_t, a_prev)
-                x = ddim_step(x, eps, a_t, a_prev)
-        noises.append(eps)
-        latents.append(x.copy())
-    path = PathRecord(grid=grid, latents=tuple(latents), noises=tuple(noises),
-                      condition=c_b, direction=GENERATION)
+                return eps_b
+            return effective_noise(x, blended, a_t, a_prev)
+        # attention
+        ctx = CamContext(denoiser=denoiser, x_ref=path_a.latents[i],
+                         eps_ref=path_a.noises[i], c_a=c_a, c_b=c_b,
+                         alpha_bar=a_t, level=step.level, sampling_step=step.sampling_step)
+        eps_hook = np.asarray(_CAM_HOOKS[config.cam_hook](ctx), dtype=np.float64)
+        if eps_hook.shape != x.shape:
+            raise ParameterError(
+                f"cam_hook {config.cam_hook!r} returned shape {eps_hook.shape}")
+        if np.array_equal(x, path_a.latents[i]):
+            # evolving latent coincides with the reference; step directly
+            return eps_hook
+        stepped = ddim_step(path_a.latents[i], eps_hook, a_t, a_prev)
+        return effective_noise(x, stepped, a_t, a_prev)
+
+    path = _walk(grid, schedule, x_top, c_b, choose_eps)
     return EditResult(path=path, path_a=path_a, config=config, weights=tuple(weights))
 
 
@@ -311,17 +289,5 @@ def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding
     t_sample = grid.t_sample
     if not 0 <= k <= t_sample:
         raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
-    x = _as_latent(x_top)
-    latents = [x.copy()]
-    noises = []
-    for i in range(t_sample):
-        level = grid.level(i)
-        a_t = schedule.at(level)
-        a_prev = schedule.at(grid.prev_level(i))
-        c = c_a if i < k else c_b
-        eps = _predict(denoiser, x, c, a_t, level, t_sample - i)
-        x = ddim_step(x, eps, a_t, a_prev)
-        noises.append(eps)
-        latents.append(x.copy())
-    return PathRecord(grid=grid, latents=tuple(latents), noises=tuple(noises),
-                      condition=c_b if k < t_sample else c_a, direction=GENERATION)
+    return _walk(grid, schedule, x_top, c_b if k < t_sample else c_a,
+                 lambda i, step, x: _predict(denoiser, x, c_a if i < k else c_b, step))

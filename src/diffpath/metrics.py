@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, replace
+import json
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -177,8 +178,9 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence], seed: int) 
             t_max=config.schedule.t_max, t_min=config.schedule.t_min,
             weight=config.schedule.amplitude, beta=config.beta,
             seed=seed, metrics=metrics))
-    digest_src = repr((sorted(axes.items()), scenario.base, seed)).encode()
-    digest = hashlib.sha256(digest_src).hexdigest()[:12]
+    digest_src = json.dumps({"axes": axes, "base": asdict(scenario.base), "seed": seed},
+                            sort_keys=True, default=lambda v: np.asarray(v).tolist())
+    digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
     return SweepTable(rows=tuple(rows), seed=seed, digest=digest)
 
 

@@ -51,18 +51,32 @@ class TransportClosedError(DenoiserError):
     """The peer closed the stream while a response was pending."""
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+#: strict JSON both ways: NaN and Infinity are neither read nor written
+_FRAME_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_REPLY_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
 def serve_stream(denoiser: Denoiser, rfile, wfile) -> None:
-    """Answer protocol requests on a line-oriented stream until EOF."""
+    """Answer protocol requests on a line-oriented stream until EOF.
+
+    A frame that cannot be answered, including one whose vectors have the
+    wrong length or whose answer holds a non-finite number, gets an error
+    reply and the next frame is served.
+    """
     for line in rfile:
         line = line.strip()
         if not line:
             continue
         try:
-            msg = json.loads(line)
+            msg = _FRAME_DECODER.decode(line)
             if not isinstance(msg, dict):
                 raise ValueError("frame must be an object")
         except ValueError:
-            _send(wfile, {"id": None, "error": "malformed frame"})
+            _send(wfile, json.dumps({"id": None, "error": "malformed frame"}))
             continue
         msg_id = msg.get("id")
         try:
@@ -76,17 +90,22 @@ def serve_stream(denoiser: Denoiser, rfile, wfile) -> None:
             elif op == "predict_noise":
                 x = np.asarray(msg["x"], dtype=np.float64)
                 c = ConditionEmbedding(np.asarray(msg["c"], dtype=np.float64))
+                if x.shape != (denoiser.d,) or c.m != denoiser.m:
+                    raise ValueError(
+                        f"x must have {denoiser.d} entries and c {denoiser.m}, "
+                        f"got shapes {x.shape} and {c.values.shape}")
                 eps = denoiser.predict_noise(x, c, float(msg["alpha_bar"]), int(msg["t"]))
                 reply = {"id": msg_id, "eps": [float(v) for v in eps]}
             else:
                 raise ValueError(f"unknown op {op!r}")
+            text = _REPLY_ENCODER.encode(reply)
         except Exception as err:
-            reply = {"id": msg_id, "error": str(err)}
-        _send(wfile, reply)
+            text = json.dumps({"id": msg_id, "error": str(err)})
+        _send(wfile, text)
 
 
-def _send(wfile, obj: dict) -> None:
-    wfile.write(json.dumps(obj) + "\n")
+def _send(wfile, text: str) -> None:
+    wfile.write(text + "\n")
     wfile.flush()
 
 

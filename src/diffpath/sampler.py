@@ -10,12 +10,21 @@ where a is the cumulative signal factor of the step's training index and
 the same grid upward, predicting the noise at the target level of each hop
 (evaluating at the current level would hit the undefined a = 1 endpoint on
 the very first hop from clean data).
+
+Every pass over a grid goes through one private stepping core, ``_walk``.
+It builds the grid's step table once (training level, sampling step and
+the two signal factors of each position) and walks it in either direction;
+at each hop a callback ``choose_eps(i, step, x)`` supplies the noise and the
+core applies the update and records the path.  Generation, inversion,
+null-embedding tuning, the editing operators and path replay are all such
+callbacks.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -136,25 +145,70 @@ class PathRecord:
 
     def replay_errors(self, schedule: AlphaSchedule) -> np.ndarray:
         """Max-abs replay residual per hop; all-zero for a consistent record."""
-        errs = np.empty(len(self.noises))
-        for i in range(len(self.noises)):
-            if self.direction == GENERATION:
-                a_t = schedule.at(self.grid.level(i))
-                a_prev = schedule.at(self.grid.prev_level(i))
-                redo = ddim_step(self.latents[i], self.noises[i], a_t, a_prev)
-            else:
-                pos = self.t_sample - 1 - i
-                a_t = schedule.at(self.grid.prev_level(pos))
-                a_next = schedule.at(self.grid.level(pos))
-                redo = invert_step(self.latents[i], self.noises[i], a_t, a_next)
-            errs[i] = np.max(np.abs(redo - self.latents[i + 1]))
-        return errs
+        errs = []
+
+        def replay(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
+            redo = _hop(step, self.latents[i], self.noises[i], self.direction)
+            errs.append(np.max(np.abs(redo - self.latents[i + 1])))
+            return self.noises[i]
+
+        _walk(self.grid, schedule, self.latents[0], self.condition, replay, self.direction)
+        return np.array(errs)
+
+
+class _Step(NamedTuple):
+    """One grid position: a generation hop from ``level`` down to the next level."""
+
+    level: int
+    sampling_step: int
+    a_t: float
+    a_prev: float
+
+
+def _step_table(grid: TimestepGrid, schedule: AlphaSchedule) -> tuple[_Step, ...]:
+    """The grid's positions in generation order, each with its signal factors."""
+    if grid.level(0) > schedule.t_train:
+        raise ParameterError(
+            f"grid top {grid.level(0)} exceeds schedule length {schedule.t_train}")
+    t_sample = grid.t_sample
+    return tuple(_Step(grid.level(i), t_sample - i, schedule.at(grid.level(i)),
+                       schedule.at(grid.prev_level(i))) for i in range(t_sample))
+
+
+def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndarray:
+    """Generation steps down from ``step.level``; inversion climbs up to it."""
+    if direction == GENERATION:
+        return ddim_step(x, eps, step.a_t, step.a_prev)
+    return invert_step(x, eps, step.a_prev, step.a_t)
+
+
+def _walk(grid: TimestepGrid, schedule: AlphaSchedule, x_start: np.ndarray,
+          condition: ConditionEmbedding,
+          choose_eps: Callable[[int, _Step, np.ndarray], np.ndarray],
+          direction: str = GENERATION) -> PathRecord:
+    """The stepping core: hop ``i`` takes ``choose_eps(i, step, x)`` as its noise.
+
+    Generation visits the step table top down, inversion bottom up; the
+    returned record holds every latent and the noise of every hop.
+    """
+    table = _step_table(grid, schedule)
+    x = _as_latent(x_start)
+    latents = [x]
+    noises = []
+    for i, step in enumerate(table if direction == GENERATION else table[::-1]):
+        eps = choose_eps(i, step, x)
+        x = _hop(step, x, eps, direction)
+        noises.append(eps)
+        latents.append(x)
+    return PathRecord(grid=grid, latents=tuple(latents), noises=tuple(noises),
+                      condition=condition, direction=direction)
 
 
 def _predict(denoiser: Denoiser, x: np.ndarray, c: ConditionEmbedding,
-             alpha_bar: float, level: int, sampling_step: int) -> np.ndarray:
+             step: _Step) -> np.ndarray:
+    level, sampling_step = step.level, step.sampling_step
     try:
-        eps = denoiser.predict_noise(x, c, alpha_bar, level)
+        eps = denoiser.predict_noise(x, c, step.a_t, level)
     except (ParameterError, ZeroDivisionError):
         raise
     except DenoiserError as err:
@@ -171,13 +225,10 @@ def _predict(denoiser: Denoiser, x: np.ndarray, c: ConditionEmbedding,
         raise DenoiserError(
             f"denoiser returned shape {eps.shape}, expected {np.shape(x)}",
             sampling_step=sampling_step, training_step=level)
+    if not np.isfinite(eps).all():
+        raise DenoiserError("denoiser returned non-finite noise",
+                            sampling_step=sampling_step, training_step=level)
     return eps
-
-
-def _resolve_null(null_embeddings, i: int) -> ConditionEmbedding:
-    if isinstance(null_embeddings, ConditionEmbedding):
-        return null_embeddings
-    return null_embeddings[i]
 
 
 def _as_latent(x) -> np.ndarray:
@@ -199,32 +250,20 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
     order.  The recorded noise at each step is the combined prediction that
     actually drove the update.
     """
-    _check_grid(grid, schedule)
-    x = _as_latent(x_top)
-    latents = [x.copy()]
-    noises = []
-    t_sample = grid.t_sample
     if guidance is not None:
         beta, nulls = guidance
-        if not isinstance(nulls, ConditionEmbedding) and len(nulls) != t_sample:
+        if not isinstance(nulls, ConditionEmbedding) and len(nulls) != grid.t_sample:
             raise ParameterError(
-                f"need one null embedding per step ({t_sample}), got {len(nulls)}")
-    for i in range(t_sample):
-        level = grid.level(i)
-        sampling_step = t_sample - i
-        a_t = schedule.at(level)
-        a_prev = schedule.at(grid.prev_level(i))
-        eps = _predict(denoiser, x, c, a_t, level, sampling_step)
-        if guidance is not None:
-            beta, nulls = guidance
-            eps_null = _predict(denoiser, x, _resolve_null(nulls, i),
-                                a_t, level, sampling_step)
-            eps = cfg_combine(eps, eps_null, beta)
-        x = ddim_step(x, eps, a_t, a_prev)
-        noises.append(eps)
-        latents.append(x.copy())
-    return PathRecord(grid=grid, latents=tuple(latents), noises=tuple(noises),
-                      condition=c, direction=GENERATION)
+                f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
+
+    def choose_eps(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
+        eps = _predict(denoiser, x, c, step)
+        if guidance is None:
+            return eps
+        null = nulls if isinstance(nulls, ConditionEmbedding) else nulls[i]
+        return cfg_combine(eps, _predict(denoiser, x, null, step), beta)
+
+    return _walk(grid, schedule, x_top, c, choose_eps)
 
 
 def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
@@ -234,23 +273,8 @@ def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     Each hop raises the level from the grid's previous index to its step
     index, predicting the noise at the target level.
     """
-    _check_grid(grid, schedule)
-    x = _as_latent(x0)
-    latents = [x.copy()]
-    noises = []
-    t_sample = grid.t_sample
-    for pos in range(t_sample - 1, -1, -1):
-        target = grid.level(pos)
-        current = grid.prev_level(pos)
-        a_cur = schedule.at(current)
-        a_tgt = schedule.at(target)
-        sampling_step = t_sample - pos
-        eps = _predict(denoiser, x, c, a_tgt, target, sampling_step)
-        x = invert_step(x, eps, a_cur, a_tgt)
-        noises.append(eps)
-        latents.append(x.copy())
-    return PathRecord(grid=grid, latents=tuple(latents), noises=tuple(noises),
-                      condition=c, direction=INVERSION)
+    return _walk(grid, schedule, x0, c, lambda i, step, x: _predict(denoiser, x, c, step),
+                 INVERSION)
 
 
 @dataclass(frozen=True)
@@ -283,24 +307,19 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
     null0 = initial_null if initial_null is not None \
         else ConditionEmbedding(np.zeros(denoiser.m), is_null=True)
-    t_sample = grid.t_sample
-    x = inv.latents[-1].copy()
     embeddings: list[ConditionEmbedding] = []
     objectives: list[float] = []
     diagnostics: list[str] = []
-    for i in range(t_sample):
-        level = grid.level(i)
-        sampling_step = t_sample - i
-        a_t = schedule.at(level)
-        a_prev = schedule.at(grid.prev_level(i))
-        target = inv.latents[sampling_step - 1]
-        eps_c = _predict(denoiser, x, c, a_t, level, sampling_step)
+
+    def tune(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
+        target = inv.latents[step.sampling_step - 1]
+        eps_c = _predict(denoiser, x, c, step)
 
         def objective(null_values: np.ndarray) -> float:
             eps_null = _predict(denoiser, x, ConditionEmbedding(null_values, is_null=True),
-                                a_t, level, sampling_step)
-            step = ddim_step(x, cfg_combine(eps_c, eps_null, beta), a_t, a_prev)
-            resid = step - target
+                                step)
+            resid = ddim_step(x, cfg_combine(eps_c, eps_null, beta),
+                              step.a_t, step.a_prev) - target
             return float(resid @ resid)
 
         null = null0.values.copy()
@@ -314,22 +333,17 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             candidate = null - step_size * grad
             value = objective(candidate)
             if value > best * (1.0 + 1e-12) + 1e-300:
-                msg = (f"sampling step {sampling_step}: objective rose "
+                msg = (f"sampling step {step.sampling_step}: objective rose "
                        f"{best:.6e} -> {value:.6e} at iteration {it}; reverted and stopped")
                 diagnostics.append(msg)
                 log.warning("null-embedding optimization diverged: %s", msg)
                 break
             null, best = candidate, value
         null_emb = ConditionEmbedding(null, is_null=True)
-        eps_null = _predict(denoiser, x, null_emb, a_t, level, sampling_step)
-        x = ddim_step(x, cfg_combine(eps_c, eps_null, beta), a_t, a_prev)
         embeddings.append(null_emb)
         objectives.append(best)
+        return cfg_combine(eps_c, _predict(denoiser, x, null_emb, step), beta)
+
+    _walk(grid, schedule, inv.x_top, c, tune)
     return NullTextResult(embeddings=tuple(embeddings), objectives=tuple(objectives),
                           diagnostics=tuple(diagnostics))
-
-
-def _check_grid(grid: TimestepGrid, schedule: AlphaSchedule) -> None:
-    if grid.level(0) > schedule.t_train:
-        raise ParameterError(
-            f"grid top {grid.level(0)} exceeds schedule length {schedule.t_train}")

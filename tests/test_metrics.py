@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffpath.denoiser import ConditionEmbedding
+from diffpath.denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
 from diffpath.edits import ManipulationConfig, run_edit
 from diffpath.errors import ParameterError
 from diffpath.metrics import (EditMetrics, SweepScenario, derive_config,
@@ -9,7 +9,7 @@ from diffpath.metrics import (EditMetrics, SweepScenario, derive_config,
 from diffpath.output import SWEEP_CSV_HEADER, sweep_table_csv
 from diffpath.rng import standard_normals, substream
 from diffpath.sampler import generate
-from diffpath.schedule import ScheduleSpec
+from diffpath.schedule import ScheduleSpec, make_timestep_grid
 
 from conftest import single_gaussian
 
@@ -142,6 +142,25 @@ class TestRunSweep:
         t2 = run_sweep(_scenario(demo), axes, seed=11)
         assert sweep_table_csv(t1) == sweep_table_csv(t2)
         assert t1.digest == t2.digest
+
+    def test_digest_sees_every_mask_entry(self, demo):
+        # numpy's repr of a 2000-entry vector elides the middle, so these two
+        # masks print alike; the digest must still tell them apart
+        d, t = 2000, 2
+        den = GMMDenoiser(GMMDenoiserParams(
+            weights=np.array([1.0]), base_means=np.zeros((1, d)),
+            condition_maps=np.full((1, d, 2), 0.1), variances=np.array([1.0])))
+        grid = make_timestep_grid(demo["schedule"].t_train, t)
+        masks = [np.zeros(d), np.zeros(d)]
+        masks[1][d // 2] = 1.0
+        assert repr(masks[0]) == repr(masks[1])
+        digests = {run_sweep(SweepScenario(
+            denoiser=den, score_params=den.params, c_a=demo["c_a"], c_b=demo["c_b"],
+            grid=grid, noise_schedule=demo["schedule"],
+            base=ManipulationConfig("noise_mask", ScheduleSpec("constant", 0, t, t, 1.0),
+                                    mask=mask)), {"weight": (1.0,)}, seed=3).digest
+            for mask in masks}
+        assert len(digests) == 2
 
     def test_csv_contract(self, demo):
         table = run_sweep(_scenario(demo), {"weight": (0.0, 1.0)}, seed=3)

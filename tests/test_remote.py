@@ -83,6 +83,31 @@ class TestServeStream:
         assert "error" in replies[0]
         assert replies[1]["id"] == 4 and "error" in replies[1]
 
+    def test_bad_frames_get_strict_error_replies(self, demo):
+        def frame(i, x, c=(1.0, 0.25)):
+            return json.dumps({"id": i, "op": "predict_noise", "x": list(x),
+                               "c": list(c), "t": 500, "alpha_bar": 0.5})
+
+        lines = "\n".join([
+            frame(1, [0.5]),                          # x too short for d=2
+            frame(2, [0.5, 0.5], c=[1.0]),            # c too short for m=2
+            frame(3, [1e308, 1e308]),                 # answer would not be finite
+            frame(4, [0.25, -1.5]),
+        ]) + "\n"
+        out = io.StringIO()
+        with np.errstate(all="ignore"):  # frame 3 overflows inside the oracle
+            serve_stream(demo["denoiser"], io.StringIO(lines), out)
+
+        def reject(token):
+            raise ValueError(token)
+
+        replies = [json.loads(line, parse_constant=reject)
+                   for line in out.getvalue().splitlines()]
+        assert [r["id"] for r in replies] == [1, 2, 3, 4]
+        assert all("error" in r and "eps" not in r for r in replies[:3])
+        expect = demo["denoiser"].predict_noise(np.array([0.25, -1.5]), demo["c_a"], 0.5, 500)
+        assert np.array_equal(np.array(replies[3]["eps"]), expect)
+
 
 FAKE_SERVER = r"""
 import json, sys

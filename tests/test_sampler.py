@@ -143,6 +143,18 @@ class TestGenerate:
         assert err.value.sampling_step is not None
         assert err.value.training_step == 880
 
+    def test_non_finite_prediction_names_step(self, demo):
+        class NaNs(GMMDenoiser):
+            def predict_noise(self, x, c, alpha_bar, t):
+                if t < 900:
+                    return np.full_like(x, np.nan)
+                return super().predict_noise(x, c, alpha_bar, t)
+
+        with pytest.raises(DenoiserError, match="non-finite") as err:
+            generate(NaNs(demo["params"]), demo["x_top"], demo["c_a"], GRID, SCHED)
+        assert err.value.sampling_step == 44
+        assert err.value.training_step == 880
+
     def test_per_step_null_count_validated(self, demo):
         with pytest.raises(ParameterError):
             generate(demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED,
@@ -161,6 +173,17 @@ class TestPathRecord:
         with pytest.raises(ParameterError):
             PathRecord(grid=GRID, latents=path.latents, noises=path.noises,
                        condition=demo["c_a"], direction="sideways")
+
+    def test_replay_errors_are_per_hop(self, demo):
+        # a tampered latent shows up only in the two hops that touch it
+        for direction, run in ((GENERATION, generate), (INVERSION, ddim_invert)):
+            path = run(demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED)
+            latents = list(path.latents)
+            latents[7] = latents[7] + 1e-3
+            bad = PathRecord(grid=path.grid, latents=tuple(latents), noises=path.noises,
+                             condition=path.condition, direction=direction)
+            errs = bad.replay_errors(SCHED)
+            assert np.flatnonzero(errs).tolist() == [6, 7], direction
 
     def test_endpoint_accessors(self, demo):
         path = generate(demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED)
