@@ -172,12 +172,17 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _edit_setup(config: RunConfig):
+def _require_manipulation(config: RunConfig):
     if config.manipulation is None:
         raise ConfigError("this command needs a manipulation section (or --preset)")
+    return config.manipulation
+
+
+def _edit_setup(config: RunConfig):
+    manip = _require_manipulation(config)
     conditions = config.build_conditions()
-    c_a = conditions[config.manipulation.condition_a]
-    c_b = conditions[config.manipulation.condition_b]
+    c_a = conditions[manip.condition_a]
+    c_b = conditions[manip.condition_b]
     schedule = config.build_noise_schedule()
     grid = config.build_grid()
     return c_a, c_b, grid, schedule
@@ -269,13 +274,14 @@ def cmd_demo(args) -> int:
     config = _load_config(args)
     total = config.sampler.t_sample
     if args.scenario == "guidance-grid":
+        manip = _require_manipulation(config)
         data = config.to_dict()
         data["manipulation"] = {
             "kind": "guidance",
             "schedule": {"kind": "constant", "t_min": 0, "t_max": total, "amplitude": 1.0},
             "beta": -0.3,
-            "condition_a": data["manipulation"]["condition_a"],
-            "condition_b": data["manipulation"]["condition_b"],
+            "condition_a": manip.condition_a,
+            "condition_b": manip.condition_b,
         }
         config = RunConfig.from_dict(data)
     denoiser = _pick_denoiser(args, config)

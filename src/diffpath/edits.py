@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
-from .errors import ParameterError
+from .errors import DenoiserError, ParameterError
 from .sampler import (GENERATION, PathRecord, cfg_combine, ddim_step,
                       effective_noise, generate, _predict, _Step, _walk)
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
@@ -268,6 +268,9 @@ def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
         if eps_hook.shape != x.shape:
             raise ParameterError(
                 f"cam_hook {config.cam_hook!r} returned shape {eps_hook.shape}")
+        if not np.isfinite(eps_hook).all():
+            raise DenoiserError(f"cam_hook {config.cam_hook!r} returned non-finite noise",
+                                sampling_step=step.sampling_step, training_step=step.level)
         if np.array_equal(x, path_a.latents[i]):
             # evolving latent coincides with the reference; step directly
             return eps_hook

@@ -199,10 +199,12 @@ class _TcpTransport:
         return line
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        # the socket stays open while its file objects do
+        for stream in (self._rfile, self._wfile, self._sock):
+            try:
+                stream.close()
+            except OSError:
+                pass
 
 
 class RemoteDenoiser(Denoiser):
@@ -210,11 +212,14 @@ class RemoteDenoiser(Denoiser):
 
     Requests are serialized (one in flight per connection); the instance
     declares itself concurrency-safe only if the server's handshake does.
+    A timeout closes the transport, since a late reply would answer the next
+    request: every later call raises :class:`TransportClosedError`.
     """
 
     def __init__(self, transport, d: int, m: int, timeout: float = 10.0):
         self._transport = transport
         self._timeout = timeout
+        self._timed_out = False
         self._next_id = 0
         self._lock = threading.Lock()
         self.d = d
@@ -241,11 +246,18 @@ class RemoteDenoiser(Denoiser):
 
     def _round_trip(self, payload: dict) -> dict:
         with self._lock:
+            if self._timed_out:
+                raise TransportClosedError("transport was closed after a timeout")
             msg_id = self._next_id
             self._next_id += 1
             request = {"id": msg_id, **payload}
             self._transport.send_line(json.dumps(request))
-            line = self._transport.recv_line(self._timeout)
+            try:
+                line = self._transport.recv_line(self._timeout)
+            except RemoteTimeoutError:
+                self._timed_out = True
+                self._transport.close()
+                raise
         try:
             reply = json.loads(line)
             if not isinstance(reply, dict):

@@ -4,18 +4,23 @@ A run owns a single 64-bit seed. Every consumer derives its own independent
 stream with :func:`substream`, which hashes a label path into a Philox
 counter block, so adding a new consumer never perturbs existing streams.
 Gaussian variates are produced by inverting the normal CDF on fixed-resolution
-open-interval uniforms (:func:`standard_normals`), which pins the exact byte
-stream for a given seed within this implementation.
+open-interval uniforms (:func:`standard_normals`). The inverse CDF is the
+standard library's ``statistics.NormalDist.inv_cdf`` (Wichura's AS241), so
+numpy is the only third-party dependency and the exact byte stream for a
+given seed is pinned by numpy's Philox and the CPython build.
 """
 
 from __future__ import annotations
 
 import hashlib
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
+_INV_CDF = NormalDist().inv_cdf
+#: largest double below 1; only the top grid point j = 2^53 - 1 is capped
+_U_MAX = 1.0 - 2.0**-53
 
 
 def substream(seed: int, *labels: object) -> np.random.Generator:
@@ -35,8 +40,12 @@ def substream(seed: int, *labels: object) -> np.random.Generator:
 def standard_normals(gen: np.random.Generator, shape) -> np.ndarray:
     """Draw N(0,1) variates via the inverse CDF.
 
-    Uniforms are (j + 0.5) / 2^53 for a 53-bit integer j, so they lie strictly
-    inside (0, 1) and ndtri never sees 0 or 1.
+    Uniforms are (j + 0.5) / 2^53 for a 53-bit integer j, rounded to double.
+    For j = 2^53 - 1 that rounds to exactly 1, so uniforms are capped at the
+    largest double below 1: every uniform lies strictly inside (0, 1) and
+    every variate is finite.
     """
     u = (gen.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    u = np.minimum(u, _U_MAX)
+    return np.fromiter(map(_INV_CDF, u.ravel().tolist()), np.float64,
+                       count=u.size).reshape(u.shape)

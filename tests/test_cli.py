@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -204,6 +206,29 @@ class TestFailures:
 
     def test_bad_remote_spec_exits_one(self, config_path, capsys):
         assert main(["edit", "--config", str(config_path), "--remote", "ftp:x"]) == 1
+
+    @pytest.mark.parametrize("scenario", ["guidance-grid", "window-grid"])
+    def test_demo_without_manipulation_exits_one(self, tmp_path, scenario, capsys):
+        bare = tmp_path / "bare.json"
+        data = demo_config_dict()
+        del data["manipulation"]
+        bare.write_text(json.dumps(data))
+        assert main(["demo", "--config", str(bare), "--scenario", scenario,
+                     "--output", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("diffpath-error kind=validation")
+        assert "this command needs a manipulation section (or --preset)" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import diffpath.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestConfigCommand:

@@ -7,7 +7,7 @@ from diffpath.denoiser import ConditionEmbedding
 from diffpath.edits import (CamContext, ManipulationConfig, apply_mask,
                             cam_hook_names, lerp, normalize_kind, prompt_switch,
                             register_cam_hook, run_edit, validate_mask)
-from diffpath.errors import ParameterError
+from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import ddim_step, generate
 from diffpath.schedule import ScheduleSpec, make_timestep_grid, omega
 
@@ -244,6 +244,19 @@ class TestRunEdit:
         finally:
             from diffpath.edits import _CAM_HOOKS
             _CAM_HOOKS.pop("test-ref-a")
+
+    def test_non_finite_hook_output_names_hook_and_step(self, demo, monkeypatch):
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        t = grid.t_sample
+        from diffpath.edits import _CAM_HOOKS
+        monkeypatch.setitem(_CAM_HOOKS, "test-nan", lambda ctx: np.full(2, np.nan))
+        with pytest.raises(DenoiserError, match="cam_hook 'test-nan'") as err:
+            run_edit(den, x_top, c_a, c_b,
+                     ManipulationConfig("attention", _spec(10, 50, t, 1.0),
+                                        cam_hook="test-nan"),
+                     grid, sched)
+        assert err.value.sampling_step == 50
+        assert err.value.training_step == grid.level(0)
 
     def test_window_grid_mismatch(self, demo):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)

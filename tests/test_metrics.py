@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -216,6 +217,13 @@ class TestInversionReport:
                              (50,), samples=0, seed=1)
 
 
+class _StubIntegers:
+    """Generator stand-in whose ``integers`` draws come from ``draw``."""
+
+    def __init__(self, draw):
+        self.integers = draw
+
+
 class TestRng:
     def test_substream_determinism_and_independence(self):
         a1 = substream(7, "x").random(4)
@@ -232,6 +240,26 @@ class TestRng:
         assert g1.shape == (3, 2)
         assert np.array_equal(g1, g2)
         assert np.all(np.isfinite(g1))
+
+    @pytest.mark.parametrize("pick", [lambda lo, hi: hi - 1, lambda lo, hi: lo],
+                             ids=["top", "bottom"])
+    def test_standard_normals_finite_at_grid_extremes(self, pick):
+        gen = _StubIntegers(lambda lo, hi, size: np.full(size, pick(lo, hi)))
+        z = standard_normals(gen, (2, 3))
+        assert z.shape == (2, 3)
+        assert np.all(np.isfinite(z))
+
+    def test_standard_normals_match_high_precision_quantile(self):
+        js = [int(j) for j in np.random.default_rng(2024).integers(0, 1 << 53, 2000)]
+        js += [0, (1 << 53) - 1, 1 << 52]  # both extreme uniforms and u = 0.5
+        z = standard_normals(_StubIntegers(lambda lo, hi, size: np.array(js)), len(js))
+        with mpmath.workdps(40):
+            for j, value in zip(js, z.tolist()):
+                # the uniform the docstring promises, rounded and capped below 1
+                u = min((j + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+                q = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1)
+                assert abs(value - q) <= 2e-15 * max(1, abs(q)), (j, value, q)
+        assert z[-1] == 0.0
 
     def test_normals_roughly_standard(self):
         g = standard_normals(substream(2, "big"), 200_000)

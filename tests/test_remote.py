@@ -110,7 +110,7 @@ class TestServeStream:
 
 
 FAKE_SERVER = r"""
-import json, sys
+import json, sys, time
 mode = sys.argv[1]
 count = 0
 for line in sys.stdin:
@@ -131,6 +131,9 @@ for line in sys.stdin:
         print("}{ nonsense", flush=True)
     elif mode == "silent":
         pass
+    elif mode == "slow":  # replies after a 0.3 s client timeout, within a second one
+        time.sleep(0.45)
+        print(json.dumps({"id": msg["id"], "eps": [0.0, 0.0]}), flush=True)
     elif mode == "die-mid-path":
         if count > 5:
             sys.exit(1)
@@ -171,6 +174,14 @@ class TestProtocolErrors:
             with pytest.raises(RemoteTimeoutError):
                 remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640)
 
+    def test_timeout_closes_transport(self, fake_server, demo):
+        with _fake(fake_server, "slow", timeout=0.3) as remote:
+            with pytest.raises(RemoteTimeoutError):
+                remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640)
+            # the late reply must not be read as the answer to a later request
+            with pytest.raises(TransportClosedError):
+                remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 620)
+
     def test_handshake_dimension_mismatch(self, fake_server):
         with pytest.raises(DimensionMismatchError):
             _fake(fake_server, "baddim")
@@ -184,17 +195,21 @@ class TestProtocolErrors:
             assert err.value.sampling_step is not None
 
 
+def _tcp_server(demo) -> int:
+    ready = threading.Event()
+    bound: list = []
+    thread = threading.Thread(
+        target=serve_tcp,
+        args=(demo["denoiser"],), kwargs={"port": 0, "ready": ready, "bound": bound},
+        daemon=True)
+    thread.start()
+    assert ready.wait(5.0)
+    return bound[0]
+
+
 class TestTcpTransport:
     def test_round_trip_over_tcp(self, demo):
-        ready = threading.Event()
-        bound: list = []
-        thread = threading.Thread(
-            target=serve_tcp,
-            args=(demo["denoiser"],), kwargs={"port": 0, "ready": ready, "bound": bound},
-            daemon=True)
-        thread.start()
-        assert ready.wait(5.0)
-        remote = RemoteDenoiser.from_address("127.0.0.1", bound[0], d=2, m=2)
+        remote = RemoteDenoiser.from_address("127.0.0.1", _tcp_server(demo), d=2, m=2)
         try:
             x = np.array([0.7, -0.1])
             got = remote.predict_noise(x, demo["c_a"], 0.42, 840)
@@ -202,3 +217,11 @@ class TestTcpTransport:
             assert np.array_equal(got, expect)
         finally:
             remote.close()
+
+    def test_close_releases_the_connection(self, demo):
+        port = _tcp_server(demo)
+        first = RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2)
+        first.close()
+        # the server answers one connection at a time, so it must see the first end
+        with RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2, timeout=5.0) as second:
+            assert second.d == 2
