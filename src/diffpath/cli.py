@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .config import (RunConfig, apply_overrides, canonical_json, config_digest)
-from .edits import prompt_switch, run_edit
+from .edits import ManipulationConfig, prompt_switch, run_edit
 from .errors import ConfigError, ParameterError
 from .metrics import SweepScenario, inversion_report, run_sweep, score_edit
 from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
@@ -28,6 +29,7 @@ from .presets import demo_config_dict, preset_manipulation
 from .remote import RemoteDenoiser, serve_stream, serve_tcp
 from .rng import standard_normals, substream
 from .sampler import _step_table, ddim_invert, generate
+from .schedule import ScheduleSpec
 
 DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-grid")
 
@@ -111,24 +113,27 @@ def _pick_denoiser(args, config: RunConfig):
     raise ConfigError("--remote must be 'tcp:HOST:PORT' or 'cmd:ARGV...'")
 
 
-def _latent_steps(grid, schedule):
+def _latent_steps(config: RunConfig):
     """Sampling step and training level of each latent of a generation path."""
-    table = _step_table(grid, schedule)
+    table = _step_table(config.grid, config.noise_schedule)
     return [s.sampling_step for s in table] + [0], [s.level for s in table] + [0]
+
+
+def _condition(config: RunConfig, name: str):
+    conditions = config.build_conditions()
+    if name not in conditions:
+        raise ConfigError(f"unknown condition {name!r}")
+    return conditions[name]
 
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as writer:
-        conditions = config.build_conditions()
-        if args.condition not in conditions:
-            raise ConfigError(f"unknown condition {args.condition!r}")
-        schedule = config.build_noise_schedule()
-        grid = config.build_grid()
-        sampling, levels = _latent_steps(grid, schedule)
+        c = _condition(config, args.condition)
+        sampling, levels = _latent_steps(config)
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
-        path = generate(denoiser, x_top, conditions[args.condition], grid, schedule)
+        path = generate(denoiser, x_top, c, config.grid, config.noise_schedule)
         if "csv" in config.output.formats:
             writer.write_text("path.csv", path_csv(path.latents, path.noises,
                                                    sampling, levels, config.seed))
@@ -144,13 +149,9 @@ def cmd_generate(args) -> int:
 def cmd_invert(args) -> int:
     config = _load_config(args)
     denoiser = config.build_denoiser()
-    conditions = config.build_conditions()
-    if args.condition not in conditions:
-        raise ConfigError(f"unknown condition {args.condition!r}")
-    c = conditions[args.condition]
-    schedule = config.build_noise_schedule()
-    grid = config.build_grid()
-    sampling, levels = _latent_steps(grid, schedule)
+    c = _condition(config, args.condition)
+    grid, schedule = config.grid, config.noise_schedule
+    sampling, levels = _latent_steps(config)
     x0 = denoiser.sample_clean(c, 1, substream(config.seed, "x0"))[0]
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
     regen = generate(denoiser, inv.x_top, c, grid, schedule)
@@ -172,32 +173,23 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _require_manipulation(config: RunConfig):
-    if config.manipulation is None:
-        raise ConfigError("this command needs a manipulation section (or --preset)")
-    return config.manipulation
-
-
 def _edit_setup(config: RunConfig):
-    manip = _require_manipulation(config)
+    """The configured manipulation and its reference and editing conditions."""
+    manip = config.build_manipulation()
     conditions = config.build_conditions()
-    c_a = conditions[manip.condition_a]
-    c_b = conditions[manip.condition_b]
-    schedule = config.build_noise_schedule()
-    grid = config.build_grid()
-    return c_a, c_b, grid, schedule
+    return manip, conditions[config.condition_a], conditions[config.condition_b]
 
 
 def cmd_edit(args) -> int:
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as writer:
-        c_a, c_b, grid, schedule = _edit_setup(config)
-        manip = config.build_manipulation()
+        manip, c_a, c_b = _edit_setup(config)
+        grid, schedule = config.grid, config.noise_schedule
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path_b = generate(denoiser, x_top, c_b, grid, schedule)
         result = run_edit(denoiser, x_top, c_a, c_b, manip, grid, schedule, path_b=path_b)
-        scores = score_edit(result, path_b, config.build_model())
+        scores = score_edit(result, path_b, config.model)
         row = metrics_mod.SweepRow(
             kind=manip.kind, schedule_kind=manip.schedule.kind,
             t_max=manip.schedule.t_max, t_min=manip.schedule.t_min,
@@ -244,10 +236,10 @@ def _parse_axes(args, config: RunConfig) -> dict:
 
 def _sweep_and_write(config: RunConfig, denoiser, axes: dict, writer: ArtifactWriter,
                      csv_name: str, svg_name: str) -> metrics_mod.SweepTable:
-    c_a, c_b, grid, schedule = _edit_setup(config)
-    scenario = SweepScenario(denoiser=denoiser, score_params=config.build_model(),
-                             c_a=c_a, c_b=c_b, grid=grid, noise_schedule=schedule,
-                             base=config.build_manipulation())
+    manip, c_a, c_b = _edit_setup(config)
+    scenario = SweepScenario(denoiser=denoiser, score_params=config.model,
+                             c_a=c_a, c_b=c_b, grid=config.grid,
+                             noise_schedule=config.noise_schedule, base=manip)
     table = run_sweep(scenario, axes, config.seed)
     if "csv" in config.output.formats:
         writer.write_text(csv_name, sweep_table_csv(table))
@@ -274,20 +266,14 @@ def cmd_demo(args) -> int:
     config = _load_config(args)
     total = config.sampler.t_sample
     if args.scenario == "guidance-grid":
-        manip = _require_manipulation(config)
-        data = config.to_dict()
-        data["manipulation"] = {
-            "kind": "guidance",
-            "schedule": {"kind": "constant", "t_min": 0, "t_max": total, "amplitude": 1.0},
-            "beta": -0.3,
-            "condition_a": manip.condition_a,
-            "condition_b": manip.condition_b,
-        }
-        config = RunConfig.from_dict(data)
+        config.build_manipulation()  # the scenario keeps the configured conditions
+        config = dataclasses.replace(config, manipulation=ManipulationConfig(
+            "guidance", ScheduleSpec("constant", 0, total, total), beta=-0.3))
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as writer:
         if args.scenario == "prompt-switch":
-            c_a, c_b, grid, schedule = _edit_setup(config)
+            _, c_a, c_b = _edit_setup(config)
+            grid, schedule = config.grid, config.noise_schedule
             x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
             t = grid.t_sample
             endpoints = []
@@ -339,11 +325,10 @@ def cmd_serve(args) -> int:
 def cmd_report(args) -> int:
     config = _load_config(args)
     denoiser = config.build_denoiser()
-    conditions = config.build_conditions()
-    c = conditions[args.condition]
-    schedule = config.build_noise_schedule()
+    c = _condition(config, args.condition)
     t_values = tuple(int(v) for v in (args.t_sample or [50, 100, 200]))
-    rows = inversion_report(denoiser, c, schedule, t_values, args.samples, config.seed)
+    rows = inversion_report(denoiser, c, config.noise_schedule, t_values, args.samples,
+                            config.seed)
     with _artifacts(config, denoiser) as writer:
         if "csv" in config.output.formats:
             writer.write_text("inversion_report.csv", table_csv(

@@ -1,9 +1,11 @@
-"""Run-configuration schema: strict parsing, canonical serialization, builders.
+"""Run-configuration schema: strict parsing, canonical serialization.
 
-A run config is a single JSON document with five sections (seed, model,
+A run config is a single JSON document with six sections (seed, model,
 conditions, sampler, manipulation, output).  Parsing is strict: unknown keys
-anywhere are rejected so typos cannot silently change a run.  The canonical
-serialization is byte-stable, and its SHA-256 prefix is the run's digest.
+anywhere are rejected so typos cannot silently change a run.  Each section is
+parsed once, straight into the objects the engine runs on; the canonical
+serialization is rendered back from those objects, is byte-stable, and its
+SHA-256 prefix is the run's digest.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
-from .edits import ManipulationConfig, normalize_kind, validate_mask
+from .edits import ManipulationConfig, validate_mask
 from .errors import ConfigError
 from .schedule import (AlphaSchedule, ScheduleSpec, TimestepGrid,
                        build_linear_beta_schedule, make_timestep_grid)
@@ -37,44 +39,60 @@ def _require(mapping: Mapping[str, Any], section: str, keys: tuple[str, ...],
         raise ConfigError(f"missing keys in {section}: {missing}")
 
 
-@dataclass(frozen=True)
-class ComponentCfg:
-    weight: float
-    base_mean: tuple[float, ...]
-    condition_map: tuple[tuple[float, ...], ...]
-    variance: float
+def _parse_model(data: Mapping[str, Any]) -> GMMDenoiserParams:
+    _require(data, "model", ("d", "m", "components"))
+    comps = data["components"]
+    for i, comp in enumerate(comps):
+        _require(comp, f"model.components[{i}]",
+                 ("weight", "base_mean", "condition_map", "variance"))
+    if not comps:
+        raise ConfigError("model needs at least one component")
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], where: str) -> "ComponentCfg":
-        _require(data, where, ("weight", "base_mean", "condition_map", "variance"))
-        return ComponentCfg(
-            weight=float(data["weight"]),
-            base_mean=tuple(float(v) for v in data["base_mean"]),
-            condition_map=tuple(tuple(float(v) for v in row) for row in data["condition_map"]),
-            variance=float(data["variance"]))
+    def stack(key):
+        return np.array([comp[key] for comp in comps], dtype=np.float64)
 
-    def to_dict(self) -> dict:
-        return {"weight": self.weight, "base_mean": list(self.base_mean),
-                "condition_map": [list(r) for r in self.condition_map],
-                "variance": self.variance}
+    params = GMMDenoiserParams(weights=stack("weight"), base_means=stack("base_mean"),
+                               condition_maps=stack("condition_map"),
+                               variances=stack("variance"))
+    d, m = int(data["d"]), int(data["m"])
+    if (params.d, params.m) != (d, m):
+        raise ConfigError(f"model declares d={d}, m={m} but its components have "
+                          f"d={params.d}, m={params.m}")
+    return params
 
 
-@dataclass(frozen=True)
-class ModelCfg:
-    d: int
-    m: int
-    components: tuple[ComponentCfg, ...]
+def _parse_conditions(data: Mapping[str, Any], m: int) -> dict[str, ConditionEmbedding]:
+    if not isinstance(data, Mapping):
+        raise ConfigError("conditions must map names to vectors")
+    named = {}
+    for name, vec in data.items():
+        values = np.array(vec, dtype=np.float64)
+        if values.shape != (m,):
+            raise ConfigError(f"condition {name!r} has dimension {values.size}, "
+                              f"model expects {m}")
+        named[str(name)] = ConditionEmbedding(values, is_null=(name == "null"))
+    return named
 
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ModelCfg":
-        _require(data, "model", ("d", "m", "components"))
-        comps = tuple(ComponentCfg.from_dict(c, f"model.components[{i}]")
-                      for i, c in enumerate(data["components"]))
-        return ModelCfg(d=int(data["d"]), m=int(data["m"]), components=comps)
 
-    def to_dict(self) -> dict:
-        return {"d": self.d, "m": self.m,
-                "components": [c.to_dict() for c in self.components]}
+def _parse_manipulation(data: Mapping[str, Any], conditions: Mapping[str, Any],
+                        total: int, d: int) -> tuple[ManipulationConfig, str, str]:
+    _require(data, "manipulation", ("kind", "schedule"),
+             ("beta", "mask", "cam_hook", "condition_a", "condition_b"))
+    names = (str(data.get("condition_a", "a")), str(data.get("condition_b", "b")))
+    for name in names:
+        if name not in conditions and name != "null":
+            raise ConfigError(f"manipulation references unknown condition {name!r}")
+    sched = data["schedule"]
+    _require(sched, "manipulation.schedule", ("kind", "t_min", "t_max"), ("amplitude",))
+    spec = ScheduleSpec(kind=str(sched["kind"]), t_min=int(sched["t_min"]),
+                        t_max=int(sched["t_max"]), total=total,
+                        amplitude=float(sched.get("amplitude", 1.0)))
+    beta, mask, hook = data.get("beta"), data.get("mask"), data.get("cam_hook")
+    manip = ManipulationConfig(kind=str(data["kind"]), schedule=spec,
+                               beta=None if beta is None else float(beta),
+                               mask=None if mask is None else validate_mask(mask, d),
+                               cam_hook=None if hook is None else str(hook))
+    return (manip, *names)
 
 
 @dataclass(frozen=True)
@@ -93,62 +111,6 @@ class SamplerCfg:
     def to_dict(self) -> dict:
         return {"t_train": self.t_train, "t_sample": self.t_sample,
                 "beta_min": self.beta_min, "beta_max": self.beta_max}
-
-
-@dataclass(frozen=True)
-class ScheduleCfg:
-    kind: str
-    t_min: int
-    t_max: int
-    amplitude: float
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ScheduleCfg":
-        _require(data, "manipulation.schedule", ("kind", "t_min", "t_max"), ("amplitude",))
-        return ScheduleCfg(kind=str(data["kind"]), t_min=int(data["t_min"]),
-                           t_max=int(data["t_max"]),
-                           amplitude=float(data.get("amplitude", 1.0)))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "t_min": self.t_min, "t_max": self.t_max,
-                "amplitude": self.amplitude}
-
-
-@dataclass(frozen=True)
-class ManipulationCfg:
-    kind: str
-    schedule: ScheduleCfg
-    condition_a: str = "a"
-    condition_b: str = "b"
-    beta: float | None = None
-    mask: tuple[float, ...] | None = None
-    cam_hook: str | None = None
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ManipulationCfg":
-        _require(data, "manipulation", ("kind", "schedule"),
-                 ("beta", "mask", "cam_hook", "condition_a", "condition_b"))
-        mask = data.get("mask")
-        return ManipulationCfg(
-            kind=normalize_kind(str(data["kind"])),
-            schedule=ScheduleCfg.from_dict(data["schedule"]),
-            condition_a=str(data.get("condition_a", "a")),
-            condition_b=str(data.get("condition_b", "b")),
-            beta=None if data.get("beta") is None else float(data["beta"]),
-            mask=None if mask is None else tuple(float(v) for v in mask),
-            cam_hook=None if data.get("cam_hook") is None else str(data["cam_hook"]))
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind, "schedule": self.schedule.to_dict(),
-                               "condition_a": self.condition_a,
-                               "condition_b": self.condition_b}
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.mask is not None:
-            out["mask"] = list(self.mask)
-        if self.cam_hook is not None:
-            out["cam_hook"] = self.cam_hook
-        return out
 
 
 @dataclass(frozen=True)
@@ -172,112 +134,97 @@ class OutputCfg:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run config, held as the objects the engine runs on.
+
+    ``conditions`` holds the declared conditions only; ``build_conditions``
+    adds the all-zeros ``null`` condition when none is declared.
+    ``condition_a``/``condition_b`` name the manipulation's reference and
+    editing conditions.
+    """
+
     seed: int
-    model: ModelCfg
-    conditions: tuple[tuple[str, tuple[float, ...]], ...]
+    model: GMMDenoiserParams
+    conditions: dict[str, ConditionEmbedding]
     sampler: SamplerCfg
-    manipulation: ManipulationCfg | None
+    noise_schedule: AlphaSchedule
+    grid: TimestepGrid
+    manipulation: ManipulationConfig | None
+    condition_a: str
+    condition_b: str
     output: OutputCfg
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "RunConfig":
         _require(data, "config", ("seed", "model", "conditions", "sampler"),
                  ("manipulation", "output"))
-        conditions = data["conditions"]
-        if not isinstance(conditions, Mapping):
-            raise ConfigError("conditions must map names to vectors")
-        cond_items = tuple((str(name), tuple(float(v) for v in vec))
-                           for name, vec in conditions.items())
-        manip = data.get("manipulation")
-        cfg = RunConfig(
-            seed=int(data["seed"]),
-            model=ModelCfg.from_dict(data["model"]),
-            conditions=cond_items,
-            sampler=SamplerCfg.from_dict(data["sampler"]),
-            manipulation=None if manip is None else ManipulationCfg.from_dict(manip),
-            output=OutputCfg.from_dict(data.get("output", {})))
-        cfg.validate()
-        return cfg
+        try:
+            model = _parse_model(data["model"])
+            conditions = _parse_conditions(data["conditions"], model.m)
+            sampler = SamplerCfg.from_dict(data["sampler"])
+            raw = data.get("manipulation")
+            manip, cond_a, cond_b = (None, "a", "b") if raw is None else _parse_manipulation(
+                raw, conditions, sampler.t_sample, model.d)
+            return RunConfig(
+                seed=int(data["seed"]), model=model, conditions=conditions,
+                sampler=sampler,
+                noise_schedule=build_linear_beta_schedule(
+                    sampler.t_train, sampler.beta_min, sampler.beta_max),
+                grid=make_timestep_grid(sampler.t_train, sampler.t_sample),
+                manipulation=manip, condition_a=cond_a, condition_b=cond_b,
+                output=OutputCfg.from_dict(data.get("output", {})))
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, OverflowError) as err:
+            raise ConfigError(str(err)) from err
 
     def to_dict(self) -> dict:
+        p = self.model
         out: dict[str, Any] = {
             "seed": self.seed,
-            "model": self.model.to_dict(),
-            "conditions": {name: list(vec) for name, vec in self.conditions},
+            "model": {"d": p.d, "m": p.m, "components": [
+                {"weight": w, "base_mean": b, "condition_map": cm, "variance": v}
+                for w, b, cm, v in zip(p.weights.tolist(), p.base_means.tolist(),
+                                       p.condition_maps.tolist(), p.variances.tolist())]},
+            "conditions": {name: c.values.tolist() for name, c in self.conditions.items()},
             "sampler": self.sampler.to_dict(),
         }
-        if self.manipulation is not None:
-            out["manipulation"] = self.manipulation.to_dict()
+        manip = self.manipulation
+        if manip is not None:
+            spec = manip.schedule
+            section: dict[str, Any] = {
+                "kind": manip.kind,
+                "schedule": {"kind": spec.kind, "t_min": spec.t_min, "t_max": spec.t_max,
+                             "amplitude": spec.amplitude},
+                "condition_a": self.condition_a, "condition_b": self.condition_b}
+            if manip.beta is not None:
+                section["beta"] = manip.beta
+            if manip.mask is not None:
+                section["mask"] = manip.mask.tolist()
+            if manip.cam_hook is not None:
+                section["cam_hook"] = manip.cam_hook
+            out["manipulation"] = section
         out["output"] = self.output.to_dict()
         return out
 
-    def condition_vectors(self) -> dict[str, tuple[float, ...]]:
-        return dict(self.conditions)
-
-    def validate(self) -> None:
-        """Cross-section invariants; raises ConfigError on the first failure."""
-        try:
-            params = self.build_model()
-            conditions = self.build_conditions()
-            schedule = self.build_noise_schedule()
-            grid = self.build_grid()
-            if grid.t_sample != self.sampler.t_sample:
-                raise ConfigError("grid construction mismatch")
-            if self.manipulation is not None:
-                manip = self.manipulation
-                for name in (manip.condition_a, manip.condition_b):
-                    if name not in conditions:
-                        raise ConfigError(f"manipulation references unknown condition {name!r}")
-                self.build_manipulation()
-            _ = params, schedule
-        except ConfigError:
-            raise
-        except Exception as err:
-            raise ConfigError(str(err)) from err
-
-    def build_model(self) -> GMMDenoiserParams:
-        comps = self.model.components
-        if not comps:
-            raise ConfigError("model needs at least one component")
-        return GMMDenoiserParams(
-            weights=np.array([c.weight for c in comps]),
-            base_means=np.array([c.base_mean for c in comps]),
-            condition_maps=np.array([c.condition_map for c in comps]),
-            variances=np.array([c.variance for c in comps]))
-
     def build_denoiser(self) -> GMMDenoiser:
-        return GMMDenoiser(self.build_model())
+        return GMMDenoiser(self.model)
 
     def build_conditions(self) -> dict[str, ConditionEmbedding]:
-        named = {}
-        for name, vec in self.conditions:
-            if len(vec) != self.model.m:
-                raise ConfigError(f"condition {name!r} has dimension {len(vec)}, "
-                                  f"model expects {self.model.m}")
-            named[name] = ConditionEmbedding(np.array(vec), is_null=(name == "null"))
+        named = dict(self.conditions)
         if "null" not in named:
             named["null"] = ConditionEmbedding(np.zeros(self.model.m), is_null=True)
         return named
 
     def build_noise_schedule(self) -> AlphaSchedule:
-        return build_linear_beta_schedule(self.sampler.t_train, self.sampler.beta_min,
-                                          self.sampler.beta_max)
+        return self.noise_schedule
 
     def build_grid(self) -> TimestepGrid:
-        return make_timestep_grid(self.sampler.t_train, self.sampler.t_sample)
+        return self.grid
 
     def build_manipulation(self) -> ManipulationConfig:
         if self.manipulation is None:
-            raise ConfigError("config has no manipulation section")
-        manip = self.manipulation
-        spec = ScheduleSpec(kind=manip.schedule.kind, t_min=manip.schedule.t_min,
-                            t_max=manip.schedule.t_max, total=self.sampler.t_sample,
-                            amplitude=manip.schedule.amplitude)
-        mask = None
-        if manip.mask is not None:
-            mask = validate_mask(np.array(manip.mask), self.model.d)
-        return ManipulationConfig(kind=manip.kind, schedule=spec, beta=manip.beta,
-                                  mask=mask, cam_hook=manip.cam_hook)
+            raise ConfigError("this command needs a manipulation section (or --preset)")
+        return self.manipulation
 
 
 def parse_config(text: str) -> RunConfig:

@@ -157,7 +157,10 @@ def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: ConditionEmbedd
 
     The marginal of x_t is a mixture of N(sqrt(a)*mu_k, (a*s2_k + 1 - a) I);
     the softmax over its component log densities is evaluated after
-    subtracting the max so it is stable at any noise level.  The
+    subtracting the max so it is stable at any noise level.  When every
+    squared distance overflows (|x| beyond about 1e154) they are compared
+    scaled by max|resid| instead: in the softmax's limit all mass goes to
+    the nearest component(s), shared by their remaining terms.  The
     responsibilities are None when a marginal variance is zero.
     """
     a = _check_alpha_bar(alpha_bar, allow_one=True)
@@ -167,11 +170,15 @@ def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: ConditionEmbedd
     resid = x - np.sqrt(a) * mus                         # (K, d)
     if np.any(var == 0.0):
         return mus, var, resid, None
-    log_resp = (np.log(params.weights)
-                - 0.5 * params.d * np.log(2.0 * np.pi * var)
-                - 0.5 * np.einsum("kd,kd->k", resid, resid) / var)
-    log_resp -= log_resp.max()
-    resp = np.exp(log_resp)
+    log_norm = np.log(params.weights) - 0.5 * params.d * np.log(2.0 * np.pi * var)
+    log_resp = log_norm - 0.5 * np.einsum("kd,kd->k", resid, resid) / var
+    peak = log_resp.max()
+    if peak == -np.inf:
+        scaled = resid / np.abs(resid).max()
+        dist = np.einsum("kd,kd->k", scaled, scaled) / var
+        log_resp = np.where(dist > dist.min(), -np.inf, log_norm)
+        peak = log_resp.max()
+    resp = np.exp(log_resp - peak)
     return mus, var, resid, resp / resp.sum()
 
 

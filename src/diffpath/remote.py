@@ -19,6 +19,7 @@ oracle is observationally identical to calling it directly.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import socket
 import subprocess
@@ -55,8 +56,17 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
-#: strict JSON both ways: NaN and Infinity are neither read nor written
-_FRAME_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _reject_constant(token)
+    return value
+
+
+#: strict JSON both ways: NaN and Infinity are neither read nor written, and
+#: a literal that overflows to infinity (``1e400``) is rejected as well
+_FRAME_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
+                                  parse_float=_finite_float)
 _REPLY_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
@@ -75,7 +85,7 @@ def serve_stream(denoiser: Denoiser, rfile, wfile) -> None:
             msg = _FRAME_DECODER.decode(line)
             if not isinstance(msg, dict):
                 raise ValueError("frame must be an object")
-        except ValueError:
+        except (ValueError, RecursionError):  # nesting too deep for the decoder
             _send(wfile, json.dumps({"id": None, "error": "malformed frame"}))
             continue
         msg_id = msg.get("id")

@@ -19,7 +19,7 @@ def demo(demo_cfg):
     return {
         "cfg": demo_cfg,
         "denoiser": demo_cfg.build_denoiser(),
-        "params": demo_cfg.build_model(),
+        "params": demo_cfg.model,
         "c_a": conds["a"],
         "c_b": conds["b"],
         "null": conds["null"],

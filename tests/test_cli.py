@@ -177,6 +177,22 @@ class TestFailures:
         assert main(["generate", "--config", str(bad),
                      "--output", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("command", ["generate", "invert", "report"])
+    def test_unknown_condition_exits_one(self, tmp_path, command, capsys):
+        assert main([command, "--condition", "zz", "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == \
+            'diffpath-error kind=validation message="unknown condition \'zz\'"\n'
+        assert not (tmp_path / "x").exists()
+
+    def test_declared_dimension_mismatch_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = demo_config_dict()
+        data["model"]["d"] = 3
+        bad.write_text(json.dumps(data))
+        assert main(["generate", "--config", str(bad),
+                     "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("diffpath-error kind=validation")
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "none.json")]) == 1
 

@@ -115,8 +115,8 @@ def test_overrides_nested_and_typed():
     cfg = RunConfig.from_dict(data)
     assert cfg.manipulation.schedule.amplitude == 0.7
     assert cfg.sampler.t_sample == 25
-    assert cfg.model.components[0].variance == 0.5
-    assert cfg.manipulation.condition_b == "a"
+    assert cfg.model.variances[0] == 0.5
+    assert cfg.condition_b == "a"
 
 
 def test_window_must_fit_grid():
@@ -164,3 +164,41 @@ def test_presets_all_valid():
 def test_unknown_preset():
     with pytest.raises(KeyError):
         preset_manipulation("nope")
+
+
+#: canonical-form digests of the demo config and of each preset on top of it
+PINNED_DIGESTS = {
+    "demo": "0ee8652ad6b1",
+    "noise-interp-local": "0ee8652ad6b1",
+    "noise-interp-global": "7d79d5497fb9",
+    "cond-interp-local": "e007a4e6602d",
+    "cond-interp-global": "00cf8c668e90",
+    "latent-interp-local": "f8de5484adf3",
+    "latent-interp-global": "505a3fc6ea84",
+    "guidance-local": "5800808b7940",
+    "guidance-default": "18b59ee4060c",
+    "attention-local": "eb74a8d9e1ed",
+    "noise-mask-demo": "006bf9109331",
+    "latent-mask-demo": "ba6bada04f68",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_config_digest_is_pinned(name):
+    data = demo_config_dict()
+    if name != "demo":
+        data["manipulation"] = {**preset_manipulation(name),
+                                "condition_a": "a", "condition_b": "b"}
+    assert config_digest(RunConfig.from_dict(data)) == PINNED_DIGESTS[name]
+
+
+def test_pinned_digests_cover_every_preset():
+    assert set(PINNED_DIGESTS) == {"demo", *EDIT_PRESETS}
+
+
+@pytest.mark.parametrize("key, value", [("d", 3), ("m", 1)])
+def test_declared_dimensions_must_match_components(key, value):
+    data = demo_config_dict()
+    data["model"][key] = value
+    with pytest.raises(ConfigError, match="components have d=2, m=2"):
+        RunConfig.from_dict(data)

@@ -129,6 +129,29 @@ class TestResponsibilities:
         resp = gmm_responsibilities(demo["params"], np.array([1e6, -1e6]), C, 0.5)
         assert abs(resp.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("a", [1e-5, 0.5, 0.999])
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e308, 1.7e308])
+    def test_overflowing_distances_stay_finite(self, demo, scale, a):
+        for x in ([scale, scale], [scale, -scale], [-scale, 0.0]):
+            x = np.array(x)
+            resp = gmm_responsibilities(demo["params"], x, demo["c_a"], a)
+            assert np.all(np.isfinite(resp)) and resp.sum() == pytest.approx(1.0)
+            assert np.all(np.isfinite(demo["denoiser"].predict_noise(x, demo["c_a"], a, 1)))
+
+    def test_overflow_limit_is_the_nearest_component(self):
+        def mixture(variances):
+            return GMMDenoiserParams(weights=np.array([0.3, 0.7]),
+                                     base_means=np.zeros((2, 2)),
+                                     condition_maps=np.zeros((2, 2, 2)),
+                                     variances=np.array(variances))
+
+        # far out, the wider marginal is the nearer one: it takes all the mass
+        x = np.array([1e200, -1e200])
+        assert gmm_responsibilities(mixture([2.0, 0.5]), x, C, 0.5).tolist() == [1.0, 0.0]
+        # equal distances: the quadratic terms cancel, leaving the weights
+        assert np.allclose(gmm_responsibilities(mixture([0.5, 0.5]), x, C, 0.5),
+                           [0.3, 0.7], rtol=1e-15)
+
 
 class TestLogDensity:
     def test_matches_direct_evaluation(self, demo):

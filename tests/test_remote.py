@@ -1,13 +1,16 @@
 import io
 import json
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffpath.config import canonical_json
-from diffpath.denoiser import ConditionEmbedding
+from diffpath.denoiser import ConditionEmbedding, Denoiser
 from diffpath.edits import ManipulationConfig, run_edit
 from diffpath.errors import DenoiserError
 from diffpath.remote import (DimensionMismatchError, IdMismatchError,
@@ -53,6 +56,47 @@ class TestLoopback:
                 remote.predict_noise(np.zeros(2), demo["c_a"], 1.0, 500)
 
 
+def _strict_loads(text):
+    """json.loads that rejects NaN, Infinity and literals overflowing to inf."""
+    def reject(token):
+        raise ValueError(token)
+
+    def finite(token):
+        value = float(token)
+        if not math.isfinite(value):
+            reject(token)
+        return value
+
+    return json.loads(text, parse_constant=reject, parse_float=finite)
+
+
+#: JSON number tokens as written on the wire, some overflowing or non-finite
+_numbers = st.one_of(st.integers(-3, 3).map(str),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.sampled_from(["1e400", "-1e400", "NaN", "Infinity", '"0.5"', "null"]))
+_vectors = st.lists(_numbers, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+_frames = st.fixed_dictionaries(
+    {"id": st.one_of(_numbers, st.text(max_size=4).map(json.dumps))},
+    optional={"op": st.sampled_from(['"hello"', '"predict_noise"', '"warp"']),
+              "d": _numbers, "m": _numbers, "x": _vectors, "c": _vectors,
+              "t": _numbers, "alpha_bar": _numbers},
+).map(lambda fields: "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+#: well-formed requests, some with the wrong dimensions or a huge latent
+_requests = st.one_of(
+    st.builds(lambda i, d, m: json.dumps({"id": i, "op": "hello", "d": d, "m": m}),
+              st.integers(0, 99), st.sampled_from([2, 3]), st.sampled_from([2, 1])),
+    st.builds(lambda i, x, c, t, a: json.dumps({"id": i, "op": "predict_noise", "x": x,
+                                                "c": c, "t": t, "alpha_bar": a}),
+              st.integers(0, 99), st.lists(_floats, min_size=1, max_size=3),
+              st.lists(st.floats(-10, 10), min_size=2, max_size=2),
+              st.integers(1, 1000), st.floats(0.0, 1.0)))
+#: other lines: bare text, blanks, non-objects and deep nesting
+_raw_lines = st.one_of(
+    st.text(st.characters(blacklist_characters="\n\r"), max_size=30),
+    st.sampled_from(["", "   ", "null", "[]", "{}", "[" * 5000]))
+
+
 class TestServeStream:
     def _roundtrip(self, demo, lines):
         out = io.StringIO()
@@ -84,6 +128,16 @@ class TestServeStream:
         assert replies[1]["id"] == 4 and "error" in replies[1]
 
     def test_bad_frames_get_strict_error_replies(self, demo):
+        class NanOnHugeLatents(Denoiser):
+            """The demo oracle, except that it answers NaN for |x| > 1e300."""
+
+            d, m = 2, 2
+
+            def predict_noise(self, x, c, alpha_bar, t):
+                if np.abs(x).max() > 1e300:
+                    return np.full(2, np.nan)
+                return demo["denoiser"].predict_noise(x, c, alpha_bar, t)
+
         def frame(i, x, c=(1.0, 0.25)):
             return json.dumps({"id": i, "op": "predict_noise", "x": list(x),
                                "c": list(c), "t": 500, "alpha_bar": 0.5})
@@ -95,18 +149,53 @@ class TestServeStream:
             frame(4, [0.25, -1.5]),
         ]) + "\n"
         out = io.StringIO()
-        with np.errstate(all="ignore"):  # frame 3 overflows inside the oracle
-            serve_stream(demo["denoiser"], io.StringIO(lines), out)
-
-        def reject(token):
-            raise ValueError(token)
-
-        replies = [json.loads(line, parse_constant=reject)
-                   for line in out.getvalue().splitlines()]
+        serve_stream(NanOnHugeLatents(), io.StringIO(lines), out)
+        replies = [_strict_loads(line) for line in out.getvalue().splitlines()]
         assert [r["id"] for r in replies] == [1, 2, 3, 4]
         assert all("error" in r and "eps" not in r for r in replies[:3])
         expect = demo["denoiser"].predict_noise(np.array([0.25, -1.5]), demo["c_a"], 0.5, 500)
         assert np.array_equal(np.array(replies[3]["eps"]), expect)
+
+    def test_oracle_answers_huge_latents(self, demo):
+        replies = self._roundtrip(demo, json.dumps(
+            {"id": 3, "op": "predict_noise", "x": [1e308, 1e308], "c": [1.0, 0.25],
+             "t": 500, "alpha_bar": 0.5}) + "\n")
+        assert len(replies[0]["eps"]) == 2 and np.all(np.isfinite(replies[0]["eps"]))
+
+    @pytest.mark.parametrize("line", [
+        '{"id": 1e400, "op": "hello", "d": 2, "m": 2}',
+        '{"id": 7, "op": "predict_noise", "x": [1e400, 0], "c": [1.0, 0.25], '
+        '"t": 500, "alpha_bar": 0.5}',
+        "[" * 100_000,
+    ], ids=["overflowing-id", "overflowing-x", "deep-nesting"])
+    def test_unreadable_frames_are_malformed(self, demo, line):
+        out = io.StringIO()
+        serve_stream(demo["denoiser"], io.StringIO(line + "\n"), out)
+        assert out.getvalue() == '{"id": null, "error": "malformed frame"}\n'
+
+    @given(lines=st.lists(st.one_of(_raw_lines, _frames, _requests), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_frames_get_one_strict_reply_each(self, demo, lines):
+        out = io.StringIO()
+        serve_stream(demo["denoiser"], io.StringIO("".join(f"{ln}\n" for ln in lines)), out)
+        frames = [ln for ln in lines if ln.strip()]
+        replies = out.getvalue().splitlines()
+        assert len(replies) == len(frames)
+        for line, text in zip(frames, replies):
+            reply = _strict_loads(text)
+            try:
+                msg = _strict_loads(line)
+                sent_id = msg.get("id") if isinstance(msg, dict) else None
+            except (ValueError, RecursionError):
+                sent_id = None
+            assert reply["id"] == sent_id
+            kinds = [k for k in ("eps", "op", "error") if k in reply]
+            assert len(kinds) == 1
+            if kinds == ["eps"]:
+                assert len(reply["eps"]) == 2
+                assert all(math.isfinite(v) for v in reply["eps"])
+            elif kinds == ["op"]:
+                assert reply["op"] == "hello"
 
 
 FAKE_SERVER = r"""
