@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .config import (RunConfig, apply_overrides, canonical_json, config_digest)
-from .edits import ManipulationConfig, prompt_switch, run_edit
+from .edits import ManipulationConfig, run_edit
 from .errors import ConfigError, ParameterError
 from .metrics import SweepScenario, inversion_report, run_sweep, score_edit
 from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
@@ -29,7 +29,7 @@ from .presets import demo_config_dict, preset_manipulation
 from .remote import RemoteDenoiser, serve_stream, serve_tcp
 from .rng import standard_normals, substream
 from .sampler import _step_table, ddim_invert, generate
-from .schedule import ScheduleSpec
+from .schedule import ScheduleSpec, TimestepGrid
 
 DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-grid")
 
@@ -276,16 +276,15 @@ def cmd_demo(args) -> int:
             grid, schedule = config.grid, config.noise_schedule
             x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
             t = grid.t_sample
-            endpoints = []
-            pure_a = prompt_switch(denoiser, x_top, c_a, c_b, t, grid, schedule).x0
-            pure_b = prompt_switch(denoiser, x_top, c_a, c_b, 0, grid, schedule).x0
-            rows = []
-            for k in range(t, -1, -1):
-                x0 = prompt_switch(denoiser, x_top, c_a, c_b, k, grid, schedule).x0
-                endpoints.append(x0)
-                rows.append([k, *x0,
-                             float(np.linalg.norm(x0 - pure_a)),
-                             float(np.linalg.norm(x0 - pure_b)), config.seed])
+            # switching at k shares path A's first k hops: walk the rest under c_b
+            path_a = generate(denoiser, x_top, c_a, grid, schedule)
+            endpoints = [path_a.x0] + [
+                generate(denoiser, path_a.latents[k], c_b, TimestepGrid(grid.steps[k:]),
+                         schedule).x0 for k in range(t - 1, -1, -1)]
+            pure_a, pure_b = endpoints[0], endpoints[-1]
+            rows = [[k, *x0, float(np.linalg.norm(x0 - pure_a)),
+                     float(np.linalg.norm(x0 - pure_b)), config.seed]
+                    for k, x0 in zip(range(t, -1, -1), endpoints)]
             d = config.model.d
             header = ["k"] + [f"x{j}" for j in range(d)] \
                 + ["dist_to_pure_a", "dist_to_pure_b", "seed"]

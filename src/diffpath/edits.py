@@ -41,7 +41,8 @@ import numpy as np
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
 from .sampler import (GENERATION, PathRecord, cfg_combine, ddim_step,
-                      effective_noise, generate, _predict, _Step, _walk)
+                      effective_noise, generate, _predict, _predict_batch, _Step,
+                      _walk)
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
@@ -247,8 +248,7 @@ def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
             return _predict(denoiser, x, ConditionEmbedding(lerp(c_a.values, c_b.values, w)),
                             step)
         if kind == "guidance":
-            return cfg_combine(_predict(denoiser, x, c_a, step),
-                               _predict(denoiser, x, c_b, step), config.beta)
+            return cfg_combine(*_predict_batch(denoiser, x, [c_a, c_b], step), config.beta)
         if kind in ("latent_interp", "latent_mask"):
             eps_b = _predict(denoiser, x, c_b, step)
             stepped = ddim_step(x, eps_b, a_t, a_prev)

@@ -269,11 +269,11 @@ class RemoteDenoiser(Denoiser):
                 self._transport.close()
                 raise
         try:
-            reply = json.loads(line)
+            reply = _FRAME_DECODER.decode(line)
             if not isinstance(reply, dict):
                 raise ValueError("reply must be an object")
-        except ValueError as err:
-            raise MalformedFrameError(f"unparseable reply {line!r}: {err}") from err
+        except (ValueError, RecursionError) as err:  # nesting too deep for the decoder
+            raise MalformedFrameError(f"unparseable reply {line[:200]!r}: {err}") from err
         if reply.get("id") != msg_id:
             raise IdMismatchError(
                 f"expected reply id {msg_id}, got {reply.get('id')!r}")

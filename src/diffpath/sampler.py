@@ -206,9 +206,25 @@ def _walk(grid: TimestepGrid, schedule: AlphaSchedule, x_start: np.ndarray,
 
 def _predict(denoiser: Denoiser, x: np.ndarray, c: ConditionEmbedding,
              step: _Step) -> np.ndarray:
+    return _checked_noise(lambda: denoiser.predict_noise(x, c, step.a_t, step.level),
+                          np.shape(x), step)
+
+
+def _predict_batch(denoiser: Denoiser, x: np.ndarray,
+                   conditions: list[ConditionEmbedding], step: _Step) -> np.ndarray:
+    """One batched call for ``x`` under each condition; row i is ``conditions[i]``'s noise."""
+    X = np.full((len(conditions), x.size), x)
+    return _checked_noise(
+        lambda: denoiser.predict_noise_batch(X, conditions, step.a_t, step.level),
+        X.shape, step)
+
+
+def _checked_noise(call: Callable[[], np.ndarray], shape: tuple[int, ...],
+                   step: _Step) -> np.ndarray:
+    """Run one denoiser call for ``step``; a failure or a bad answer names the step."""
     level, sampling_step = step.level, step.sampling_step
     try:
-        eps = denoiser.predict_noise(x, c, step.a_t, level)
+        eps = call()
     except (ParameterError, ZeroDivisionError):
         raise
     except DenoiserError as err:
@@ -221,9 +237,9 @@ def _predict(denoiser: Denoiser, x: np.ndarray, c: ConditionEmbedding,
         raise DenoiserError(f"denoiser call failed: {err}",
                             sampling_step=sampling_step, training_step=level) from err
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != np.shape(x):
+    if eps.shape != shape:
         raise DenoiserError(
-            f"denoiser returned shape {eps.shape}, expected {np.shape(x)}",
+            f"denoiser returned shape {eps.shape}, expected {shape}",
             sampling_step=sampling_step, training_step=level)
     if not np.isfinite(eps).all():
         raise DenoiserError("denoiser returned non-finite noise",
@@ -257,11 +273,11 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
                 f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
 
     def choose_eps(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
-        eps = _predict(denoiser, x, c, step)
         if guidance is None:
-            return eps
+            return _predict(denoiser, x, c, step)
         null = nulls if isinstance(nulls, ConditionEmbedding) else nulls[i]
-        return cfg_combine(eps, _predict(denoiser, x, null, step), beta)
+        eps_c, eps_null = _predict_batch(denoiser, x, [c, null], step)
+        return cfg_combine(eps_c, eps_null, beta)
 
     return _walk(grid, schedule, x_top, c, choose_eps)
 
@@ -301,6 +317,11 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     that step stops with a diagnostic).  With ``beta = 0`` the objective does
     not depend on the null side and the initial embedding is returned for
     every step.
+
+    A step's predictions all share its latent, so they go out as batches:
+    first the conditional, the initial null and its 2m probes, then each
+    candidate with its own probes (none after the last iteration).  The
+    accepted null's prediction is reused for the guided hop.
     """
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
@@ -311,38 +332,46 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     objectives: list[float] = []
     diagnostics: list[str] = []
 
+    bumps = fd_epsilon * np.eye(null0.m)
+
     def tune(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
         target = inv.latents[step.sampling_step - 1]
-        eps_c = _predict(denoiser, x, c, step)
 
-        def objective(null_values: np.ndarray) -> float:
-            eps_null = _predict(denoiser, x, ConditionEmbedding(null_values, is_null=True),
-                                step)
-            resid = ddim_step(x, cfg_combine(eps_c, eps_null, beta),
-                              step.a_t, step.a_prev) - target
-            return float(resid @ resid)
+        def with_probes(null: np.ndarray, probe: bool) -> list[ConditionEmbedding]:
+            # null, then null +/- eps*e_j for each coordinate j when a gradient is needed
+            rows = [null]
+            if probe:
+                for bump in bumps:
+                    rows += [null + bump, null - bump]
+            return [ConditionEmbedding(v, is_null=True) for v in rows]
+
+        def losses(eps_null: np.ndarray) -> list[float]:
+            # elementwise over the rows, so each row repeats the one-row arithmetic
+            guided = cfg_combine(np.broadcast_to(eps_c, eps_null.shape), eps_null, beta)
+            resid = ddim_step(x, guided, step.a_t, step.a_prev) - target
+            return [float(r @ r) for r in resid]
 
         null = null0.values.copy()
-        best = objective(null)
+        eps = _predict_batch(denoiser, x, [c, *with_probes(null, iterations > 0)], step)
+        eps_c, eps_best = eps[0], eps[1]
+        best, *probed = losses(eps[1:])
         for it in range(iterations):
-            grad = np.empty_like(null)
-            for j in range(null.size):
-                bump = np.zeros_like(null)
-                bump[j] = fd_epsilon
-                grad[j] = (objective(null + bump) - objective(null - bump)) / (2.0 * fd_epsilon)
+            grad = np.array([(probed[2 * j] - probed[2 * j + 1]) / (2.0 * fd_epsilon)
+                             for j in range(null.size)])
             candidate = null - step_size * grad
-            value = objective(candidate)
+            eps_null = _predict_batch(denoiser, x, with_probes(candidate, it + 1 < iterations),
+                                      step)
+            value, *probed = losses(eps_null)
             if value > best * (1.0 + 1e-12) + 1e-300:
                 msg = (f"sampling step {step.sampling_step}: objective rose "
                        f"{best:.6e} -> {value:.6e} at iteration {it}; reverted and stopped")
                 diagnostics.append(msg)
                 log.warning("null-embedding optimization diverged: %s", msg)
                 break
-            null, best = candidate, value
-        null_emb = ConditionEmbedding(null, is_null=True)
-        embeddings.append(null_emb)
+            null, best, eps_best = candidate, value, eps_null[0]
+        embeddings.append(ConditionEmbedding(null, is_null=True))
         objectives.append(best)
-        return cfg_combine(eps_c, _predict(denoiser, x, null_emb, step), beta)
+        return cfg_combine(eps_c, eps_best, beta)
 
     _walk(grid, schedule, inv.x_top, c, tune)
     return NullTextResult(embeddings=tuple(embeddings), objectives=tuple(objectives),

@@ -2,8 +2,10 @@
 
 The counts are deterministic and independent of the machine, so they are
 pinned exactly: a change to the stepping code must neither add nor drop a
-single ``predict_noise`` call.  All figures are for the bundled demo model
-(50 sampling steps, m = 2).
+single denoiser call or predicted row.  A call is one ``predict_noise`` or
+one ``predict_noise_batch``; rows count one per ``predict_noise`` and one per
+batch row.  All figures are for the bundled demo model (50 sampling steps,
+m = 2).
 """
 
 import contextlib
@@ -29,30 +31,38 @@ KIND_PRESETS = {
     "attention": "attention-local",
 }
 
-#: (paths generated on demand, reference and editing paths precomputed)
-RUN_EDIT_CALLS = {
-    "noise_interp": (129, 29),
-    "noise_mask": (129, 29),
-    "latent_interp": (100, 50),
-    "latent_mask": (100, 50),
-    "cond_interp": (100, 50),
-    "guidance": (150, 100),
-    "attention": (100, 50),
+#: (calls, rows) with the paths generated on demand, then with the reference
+#: and editing paths precomputed
+RUN_EDIT_COUNTS = {
+    "noise_interp": ((129, 129), (29, 29)),
+    "noise_mask": ((129, 129), (29, 29)),
+    "latent_interp": ((100, 100), (50, 50)),
+    "latent_mask": ((100, 100), (50, 50)),
+    "cond_interp": ((100, 100), (50, 50)),
+    "guidance": ((100, 150), (50, 100)),
+    "attention": ((100, 100), (50, 50)),
 }
 
 
 class CountingDenoiser(Denoiser):
-    """Forwards to a wrapped denoiser and counts ``predict_noise`` calls."""
+    """Forwards to a wrapped denoiser and counts its calls and predicted rows."""
 
     def __init__(self, inner):
         self._inner = inner
         self.d = inner.d
         self.m = inner.m
         self.calls = 0
+        self.rows = 0
 
     def predict_noise(self, x, c, alpha_bar, t):
         self.calls += 1
+        self.rows += 1
         return self._inner.predict_noise(x, c, alpha_bar, t)
+
+    def predict_noise_batch(self, X, C, alpha_bar, t):
+        self.calls += 1
+        self.rows += len(X)
+        return self._inner.predict_noise_batch(X, C, alpha_bar, t)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -60,33 +70,35 @@ class CountingDenoiser(Denoiser):
 
 @pytest.fixture()
 def count(demo):
-    def run(walk) -> int:
+    def run(walk) -> tuple[int, int]:
         counting = CountingDenoiser(demo["denoiser"])
         walk(counting)
-        return counting.calls
+        return counting.calls, counting.rows
     return run
 
 
 def test_generate(demo, count):
     args = (demo["x_top"], demo["c_a"], demo["grid"], demo["schedule"])
-    assert count(lambda den: generate(den, *args)) == 50
-    assert count(lambda den: generate(den, *args, guidance=(2.0, demo["null"]))) == 100
+    assert count(lambda den: generate(den, *args)) == (50, 50)
+    # conditional and null side of each step in one call
+    assert count(lambda den: generate(den, *args, guidance=(2.0, demo["null"]))) == (50, 100)
 
 
 def test_ddim_invert(demo, count):
     assert count(lambda den: ddim_invert(den, demo["x_top"], demo["c_a"], demo["grid"],
-                                         demo["schedule"])) == 50
+                                         demo["schedule"])) == (50, 50)
 
 
-@pytest.mark.parametrize("iterations, calls", [(0, 200), (3, 950)])
-def test_null_text_invert(demo, count, iterations, calls):
-    # 50 inversion calls, then per step: conditional, initial objective,
-    # 2m + 1 objectives per iteration, final null prediction
+@pytest.mark.parametrize("iterations, calls, rows", [(0, 100, 150), (3, 250, 900)])
+def test_null_text_invert(demo, count, iterations, calls, rows):
+    # 50 inversion calls, then per step one call for the conditional, the
+    # initial null and its 2m probes, and one per iteration for the candidate
+    # and, unless it is the last, the candidate's 2m probes
     x0 = generate(demo["denoiser"], demo["x_top"], demo["c_a"], demo["grid"],
                   demo["schedule"]).x0
     assert count(lambda den: null_text_invert(den, x0, demo["c_a"], 2.0, demo["grid"],
                                               demo["schedule"],
-                                              iterations=iterations)) == calls
+                                              iterations=iterations)) == (calls, rows)
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_PRESETS))
@@ -103,13 +115,13 @@ def test_run_edit(demo, count, kind):
                                 demo["grid"], demo["schedule"])}
     on_demand = count(lambda den: run_edit(den, *args))
     precomputed = count(lambda den: run_edit(den, *args, **paths))
-    assert (on_demand, precomputed) == RUN_EDIT_CALLS[kind]
+    assert (on_demand, precomputed) == RUN_EDIT_COUNTS[kind]
 
 
 @pytest.mark.parametrize("k", [0, 20, 50])
 def test_prompt_switch(demo, count, k):
     assert count(lambda den: prompt_switch(den, demo["x_top"], demo["c_a"], demo["c_b"], k,
-                                           demo["grid"], demo["schedule"])) == 50
+                                           demo["grid"], demo["schedule"])) == (50, 50)
 
 
 def test_cli_demo_prompt_switch(tmp_path, monkeypatch):
@@ -124,5 +136,5 @@ def test_cli_demo_prompt_switch(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["demo", "--scenario", "prompt-switch", "--output", str(tmp_path)])
     assert code == 0
-    # two pure endpoints plus one switch path per k in 0..50, 50 calls each
-    assert [den.calls for den in built] == [2650]
+    # path A once, then from its latent k the remaining 50 - k hops under c_b
+    assert [(den.calls, den.rows) for den in built] == [(1325, 1325)]

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffpath.denoiser import (ConditionEmbedding, GMMDenoiserParams,
-                               embed_condition, gmm_log_density,
+from diffpath.denoiser import (ConditionEmbedding, Denoiser, GMMDenoiser,
+                               GMMDenoiserParams, embed_condition, gmm_log_density,
                                gmm_posterior_mean, gmm_responsibilities,
                                predict_noise)
 from diffpath.errors import ParameterError
@@ -151,6 +151,93 @@ class TestResponsibilities:
         # equal distances: the quadratic terms cancel, leaving the weights
         assert np.allclose(gmm_responsibilities(mixture([0.5, 0.5]), x, C, 0.5),
                            [0.3, 0.7], rtol=1e-15)
+
+    def test_overflow_ties_go_to_the_nearer_mean(self):
+        # the residuals agree to float precision, yet component 1 is nearer
+        # by a log-responsibility gap of about 2.8e200
+        params = GMMDenoiserParams(weights=np.array([0.3, 0.7]),
+                                   base_means=np.array([[-1.0, 0.0], [1.0, 0.0]]),
+                                   condition_maps=np.zeros((2, 2, 2)),
+                                   variances=np.array([0.5, 0.5]))
+        x = np.array([1e200, 0.0])
+        assert gmm_responsibilities(params, x, C, 0.5).tolist() == [0.0, 1.0]
+        assert gmm_responsibilities(params, -x, C, 0.5).tolist() == [1.0, 0.0]
+
+    def test_tiny_marginal_variance_warns_nothing(self):
+        # the zero-variance component's squared distance over a variance of
+        # about 1e-12 exceeds the float range; it simply gets no mass
+        params = GMMDenoiserParams(weights=np.array([0.5, 0.5]),
+                                   base_means=np.zeros((2, 2)),
+                                   condition_maps=np.zeros((2, 2, 2)),
+                                   variances=np.array([0.0, 1.0]))
+        x, a = np.array([1e150, 1e150]), 1.0 - 1e-12
+        assert gmm_responsibilities(params, x, C, a).tolist() == [0.0, 1.0]
+        eps = predict_noise(params, x, C, a)
+        batch = GMMDenoiser(params).predict_noise_batch(np.array([x, x / 2]), [C, C], a, 1)
+        assert np.all(np.isfinite(eps)) and np.array_equal(batch[0], eps)
+        assert np.all(np.isfinite(batch))
+
+
+@st.composite
+def batch_cases(draw):
+    """A mixture, a level and N >= 1 rows, some far out or zero-variance."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d, m = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    raw = gen.uniform(0.2, 1.0, size=k)
+    variances = gen.uniform(0.05, 2.0, size=k)
+    if draw(st.booleans()):
+        variances[gen.integers(k)] = 0.0
+    params = GMMDenoiserParams(weights=raw / raw.sum(),
+                               base_means=gen.normal(size=(k, d)) * 3.0,
+                               condition_maps=gen.normal(size=(k, d, m)),
+                               variances=variances)
+    X = gen.normal(size=(n, d)) * 10.0 ** gen.uniform(-3.0, 3.0, size=(n, 1))
+    far = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    X[far] = gen.choice([-1.0, 1.0], size=(len(far), d)) * 10.0 ** gen.uniform(
+        154.0, 308.0, size=(len(far), 1))
+    C_rows = [ConditionEmbedding(gen.normal(size=m)) for _ in range(n)]
+    a = draw(st.one_of(st.floats(1e-6, 1.0, exclude_max=True),
+                       st.sampled_from([0.5, 1.0 - 1e-12])))
+    return params, X, C_rows, a
+
+
+class TestPredictNoiseBatch:
+    @given(case=batch_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_bitwise_the_per_row_oracle(self, case):
+        params, X, C_rows, a = case
+        den = GMMDenoiser(params)
+        try:
+            rows = [den.predict_noise(x, c, a, 7) for x, c in zip(X, C_rows)]
+        except (ParameterError, RuntimeWarning) as err:
+            # a zero-variance mixture with K > 1 at a ~ 1, or a noise beyond
+            # the float range: the batch fails the same way
+            with pytest.raises(type(err)):
+                den.predict_noise_batch(X, C_rows, a, 7)
+            return
+        batch = den.predict_noise_batch(X, C_rows, a, 7)
+        assert batch.shape == X.shape
+        for i, row in enumerate(rows):
+            assert np.array_equal(batch[i], row), i
+
+    def test_default_loops_over_predict_noise(self, demo):
+        class PerRow(Denoiser):
+            d, m = 2, 2
+
+            def __init__(self):
+                self.seen = []
+
+            def predict_noise(self, x, c, alpha_bar, t):
+                self.seen.append((tuple(x), c))
+                return demo["denoiser"].predict_noise(x, c, alpha_bar, t)
+
+        X = np.array([[0.3, -0.2], [1.5, 0.25], [-2.0, 4.0]])
+        C_rows = [demo["c_a"], demo["c_b"], demo["null"]]
+        den = PerRow()
+        batch = den.predict_noise_batch(X, C_rows, 0.4, 600)
+        assert den.seen == [(tuple(x), c) for x, c in zip(X, C_rows)]
+        assert np.array_equal(batch, demo["denoiser"].predict_noise_batch(X, C_rows, 0.4, 600))
 
 
 class TestLogDensity:

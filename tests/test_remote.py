@@ -223,6 +223,11 @@ for line in sys.stdin:
     elif mode == "slow":  # replies after a 0.3 s client timeout, within a second one
         time.sleep(0.45)
         print(json.dumps({"id": msg["id"], "eps": [0.0, 0.0]}), flush=True)
+    elif mode in ("nan", "infinity", "overflow"):
+        token = {"nan": "NaN", "infinity": "Infinity", "overflow": "1e400"}[mode]
+        print('{"id": %d, "eps": [%s, 0.0]}' % (msg["id"], token), flush=True)
+    elif mode == "deep":
+        print('{"id": %d, "eps": %s}' % (msg["id"], "[" * 100000), flush=True)
     elif mode == "die-mid-path":
         if count > 5:
             sys.exit(1)
@@ -255,6 +260,12 @@ class TestProtocolErrors:
 
     def test_malformed_reply(self, fake_server, demo):
         with _fake(fake_server, "garbage") as remote:
+            with pytest.raises(MalformedFrameError):
+                remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640)
+
+    @pytest.mark.parametrize("mode", ["nan", "infinity", "overflow", "deep"])
+    def test_unreadable_reply_is_malformed(self, fake_server, demo, mode):
+        with _fake(fake_server, mode) as remote:
             with pytest.raises(MalformedFrameError):
                 remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640)
 

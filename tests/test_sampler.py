@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffpath.denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
+from diffpath.denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import (GENERATION, INVERSION, PathRecord, cfg_combine,
                               ddim_invert, ddim_step, effective_noise, f_theta,
@@ -278,6 +278,26 @@ class TestNullTextInversion:
                                iterations=2)
         assert len(res.objectives) == GRID.t_sample
         assert all(np.isfinite(v) for v in res.objectives)
+
+    def test_batched_calls_match_per_row_calls(self, demo):
+        # the oracle answers each step's rows in one pass; the interface's
+        # default answers them one predict_noise call at a time
+        class PerRow(Denoiser):
+            d, m = 2, 2
+
+            def predict_noise(self, x, c, alpha_bar, t):
+                return demo["denoiser"].predict_noise(x, c, alpha_bar, t)
+
+        x0 = np.array([0.6, -0.3])
+        runs = [null_text_invert(den, x0, demo["c_a"], 2.0, GRID, SCHED, iterations=4)
+                for den in (demo["denoiser"], PerRow())]
+        assert runs[0].objectives == runs[1].objectives
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(runs[0].embeddings, runs[1].embeddings))
+        paths = [generate(den, demo["x_top"], demo["c_a"], GRID, SCHED,
+                          guidance=(2.0, runs[0].embeddings))
+                 for den in (demo["denoiser"], PerRow())]
+        assert all(np.array_equal(a, b) for a, b in zip(paths[0].noises, paths[1].noises))
 
     def test_negative_iterations_rejected(self, demo):
         with pytest.raises(ParameterError):
