@@ -227,11 +227,13 @@ def _parse_axes(args, config: RunConfig) -> dict:
             except json.JSONDecodeError:
                 values.append(chunk)
         axes[name.strip()] = tuple(values)
-    if not axes:
-        total = config.sampler.t_sample
-        axes = {"t_max": (total, total - 2, total - 4, total - 6, total - 8),
-                "t_m": (5, 10, 15, 20, 25)}
-    return axes
+    return axes or _window_axes(config.sampler.t_sample)
+
+
+def _window_axes(total: int) -> dict:
+    """The default sweep and the window-grid demo: window tops by window lengths."""
+    return {"t_max": (total, total - 2, total - 4, total - 6, total - 8),
+            "t_m": (5, 10, 15, 20, 25)}
 
 
 def _sweep_and_write(config: RunConfig, denoiser, axes: dict, writer: ArtifactWriter,
@@ -298,8 +300,7 @@ def cmd_demo(args) -> int:
                     connect=True))
         else:
             if args.scenario == "window-grid":
-                axes = {"t_max": (total, total - 2, total - 4, total - 6, total - 8),
-                        "t_m": (5, 10, 15, 20, 25)}
+                axes = _window_axes(total)
             elif args.scenario == "schedule-grid":
                 axes = {"schedule": ("linear", "cosine", "exponential"),
                         "t_m": (20, 25, 30, 35, 40, 45, 50)}

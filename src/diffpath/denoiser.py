@@ -11,6 +11,7 @@ distributed, the Bayes-optimal noise prediction is available in closed form.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -178,8 +179,8 @@ def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: ConditionEmbedd
     x = np.asarray(x, dtype=np.float64)
     mus = params.component_means(c)                      # (K, d)
     var = a * params.variances + (1.0 - a)               # (K,)
-    resid = x - np.sqrt(a) * mus                         # (K, d)
-    if (var == 0.0).any():
+    resid = x - math.sqrt(a) * mus                       # (K, d)
+    if a == 1.0 and (var == 0.0).any():  # below 1, every var >= 1 - a > 0
         return mus, var, resid, None
     log_norm = np.log(params.weights) - 0.5 * params.d * np.log(2.0 * np.pi * var)
     with np.errstate(over="ignore"):
@@ -245,7 +246,7 @@ def gmm_posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
             return mus[0].copy()
         raise ParameterError(
             "degenerate mixture (zero marginal variance) with K > 1 at alpha_bar = 1")
-    shrink = np.sqrt(float(alpha_bar)) * params.variances / var  # (K,)
+    shrink = math.sqrt(float(alpha_bar)) * params.variances / var  # (K,)
     return resp @ (mus + shrink[:, None] * resid)
 
 
@@ -258,7 +259,17 @@ def predict_noise(params: GMMDenoiserParams, x: np.ndarray,
     a = _check_alpha_bar(alpha_bar, allow_one=False)
     x = np.asarray(x, dtype=np.float64)
     x0_hat = gmm_posterior_mean(params, x, c, a)
-    return (x - np.sqrt(a) * x0_hat) / np.sqrt(1.0 - a)
+    return _noise_from_mean(x, x0_hat, a)
+
+
+def _noise_from_mean(x: np.ndarray, x0_hat: np.ndarray, a: float) -> np.ndarray:
+    """(x - sqrt(a) * x0_hat) / sqrt(1 - a); a noise beyond the float range is an error."""
+    try:  # raising on overflow costs less than checking the result
+        with np.errstate(over="raise"):
+            return (x - math.sqrt(a) * x0_hat) / math.sqrt(1.0 - a)
+    except FloatingPointError:
+        raise ParameterError(
+            f"predicted noise exceeds the float range at alpha_bar = {a}") from None
 
 
 def gmm_log_density(params: GMMDenoiserParams, x: np.ndarray,
@@ -296,19 +307,17 @@ class GMMDenoiser(Denoiser):
 
         The per-row arithmetic is repeated in the same order: means through
         broadcast ``@``, squared distances through a row-wise ``einsum``.  A
-        call with a zero marginal variance or with a row in the overflow
-        limit goes row by row through the per-row oracle, which holds those
-        cases.
+        call with a row in the overflow limit goes row by row through the
+        per-row oracle, which holds that case.  Every marginal variance is at
+        least ``1 - a > 0`` here.
         """
         p = self.params
         a = _check_alpha_bar(alpha_bar, allow_one=False)
         X = np.asarray(X, dtype=np.float64)
         var = a * p.variances + (1.0 - a)
-        if (var == 0.0).any():
-            return super().predict_noise_batch(X, C, alpha_bar, t)
         cs = np.array([c.values for c in C])
         mus = (p.condition_maps[None] @ cs[:, None, :, None])[..., 0] + p.base_means
-        resid = X[:, None, :] - np.sqrt(a) * mus                     # (N, K, d)
+        resid = X[:, None, :] - math.sqrt(a) * mus                   # (N, K, d)
         log_norm = np.log(p.weights) - 0.5 * p.d * np.log(2.0 * np.pi * var)
         with np.errstate(over="ignore"):
             log_resp = log_norm - 0.5 * np.einsum("nkd,nkd->nk", resid, resid) / var
@@ -317,9 +326,9 @@ class GMMDenoiser(Denoiser):
             return super().predict_noise_batch(X, C, alpha_bar, t)
         resp = np.exp(log_resp - peak)
         resp = resp / resp.sum(axis=1, keepdims=True)
-        shrink = np.sqrt(a) * p.variances / var
+        shrink = math.sqrt(a) * p.variances / var
         x0_hat = (resp[:, None, :] @ (mus + shrink[:, None] * resid))[:, 0]
-        return (X - np.sqrt(a) * x0_hat) / np.sqrt(1.0 - a)
+        return _noise_from_mean(X, x0_hat, a)
 
     def sample_clean(self, c: ConditionEmbedding, n: int,
                      gen: np.random.Generator) -> np.ndarray:

@@ -14,13 +14,17 @@ ids:
 Floats survive the trip exactly because JSON rendering uses shortest
 round-trip representations, so a loopback server wrapping the in-process
 oracle is observationally identical to calling it directly.
+
+The client reaches either peer through one transport over a connected
+socket: a TCP connection, or one end of a socket pair whose other end is a
+child process's stdin and stdout (so it is POSIX-only).  A read waits under
+the socket's timeout; the client starts no thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import queue
 import socket
 import subprocess
 import threading
@@ -139,57 +143,14 @@ def serve_tcp(denoiser: Denoiser, host: str = "127.0.0.1", port: int = 0,
                 serve_stream(denoiser, rfile, wfile)
 
 
-class _SubprocessTransport:
-    """Child process speaking the protocol on its standard streams."""
+class _SocketTransport:
+    """Protocol peer over a connected socket, and the child process behind it, if any."""
 
-    def __init__(self, argv: Sequence[str]):
-        self._proc = subprocess.Popen(
-            list(argv), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, text=True, bufsize=1)
-        self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
-
-    def send_line(self, line: str) -> None:
-        if self._proc.poll() is not None or self._proc.stdin is None:
-            raise TransportClosedError("server process has exited")
-        try:
-            self._proc.stdin.write(line + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as err:
-            raise TransportClosedError(f"server pipe closed: {err}") from err
-
-    def recv_line(self, timeout: float) -> str:
-        try:
-            line = self._lines.get(timeout=timeout)
-        except queue.Empty:
-            raise RemoteTimeoutError(f"no response within {timeout}s") from None
-        if line is None:
-            raise TransportClosedError("server closed its output stream")
-        return line
-
-    def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-
-
-class _TcpTransport:
-    """Protocol peer over a TCP connection."""
-
-    def __init__(self, host: str, port: int, connect_timeout: float = 10.0):
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
-        self._rfile = self._sock.makefile("r", encoding="utf-8")
-        self._wfile = self._sock.makefile("w", encoding="utf-8")
+    def __init__(self, sock: socket.socket, proc: subprocess.Popen | None = None):
+        self._sock = sock
+        self._proc = proc
+        self._rfile = sock.makefile("r", encoding="utf-8")
+        self._wfile = sock.makefile("w", encoding="utf-8")
 
     def send_line(self, line: str) -> None:
         try:
@@ -199,11 +160,16 @@ class _TcpTransport:
             raise TransportClosedError(f"connection closed: {err}") from err
 
     def recv_line(self, timeout: float) -> str:
-        self._sock.settimeout(timeout)
+        if self._sock.gettimeout() != timeout:  # settimeout costs two fcntl calls
+            self._sock.settimeout(timeout)
         try:
             line = self._rfile.readline()
         except socket.timeout:
             raise RemoteTimeoutError(f"no response within {timeout}s") from None
+        except OSError as err:
+            raise TransportClosedError(f"connection closed: {err}") from err
+        except UnicodeDecodeError as err:
+            raise MalformedFrameError(f"reply is not UTF-8: {err}") from err
         if line == "":
             raise TransportClosedError("server closed the connection")
         return line
@@ -215,6 +181,21 @@ class _TcpTransport:
                 stream.close()
             except OSError:
                 pass
+        if self._proc is not None:
+            self._proc.terminate()
+            try:
+                self._proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+
+
+def _SubprocessTransport(argv: Sequence[str]) -> _SocketTransport:
+    """Start ``argv`` with one end of a socket pair as its stdin and stdout."""
+    ours, theirs = socket.socketpair()
+    with theirs:
+        proc = subprocess.Popen(list(argv), stdin=theirs, stdout=theirs,
+                                stderr=subprocess.DEVNULL)
+    return _SocketTransport(ours, proc)
 
 
 class RemoteDenoiser(Denoiser):
@@ -252,7 +233,8 @@ class RemoteDenoiser(Denoiser):
     @classmethod
     def from_address(cls, host: str, port: int, d: int, m: int,
                      timeout: float = 10.0) -> "RemoteDenoiser":
-        return cls(_TcpTransport(host, port), d, m, timeout)
+        sock = socket.create_connection((host, port), timeout=timeout)
+        return cls(_SocketTransport(sock), d, m, timeout)
 
     def _round_trip(self, payload: dict) -> dict:
         with self._lock:

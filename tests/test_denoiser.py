@@ -210,9 +210,8 @@ class TestPredictNoiseBatch:
         den = GMMDenoiser(params)
         try:
             rows = [den.predict_noise(x, c, a, 7) for x, c in zip(X, C_rows)]
-        except (ParameterError, RuntimeWarning) as err:
-            # a zero-variance mixture with K > 1 at a ~ 1, or a noise beyond
-            # the float range: the batch fails the same way
+        except ParameterError as err:
+            # a noise beyond the float range: the batch fails the same way
             with pytest.raises(type(err)):
                 den.predict_noise_batch(X, C_rows, a, 7)
             return
@@ -220,6 +219,15 @@ class TestPredictNoiseBatch:
         assert batch.shape == X.shape
         for i, row in enumerate(rows):
             assert np.array_equal(batch[i], row), i
+
+    def test_noise_beyond_the_float_range_is_a_parameter_error(self):
+        # eps = x / sqrt(1 - a) is about 2.1e308 for a point mass at the origin
+        params, x, a = _k1([0.0], [[0.0]], 0.0), np.array([3.7e307]), 0.96875
+        c = ConditionEmbedding(np.zeros(1))
+        with pytest.raises(ParameterError, match="float range"):
+            predict_noise(params, x, c, a)
+        with pytest.raises(ParameterError, match="float range"):
+            GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]), [c, c], a, 1)
 
     def test_default_loops_over_predict_noise(self, demo):
         class PerRow(Denoiser):

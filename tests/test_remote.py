@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import select
+import socket
 import sys
 import threading
 
@@ -49,6 +51,12 @@ class TestLoopback:
                    for a, b in zip(local.path.latents, over_wire.path.latents))
         assert all(np.array_equal(a, b)
                    for a, b in zip(local.path.noises, over_wire.path.noises))
+
+    def test_client_starts_no_thread(self, config_file, demo):
+        before = set(threading.enumerate())
+        with _spawn_server(config_file) as remote:
+            remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 500)
+            assert set(threading.enumerate()) <= before
 
     def test_server_reports_model_errors(self, config_file, demo):
         with _spawn_server(config_file) as remote:
@@ -199,8 +207,11 @@ class TestServeStream:
 
 
 FAKE_SERVER = r"""
-import json, sys, time
+import json, select, sys, time
 mode = sys.argv[1]
+if mode == "hangup":  # wait for the hello, then exit without reading it
+    select.select([sys.stdin], [], [])
+    sys.exit(0)
 count = 0
 for line in sys.stdin:
     msg = json.loads(line)
@@ -228,6 +239,9 @@ for line in sys.stdin:
         print('{"id": %d, "eps": [%s, 0.0]}' % (msg["id"], token), flush=True)
     elif mode == "deep":
         print('{"id": %d, "eps": %s}' % (msg["id"], "[" * 100000), flush=True)
+    elif mode == "badutf8":
+        sys.stdout.buffer.write(b'{"id": %d, "eps": [0.0, 0.0], "note": "\xff"}\n' % msg["id"])
+        sys.stdout.flush()
     elif mode == "die-mid-path":
         if count > 5:
             sys.exit(1)
@@ -263,7 +277,7 @@ class TestProtocolErrors:
             with pytest.raises(MalformedFrameError):
                 remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640)
 
-    @pytest.mark.parametrize("mode", ["nan", "infinity", "overflow", "deep"])
+    @pytest.mark.parametrize("mode", ["nan", "infinity", "overflow", "deep", "badutf8"])
     def test_unreadable_reply_is_malformed(self, fake_server, demo, mode):
         with _fake(fake_server, mode) as remote:
             with pytest.raises(MalformedFrameError):
@@ -281,6 +295,10 @@ class TestProtocolErrors:
             # the late reply must not be read as the answer to a later request
             with pytest.raises(TransportClosedError):
                 remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 620)
+
+    def test_peer_hanging_up_unread_closes_the_transport(self, fake_server):
+        with pytest.raises(TransportClosedError):
+            _fake(fake_server, "hangup")
 
     def test_handshake_dimension_mismatch(self, fake_server):
         with pytest.raises(DimensionMismatchError):
@@ -307,6 +325,20 @@ def _tcp_server(demo) -> int:
     return bound[0]
 
 
+def _hangup_tcp_server() -> int:
+    """A TCP peer that accepts one connection and closes it without reading the hello."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def hang_up():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:  # closing with the hello unread resets the connection
+                select.select([conn], [], [], 5.0)
+
+    threading.Thread(target=hang_up, daemon=True).start()
+    return listener.getsockname()[1]
+
+
 class TestTcpTransport:
     def test_round_trip_over_tcp(self, demo):
         remote = RemoteDenoiser.from_address("127.0.0.1", _tcp_server(demo), d=2, m=2)
@@ -325,3 +357,7 @@ class TestTcpTransport:
         # the server answers one connection at a time, so it must see the first end
         with RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2, timeout=5.0) as second:
             assert second.d == 2
+
+    def test_reset_connection_closes_the_transport(self):
+        with pytest.raises(TransportClosedError):
+            RemoteDenoiser.from_address("127.0.0.1", _hangup_tcp_server(), d=2, m=2)
