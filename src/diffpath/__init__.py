@@ -5,8 +5,8 @@ paths, verified against a closed-form Gaussian-mixture denoiser.
 """
 
 from .denoiser import (ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams,
-                       embed_condition, gmm_log_density, gmm_posterior_mean,
-                       gmm_responsibilities, predict_noise)
+                       gmm_log_density, gmm_posterior_mean, gmm_responsibilities,
+                       predict_noise)
 from .edits import (CamContext, EditResult, ManipulationConfig, apply_mask, lerp,
                     prompt_switch, register_cam_hook, run_edit)
 from .errors import ConfigError, DenoiserError, ParameterError
@@ -26,9 +26,9 @@ __all__ = [
     "GMMDenoiserParams", "ManipulationConfig", "NullTextResult",
     "ParameterError", "PathRecord", "ScheduleSpec", "SweepScenario",
     "SweepTable", "TimestepGrid", "apply_mask", "build_linear_beta_schedule",
-    "cfg_combine", "ddim_invert", "ddim_step", "effective_noise",
-    "embed_condition", "f_theta", "generate", "gmm_log_density",
-    "gmm_posterior_mean", "inversion_report", "invert_step", "lerp",
+    "cfg_combine", "ddim_invert", "ddim_step", "effective_noise", "f_theta",
+    "generate", "gmm_log_density", "gmm_posterior_mean", "inversion_report",
+    "invert_step", "lerp",
     "gmm_responsibilities", "make_timestep_grid", "null_text_invert", "omega",
     "predict_noise", "prompt_switch", "register_cam_hook", "run_edit",
     "run_sweep", "score_edit",

@@ -4,8 +4,8 @@ Subcommands: ``generate``, ``invert``, ``edit``, ``sweep``, ``demo`` produce
 CSV artifacts (plus SVG scatter plots for two-dimensional models) in the
 configured output directory; ``serve`` exposes the configured model over the
 wire protocol.  Every run prints its seed and config digest.  Exit codes:
-0 success, 1 validation failure, 2 runtime failure; no partial artifacts
-survive a failed run.
+0 success, 1 validation failure, 2 runtime failure.  Each artifact appears
+whole or not at all, and no artifact survives a failed run.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,18 +37,33 @@ DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-gri
 
 
 class ArtifactWriter:
-    """Collects written files so a failed run can remove them all."""
+    """Writes a run's artifacts in the configured formats and lists them for cleanup."""
 
-    def __init__(self, directory: str):
-        self.directory = Path(directory)
+    def __init__(self, config: RunConfig):
+        self.directory = Path(config.output.directory)
+        # scatter plots are drawn for planar models only
+        self.formats = [f for f in config.output.formats if f != "svg" or config.model.d == 2]
         self.written: list[Path] = []
 
-    def write_text(self, name: str, text: str) -> Path:
+    def write(self, name: str, render: Callable[[], str]) -> None:
+        """Write ``render()`` as ``name`` if its format is on, through a temporary file.
+
+        The temporary file sits in the same directory and then replaces
+        ``name``, so no reader ever sees a partial artifact.
+        """
+        if name.rsplit(".", 1)[1] not in self.formats:
+            return
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / name
-        path.write_text(text, encoding="utf-8")
+        temp = path.with_name(f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            with open(temp, "x", encoding="utf-8") as out:
+                out.write(render())
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         self.written.append(path)
-        return path
 
 
 @contextlib.contextmanager
@@ -57,7 +74,7 @@ def _artifacts(config: RunConfig, denoiser):
     either way; on success the seed, config digest and written files are
     announced.
     """
-    writer = ArtifactWriter(config.output.directory)
+    writer = ArtifactWriter(config)
     try:
         yield writer
     except BaseException:
@@ -134,15 +151,12 @@ def cmd_generate(args) -> int:
         sampling, levels = _latent_steps(config)
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path = generate(denoiser, x_top, c, config.grid, config.noise_schedule)
-        if "csv" in config.output.formats:
-            writer.write_text("path.csv", path_csv(path.latents, path.noises,
-                                                   sampling, levels, config.seed))
-        if "svg" in config.output.formats and config.model.d == 2:
-            writer.write_text("path.svg", svg_scatter(
-                [("trajectory", np.array(path.latents)),
-                 ("endpoint", path.x0[None, :])],
-                title=f"generation under {args.condition!r} (seed {config.seed})",
-                connect=True))
+        writer.write("path.csv", lambda: path_csv(path.latents, path.noises,
+                                                  sampling, levels, config.seed))
+        writer.write("path.svg", lambda: svg_scatter(
+            [("trajectory", np.array(path.latents)), ("endpoint", path.x0[None, :])],
+            title=f"generation under {args.condition!r} (seed {config.seed})",
+            connect=True))
     return 0
 
 
@@ -157,18 +171,15 @@ def cmd_invert(args) -> int:
     regen = generate(denoiser, inv.x_top, c, grid, schedule)
     rel_err = float(np.linalg.norm(regen.x0 - x0) / np.linalg.norm(x0))
     with _artifacts(config, denoiser) as writer:
-        if "csv" in config.output.formats:
-            writer.write_text("inversion.csv", path_csv(
-                inv.latents, inv.noises, sampling[::-1], levels[::-1], config.seed))
-            writer.write_text("reconstruction.csv", table_csv(
-                ["t_sample", "rel_error", "seed"],
-                [[grid.t_sample, rel_err, config.seed]]))
-        if "svg" in config.output.formats and config.model.d == 2:
-            writer.write_text("inversion.svg", svg_scatter(
-                [("inversion", np.array(inv.latents)),
-                 ("regenerated", np.array(regen.latents))],
-                title=f"round trip under {args.condition!r} (seed {config.seed})",
-                connect=True))
+        writer.write("inversion.csv", lambda: path_csv(
+            inv.latents, inv.noises, sampling[::-1], levels[::-1], config.seed))
+        writer.write("reconstruction.csv", lambda: table_csv(
+            ["t_sample", "rel_error", "seed"], [[grid.t_sample, rel_err, config.seed]]))
+        writer.write("inversion.svg", lambda: svg_scatter(
+            [("inversion", np.array(inv.latents)),
+             ("regenerated", np.array(regen.latents))],
+            title=f"round trip under {args.condition!r} (seed {config.seed})",
+            connect=True))
     print(f"round-trip relative error: {rel_err:.6e}")
     return 0
 
@@ -197,19 +208,16 @@ def cmd_edit(args) -> int:
             seed=config.seed, metrics=scores)
         table = metrics_mod.SweepTable(rows=(row,), seed=config.seed,
                                        digest=config_digest(config))
-        if "csv" in config.output.formats:
-            writer.write_text("edit.csv", sweep_table_csv(table))
-            divergence = metrics_mod.path_divergence(result)
-            t = grid.t_sample
-            writer.write_text("edit_profile.csv", table_csv(
-                ["index", "sampling_step", "divergence_from_reference", "seed"],
-                [[i, t - i, div, config.seed] for i, div in enumerate(divergence)]))
-        if "svg" in config.output.formats and config.model.d == 2:
-            writer.write_text("edit.svg", svg_scatter(
-                [("path A endpoint", result.path_a.x0[None, :]),
-                 ("path B endpoint", path_b.x0[None, :]),
-                 ("edited endpoint", result.path.x0[None, :])],
-                title=f"{manip.kind} edit (seed {config.seed})"))
+        writer.write("edit.csv", lambda: sweep_table_csv(table))
+        writer.write("edit_profile.csv", lambda: table_csv(
+            ["index", "sampling_step", "divergence_from_reference", "seed"],
+            [[i, grid.t_sample - i, div, config.seed]
+             for i, div in enumerate(metrics_mod.path_divergence(result))]))
+        writer.write("edit.svg", lambda: svg_scatter(
+            [("path A endpoint", result.path_a.x0[None, :]),
+             ("path B endpoint", path_b.x0[None, :]),
+             ("edited endpoint", result.path.x0[None, :])],
+            title=f"{manip.kind} edit (seed {config.seed})"))
     return 0
 
 
@@ -227,7 +235,7 @@ def _parse_axes(args, config: RunConfig) -> dict:
             except json.JSONDecodeError:
                 values.append(chunk)
         axes[name.strip()] = tuple(values)
-    return axes or _window_axes(config.sampler.t_sample)
+    return axes or _window_axes(config.grid.t_sample)
 
 
 def _window_axes(total: int) -> dict:
@@ -243,14 +251,12 @@ def _sweep_and_write(config: RunConfig, denoiser, axes: dict, writer: ArtifactWr
                              c_a=c_a, c_b=c_b, grid=config.grid,
                              noise_schedule=config.noise_schedule, base=manip)
     table = run_sweep(scenario, axes, config.seed)
-    if "csv" in config.output.formats:
-        writer.write_text(csv_name, sweep_table_csv(table))
-    if "svg" in config.output.formats and config.model.d == 2:
-        points = np.array([[row.metrics.layout_preservation,
-                            row.metrics.semantic_alignment] for row in table.rows])
-        writer.write_text(svg_name, svg_scatter(
-            [("grid points (layout vs alignment)", points)],
-            title=f"sweep (seed {config.seed})"))
+    writer.write(csv_name, lambda: sweep_table_csv(table))
+    writer.write(svg_name, lambda: svg_scatter(
+        [("grid points (layout vs alignment)",
+          np.array([[row.metrics.layout_preservation, row.metrics.semantic_alignment]
+                    for row in table.rows]))],
+        title=f"sweep (seed {config.seed})"))
     return table
 
 
@@ -266,7 +272,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_demo(args) -> int:
     config = _load_config(args)
-    total = config.sampler.t_sample
+    total = config.grid.t_sample
     if args.scenario == "guidance-grid":
         config.build_manipulation()  # the scenario keeps the configured conditions
         config = dataclasses.replace(config, manipulation=ManipulationConfig(
@@ -287,17 +293,13 @@ def cmd_demo(args) -> int:
             rows = [[k, *x0, float(np.linalg.norm(x0 - pure_a)),
                      float(np.linalg.norm(x0 - pure_b)), config.seed]
                     for k, x0 in zip(range(t, -1, -1), endpoints)]
-            d = config.model.d
-            header = ["k"] + [f"x{j}" for j in range(d)] \
+            header = ["k"] + [f"x{j}" for j in range(config.model.d)] \
                 + ["dist_to_pure_a", "dist_to_pure_b", "seed"]
-            if "csv" in config.output.formats:
-                writer.write_text("prompt_switch.csv", table_csv(header, rows))
-            if "svg" in config.output.formats and d == 2:
-                writer.write_text("prompt_switch.svg", svg_scatter(
-                    [("switch endpoints", np.array(endpoints)),
-                     ("pure A", pure_a[None, :]), ("pure B", pure_b[None, :])],
-                    title=f"condition switch sweep (seed {config.seed})",
-                    connect=True))
+            writer.write("prompt_switch.csv", lambda: table_csv(header, rows))
+            writer.write("prompt_switch.svg", lambda: svg_scatter(
+                [("switch endpoints", np.array(endpoints)),
+                 ("pure A", pure_a[None, :]), ("pure B", pure_b[None, :])],
+                title=f"condition switch sweep (seed {config.seed})", connect=True))
         else:
             if args.scenario == "window-grid":
                 axes = _window_axes(total)
@@ -330,11 +332,9 @@ def cmd_report(args) -> int:
     rows = inversion_report(denoiser, c, config.noise_schedule, t_values, args.samples,
                             config.seed)
     with _artifacts(config, denoiser) as writer:
-        if "csv" in config.output.formats:
-            writer.write_text("inversion_report.csv", table_csv(
-                ["t_sample", "mean_rel_error", "max_rel_error", "seed"],
-                [[r.t_sample, r.mean_rel_error, r.max_rel_error, config.seed]
-                 for r in rows]))
+        writer.write("inversion_report.csv", lambda: table_csv(
+            ["t_sample", "mean_rel_error", "max_rel_error", "seed"],
+            [[r.t_sample, r.mean_rel_error, r.max_rel_error, config.seed] for r in rows]))
     return 0
 
 

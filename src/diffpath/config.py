@@ -70,7 +70,7 @@ def _parse_conditions(data: Mapping[str, Any], m: int) -> dict[str, ConditionEmb
         if values.shape != (m,):
             raise ConfigError(f"condition {name!r} has dimension {values.size}, "
                               f"model expects {m}")
-        named[str(name)] = ConditionEmbedding(values, is_null=(name == "null"))
+        named[str(name)] = ConditionEmbedding(values)
     return named
 
 
@@ -96,24 +96,6 @@ def _parse_manipulation(data: Mapping[str, Any], conditions: Mapping[str, Any],
 
 
 @dataclass(frozen=True)
-class SamplerCfg:
-    t_train: int
-    t_sample: int
-    beta_min: float
-    beta_max: float
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "SamplerCfg":
-        _require(data, "sampler", ("t_train", "t_sample", "beta_min", "beta_max"))
-        return SamplerCfg(t_train=int(data["t_train"]), t_sample=int(data["t_sample"]),
-                          beta_min=float(data["beta_min"]), beta_max=float(data["beta_max"]))
-
-    def to_dict(self) -> dict:
-        return {"t_train": self.t_train, "t_sample": self.t_sample,
-                "beta_min": self.beta_min, "beta_max": self.beta_max}
-
-
-@dataclass(frozen=True)
 class OutputCfg:
     directory: str
     formats: tuple[str, ...] = ("csv", "svg")
@@ -136,6 +118,8 @@ class OutputCfg:
 class RunConfig:
     """A parsed run config, held as the objects the engine runs on.
 
+    The ``sampler`` section lives in ``noise_schedule`` and ``grid`` and is
+    rendered back from them, so the digest always describes the grid run.
     ``conditions`` holds the declared conditions only; ``build_conditions``
     adds the all-zeros ``null`` condition when none is declared.
     ``condition_a``/``condition_b`` name the manipulation's reference and
@@ -145,7 +129,6 @@ class RunConfig:
     seed: int
     model: GMMDenoiserParams
     conditions: dict[str, ConditionEmbedding]
-    sampler: SamplerCfg
     noise_schedule: AlphaSchedule
     grid: TimestepGrid
     manipulation: ManipulationConfig | None
@@ -160,16 +143,17 @@ class RunConfig:
         try:
             model = _parse_model(data["model"])
             conditions = _parse_conditions(data["conditions"], model.m)
-            sampler = SamplerCfg.from_dict(data["sampler"])
+            sampler = data["sampler"]
+            _require(sampler, "sampler", ("t_train", "t_sample", "beta_min", "beta_max"))
+            t_train, t_sample = int(sampler["t_train"]), int(sampler["t_sample"])
+            betas = float(sampler["beta_min"]), float(sampler["beta_max"])
             raw = data.get("manipulation")
             manip, cond_a, cond_b = (None, "a", "b") if raw is None else _parse_manipulation(
-                raw, conditions, sampler.t_sample, model.d)
+                raw, conditions, t_sample, model.d)
             return RunConfig(
                 seed=int(data["seed"]), model=model, conditions=conditions,
-                sampler=sampler,
-                noise_schedule=build_linear_beta_schedule(
-                    sampler.t_train, sampler.beta_min, sampler.beta_max),
-                grid=make_timestep_grid(sampler.t_train, sampler.t_sample),
+                noise_schedule=build_linear_beta_schedule(t_train, *betas),
+                grid=make_timestep_grid(t_train, t_sample),
                 manipulation=manip, condition_a=cond_a, condition_b=cond_b,
                 output=OutputCfg.from_dict(data.get("output", {})))
         except ConfigError:
@@ -178,7 +162,7 @@ class RunConfig:
             raise ConfigError(str(err)) from err
 
     def to_dict(self) -> dict:
-        p = self.model
+        p, schedule = self.model, self.noise_schedule
         out: dict[str, Any] = {
             "seed": self.seed,
             "model": {"d": p.d, "m": p.m, "components": [
@@ -186,7 +170,8 @@ class RunConfig:
                 for w, b, cm, v in zip(p.weights.tolist(), p.base_means.tolist(),
                                        p.condition_maps.tolist(), p.variances.tolist())]},
             "conditions": {name: c.values.tolist() for name, c in self.conditions.items()},
-            "sampler": self.sampler.to_dict(),
+            "sampler": {"t_train": schedule.t_train, "t_sample": self.grid.t_sample,
+                        "beta_min": schedule.beta_min, "beta_max": schedule.beta_max},
         }
         manip = self.manipulation
         if manip is not None:
@@ -212,7 +197,7 @@ class RunConfig:
     def build_conditions(self) -> dict[str, ConditionEmbedding]:
         named = dict(self.conditions)
         if "null" not in named:
-            named["null"] = ConditionEmbedding(np.zeros(self.model.m), is_null=True)
+            named["null"] = ConditionEmbedding(np.zeros(self.model.m))
         return named
 
     def build_noise_schedule(self) -> AlphaSchedule:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,10 +23,9 @@ from .rng import standard_normals
 
 @dataclass(frozen=True)
 class ConditionEmbedding:
-    """A condition as a dense vector; ``is_null`` marks the empty condition."""
+    """A condition as a dense vector."""
 
     values: np.ndarray
-    is_null: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -40,26 +39,6 @@ class ConditionEmbedding:
     @property
     def m(self) -> int:
         return self.values.size
-
-
-def embed_condition(source, m: int,
-                    named: Mapping[str, ConditionEmbedding] | None = None) -> ConditionEmbedding:
-    """Resolve a raw vector or a preset name into a ConditionEmbedding.
-
-    ``source`` may be a sequence of floats or a name registered in ``named``.
-    The name ``"null"`` resolves to the registered empty condition, or to the
-    all-zeros vector when no registry is given.
-    """
-    if isinstance(source, str):
-        if named is not None and source in named:
-            return named[source]
-        if source == "null":
-            return ConditionEmbedding(np.zeros(m), is_null=True)
-        raise ParameterError(f"unknown condition preset {source!r}")
-    values = np.asarray(source, dtype=np.float64)
-    if values.ndim != 1 or values.size != m:
-        raise ParameterError(f"condition must have dimension {m}, got shape {values.shape}")
-    return ConditionEmbedding(values)
 
 
 class Denoiser(abc.ABC):
@@ -201,24 +180,28 @@ def _far_log_resp(x: np.ndarray, mus: np.ndarray, resid: np.ndarray, var: np.nda
     Distances are first compared scaled by max|resid|.  Components of equal
     variance that tie there are told apart by the exact gap of their halved
     squared distances, (r_k - r_j).(r_k + r_j)/2 / var, formed from the
-    means so that it neither overflows nor cancels; tied components of
-    another variance keep their weights.
+    means so that it does not cancel; tied components of another variance
+    keep their weights.  The gaps are formed scaled by a power of two,
+    which keeps them exact and finite; a gap that overflows when unscaled
+    only leaves its component no mass.
     """
-    scaled = resid / np.abs(resid).max()
+    top = np.abs(resid).max()
+    scaled = resid / top
     dist = np.einsum("kd,kd->k", scaled, scaled) / var
     tied = np.flatnonzero(dist == dist.min())
     same = tied[var[tied] == var[tied[0]]]
+    scale = math.ldexp(1.0, -math.frexp(top)[1])  # a power of two: scale * top is in [0.5, 1)
 
     def gap(j: int) -> np.ndarray:
         diff = sqrt_a * (mus[j] - mus[same])              # r_k - r_j
         mid = x - sqrt_a * (mus[same] + mus[j]) / 2.0     # (r_k + r_j) / 2
-        return np.einsum("kd,kd->k", diff, mid) / var[j]
+        return np.einsum("kd,kd->k", diff, scale * mid) / var[j]
 
     # measured from the nearest of them, every gap is >= 0
     nearest = same[np.argmin(gap(same[0]))]
     log_resp = np.full_like(log_norm, -np.inf)
     log_resp[tied] = log_norm[tied]
-    log_resp[same] -= gap(nearest)
+    log_resp[same] -= gap(nearest) / scale
     return log_resp
 
 
@@ -258,18 +241,18 @@ def predict_noise(params: GMMDenoiserParams, x: np.ndarray,
     """
     a = _check_alpha_bar(alpha_bar, allow_one=False)
     x = np.asarray(x, dtype=np.float64)
-    x0_hat = gmm_posterior_mean(params, x, c, a)
-    return _noise_from_mean(x, x0_hat, a)
+    return _noise_from_mean(x, lambda: gmm_posterior_mean(params, x, c, a), a)
 
 
-def _noise_from_mean(x: np.ndarray, x0_hat: np.ndarray, a: float) -> np.ndarray:
-    """(x - sqrt(a) * x0_hat) / sqrt(1 - a); a noise beyond the float range is an error."""
+def _noise_from_mean(x: np.ndarray, x0_hat: Callable[[], np.ndarray],
+                     a: float) -> np.ndarray:
+    """(x - sqrt(a) * x0_hat()) / sqrt(1 - a); an overflow, even in x0_hat(), is an error."""
     try:  # raising on overflow costs less than checking the result
         with np.errstate(over="raise"):
-            return (x - math.sqrt(a) * x0_hat) / math.sqrt(1.0 - a)
+            return (x - math.sqrt(a) * x0_hat()) / math.sqrt(1.0 - a)
     except FloatingPointError:
         raise ParameterError(
-            f"predicted noise exceeds the float range at alpha_bar = {a}") from None
+            f"noise prediction exceeds the float range at alpha_bar = {a}") from None
 
 
 def gmm_log_density(params: GMMDenoiserParams, x: np.ndarray,
@@ -327,8 +310,8 @@ class GMMDenoiser(Denoiser):
         resp = np.exp(log_resp - peak)
         resp = resp / resp.sum(axis=1, keepdims=True)
         shrink = math.sqrt(a) * p.variances / var
-        x0_hat = (resp[:, None, :] @ (mus + shrink[:, None] * resid))[:, 0]
-        return _noise_from_mean(X, x0_hat, a)
+        return _noise_from_mean(
+            X, lambda: (resp[:, None, :] @ (mus + shrink[:, None] * resid))[:, 0], a)
 
     def sample_clean(self, c: ConditionEmbedding, n: int,
                      gen: np.random.Generator) -> np.ndarray:

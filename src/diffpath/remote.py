@@ -204,7 +204,8 @@ class RemoteDenoiser(Denoiser):
     Requests are serialized (one in flight per connection); the instance
     declares itself concurrency-safe only if the server's handshake does.
     A timeout closes the transport, since a late reply would answer the next
-    request: every later call raises :class:`TransportClosedError`.
+    request: every later call raises :class:`TransportClosedError`.  A failed
+    handshake closes it too, stopping a child process.
     """
 
     def __init__(self, transport, d: int, m: int, timeout: float = 10.0):
@@ -216,13 +217,17 @@ class RemoteDenoiser(Denoiser):
         self.d = d
         self.m = m
         self.concurrent_safe = False
-        reply = self._round_trip({"op": "hello", "d": d, "m": m})
-        if reply.get("op") != "hello":
-            raise MalformedFrameError(f"handshake reply missing op: {reply}")
-        if int(reply["d"]) != d or int(reply["m"]) != m:
-            raise DimensionMismatchError(
-                f"server dimensions d={reply['d']}, m={reply['m']} do not match "
-                f"requested d={d}, m={m}")
+        try:
+            reply = self._round_trip({"op": "hello", "d": d, "m": m})
+            if reply.get("op") != "hello":
+                raise MalformedFrameError(f"handshake reply missing op: {reply}")
+            if int(reply["d"]) != d or int(reply["m"]) != m:
+                raise DimensionMismatchError(
+                    f"server dimensions d={reply['d']}, m={reply['m']} do not match "
+                    f"requested d={d}, m={m}")
+        except BaseException:
+            transport.close()  # no client is returned that could close it later
+            raise
         self.concurrent_safe = bool(reply.get("concurrent", False))
 
     @classmethod
@@ -233,7 +238,12 @@ class RemoteDenoiser(Denoiser):
     @classmethod
     def from_address(cls, host: str, port: int, d: int, m: int,
                      timeout: float = 10.0) -> "RemoteDenoiser":
-        sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            sock = socket.create_connection((host, port), timeout=timeout)
+        except TimeoutError:
+            raise RemoteTimeoutError(f"no connection to {host}:{port} within {timeout}s") from None
+        except OSError as err:
+            raise TransportClosedError(f"cannot connect to {host}:{port}: {err}") from err
         return cls(_SocketTransport(sock), d, m, timeout)
 
     def _round_trip(self, payload: dict) -> dict:

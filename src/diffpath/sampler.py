@@ -304,9 +304,7 @@ class NullTextResult:
 
 def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
                      beta: float, grid: TimestepGrid, schedule: AlphaSchedule,
-                     iterations: int = 10, step_size: float = 0.1,
-                     initial_null: ConditionEmbedding | None = None,
-                     fd_epsilon: float = 1e-4) -> NullTextResult:
+                     iterations: int = 10, step_size: float = 0.1) -> NullTextResult:
     """Optimize per-step empty-condition embeddings for guided reconstruction.
 
     The reference trajectory is the plain inversion of ``x0`` under ``c``.
@@ -314,9 +312,10 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     central-difference gradient descent so the guided update from the evolving
     latent lands on the reference latent; the per-step objective never
     increases (a step that would increase it is reverted and optimization of
-    that step stops with a diagnostic).  With ``beta = 0`` the objective does
-    not depend on the null side and the initial embedding is returned for
-    every step.
+    that step stops with a diagnostic).  Every step starts from the all-zeros
+    embedding and probes each coordinate at +/- 1e-4.  With ``beta = 0`` the
+    objective does not depend on the null side and the all-zeros embedding is
+    returned for every step.
 
     A step's predictions all share its latent, so they go out as batches:
     first the conditional, the initial null and its 2m probes, then each
@@ -326,13 +325,12 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
-    null0 = initial_null if initial_null is not None \
-        else ConditionEmbedding(np.zeros(denoiser.m), is_null=True)
     embeddings: list[ConditionEmbedding] = []
     objectives: list[float] = []
     diagnostics: list[str] = []
 
-    bumps = fd_epsilon * np.eye(null0.m)
+    half_width = 1e-4  # central-difference half-width of the gradient probes
+    bumps = half_width * np.eye(denoiser.m)
 
     def tune(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
         target = inv.latents[step.sampling_step - 1]
@@ -343,7 +341,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             if probe:
                 for bump in bumps:
                     rows += [null + bump, null - bump]
-            return [ConditionEmbedding(v, is_null=True) for v in rows]
+            return [ConditionEmbedding(v) for v in rows]
 
         def losses(eps_null: np.ndarray) -> list[float]:
             # elementwise over the rows, so each row repeats the one-row arithmetic
@@ -351,12 +349,12 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             resid = ddim_step(x, guided, step.a_t, step.a_prev) - target
             return [float(r @ r) for r in resid]
 
-        null = null0.values.copy()
+        null = np.zeros(denoiser.m)
         eps = _predict_batch(denoiser, x, [c, *with_probes(null, iterations > 0)], step)
         eps_c, eps_best = eps[0], eps[1]
         best, *probed = losses(eps[1:])
         for it in range(iterations):
-            grad = np.array([(probed[2 * j] - probed[2 * j + 1]) / (2.0 * fd_epsilon)
+            grad = np.array([(probed[2 * j] - probed[2 * j + 1]) / (2.0 * half_width)
                              for j in range(null.size)])
             candidate = null - step_size * grad
             eps_null = _predict_batch(denoiser, x, with_probes(candidate, it + 1 < iterations),
@@ -369,7 +367,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
                 log.warning("null-embedding optimization diverged: %s", msg)
                 break
             null, best, eps_best = candidate, value, eps_null[0]
-        embeddings.append(ConditionEmbedding(null, is_null=True))
+        embeddings.append(ConditionEmbedding(null))
         objectives.append(best)
         return cfg_combine(eps_c, eps_best, beta)
 

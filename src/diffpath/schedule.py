@@ -28,10 +28,13 @@ class AlphaSchedule:
 
     ``alpha_bar`` has length ``t_train + 1``; entry 0 is 1 by convention
     (clean-data endpoint) and entries decrease monotonically, strictly so
-    whenever every per-step noise rate is positive.
+    whenever every per-step noise rate is positive.  ``beta_min``/``beta_max``
+    hold the noise-rate range of :func:`build_linear_beta_schedule`'s output.
     """
 
     alpha_bar: np.ndarray
+    beta_min: float | None = None
+    beta_max: float | None = None
 
     def __post_init__(self):
         ab = np.asarray(self.alpha_bar, dtype=np.float64)
@@ -71,7 +74,7 @@ def build_linear_beta_schedule(t_train: int, beta_min: float, beta_max: float) -
         raise ParameterError("need 0 <= beta_min <= beta_max < 1")
     betas = np.linspace(beta_min, beta_max, t_train)
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-    return AlphaSchedule(alpha_bar)
+    return AlphaSchedule(alpha_bar, beta_min, beta_max)
 
 
 @dataclass(frozen=True)

@@ -236,15 +236,35 @@ class TestFailures:
         assert "this command needs a manipulation section (or --preset)" in err
 
 
-def test_cli_import_loads_no_scipy():
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """Run this interpreter on ``argv`` with the package's sources importable."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
     probe = ("import diffpath.cli, sys; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
+    result = _python("-c", probe)
+    assert result.returncode == 0
     assert result.stdout.strip() == "[]"
+
+
+def test_write_failing_midway_leaves_no_partial_or_temp_file(tmp_path, config_path):
+    # files may not grow past 1000 bytes, so writing path.csv (about 5 kB) fails midway
+    probe = ("import resource, sys; from diffpath.cli import main; "
+             "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+             "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, hard)); "
+             "sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "full"
+    result = _python("-c", probe, "generate", "--config", str(config_path),
+                     "--output", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith("diffpath-error kind=runtime")
+    assert "File too large" in result.stderr
+    assert list(out.iterdir()) == []
 
 
 class TestConfigCommand:

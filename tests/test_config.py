@@ -13,11 +13,10 @@ def test_demo_config_parses_and_builds(demo_cfg):
     assert demo_cfg.model.d == 2 and demo_cfg.model.m == 2
     den = demo_cfg.build_denoiser()
     assert den.d == 2 and den.m == 2
-    conds = demo_cfg.build_conditions()
-    assert conds["null"].is_null and not conds["a"].is_null
+    assert set(demo_cfg.build_conditions()) == {"null", "a", "b"}
     manip = demo_cfg.build_manipulation()
     assert manip.kind == "noise_interp"
-    assert manip.schedule.total == demo_cfg.sampler.t_sample
+    assert manip.schedule.total == demo_cfg.grid.t_sample
 
 
 def test_round_trip_is_canonical():
@@ -114,7 +113,7 @@ def test_overrides_nested_and_typed():
                            "manipulation.condition_b=a"])
     cfg = RunConfig.from_dict(data)
     assert cfg.manipulation.schedule.amplitude == 0.7
-    assert cfg.sampler.t_sample == 25
+    assert cfg.grid.t_sample == 25
     assert cfg.model.variances[0] == 0.5
     assert cfg.condition_b == "a"
 
@@ -158,7 +157,7 @@ def test_presets_all_valid():
         data["manipulation"] = manip
         cfg = RunConfig.from_dict(data)
         built = cfg.build_manipulation()
-        assert built.schedule.total == cfg.sampler.t_sample
+        assert built.schedule.total == cfg.grid.t_sample
 
 
 def test_unknown_preset():

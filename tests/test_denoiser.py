@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffpath.denoiser import (ConditionEmbedding, Denoiser, GMMDenoiser,
-                               GMMDenoiserParams, embed_condition, gmm_log_density,
+                               GMMDenoiserParams, gmm_log_density,
                                gmm_posterior_mean, gmm_responsibilities,
                                predict_noise)
 from diffpath.errors import ParameterError
@@ -163,6 +165,19 @@ class TestResponsibilities:
         assert gmm_responsibilities(params, x, C, 0.5).tolist() == [0.0, 1.0]
         assert gmm_responsibilities(params, -x, C, 0.5).tolist() == [1.0, 0.0]
 
+    def test_overflowing_gaps_keep_the_nearest_component(self):
+        # at x = -1e308 two of the gaps from component 0 overflow to -inf
+        params = GMMDenoiserParams(weights=np.full(4, 0.25),
+                                   base_means=np.array([[2.45], [1.12], [-1.63], [1.34]]),
+                                   condition_maps=np.zeros((4, 1, 1)),
+                                   variances=np.zeros(4))
+        c = ConditionEmbedding(np.zeros(1))
+        for x in (-1e308, -1.7e308):
+            assert gmm_responsibilities(params, np.array([x]), c, 0.5).tolist() \
+                == [0.0, 0.0, 1.0, 0.0]
+        assert gmm_responsibilities(params, np.array([1.7e308]), c, 0.5).tolist() \
+            == [1.0, 0.0, 0.0, 0.0]
+
     def test_tiny_marginal_variance_warns_nothing(self):
         # the zero-variance component's squared distance over a variance of
         # about 1e-12 exceeds the float range; it simply gets no mass
@@ -229,6 +244,15 @@ class TestPredictNoiseBatch:
         with pytest.raises(ParameterError, match="float range"):
             GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]), [c, c], a, 1)
 
+    def test_posterior_mean_beyond_the_float_range_is_a_parameter_error(self):
+        # E[x0 | x] is about 1.41 * x here, beyond the float range
+        params, x, a = _k1([0.0], [[0.0]], 441766.0), np.array([1.28e308]), 0.5
+        c = ConditionEmbedding(np.zeros(1))
+        with pytest.raises(ParameterError, match="float range"):
+            predict_noise(params, x, c, a)
+        with pytest.raises(ParameterError, match="float range"):
+            GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]), [c, c], a, 1)
+
     def test_default_loops_over_predict_noise(self, demo):
         class PerRow(Denoiser):
             d, m = 2, 2
@@ -248,6 +272,44 @@ class TestPredictNoiseBatch:
         assert np.array_equal(batch, demo["denoiser"].predict_noise_batch(X, C_rows, 0.4, 600))
 
 
+@st.composite
+def oracle_cases(draw):
+    """A mixture with variances >= 0, a latent anywhere in the float range, a in (0, 1)."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    raw = gen.uniform(0.2, 1.0, size=k)
+    variances = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                              min_size=k, max_size=k))
+    params = GMMDenoiserParams(weights=raw / raw.sum(),
+                               base_means=gen.normal(size=(k, d)) * 3.0,
+                               condition_maps=gen.normal(size=(k, d, m)),
+                               variances=np.array(variances))
+    x = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=d, max_size=d)))
+    a = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return params, x, ConditionEmbedding(gen.normal(size=m)), a
+
+
+class TestOracleProperty:
+    @given(case=oracle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_finite_noise_or_a_named_error(self, case):
+        params, x, c, a = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = gmm_responsibilities(params, x, c, a)
+            assert np.all(np.isfinite(resp)) and abs(resp.sum() - 1.0) < 1e-12
+            try:
+                eps = predict_noise(params, x, c, a)
+            except ParameterError as err:
+                with pytest.raises(type(err)):
+                    GMMDenoiser(params).predict_noise_batch(x[None], [c], a, 1)
+                return
+            assert np.all(np.isfinite(eps))
+            batch = GMMDenoiser(params).predict_noise_batch(x[None], [c], a, 1)
+        assert np.array_equal(batch[0], eps)
+
+
 class TestLogDensity:
     def test_matches_direct_evaluation(self, demo):
         params = demo["params"]
@@ -261,28 +323,6 @@ class TestLogDensity:
         params = _k1((0.0, 0.0), ZERO_MAP, 0.0)
         with pytest.raises(ParameterError):
             gmm_log_density(params, np.zeros(2), C)
-
-
-class TestEmbedCondition:
-    def test_null_resolves_to_zero_vector(self):
-        emb = embed_condition("null", 3)
-        assert emb.is_null and np.all(emb.values == 0.0) and emb.m == 3
-
-    def test_named_registry(self):
-        named = {"warm": ConditionEmbedding(np.array([1.0, 2.0]))}
-        assert embed_condition("warm", 2, named) is named["warm"]
-
-    def test_raw_vector(self):
-        emb = embed_condition([1.0, 0.0], 2)
-        assert emb.values.tolist() == [1.0, 0.0] and not emb.is_null
-
-    def test_wrong_length(self):
-        with pytest.raises(ParameterError):
-            embed_condition([1.0, 0.0, 3.0], 2)
-
-    def test_unknown_preset(self):
-        with pytest.raises(ParameterError):
-            embed_condition("missing", 2)
 
 
 class TestParamsValidation:

@@ -18,7 +18,7 @@ from diffpath.errors import DenoiserError
 from diffpath.remote import (DimensionMismatchError, IdMismatchError,
                              MalformedFrameError, RemoteDenoiser,
                              RemoteTimeoutError, TransportClosedError,
-                             serve_stream, serve_tcp)
+                             _SubprocessTransport, serve_stream, serve_tcp)
 from diffpath.sampler import generate
 from diffpath.schedule import ScheduleSpec
 
@@ -301,8 +301,12 @@ class TestProtocolErrors:
             _fake(fake_server, "hangup")
 
     def test_handshake_dimension_mismatch(self, fake_server):
+        transport = _SubprocessTransport([sys.executable, str(fake_server), "baddim"])
         with pytest.raises(DimensionMismatchError):
-            _fake(fake_server, "baddim")
+            RemoteDenoiser(transport, d=2, m=2)
+        # the failed handshake returns no client, so it must stop the child itself
+        assert transport._proc.poll() is not None
+        assert transport._sock.fileno() == -1
 
     def test_server_death_mid_path_carries_step_context(self, fake_server, demo):
         with _fake(fake_server, "die-mid-path") as remote:
@@ -357,6 +361,20 @@ class TestTcpTransport:
         # the server answers one connection at a time, so it must see the first end
         with RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2, timeout=5.0) as second:
             assert second.d == 2
+
+    def test_refused_connect_names_the_peer(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+        with pytest.raises(TransportClosedError, match=f"127.0.0.1:{port}"):
+            RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2)
+
+    def test_connect_timeout_names_the_peer(self, monkeypatch):
+        def no_answer(address, timeout):
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(socket, "create_connection", no_answer)
+        with pytest.raises(RemoteTimeoutError, match="127.0.0.1:7000"):
+            RemoteDenoiser.from_address("127.0.0.1", 7000, d=2, m=2)
 
     def test_reset_connection_closes_the_transport(self):
         with pytest.raises(TransportClosedError):
