@@ -21,16 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from .config import (RunConfig, apply_overrides, canonical_json, config_digest)
 from .edits import ManipulationConfig, run_edit
 from .errors import ConfigError, ParameterError
-from .metrics import SweepScenario, inversion_report, run_sweep, score_edit
+from .metrics import (SweepRow, SweepScenario, SweepTable, inversion_report, path_divergence,
+                      run_sweep, score_edit)
 from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
 from .presets import demo_config_dict, preset_manipulation
 from .remote import RemoteDenoiser, serve_stream, serve_tcp
 from .rng import standard_normals, substream
-from .sampler import _step_table, ddim_invert, generate
+from .sampler import ddim_invert, generate
 from .schedule import ScheduleSpec, TimestepGrid
 
 DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-grid")
@@ -118,9 +118,10 @@ def _pick_denoiser(args, config: RunConfig):
     if spec.startswith("tcp:"):
         try:
             _, host, port = spec.split(":")
-            return RemoteDenoiser.from_address(host, int(port), d, m)
+            port = int(port)
         except ValueError as err:
             raise ConfigError(f"bad --remote address {spec!r}: {err}") from err
+        return RemoteDenoiser.from_address(host, port, d, m)
     if spec.startswith("cmd:"):
         import shlex
         argv = shlex.split(spec[4:])
@@ -130,10 +131,9 @@ def _pick_denoiser(args, config: RunConfig):
     raise ConfigError("--remote must be 'tcp:HOST:PORT' or 'cmd:ARGV...'")
 
 
-def _latent_steps(config: RunConfig):
+def _latent_steps(grid: TimestepGrid):
     """Sampling step and training level of each latent of a generation path."""
-    table = _step_table(config.grid, config.noise_schedule)
-    return [s.sampling_step for s in table] + [0], [s.level for s in table] + [0]
+    return list(range(grid.t_sample, -1, -1)), [*grid.steps, 0]
 
 
 def _condition(config: RunConfig, name: str):
@@ -148,7 +148,7 @@ def cmd_generate(args) -> int:
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as writer:
         c = _condition(config, args.condition)
-        sampling, levels = _latent_steps(config)
+        sampling, levels = _latent_steps(config.grid)
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path = generate(denoiser, x_top, c, config.grid, config.noise_schedule)
         writer.write("path.csv", lambda: path_csv(path.latents, path.noises,
@@ -165,7 +165,7 @@ def cmd_invert(args) -> int:
     denoiser = config.build_denoiser()
     c = _condition(config, args.condition)
     grid, schedule = config.grid, config.noise_schedule
-    sampling, levels = _latent_steps(config)
+    sampling, levels = _latent_steps(grid)
     x0 = denoiser.sample_clean(c, 1, substream(config.seed, "x0"))[0]
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
     regen = generate(denoiser, inv.x_top, c, grid, schedule)
@@ -200,19 +200,13 @@ def cmd_edit(args) -> int:
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path_b = generate(denoiser, x_top, c_b, grid, schedule)
         result = run_edit(denoiser, x_top, c_a, c_b, manip, grid, schedule, path_b=path_b)
-        scores = score_edit(result, path_b, config.model)
-        row = metrics_mod.SweepRow(
-            kind=manip.kind, schedule_kind=manip.schedule.kind,
-            t_max=manip.schedule.t_max, t_min=manip.schedule.t_min,
-            weight=manip.schedule.amplitude, beta=manip.beta,
-            seed=config.seed, metrics=scores)
-        table = metrics_mod.SweepTable(rows=(row,), seed=config.seed,
-                                       digest=config_digest(config))
+        row = SweepRow.of(manip, config.seed, score_edit(result, path_b, config.model))
+        table = SweepTable(rows=(row,), digest=config_digest(config))
         writer.write("edit.csv", lambda: sweep_table_csv(table))
         writer.write("edit_profile.csv", lambda: table_csv(
             ["index", "sampling_step", "divergence_from_reference", "seed"],
             [[i, grid.t_sample - i, div, config.seed]
-             for i, div in enumerate(metrics_mod.path_divergence(result))]))
+             for i, div in enumerate(path_divergence(result))]))
         writer.write("edit.svg", lambda: svg_scatter(
             [("path A endpoint", result.path_a.x0[None, :]),
              ("path B endpoint", path_b.x0[None, :]),
@@ -245,7 +239,7 @@ def _window_axes(total: int) -> dict:
 
 
 def _sweep_and_write(config: RunConfig, denoiser, axes: dict, writer: ArtifactWriter,
-                     csv_name: str, svg_name: str) -> metrics_mod.SweepTable:
+                     csv_name: str, svg_name: str) -> SweepTable:
     manip, c_a, c_b = _edit_setup(config)
     scenario = SweepScenario(denoiser=denoiser, score_params=config.model,
                              c_a=c_a, c_b=c_b, grid=config.grid,

@@ -223,6 +223,12 @@ def gmm_posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
     mu_k + sqrt(a)*s2_k / (a*s2_k + 1 - a) * (x - sqrt(a)*mu_k), weighted by
     its responsibility.
     """
+    return _in_float_range("posterior mean", alpha_bar,
+                           lambda: _posterior_mean(params, x, c, alpha_bar))
+
+
+def _posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
+                    c: ConditionEmbedding, alpha_bar: float) -> np.ndarray:
     mus, var, resid, resp = _noised_mixture(params, x, c, alpha_bar)
     if resp is None:
         if params.k == 1:
@@ -241,18 +247,17 @@ def predict_noise(params: GMMDenoiserParams, x: np.ndarray,
     """
     a = _check_alpha_bar(alpha_bar, allow_one=False)
     x = np.asarray(x, dtype=np.float64)
-    return _noise_from_mean(x, lambda: gmm_posterior_mean(params, x, c, a), a)
+    return _in_float_range("noise prediction", a, lambda: (
+        x - math.sqrt(a) * _posterior_mean(params, x, c, a)) / math.sqrt(1.0 - a))
 
 
-def _noise_from_mean(x: np.ndarray, x0_hat: Callable[[], np.ndarray],
-                     a: float) -> np.ndarray:
-    """(x - sqrt(a) * x0_hat()) / sqrt(1 - a); an overflow, even in x0_hat(), is an error."""
+def _in_float_range(what: str, a: float, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """``compute()``; an overflow anywhere in it is a ParameterError naming ``what``."""
     try:  # raising on overflow costs less than checking the result
         with np.errstate(over="raise"):
-            return (x - math.sqrt(a) * x0_hat()) / math.sqrt(1.0 - a)
+            return compute()
     except FloatingPointError:
-        raise ParameterError(
-            f"noise prediction exceeds the float range at alpha_bar = {a}") from None
+        raise ParameterError(f"{what} exceeds the float range at alpha_bar = {a}") from None
 
 
 def gmm_log_density(params: GMMDenoiserParams, x: np.ndarray,
@@ -273,8 +278,6 @@ def gmm_log_density(params: GMMDenoiserParams, x: np.ndarray,
 class GMMDenoiser(Denoiser):
     """In-process analytic denoiser backed by :class:`GMMDenoiserParams`."""
 
-    concurrent_safe = True
-
     def __init__(self, params: GMMDenoiserParams):
         self.params = params
         self.d = params.d
@@ -292,7 +295,8 @@ class GMMDenoiser(Denoiser):
         broadcast ``@``, squared distances through a row-wise ``einsum``.  A
         call with a row in the overflow limit goes row by row through the
         per-row oracle, which holds that case.  Every marginal variance is at
-        least ``1 - a > 0`` here.
+        least ``1 - a > 0`` here.  The per-row oracle keeps its own path: one
+        row through this pass took 43.4 against 40.1 microseconds (medians, 2 CPUs).
         """
         p = self.params
         a = _check_alpha_bar(alpha_bar, allow_one=False)
@@ -310,8 +314,8 @@ class GMMDenoiser(Denoiser):
         resp = np.exp(log_resp - peak)
         resp = resp / resp.sum(axis=1, keepdims=True)
         shrink = math.sqrt(a) * p.variances / var
-        return _noise_from_mean(
-            X, lambda: (resp[:, None, :] @ (mus + shrink[:, None] * resid))[:, 0], a)
+        return _in_float_range("noise prediction", a, lambda: (X - math.sqrt(a) * (
+            resp[:, None, :] @ (mus + shrink[:, None] * resid))[:, 0]) / math.sqrt(1.0 - a))
 
     def sample_clean(self, c: ConditionEmbedding, n: int,
                      gen: np.random.Generator) -> np.ndarray:

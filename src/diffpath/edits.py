@@ -190,7 +190,6 @@ class EditResult:
 
     path: PathRecord
     path_a: PathRecord
-    config: ManipulationConfig
     weights: tuple[float, ...]
 
 
@@ -278,7 +277,7 @@ def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
         return effective_noise(x, stepped, a_t, a_prev)
 
     path = _walk(grid, schedule, x_top, c_b, choose_eps)
-    return EditResult(path=path, path_a=path_a, config=config, weights=tuple(weights))
+    return EditResult(path=path, path_a=path_a, weights=tuple(weights))
 
 
 def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,

@@ -90,11 +90,18 @@ class SweepRow:
     seed: int
     metrics: EditMetrics
 
+    @classmethod
+    def of(cls, config: ManipulationConfig, seed: int, metrics: EditMetrics) -> "SweepRow":
+        """The sweep columns of one scored manipulation."""
+        sched = config.schedule
+        return cls(kind=config.kind, schedule_kind=sched.kind, t_max=sched.t_max,
+                   t_min=sched.t_min, weight=sched.amplitude, beta=config.beta,
+                   seed=seed, metrics=metrics)
+
 
 @dataclass(frozen=True)
 class SweepTable:
     rows: tuple[SweepRow, ...]
-    seed: int
     digest: str
 
 
@@ -172,16 +179,11 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence], seed: int) 
         result = run_edit(scenario.denoiser, x_top, scenario.c_a, scenario.c_b,
                           config, scenario.grid, scenario.noise_schedule,
                           path_a=path_a, path_b=path_b)
-        metrics = score_edit(result, path_b, scenario.score_params)
-        rows.append(SweepRow(
-            kind=config.kind, schedule_kind=config.schedule.kind,
-            t_max=config.schedule.t_max, t_min=config.schedule.t_min,
-            weight=config.schedule.amplitude, beta=config.beta,
-            seed=seed, metrics=metrics))
+        rows.append(SweepRow.of(config, seed, score_edit(result, path_b, scenario.score_params)))
     digest_src = json.dumps({"axes": axes, "base": asdict(scenario.base), "seed": seed},
                             sort_keys=True, default=lambda v: np.asarray(v).tolist())
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
-    return SweepTable(rows=tuple(rows), seed=seed, digest=digest)
+    return SweepTable(rows=tuple(rows), digest=digest)
 
 
 @dataclass(frozen=True)

@@ -11,31 +11,37 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metrics import SweepRow, SweepTable
+from .metrics import SweepTable
 
 SWEEP_CSV_HEADER = ("kind,schedule,t_max,t_min,weight,beta,seed,"
                     "layout_preservation,semantic_alignment,ab_gap")
 
 
-def fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
+def table_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The one CSV renderer: every artifact table is written through it.
+
+    Integers and strings are written as they are, ``None`` as a blank cell,
+    and every other number with 17 significant digits.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell(value) for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
-def sweep_row_csv(row: SweepRow) -> str:
-    beta = "" if row.beta is None else fmt_float(row.beta)
-    m = row.metrics
-    return ",".join([
-        row.kind, row.schedule_kind, str(row.t_max), str(row.t_min),
-        fmt_float(row.weight), beta, str(row.seed),
-        fmt_float(m.layout_preservation), fmt_float(m.semantic_alignment),
-        fmt_float(m.ab_gap),
-    ])
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer, str)):
+        return str(value)
+    return f"{float(value):.17g}"
 
 
 def sweep_table_csv(table: SweepTable) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    lines.extend(sweep_row_csv(row) for row in table.rows)
-    return "\n".join(lines) + "\n"
+    """One row per grid point; beta is blank outside guidance."""
+    return table_csv(SWEEP_CSV_HEADER.split(","), (
+        (row.kind, row.schedule_kind, row.t_max, row.t_min, row.weight, row.beta,
+         row.seed, row.metrics.layout_preservation, row.metrics.semantic_alignment,
+         row.metrics.ab_gap) for row in table.rows))
 
 
 def path_csv(latents: Sequence[np.ndarray], noises: Sequence[np.ndarray],
@@ -43,34 +49,12 @@ def path_csv(latents: Sequence[np.ndarray], noises: Sequence[np.ndarray],
              seed: int) -> str:
     """Trajectory table: one row per latent, noise columns blank on the last."""
     d = latents[0].size
-    header = ["index", "sampling_step", "training_step"]
-    header += [f"x{j}" for j in range(d)] + [f"eps{j}" for j in range(d)]
-    header.append("seed")
-    lines = [",".join(header)]
-    for i, latent in enumerate(latents):
-        row = [str(i), str(sampling_steps[i]), str(levels[i])]
-        row += [fmt_float(v) for v in latent]
-        if i < len(noises):
-            row += [fmt_float(v) for v in noises[i]]
-        else:
-            row += [""] * d
-        row.append(str(seed))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def table_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Generic numeric table with the package's float rendering."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, (int, np.integer)) or isinstance(value, str):
-                cells.append(str(value))
-            else:
-                cells.append(fmt_float(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    header = ["index", "sampling_step", "training_step",
+              *(f"x{j}" for j in range(d)), *(f"eps{j}" for j in range(d)), "seed"]
+    return table_csv(header, (
+        [i, sampling_steps[i], levels[i], *latent,
+         *(noises[i] if i < len(noises) else [None] * d), seed]
+        for i, latent in enumerate(latents)))
 
 
 _PALETTE = ("#3366cc", "#dc3912", "#109618", "#ff9900", "#990099",

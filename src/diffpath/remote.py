@@ -216,14 +216,14 @@ class RemoteDenoiser(Denoiser):
         self._lock = threading.Lock()
         self.d = d
         self.m = m
-        self.concurrent_safe = False
         try:
             reply = self._round_trip({"op": "hello", "d": d, "m": m})
-            if reply.get("op") != "hello":
-                raise MalformedFrameError(f"handshake reply missing op: {reply}")
-            if int(reply["d"]) != d or int(reply["m"]) != m:
+            dims = reply.get("d"), reply.get("m")
+            if reply.get("op") != "hello" or any(type(v) is not int for v in dims):
+                raise MalformedFrameError(f"handshake needs op hello, integer d and m: {reply}")
+            if dims != (d, m):
                 raise DimensionMismatchError(
-                    f"server dimensions d={reply['d']}, m={reply['m']} do not match "
+                    f"server dimensions d={dims[0]}, m={dims[1]} do not match "
                     f"requested d={d}, m={m}")
         except BaseException:
             transport.close()  # no client is returned that could close it later

@@ -130,10 +130,6 @@ class PathRecord:
             arr.setflags(write=False)
 
     @property
-    def t_sample(self) -> int:
-        return self.grid.t_sample
-
-    @property
     def x0(self) -> np.ndarray:
         """Clean endpoint of the trajectory."""
         return self.latents[-1] if self.direction == GENERATION else self.latents[0]

@@ -1,7 +1,9 @@
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -219,6 +221,29 @@ class TestFailures:
         err = capsys.readouterr().err
         assert err.startswith("diffpath-error kind=runtime")
         assert not list(out.glob("*")) if out.exists() else True
+
+    def test_tcp_peer_with_a_bad_hello_exits_two(self, tmp_path, config_path, capsys):
+        # the address is fine, so the peer's reply is a runtime failure, not a bad address
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_hello():
+            with listener, listener.accept()[0] as conn, conn.makefile("rw") as stream:
+                msg = json.loads(stream.readline())
+                stream.write(json.dumps({"id": msg["id"], "op": "hello", "d": "two", "m": 2})
+                             + "\n")
+                stream.flush()
+                stream.readline()  # until the client hangs up
+
+        server = threading.Thread(target=answer_hello, daemon=True)
+        server.start()
+        port = listener.getsockname()[1]
+        code = main(["edit", "--config", str(config_path), "--output", str(tmp_path / "x"),
+                     "--remote", f"tcp:127.0.0.1:{port}"])
+        server.join(5.0)
+        assert not server.is_alive()  # the client closed the connection
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diffpath-error kind=runtime") and "integer d and m" in err
 
     def test_bad_remote_spec_exits_one(self, config_path, capsys):
         assert main(["edit", "--config", str(config_path), "--remote", "ftp:x"]) == 1

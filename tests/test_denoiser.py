@@ -57,6 +57,14 @@ class TestPosteriorMean:
             with pytest.raises(ParameterError):
                 gmm_posterior_mean(params, np.zeros(2), C, bad)
 
+    def test_mean_beyond_the_float_range_is_a_parameter_error(self):
+        # E[x0 | x] is about 1.41 * x here; no inf and no RuntimeWarning
+        params, c = _k1([0.0], [[0.0]], 441766.0), ConditionEmbedding(np.zeros(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="posterior mean exceeds the float range"):
+                gmm_posterior_mean(params, np.array([1.28e308]), c, 0.5)
+
 
 class TestPredictNoise:
     def test_unit_gaussian_closed_form(self):
@@ -197,8 +205,9 @@ class TestResponsibilities:
 def batch_cases(draw):
     """A mixture, a level and N >= 1 rows, some far out or zero-variance."""
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k, d, m = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    n = draw(st.integers(1, 12))
+    # numpy's pairwise summation changes its grouping at 8 terms
+    k, d, m = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
     raw = gen.uniform(0.2, 1.0, size=k)
     variances = gen.uniform(0.05, 2.0, size=k)
     if draw(st.booleans()):

@@ -218,6 +218,10 @@ for line in sys.stdin:
     if msg.get("op") == "hello":
         if mode == "baddim":
             reply = {"id": msg["id"], "op": "hello", "d": 5, "m": 5}
+        elif mode == "strdim":
+            reply = {"id": msg["id"], "op": "hello", "d": "two", "m": msg["m"]}
+        elif mode == "nodim":
+            reply = {"id": msg["id"], "op": "hello", "m": msg["m"]}
         else:
             reply = {"id": msg["id"], "op": "hello", "d": msg["d"], "m": msg["m"]}
         print(json.dumps(reply), flush=True)
@@ -305,6 +309,14 @@ class TestProtocolErrors:
         with pytest.raises(DimensionMismatchError):
             RemoteDenoiser(transport, d=2, m=2)
         # the failed handshake returns no client, so it must stop the child itself
+        assert transport._proc.poll() is not None
+        assert transport._sock.fileno() == -1
+
+    @pytest.mark.parametrize("mode", ["strdim", "nodim"])
+    def test_handshake_without_integer_dimensions_is_malformed(self, fake_server, mode):
+        transport = _SubprocessTransport([sys.executable, str(fake_server), mode])
+        with pytest.raises(MalformedFrameError, match="integer d and m"):
+            RemoteDenoiser(transport, d=2, m=2)
         assert transport._proc.poll() is not None
         assert transport._sock.fileno() == -1
 
