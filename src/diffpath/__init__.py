@@ -8,7 +8,7 @@ from .denoiser import (ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserPar
                        gmm_log_density, gmm_posterior_mean, gmm_responsibilities,
                        predict_noise)
 from .edits import (CamContext, EditResult, ManipulationConfig, apply_mask, lerp,
-                    prompt_switch, register_cam_hook, run_edit)
+                    prompt_switch, register_cam_hook, run_edit, run_edits)
 from .errors import ConfigError, DenoiserError, ParameterError
 from .metrics import (EditMetrics, SweepScenario, SweepTable, inversion_report,
                       run_sweep, score_edit)
@@ -31,5 +31,5 @@ __all__ = [
     "invert_step", "lerp",
     "gmm_responsibilities", "make_timestep_grid", "null_text_invert", "omega",
     "predict_noise", "prompt_switch", "register_cam_hook", "run_edit",
-    "run_sweep", "score_edit",
+    "run_edits", "run_sweep", "score_edit",
 ]

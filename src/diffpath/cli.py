@@ -201,8 +201,7 @@ def cmd_edit(args) -> int:
         path_b = generate(denoiser, x_top, c_b, grid, schedule)
         result = run_edit(denoiser, x_top, c_a, c_b, manip, grid, schedule, path_b=path_b)
         row = SweepRow.of(manip, config.seed, score_edit(result, path_b, config.model))
-        table = SweepTable(rows=(row,), digest=config_digest(config))
-        writer.write("edit.csv", lambda: sweep_table_csv(table))
+        writer.write("edit.csv", lambda: sweep_table_csv([row]))
         writer.write("edit_profile.csv", lambda: table_csv(
             ["index", "sampling_step", "divergence_from_reference", "seed"],
             [[i, grid.t_sample - i, div, config.seed]
@@ -245,7 +244,7 @@ def _sweep_and_write(config: RunConfig, denoiser, axes: dict, writer: ArtifactWr
                              c_a=c_a, c_b=c_b, grid=config.grid,
                              noise_schedule=config.noise_schedule, base=manip)
     table = run_sweep(scenario, axes, config.seed)
-    writer.write(csv_name, lambda: sweep_table_csv(table))
+    writer.write(csv_name, lambda: sweep_table_csv(table.rows))
     writer.write(svg_name, lambda: svg_scatter(
         [("grid points (layout vs alignment)",
           np.array([[row.metrics.layout_preservation, row.metrics.semantic_alignment]

@@ -34,15 +34,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
-from .sampler import (GENERATION, PathRecord, cfg_combine, ddim_step,
-                      effective_noise, generate, _predict, _predict_batch, _Step,
-                      _walk)
+from .sampler import (GENERATION, Choice, ChooseEps, PathRecord, cfg_combine, ddim_step,
+                      effective_noise, generate, _Step, _walk)
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
@@ -202,54 +201,90 @@ def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
 
     The reference path under ``c_a`` (and, for the noise-stream kinds, the
     editing path under ``c_b``) is generated on demand; precomputed paths
-    must share the grid and start at ``x_top``.  Latent blends and hook
-    steps are recorded through their replay-equivalent noise so the returned
-    path replays like any other trajectory.
+    are the plain generations under those conditions, and must share the
+    grid and start at ``x_top``.  Latent blends and hook steps are recorded
+    through their replay-equivalent noise so the returned path replays like
+    any other trajectory.
+    """
+    return run_edits(denoiser, x_top, c_a, c_b, (config,), grid, schedule,
+                     path_a=path_a, path_b=path_b)[0]
+
+
+def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
+              c_b: ConditionEmbedding, configs: Sequence[ManipulationConfig],
+              grid: TimestepGrid, schedule: AlphaSchedule,
+              path_a: PathRecord | None = None,
+              path_b: PathRecord | None = None) -> tuple[EditResult, ...]:
+    """``run_edit`` for each config, all passes walked in lock-step.
+
+    Each step's predictions for every pass go out as one denoiser call; each
+    result is bitwise the one ``run_edit`` gives for its config alone.  While
+    the editing path ``path_b`` is known, every hop above a pass's first
+    weighted step reuses its noise: until then the pass is that path.
     """
     t_sample = grid.t_sample
-    if config.schedule.total != t_sample:
-        raise ParameterError(
-            f"schedule covers {config.schedule.total} steps but the grid has {t_sample}")
-    if config.mask is not None:
-        validate_mask(config.mask, np.asarray(x_top).size)
+    for config in configs:
+        if config.schedule.total != t_sample:
+            raise ParameterError(
+                f"schedule covers {config.schedule.total} steps but the grid has {t_sample}")
+        if config.mask is not None:
+            validate_mask(config.mask, np.asarray(x_top).size)
 
-    def _check_path(path: PathRecord, label: str) -> PathRecord:
+    def _check_path(path: PathRecord, label: str, c: ConditionEmbedding) -> None:
         if path.grid.steps != grid.steps or path.direction != GENERATION:
             raise ParameterError(f"precomputed {label} path must match the grid")
         if not np.array_equal(path.latents[0], np.asarray(x_top, dtype=np.float64)):
             raise ParameterError(f"precomputed {label} path must start at x_top")
-        return path
+        if not np.array_equal(path.condition.values, c.values):
+            raise ParameterError(f"precomputed {label} path must be under its condition")
 
     if path_a is None:
         path_a = generate(denoiser, x_top, c_a, grid, schedule)
     else:
-        _check_path(path_a, "reference")
-    if config.kind in ("noise_interp", "noise_mask"):
-        if path_b is None:
-            path_b = generate(denoiser, x_top, c_b, grid, schedule)
-        else:
-            _check_path(path_b, "editing")
+        _check_path(path_a, "reference", c_a)
+    if path_b is not None:
+        _check_path(path_b, "editing", c_b)
+    elif any(config.kind in ("noise_interp", "noise_mask") for config in configs):
+        path_b = generate(denoiser, x_top, c_b, grid, schedule)
 
+    weights = [tuple(omega(config.schedule, t_sample - i) for i in range(t_sample))
+               for config in configs]
+    paths = _walk(denoiser, grid, schedule, [
+        (x_top, c_b, _edit_noise(denoiser, config, c_a, c_b, path_a, path_b, w))
+        for config, w in zip(configs, weights)])
+    return tuple(EditResult(path=path, path_a=path_a, weights=w)
+                 for path, w in zip(paths, weights))
+
+
+def _edit_noise(denoiser: Denoiser, config: ManipulationConfig, c_a: ConditionEmbedding,
+                c_b: ConditionEmbedding, path_a: PathRecord, path_b: PathRecord | None,
+                weights: tuple[float, ...]) -> ChooseEps:
+    """The stepping-core callback of one manipulated pass; hop i has weight ``weights[i]``."""
     kind = config.kind
-    weights: list[float] = []
+    # above its first weighted hop the pass is the editing path itself
+    above = 0 if path_b is None else next(
+        (i for i, w in enumerate(weights) if w != 0.0), len(weights))
 
-    def choose_eps(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
+    def choose_eps(i: int, step: _Step, x: np.ndarray) -> Choice:
         a_t, a_prev = step.a_t, step.a_prev
-        w = omega(config.schedule, step.sampling_step)
-        weights.append(w)
+        w = weights[i]
+        if i < above:
+            return path_b.noises[i]
         if w == 0.0:
-            return _predict(denoiser, x, c_b, step)
+            (eps_b,) = yield [c_b]
+            return eps_b
         if kind == "noise_interp":
             return lerp(path_a.noises[i], path_b.noises[i], w)
         if kind == "noise_mask":
             return apply_mask(path_a.noises[i], path_b.noises[i], config.mask)
         if kind == "cond_interp":
-            return _predict(denoiser, x, ConditionEmbedding(lerp(c_a.values, c_b.values, w)),
-                            step)
+            (eps,) = yield [ConditionEmbedding(lerp(c_a.values, c_b.values, w))]
+            return eps
         if kind == "guidance":
-            return cfg_combine(*_predict_batch(denoiser, x, [c_a, c_b], step), config.beta)
+            eps_a, eps_b = yield [c_a, c_b]
+            return cfg_combine(eps_a, eps_b, config.beta)
         if kind in ("latent_interp", "latent_mask"):
-            eps_b = _predict(denoiser, x, c_b, step)
+            (eps_b,) = yield [c_b]
             stepped = ddim_step(x, eps_b, a_t, a_prev)
             ref = path_a.latents[i + 1]
             blended = lerp(ref, stepped, w) if kind == "latent_interp" \
@@ -276,8 +311,7 @@ def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
         stepped = ddim_step(path_a.latents[i], eps_hook, a_t, a_prev)
         return effective_noise(x, stepped, a_t, a_prev)
 
-    path = _walk(grid, schedule, x_top, c_b, choose_eps)
-    return EditResult(path=path, path_a=path_a, weights=tuple(weights))
+    return choose_eps
 
 
 def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
@@ -291,5 +325,9 @@ def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding
     t_sample = grid.t_sample
     if not 0 <= k <= t_sample:
         raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
-    return _walk(grid, schedule, x_top, c_b if k < t_sample else c_a,
-                 lambda i, step, x: _predict(denoiser, x, c_a if i < k else c_b, step))
+    def choose_eps(i: int, step: _Step, x: np.ndarray) -> Choice:
+        (eps,) = yield [c_a if i < k else c_b]
+        return eps
+
+    return _walk(denoiser, grid, schedule,
+                 [(x_top, c_b if k < t_sample else c_a, choose_eps)])[0]

@@ -18,10 +18,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density
-from .edits import EditResult, ManipulationConfig, run_edit
+from .edits import EditResult, ManipulationConfig, run_edits
 from .errors import ParameterError
 from .rng import standard_normals, substream
-from .sampler import PathRecord, ddim_invert, generate
+from .sampler import INVERSION, PathRecord, _walk
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, make_timestep_grid
 
 AXIS_NAMES = ("t_max", "t_min", "t_m", "schedule", "weight", "beta")
@@ -154,7 +154,9 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence], seed: int) 
     """Evaluate the cartesian grid of axis values, one deterministic row each.
 
     The shared initial noise is derived from the seed; rows are ordered by
-    the lexicographic sort of their axis-value tuples.
+    the lexicographic sort of their axis-value tuples.  The two pure paths
+    walk in lock-step, and then every grid point's edit: one denoiser call
+    per step for all of them.
     """
     axes = {name: tuple(values) for name, values in axes.items()}
     for name, values in axes.items():
@@ -169,17 +171,13 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence], seed: int) 
         raise ParameterError(f"axis values must be mutually comparable: {err}") from err
     d = scenario.score_params.d
     x_top = standard_normals(substream(seed, "sweep", "x_top"), d)
-    path_a = generate(scenario.denoiser, x_top, scenario.c_a,
-                      scenario.grid, scenario.noise_schedule)
-    path_b = generate(scenario.denoiser, x_top, scenario.c_b,
-                      scenario.grid, scenario.noise_schedule)
-    rows = []
-    for combo in combos:
-        config = derive_config(scenario.base, dict(zip(names, combo)))
-        result = run_edit(scenario.denoiser, x_top, scenario.c_a, scenario.c_b,
-                          config, scenario.grid, scenario.noise_schedule,
-                          path_a=path_a, path_b=path_b)
-        rows.append(SweepRow.of(config, seed, score_edit(result, path_b, scenario.score_params)))
+    path_a, path_b = _walk(scenario.denoiser, scenario.grid, scenario.noise_schedule,
+                           [(x_top, c, None) for c in (scenario.c_a, scenario.c_b)])
+    configs = [derive_config(scenario.base, dict(zip(names, combo))) for combo in combos]
+    results = run_edits(scenario.denoiser, x_top, scenario.c_a, scenario.c_b, configs,
+                        scenario.grid, scenario.noise_schedule, path_a=path_a, path_b=path_b)
+    rows = [SweepRow.of(config, seed, score_edit(result, path_b, scenario.score_params))
+            for config, result in zip(configs, results)]
     digest_src = json.dumps({"axes": axes, "base": asdict(scenario.base), "seed": seed},
                             sort_keys=True, default=lambda v: np.asarray(v).tolist())
     digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
@@ -199,8 +197,8 @@ def inversion_report(denoiser: GMMDenoiser, c: ConditionEmbedding,
     """Round-trip reconstruction errors per grid resolution.
 
     The same clean latents, drawn from the denoiser's mixture under ``c``,
-    are inverted and regenerated at each grid size; relative errors are
-    measured at the clean endpoint.
+    are inverted and regenerated at each grid size, all samples in lock-step;
+    relative errors are measured at the clean endpoint.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -209,11 +207,13 @@ def inversion_report(denoiser: GMMDenoiser, c: ConditionEmbedding,
     rows = []
     for t_sample in t_sample_values:
         grid = make_timestep_grid(noise_schedule.t_train, t_sample)
-        errors = np.empty(samples)
-        for j in range(samples):
-            inv = ddim_invert(denoiser, x0s[j], c, grid, noise_schedule)
-            regen = generate(denoiser, inv.x_top, c, grid, noise_schedule)
-            errors[j] = np.linalg.norm(regen.x0 - x0s[j]) / np.linalg.norm(x0s[j])
+        invs = _walk(denoiser, grid, noise_schedule, [(x0, c, None) for x0 in x0s],
+                     INVERSION)
+        regens = _walk(denoiser, grid, noise_schedule,
+                       [(inv.x_top, c, None) for inv in invs])
+        # one norm per row: the axis form does not round the same way
+        errors = np.array([np.linalg.norm(regen.x0 - x0) / np.linalg.norm(x0)
+                           for regen, x0 in zip(regens, x0s)])
         rows.append(InversionReportRow(
             t_sample=int(t_sample),
             mean_rel_error=float(errors.mean()),

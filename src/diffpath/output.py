@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metrics import SweepTable
+from .metrics import SweepRow
 
 SWEEP_CSV_HEADER = ("kind,schedule,t_max,t_min,weight,beta,seed,"
                     "layout_preservation,semantic_alignment,ab_gap")
@@ -36,12 +36,12 @@ def _cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def sweep_table_csv(table: SweepTable) -> str:
-    """One row per grid point; beta is blank outside guidance."""
+def sweep_table_csv(rows: Iterable[SweepRow]) -> str:
+    """One line per sweep row; beta is blank outside guidance."""
     return table_csv(SWEEP_CSV_HEADER.split(","), (
         (row.kind, row.schedule_kind, row.t_max, row.t_min, row.weight, row.beta,
          row.seed, row.metrics.layout_preservation, row.metrics.semantic_alignment,
-         row.metrics.ab_gap) for row in table.rows))
+         row.metrics.ab_gap) for row in rows))
 
 
 def path_csv(latents: Sequence[np.ndarray], noises: Sequence[np.ndarray],

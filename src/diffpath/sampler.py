@@ -13,18 +13,21 @@ the very first hop from clean data).
 
 Every pass over a grid goes through one private stepping core, ``_walk``.
 It builds the grid's step table once (training level, sampling step and
-the two signal factors of each position) and walks it in either direction;
-at each hop a callback ``choose_eps(i, step, x)`` supplies the noise and the
-core applies the update and records the path.  Generation, inversion,
-null-embedding tuning, the editing operators and path replay are all such
-callbacks.
+the two signal factors of each position) and walks it in either direction,
+for one row or for several rows in lock-step.  At each hop a row's callback
+``choose_eps(i, step, x)`` supplies its noise, asking the core for the
+predictions it needs; the core answers the requests of all rows with one
+denoiser call per round, applies each row's update and records its path.
+Generation, inversion, null-embedding tuning, the editing operators and path
+replay are all such callbacks.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Generator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,7 +151,8 @@ class PathRecord:
             errs.append(np.max(np.abs(redo - self.latents[i + 1])))
             return self.noises[i]
 
-        _walk(self.grid, schedule, self.latents[0], self.condition, replay, self.direction)
+        _walk(None, self.grid, schedule, [(self.latents[0], self.condition, replay)],
+              self.direction)
         return np.array(errs)
 
 
@@ -178,38 +182,97 @@ def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndar
     return invert_step(x, eps, step.a_prev, step.a_t)
 
 
-def _walk(grid: TimestepGrid, schedule: AlphaSchedule, x_start: np.ndarray,
-          condition: ConditionEmbedding,
-          choose_eps: Callable[[int, _Step, np.ndarray], np.ndarray],
-          direction: str = GENERATION) -> PathRecord:
-    """The stepping core: hop ``i`` takes ``choose_eps(i, step, x)`` as its noise.
+#: what a callback gives for one hop: the noise itself, or a generator that
+#: yields lists of conditions, is sent their noises at the row's latent as the
+#: rows of an array, and returns the hop's noise
+Choice = np.ndarray | Generator[list[ConditionEmbedding], np.ndarray, np.ndarray]
+ChooseEps = Callable[[int, _Step, np.ndarray], Choice]
 
-    Generation visits the step table top down, inversion bottom up; the
-    returned record holds every latent and the noise of every hop.
+
+def _walk(denoiser: Denoiser | None, grid: TimestepGrid, schedule: AlphaSchedule,
+          rows: Sequence[tuple[np.ndarray, ConditionEmbedding, ChooseEps | None]],
+          direction: str = GENERATION) -> list[PathRecord]:
+    """The stepping core: rows ``(x_start, condition, choose_eps)`` walk in lock-step.
+
+    Hop ``i`` of a row takes the noise that ``choose_eps(i, step, x)`` gives
+    at the row's latent ``x``; a row without a callback takes the prediction
+    under its condition.  A callback that needs predictions is a generator,
+    ``noises = yield [conditions]`` then ``return eps``.  Each round, the
+    requests of every pending row, in row order, go out as one denoiser
+    call, and a callback may ask again for a further round.  Generation
+    visits the step table top down, inversion bottom up; each row's record
+    holds every latent and the noise of every hop.
     """
     table = _step_table(grid, schedule)
-    x = _as_latent(x_start)
-    latents = [x]
-    noises = []
+    xs = [_as_latent(x) for x, _, _ in rows]
+    latents = [[x] for x in xs]
+    noises: list[list[np.ndarray]] = [[] for _ in rows]
     for i, step in enumerate(table if direction == GENERATION else table[::-1]):
-        eps = choose_eps(i, step, x)
-        x = _hop(step, x, eps, direction)
-        noises.append(eps)
-        latents.append(x)
-    return PathRecord(grid=grid, latents=tuple(latents), noises=tuple(noises),
-                      condition=condition, direction=direction)
+        eps: list = [None] * len(rows)
+        pending = []
+        for r, (_, c, choose_eps) in enumerate(rows):
+            choice = [c] if choose_eps is None else choose_eps(i, step, xs[r])
+            if isinstance(choice, np.ndarray):
+                eps[r] = choice
+            else:
+                pending.append((r, choice, None))
+        while pending:
+            pending = _round(denoiser, step, xs, pending, eps)
+        for r, noise in enumerate(eps):
+            xs[r] = _hop(step, xs[r], noise, direction)
+            noises[r].append(noise)
+            latents[r].append(xs[r])
+    return [PathRecord(grid=grid, latents=tuple(lat), noises=tuple(hops), condition=c,
+                       direction=direction)
+            for (_, c, _), lat, hops in zip(rows, latents, noises)]
 
 
-def _predict(denoiser: Denoiser, x: np.ndarray, c: ConditionEmbedding,
-             step: _Step) -> np.ndarray:
-    return _checked_noise(lambda: denoiser.predict_noise(x, c, step.a_t, step.level),
-                          np.shape(x), step)
+def _round(denoiser: Denoiser | None, step: _Step, xs: list[np.ndarray],
+           pending: list, eps: list) -> list:
+    """One denoiser call for the pending rows' requests; returns the rows still pending.
+
+    A pending row is ``(r, request, sent)``: a plain row's request is its
+    condition list, whose one prediction is its noise; a callback's is its
+    generator, sent ``sent`` to get its next conditions or its noise (into
+    ``eps[r]``).
+    """
+    asks, X, C = [], [], []
+    for r, request, sent in pending:
+        if isinstance(request, list):
+            conds = request
+        else:
+            try:
+                conds = request.send(sent)
+            except StopIteration as done:
+                eps[r] = done.value
+                continue
+        asks.append((r, request, len(C), len(C) + len(conds)))
+        X += [xs[r]] * len(conds)
+        C += conds
+    if not asks:
+        return []
+    answers = _predict_rows(denoiser, X, C, step)
+    still = []
+    for r, request, lo, hi in asks:
+        if isinstance(request, list):
+            eps[r] = answers[lo]
+        else:
+            still.append((r, request, answers[lo:hi]))
+    return still
 
 
-def _predict_batch(denoiser: Denoiser, x: np.ndarray,
-                   conditions: list[ConditionEmbedding], step: _Step) -> np.ndarray:
-    """One batched call for ``x`` under each condition; row i is ``conditions[i]``'s noise."""
-    X = np.full((len(conditions), x.size), x)
+def _predict_rows(denoiser: Denoiser, xs: list[np.ndarray],
+                  conditions: list[ConditionEmbedding], step: _Step) -> np.ndarray:
+    """One denoiser call; row j is ``conditions[j]``'s noise at ``xs[j]``.
+
+    A single row goes through ``predict_noise``, so a one-row walk that asks
+    for one prediction per hop makes the calls of an unbatched loop.
+    """
+    if len(conditions) == 1:
+        x, c = xs[0], conditions[0]
+        return _checked_noise(lambda: denoiser.predict_noise(x, c, step.a_t, step.level),
+                              x.shape, step)[None]
+    X = np.array(xs)
     return _checked_noise(
         lambda: denoiser.predict_noise_batch(X, conditions, step.a_t, step.level),
         X.shape, step)
@@ -262,20 +325,19 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
     order.  The recorded noise at each step is the combined prediction that
     actually drove the update.
     """
-    if guidance is not None:
-        beta, nulls = guidance
-        if not isinstance(nulls, ConditionEmbedding) and len(nulls) != grid.t_sample:
-            raise ParameterError(
-                f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
+    if guidance is None:
+        return _walk(denoiser, grid, schedule, [(x_top, c, None)])[0]
+    beta, nulls = guidance
+    if not isinstance(nulls, ConditionEmbedding) and len(nulls) != grid.t_sample:
+        raise ParameterError(
+            f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
 
-    def choose_eps(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
-        if guidance is None:
-            return _predict(denoiser, x, c, step)
+    def choose_eps(i: int, step: _Step, x: np.ndarray) -> Choice:
         null = nulls if isinstance(nulls, ConditionEmbedding) else nulls[i]
-        eps_c, eps_null = _predict_batch(denoiser, x, [c, null], step)
+        eps_c, eps_null = yield [c, null]
         return cfg_combine(eps_c, eps_null, beta)
 
-    return _walk(grid, schedule, x_top, c, choose_eps)
+    return _walk(denoiser, grid, schedule, [(x_top, c, choose_eps)])[0]
 
 
 def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
@@ -285,8 +347,7 @@ def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     Each hop raises the level from the grid's previous index to its step
     index, predicting the noise at the target level.
     """
-    return _walk(grid, schedule, x0, c, lambda i, step, x: _predict(denoiser, x, c, step),
-                 INVERSION)
+    return _walk(denoiser, grid, schedule, [(x0, c, None)], INVERSION)[0]
 
 
 @dataclass(frozen=True)
@@ -313,10 +374,10 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     objective does not depend on the null side and the all-zeros embedding is
     returned for every step.
 
-    A step's predictions all share its latent, so they go out as batches:
-    first the conditional, the initial null and its 2m probes, then each
-    candidate with its own probes (none after the last iteration).  The
-    accepted null's prediction is reused for the guided hop.
+    A step's predictions all share its latent, so each round goes out as
+    one call: first the conditional, the initial null and its 2m probes,
+    then each candidate with its own probes (none after the last
+    iteration).  The accepted null's prediction is reused for the guided hop.
     """
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
@@ -328,7 +389,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     half_width = 1e-4  # central-difference half-width of the gradient probes
     bumps = half_width * np.eye(denoiser.m)
 
-    def tune(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
+    def tune(i: int, step: _Step, x: np.ndarray) -> Choice:
         target = inv.latents[step.sampling_step - 1]
 
         def with_probes(null: np.ndarray, probe: bool) -> list[ConditionEmbedding]:
@@ -346,15 +407,14 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             return [float(r @ r) for r in resid]
 
         null = np.zeros(denoiser.m)
-        eps = _predict_batch(denoiser, x, [c, *with_probes(null, iterations > 0)], step)
+        eps = yield [c, *with_probes(null, iterations > 0)]
         eps_c, eps_best = eps[0], eps[1]
         best, *probed = losses(eps[1:])
         for it in range(iterations):
             grad = np.array([(probed[2 * j] - probed[2 * j + 1]) / (2.0 * half_width)
                              for j in range(null.size)])
             candidate = null - step_size * grad
-            eps_null = _predict_batch(denoiser, x, with_probes(candidate, it + 1 < iterations),
-                                      step)
+            eps_null = yield with_probes(candidate, it + 1 < iterations)
             value, *probed = losses(eps_null)
             if value > best * (1.0 + 1e-12) + 1e-300:
                 msg = (f"sampling step {step.sampling_step}: objective rose "
@@ -367,6 +427,6 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
         objectives.append(best)
         return cfg_combine(eps_c, eps_best, beta)
 
-    _walk(grid, schedule, inv.x_top, c, tune)
+    _walk(denoiser, grid, schedule, [(inv.x_top, c, tune)])
     return NullTextResult(embeddings=tuple(embeddings), objectives=tuple(objectives),
                           diagnostics=tuple(diagnostics))

@@ -17,8 +17,10 @@ from diffpath import cli
 from diffpath.config import RunConfig
 from diffpath.denoiser import Denoiser
 from diffpath.edits import prompt_switch, run_edit
-from diffpath.presets import demo_config_dict, preset_manipulation
+from diffpath.metrics import inversion_report, run_sweep
 from diffpath.sampler import ddim_invert, generate, null_text_invert
+
+from conftest import WINDOW_AXES, preset_config, sweep_scenario
 
 #: one preset per operator kind
 KIND_PRESETS = {
@@ -32,15 +34,34 @@ KIND_PRESETS = {
 }
 
 #: (calls, rows) with the paths generated on demand, then with the reference
-#: and editing paths precomputed
+#: and editing paths precomputed; while the editing path is known, the hops
+#: above the window top (50 - t_max of them) reuse its noises
 RUN_EDIT_COUNTS = {
-    "noise_interp": ((129, 129), (29, 29)),
-    "noise_mask": ((129, 129), (29, 29)),
-    "latent_interp": ((100, 100), (50, 50)),
-    "latent_mask": ((100, 100), (50, 50)),
-    "cond_interp": ((100, 100), (50, 50)),
+    "noise_interp": ((127, 127), (27, 27)),
+    "noise_mask": ((127, 127), (27, 27)),
+    "latent_interp": ((100, 100), (46, 46)),
+    "latent_mask": ((100, 100), (46, 46)),
+    "cond_interp": ((100, 100), (48, 48)),
     "guidance": ((100, 150), (50, 100)),
     "attention": ((100, 100), (50, 50)),
+}
+
+#: (calls, rows) of the default 5 x 5 window sweep.  The two pure paths take
+#: 50 calls of 2 rows.  The 25 edits then take one call per step in which any
+#: of them predicts: all 50, or 44 for the kinds that predict nothing inside
+#: or above a window (noise streams, attention), as over the top 6 hops every
+#: edit is there; the attention hook adds its own 400 per-row calls.
+#: Rows are the per-row count (100 for the paths, then each edit's run_edit
+#: rows with both paths precomputed), which is 100 fewer than a walk that
+#: predicted above the window tops (50 - t_max: 0+2+4+6+8 hops for each t_m).
+RUN_SWEEP_COUNTS = {
+    "noise_interp": (94, 850),
+    "noise_mask": (94, 850),
+    "latent_interp": (100, 1250),
+    "latent_mask": (100, 1250),
+    "cond_interp": (100, 1250),
+    "guidance": (100, 1650),
+    "attention": (494, 1250),
 }
 
 
@@ -103,10 +124,7 @@ def test_null_text_invert(demo, count, iterations, calls, rows):
 
 @pytest.mark.parametrize("kind", sorted(KIND_PRESETS))
 def test_run_edit(demo, count, kind):
-    data = demo_config_dict()
-    data["manipulation"] = {**preset_manipulation(KIND_PRESETS[kind]),
-                            "condition_a": "a", "condition_b": "b"}
-    manip = RunConfig.from_dict(data).build_manipulation()
+    manip = preset_config(KIND_PRESETS[kind]).build_manipulation()
     assert manip.kind == kind
     args = (demo["x_top"], demo["c_a"], demo["c_b"], manip, demo["grid"], demo["schedule"])
     paths = {"path_a": generate(demo["denoiser"], demo["x_top"], demo["c_a"],
@@ -116,6 +134,19 @@ def test_run_edit(demo, count, kind):
     on_demand = count(lambda den: run_edit(den, *args))
     precomputed = count(lambda den: run_edit(den, *args, **paths))
     assert (on_demand, precomputed) == RUN_EDIT_COUNTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PRESETS))
+def test_run_sweep(count, kind):
+    config = preset_config(KIND_PRESETS[kind])
+    assert count(lambda den: run_sweep(sweep_scenario(config, den), WINDOW_AXES,
+                                       config.seed)) == RUN_SWEEP_COUNTS[kind]
+
+
+def test_inversion_report(demo, count):
+    # per grid size t: all 8 samples invert in t calls and regenerate in t more
+    assert count(lambda den: inversion_report(den, demo["c_a"], demo["schedule"],
+                                              (50, 100, 200), 8, seed=3)) == (700, 5600)
 
 
 @pytest.mark.parametrize("k", [0, 20, 50])

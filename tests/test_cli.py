@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from diffpath import cli
 from diffpath.cli import main
-from diffpath.config import canonical_json
+from diffpath.config import RunConfig, canonical_json
 from diffpath.output import SWEEP_CSV_HEADER
 from diffpath.presets import demo_config_dict
+
+from conftest import NanRowDenoiser
 
 
 @pytest.fixture()
@@ -44,6 +47,14 @@ class TestEdit:
         assert float(profile_rows[0][2]) == 0.0
         stdout = capsys.readouterr().out
         assert "seed=" in stdout and "config_digest=" in stdout
+
+    def test_config_digest_computed_once(self, tmp_path, config_path, monkeypatch):
+        calls = []
+        digest = cli.config_digest
+        monkeypatch.setattr(cli, "config_digest",
+                            lambda config: calls.append(config) or digest(config))
+        assert main(["edit", "--config", str(config_path), "--output", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_set_overrides_apply(self, tmp_path, config_path):
         out = tmp_path / "o"
@@ -244,6 +255,18 @@ class TestFailures:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("diffpath-error kind=runtime") and "integer d and m" in err
+
+    def test_bad_row_in_a_sweep_exits_two_and_writes_nothing(
+            self, tmp_path, config_path, monkeypatch, capsys):
+        build = RunConfig.build_denoiser
+        monkeypatch.setattr(RunConfig, "build_denoiser", lambda config: NanRowDenoiser(
+            build(config), config.grid.level(50 - 20), row=5))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diffpath-error kind=runtime")
+        assert "non-finite noise (sampling step 20," in err
+        assert not out.exists() or os.listdir(out) == []
 
     def test_bad_remote_spec_exits_one(self, config_path, capsys):
         assert main(["edit", "--config", str(config_path), "--remote", "ftp:x"]) == 1

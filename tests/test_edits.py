@@ -274,6 +274,16 @@ class TestRunEdit:
                      ManipulationConfig("noise_interp", _spec(0, t, t, 1.0)),
                      grid, sched, path_a=other)
 
+    @pytest.mark.parametrize("kind", ["noise_interp", "cond_interp"])
+    def test_precomputed_editing_path_must_be_under_c_b(self, demo, kind):
+        # every kind reuses path B's noises above the window
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        t = grid.t_sample
+        under_a = generate(den, x_top, c_a, grid, sched)
+        with pytest.raises(ParameterError, match="editing path must be under its condition"):
+            run_edit(den, x_top, c_a, c_b, ManipulationConfig(kind, _spec(0, 40, t, 1.0)),
+                     grid, sched, path_b=under_a)
+
 
 @st.composite
 def small_configs(draw):

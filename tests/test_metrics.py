@@ -1,18 +1,27 @@
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
 
 from diffpath.denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
 from diffpath.edits import ManipulationConfig, run_edit
-from diffpath.errors import ParameterError
-from diffpath.metrics import (EditMetrics, SweepScenario, derive_config,
+from diffpath.errors import DenoiserError, ParameterError
+from diffpath.metrics import (EditMetrics, SweepRow, SweepScenario, derive_config,
                               inversion_report, run_sweep, score_edit)
 from diffpath.output import SWEEP_CSV_HEADER, sweep_table_csv
+from diffpath.presets import EDIT_PRESETS
 from diffpath.rng import standard_normals, substream
 from diffpath.sampler import generate
 from diffpath.schedule import ScheduleSpec, make_timestep_grid
 
-from conftest import single_gaussian
+from conftest import (WINDOW_AXES, NanRowDenoiser, PerRowDenoiser, preset_config,
+                      single_gaussian, sweep_scenario)
+
+#: the axes of the schedule-grid and guidance-grid demos
+SCHEDULE_GRID_AXES = {"schedule": ("linear", "cosine", "exponential"),
+                      "t_m": (20, 25, 30, 35, 40, 45, 50)}
+GUIDANCE_GRID_AXES = {"beta": (0.7, 0.3, 0.0, -0.3, -0.7), "t_m": (10, 20, 30, 40, 50)}
 
 
 def _scenario(demo, base=None):
@@ -141,7 +150,7 @@ class TestRunSweep:
         axes = {"t_max": (50, 46), "t_m": (5, 15)}
         t1 = run_sweep(_scenario(demo), axes, seed=11)
         t2 = run_sweep(_scenario(demo), axes, seed=11)
-        assert sweep_table_csv(t1) == sweep_table_csv(t2)
+        assert sweep_table_csv(t1.rows) == sweep_table_csv(t2.rows)
         assert t1.digest == t2.digest
 
     def test_digest_sees_every_mask_entry(self, demo):
@@ -165,7 +174,7 @@ class TestRunSweep:
 
     def test_csv_contract(self, demo):
         table = run_sweep(_scenario(demo), {"weight": (0.0, 1.0)}, seed=3)
-        text = sweep_table_csv(table)
+        text = sweep_table_csv(table.rows)
         lines = text.strip().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
         assert lines[0] == ("kind,schedule,t_max,t_min,weight,beta,seed,"
@@ -180,8 +189,42 @@ class TestRunSweep:
                                   ScheduleSpec("constant", 0, t, t, 1.0), beta=-0.3)
         table = run_sweep(_scenario(demo, base), {"beta": (-0.7, -0.3)}, seed=5)
         assert [r.beta for r in table.rows] == [-0.7, -0.3]
-        text = sweep_table_csv(table)
+        text = sweep_table_csv(table.rows)
         assert "-0.69999999999999996" in text  # 17 significant digits
+
+    @pytest.mark.filterwarnings("ignore:guidance beta")
+    @pytest.mark.parametrize("preset, axes", [
+        *(pytest.param(preset, WINDOW_AXES, id=f"{preset}-window")
+          for preset in sorted(EDIT_PRESETS)),
+        pytest.param("noise-interp-local", SCHEDULE_GRID_AXES, id="schedule-grid"),
+        pytest.param("guidance-default", GUIDANCE_GRID_AXES, id="guidance-grid")])
+    def test_batched_sweep_equals_per_row_sweep(self, demo, preset, axes):
+        config = preset_config(preset)
+        batched = run_sweep(sweep_scenario(config, demo["denoiser"]), axes, config.seed)
+        per_row = PerRowDenoiser(demo["denoiser"])
+        scenario = sweep_scenario(config, per_row)
+        assert sweep_table_csv(batched.rows) == sweep_table_csv(
+            run_sweep(scenario, axes, config.seed).rows)
+        # the reference: one run_edit per grid point, one prediction per call
+        x_top = standard_normals(substream(config.seed, "sweep", "x_top"), 2)
+        path_a, path_b = (generate(per_row, x_top, c, scenario.grid, scenario.noise_schedule)
+                          for c in (scenario.c_a, scenario.c_b))
+        edit_by_edit = []
+        for combo in sorted(itertools.product(*axes.values())):
+            manip = derive_config(scenario.base, dict(zip(axes, combo)))
+            result = run_edit(per_row, x_top, scenario.c_a, scenario.c_b, manip, scenario.grid,
+                              scenario.noise_schedule, path_a=path_a, path_b=path_b)
+            edit_by_edit.append(SweepRow.of(manip, config.seed,
+                                            score_edit(result, path_b, config.model)))
+        assert sweep_table_csv(batched.rows) == sweep_table_csv(edit_by_edit)
+
+    def test_bad_row_in_a_batched_step_names_the_step(self, demo):
+        # row 5 of the edits' batch at sampling step 20 comes back as NaN
+        den = NanRowDenoiser(demo["denoiser"], demo["grid"].level(50 - 20), row=5)
+        with pytest.raises(DenoiserError, match=r"non-finite noise \(sampling step 20,") \
+                as err:
+            run_sweep(sweep_scenario(demo["cfg"], den), WINDOW_AXES, demo["cfg"].seed)
+        assert err.value.sampling_step == 20
 
     def test_empty_axis_rejected(self, demo):
         with pytest.raises(ParameterError):
