@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .config import (RunConfig, apply_overrides, canonical_json, config_digest)
-from .edits import ManipulationConfig, run_edit
+from .edits import ManipulationConfig, prompt_switches, run_edit
 from .errors import ConfigError, ParameterError
 from .metrics import (SweepRow, SweepScenario, SweepTable, inversion_report, path_divergence,
                       run_sweep, score_edit)
@@ -277,11 +277,8 @@ def cmd_demo(args) -> int:
             grid, schedule = config.grid, config.noise_schedule
             x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
             t = grid.t_sample
-            # switching at k shares path A's first k hops: walk the rest under c_b
-            path_a = generate(denoiser, x_top, c_a, grid, schedule)
-            endpoints = [path_a.x0] + [
-                generate(denoiser, path_a.latents[k], c_b, TimestepGrid(grid.steps[k:]),
-                         schedule).x0 for k in range(t - 1, -1, -1)]
+            endpoints = [path.x0 for path in prompt_switches(
+                denoiser, x_top, c_a, c_b, range(t, -1, -1), grid, schedule)]
             pure_a, pure_b = endpoints[0], endpoints[-1]
             rows = [[k, *x0, float(np.linalg.norm(x0 - pure_a)),
                      float(np.linalg.norm(x0 - pure_b)), config.seed]

@@ -41,6 +41,23 @@ class ConditionEmbedding:
         return self.values.size
 
 
+def _condition_rows(matrix: np.ndarray) -> tuple[ConditionEmbedding, ...]:
+    """One embedding per row of the float array ``matrix`` (N, m), checked as a whole.
+
+    The rows share ``matrix``, which becomes read-only; a non-finite entry
+    anywhere is the ParameterError a single embedding raises.
+    """
+    if not np.isfinite(matrix).all():
+        raise ParameterError("condition embedding must be finite")
+    matrix.setflags(write=False)
+    rows = []
+    for values in matrix:
+        row = object.__new__(ConditionEmbedding)
+        object.__setattr__(row, "values", values)
+        rows.append(row)
+    return tuple(rows)
+
+
 class Denoiser(abc.ABC):
     """Predicts the Gaussian noise mixed into a latent at a given noise level.
 

@@ -32,7 +32,9 @@ and break that affinity.
 
 from __future__ import annotations
 
+import functools
 import warnings
+from collections.abc import Generator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,19 +42,12 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
-from .sampler import (GENERATION, Choice, ChooseEps, PathRecord, cfg_combine, ddim_step,
-                      effective_noise, generate, _Step, _walk)
+from .sampler import (GENERATION, Choice, ChooseEps, PathRecord, Request, cfg_combine,
+                      effective_noise, generate, _down, _Step, _walk)
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
          "cond_interp", "guidance", "attention")
-
-#: accepted shorthand spellings for config files
-KIND_ALIASES = {
-    "pni": "noise_interp", "pnm": "noise_mask",
-    "idi": "latent_interp", "idm": "latent_mask",
-    "cei": "cond_interp", "g": "guidance", "cam": "attention",
-}
 
 _MASKED_KINDS = ("noise_mask", "latent_mask")
 
@@ -61,8 +56,6 @@ def normalize_kind(kind: str) -> str:
     low = kind.strip().lower()
     if low in KINDS:
         return low
-    if low in KIND_ALIASES:
-        return KIND_ALIASES[low]
     raise ParameterError(f"unknown manipulation kind {kind!r}; expected one of {KINDS}")
 
 
@@ -75,11 +68,16 @@ def lerp(a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
         raise ParameterError(f"interpolation weight must lie in [0, 1], got {w}")
     if np.shape(a) != np.shape(b):
         raise ParameterError("interpolation operands must share a shape")
-    if w == 1.0:
-        return np.array(a, dtype=np.float64, copy=True)
-    if w == 0.0:
-        return np.array(b, dtype=np.float64, copy=True)
-    return w * np.asarray(a, dtype=np.float64) + (1.0 - w) * np.asarray(b, dtype=np.float64)
+    return _blend(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), w)
+
+
+def _blend(a: np.ndarray, b: np.ndarray, w) -> np.ndarray:
+    """``lerp``'s arithmetic; ``w`` may be a column of per-row weights (n, 1).
+
+    A weight of exactly 1 or 0 copies its operand: ``1.0 * a + 0.0 * b`` is
+    not ``a`` where ``a`` is -0.0.
+    """
+    return np.where(w == 1.0, a, np.where(w == 0.0, b, w * a + (1.0 - w) * b))
 
 
 def apply_mask(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -87,8 +85,12 @@ def apply_mask(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.float64)
     if np.shape(a) != np.shape(b) or np.shape(a) != mask.shape:
         raise ParameterError("mask and operands must share a shape")
-    return mask * np.asarray(a, dtype=np.float64) \
-        + (1.0 - mask) * np.asarray(b, dtype=np.float64)
+    return _splice(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), mask)
+
+
+def _splice(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``apply_mask``'s arithmetic; ``mask`` may hold one mask per row (n, d)."""
+    return mask * a + (1.0 - mask) * b
 
 
 def validate_mask(mask, d: int) -> np.ndarray:
@@ -115,7 +117,10 @@ class CamContext:
     sampling_step: int
 
 
-CamHook = Callable[[CamContext], np.ndarray]
+#: a hook returns its noise, or is a generator that yields one request
+#: ``(latents, conditions)``, is sent its predictions (k, d) and returns its
+#: noise; the request joins the step's one denoiser call
+CamHook = Callable[[CamContext], np.ndarray | Generator[Request, np.ndarray, np.ndarray]]
 
 _CAM_HOOKS: dict[str, CamHook] = {}
 
@@ -128,9 +133,13 @@ def cam_hook_names() -> tuple[str, ...]:
     return tuple(sorted(_CAM_HOOKS))
 
 
-register_cam_hook(
-    "identity",
-    lambda ctx: ctx.denoiser.predict_noise(ctx.x_ref, ctx.c_b, ctx.alpha_bar, ctx.level))
+def _identity_hook(ctx: CamContext) -> Generator[Request, np.ndarray, np.ndarray]:
+    """The editing condition's prediction at the reference latent."""
+    (eps,) = yield ctx.x_ref[None], (ctx.c_b,)
+    return eps
+
+
+register_cam_hook("identity", _identity_hook)
 register_cam_hook("replay", lambda ctx: np.array(ctx.eps_ref, copy=True))
 
 
@@ -246,72 +255,166 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
         _check_path(path_b, "editing", c_b)
     elif any(config.kind in ("noise_interp", "noise_mask") for config in configs):
         path_b = generate(denoiser, x_top, c_b, grid, schedule)
+    if not configs:
+        return ()
 
     weights = [tuple(omega(config.schedule, t_sample - i) for i in range(t_sample))
                for config in configs]
-    paths = _walk(denoiser, grid, schedule, [
-        (x_top, c_b, _edit_noise(denoiser, config, c_a, c_b, path_a, path_b, w))
-        for config, w in zip(configs, weights)])
+    paths = _walk(denoiser, grid, schedule, [x_top] * len(configs), [c_b] * len(configs),
+                  _edit_noises(denoiser, configs, c_a, c_b, path_a, path_b, weights))
     return tuple(EditResult(path=path, path_a=path_a, weights=w)
                  for path, w in zip(paths, weights))
 
 
-def _edit_noise(denoiser: Denoiser, config: ManipulationConfig, c_a: ConditionEmbedding,
-                c_b: ConditionEmbedding, path_a: PathRecord, path_b: PathRecord | None,
-                weights: tuple[float, ...]) -> ChooseEps:
-    """The stepping-core callback of one manipulated pass; hop i has weight ``weights[i]``."""
-    kind = config.kind
-    # above its first weighted hop the pass is the editing path itself
-    above = 0 if path_b is None else next(
-        (i for i, w in enumerate(weights) if w != 0.0), len(weights))
+#: how a row takes a hop's noise when it does not apply its kind's operator
+_PLAIN, _REUSE = "plain", "reuse"
 
-    def choose_eps(i: int, step: _Step, x: np.ndarray) -> Choice:
-        a_t, a_prev = step.a_t, step.a_prev
-        w = weights[i]
-        if i < above:
-            return path_b.noises[i]
-        if w == 0.0:
-            (eps_b,) = yield [c_b]
-            return eps_b
-        if kind == "noise_interp":
-            return lerp(path_a.noises[i], path_b.noises[i], w)
-        if kind == "noise_mask":
-            return apply_mask(path_a.noises[i], path_b.noises[i], config.mask)
-        if kind == "cond_interp":
-            (eps,) = yield [ConditionEmbedding(lerp(c_a.values, c_b.values, w))]
-            return eps
-        if kind == "guidance":
-            eps_a, eps_b = yield [c_a, c_b]
-            return cfg_combine(eps_a, eps_b, config.beta)
-        if kind in ("latent_interp", "latent_mask"):
-            (eps_b,) = yield [c_b]
-            stepped = ddim_step(x, eps_b, a_t, a_prev)
-            ref = path_a.latents[i + 1]
-            blended = lerp(ref, stepped, w) if kind == "latent_interp" \
-                else apply_mask(ref, stepped, config.mask)
-            # a no-op blend keeps the directly predicted noise so the step is
-            # identical to plain denoising
-            if np.array_equal(blended, stepped):
-                return eps_b
-            return effective_noise(x, blended, a_t, a_prev)
-        # attention
-        ctx = CamContext(denoiser=denoiser, x_ref=path_a.latents[i],
-                         eps_ref=path_a.noises[i], c_a=c_a, c_b=c_b,
-                         alpha_bar=a_t, level=step.level, sampling_step=step.sampling_step)
-        eps_hook = np.asarray(_CAM_HOOKS[config.cam_hook](ctx), dtype=np.float64)
-        if eps_hook.shape != x.shape:
-            raise ParameterError(
-                f"cam_hook {config.cam_hook!r} returned shape {eps_hook.shape}")
-        if not np.isfinite(eps_hook).all():
-            raise DenoiserError(f"cam_hook {config.cam_hook!r} returned non-finite noise",
-                                sampling_step=step.sampling_step, training_step=step.level)
-        if np.array_equal(x, path_a.latents[i]):
-            # evolving latent coincides with the reference; step directly
-            return eps_hook
-        stepped = ddim_step(path_a.latents[i], eps_hook, a_t, a_prev)
-        return effective_noise(x, stepped, a_t, a_prev)
+#: a hop's group of rows: how they take their noise, a selection of the rows
+#: (a slice where they are adjacent) and their row numbers
+_Group = tuple[str, slice | np.ndarray, list[int]]
+
+
+def _edit_noises(denoiser: Denoiser, configs: Sequence[ManipulationConfig],
+                 c_a: ConditionEmbedding, c_b: ConditionEmbedding, path_a: PathRecord,
+                 path_b: PathRecord | None, weights: list[tuple[float, ...]]) -> ChooseEps:
+    """The stepping-core callback of the manipulated passes, one row per config.
+
+    At each hop the rows fall into groups: while ``path_b`` is known, rows
+    above their first weighted hop reuse its noise (until then the pass is
+    that path); rows of weight zero take the plain ``c_b`` prediction; the
+    other rows apply their kind's operator.  Each group's arithmetic runs on
+    all its rows at once and is elementwise, so every row gets the bits of a
+    walk of its own.  The predictions of all groups, the hooks' requests
+    included, go out as one call per round.
+    """
+    W = np.array(weights)
+    t_sample = W.shape[1]
+    tags = np.where(W == 0.0, _PLAIN, [[c.kind] for c in configs])
+    if path_b is not None:
+        weighted = W != 0.0
+        first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
+        tags[np.arange(t_sample) < first[:, None]] = _REUSE
+    columns = [tuple(column) for column in tags.T.tolist()]
+    masks = np.array([np.zeros(path_a.x0.size) if c.mask is None else c.mask
+                      for c in configs])
+    betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
+    blended = functools.cache(lambda w: ConditionEmbedding(_blend(c_a.values, c_b.values, w)))
+
+    @functools.cache
+    def group(column: tuple[str, ...]) -> list[_Group]:
+        """A hop's groups, in order of their first row; hops of one pattern share them."""
+        members: dict[str, list[int]] = {}
+        for r, tag in enumerate(column):
+            members.setdefault(tag, []).append(r)
+        return [(tag, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
+                 else np.array(idx), idx) for tag, idx in members.items()]
+
+    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Choice:
+        E = np.empty_like(X)
+        asks = []
+        for kind, rows, idx in group(columns[i]):
+            if kind == _REUSE:
+                E[rows] = path_b.noises[i]
+            elif kind == "noise_interp":
+                E[rows] = _blend(path_a.noises[i], path_b.noises[i], W[rows, i, None])
+            elif kind == "noise_mask":
+                E[rows] = _splice(path_a.noises[i], path_b.noises[i], masks[rows])
+            else:
+                asks.append((kind, rows, idx))
+        return predicted(i, step, X, E, asks) if asks else E
+
+    def predicted(i: int, step: _Step, X: np.ndarray, E: np.ndarray,
+                  asks: list[_Group]) -> Choice:
+        latents, conditions, hooks = [], [], []
+        for kind, rows, idx in asks:
+            if kind == "attention":
+                ctx = CamContext(denoiser=denoiser, x_ref=path_a.latents[i],
+                                 eps_ref=path_a.noises[i], c_a=c_a, c_b=c_b,
+                                 alpha_bar=step.a_t, level=step.level,
+                                 sampling_step=step.sampling_step)
+                for r in idx:
+                    hook = _CAM_HOOKS[configs[r].cam_hook](ctx)
+                    asked = None
+                    if isinstance(hook, Generator):  # its request joins the step's call
+                        x, cs = next(hook)
+                        latents.append(x)
+                        conditions += cs
+                        asked = len(cs)
+                    hooks.append((hook, asked))
+            elif kind == "guidance":
+                latents += [X[rows], X[rows]]
+                conditions += [c_a] * len(idx) + [c_b] * len(idx)
+            elif kind == "cond_interp":
+                latents.append(X[rows])
+                conditions += [blended(w) for w in W[rows, i].tolist()]
+            else:  # plain, and the latent kinds' prediction before their blend
+                latents.append(X[rows])
+                conditions += [c_b] * len(idx)
+        if latents:
+            eps = yield (np.concatenate(latents) if len(latents) > 1 else latents[0],
+                         conditions)
+        lo = 0
+        for kind, rows, idx in asks:
+            if kind == "attention":
+                eps_hook = []
+                for r, (hook, asked) in zip(idx, hooks):
+                    if asked is not None:
+                        hook, lo = _hook_answer(configs[r].cam_hook, hook,
+                                                eps[lo:lo + asked]), lo + asked
+                    eps_hook.append(_hook_noise(configs[r].cam_hook, hook, X.shape[1:], step))
+                # where the evolving latent is the reference, the hook's noise steps it
+                x_ref = path_a.latents[i]
+                eps_hook = np.array(eps_hook)
+                E[rows] = eps_hook
+                _settle(E, X[rows], idx, _down(x_ref, eps_hook, step.a_t, step.a_prev),
+                        (X[rows] == x_ref).all(axis=1), step)
+                continue
+            got, lo = eps[lo:lo + len(idx)], lo + len(idx)
+            if kind == "guidance":
+                E[rows] = cfg_combine(got, eps[lo:lo + len(idx)], betas[rows])
+                lo += len(idx)
+            else:
+                E[rows] = got
+            if kind in ("latent_interp", "latent_mask"):
+                ref = path_a.latents[i + 1]
+                stepped = _down(X[rows], got, step.a_t, step.a_prev)
+                mixed = _blend(ref, stepped, W[rows, i, None]) if kind == "latent_interp" \
+                    else _splice(ref, stepped, masks[rows])
+                # a no-op blend keeps the directly predicted noise so the step is
+                # identical to plain denoising
+                _settle(E, X[rows], idx, mixed, (mixed == stepped).all(axis=1), step)
+        return E
 
     return choose_eps
+
+
+def _settle(E: np.ndarray, x: np.ndarray, idx: list[int], targets: np.ndarray,
+            keep: np.ndarray, step: _Step) -> None:
+    """Rows ``idx`` not kept take the noise that steps them from ``x`` onto ``targets``."""
+    if not keep.all():
+        moved = ~keep
+        E[np.array(idx)[moved]] = effective_noise(x[moved], targets[moved], step.a_t,
+                                                  step.a_prev)
+
+
+def _hook_noise(name: str, eps_hook, shape: tuple[int, ...], step: _Step) -> np.ndarray:
+    """A hook's noise for one row of latent shape ``shape``, checked where it enters."""
+    eps_hook = np.asarray(eps_hook, dtype=np.float64)
+    if eps_hook.shape != shape:
+        raise ParameterError(f"cam_hook {name!r} returned shape {eps_hook.shape}")
+    if not np.isfinite(eps_hook).all():
+        raise DenoiserError(f"cam_hook {name!r} returned non-finite noise",
+                            sampling_step=step.sampling_step, training_step=step.level)
+    return eps_hook
+
+
+def _hook_answer(name: str, hook: Generator, noises: np.ndarray) -> np.ndarray:
+    """What a hook returns once sent the predictions of its request."""
+    try:
+        hook.send(noises)
+    except StopIteration as done:
+        return done.value
+    raise ParameterError(f"cam_hook {name!r} made a second request in one step")
 
 
 def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
@@ -322,12 +425,35 @@ def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding
     Equivalent to a condition-interpolation edit with a full-strength constant
     window over the top ``k`` sampling steps.
     """
-    t_sample = grid.t_sample
-    if not 0 <= k <= t_sample:
-        raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
-    def choose_eps(i: int, step: _Step, x: np.ndarray) -> Choice:
-        (eps,) = yield [c_a if i < k else c_b]
-        return eps
+    return prompt_switches(denoiser, x_top, c_a, c_b, (k,), grid, schedule)[0]
 
-    return _walk(denoiser, grid, schedule,
-                 [(x_top, c_b if k < t_sample else c_a, choose_eps)])[0]
+
+def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
+                    c_b: ConditionEmbedding, ks: Sequence[int], grid: TimestepGrid,
+                    schedule: AlphaSchedule) -> tuple[PathRecord, ...]:
+    """``prompt_switch`` for each switch point in ``ks``, walked in lock-step.
+
+    The rows not yet switched are all on the pure ``c_a`` path, at one latent,
+    so one ``c_a`` prediction serves them; each record is bitwise the one
+    ``prompt_switch`` gives alone.
+    """
+    t_sample = grid.t_sample
+    ks = tuple(ks)
+    for k in ks:
+        if not 0 <= k <= t_sample:
+            raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
+    switch = np.array(ks)
+
+    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Choice:
+        under_a = switch > i
+        shared = np.flatnonzero(under_a)[:1]  # the rows not yet switched share a latent
+        under_b = np.flatnonzero(~under_a)
+        eps = yield (X[np.concatenate([shared, under_b])],
+                     [c_a] * len(shared) + [c_b] * len(under_b))
+        E = np.empty_like(X)
+        E[under_a] = eps[:len(shared)]
+        E[under_b] = eps[len(shared):]
+        return E
+
+    return tuple(_walk(denoiser, grid, schedule, [x_top] * len(ks),
+                       [c_b if k < t_sample else c_a for k in ks], choose_eps))

@@ -172,7 +172,7 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence], seed: int) 
     d = scenario.score_params.d
     x_top = standard_normals(substream(seed, "sweep", "x_top"), d)
     path_a, path_b = _walk(scenario.denoiser, scenario.grid, scenario.noise_schedule,
-                           [(x_top, c, None) for c in (scenario.c_a, scenario.c_b)])
+                           [x_top, x_top], [scenario.c_a, scenario.c_b])
     configs = [derive_config(scenario.base, dict(zip(names, combo))) for combo in combos]
     results = run_edits(scenario.denoiser, x_top, scenario.c_a, scenario.c_b, configs,
                         scenario.grid, scenario.noise_schedule, path_a=path_a, path_b=path_b)
@@ -207,10 +207,10 @@ def inversion_report(denoiser: GMMDenoiser, c: ConditionEmbedding,
     rows = []
     for t_sample in t_sample_values:
         grid = make_timestep_grid(noise_schedule.t_train, t_sample)
-        invs = _walk(denoiser, grid, noise_schedule, [(x0, c, None) for x0 in x0s],
-                     INVERSION)
-        regens = _walk(denoiser, grid, noise_schedule,
-                       [(inv.x_top, c, None) for inv in invs])
+        invs = _walk(denoiser, grid, noise_schedule, x0s, [c] * samples,
+                     direction=INVERSION)
+        regens = _walk(denoiser, grid, noise_schedule, [inv.x_top for inv in invs],
+                       [c] * samples)
         # one norm per row: the axis form does not round the same way
         errors = np.array([np.linalg.norm(regen.x0 - x0) / np.linalg.norm(x0)
                            for regen, x0 in zip(regens, x0s)])

@@ -12,14 +12,17 @@ the same grid upward, predicting the noise at the target level of each hop
 the very first hop from clean data).
 
 Every pass over a grid goes through one private stepping core, ``_walk``.
-It builds the grid's step table once (training level, sampling step and
-the two signal factors of each position) and walks it in either direction,
-for one row or for several rows in lock-step.  At each hop a row's callback
-``choose_eps(i, step, x)`` supplies its noise, asking the core for the
-predictions it needs; the core answers the requests of all rows with one
-denoiser call per round, applies each row's update and records its path.
-Generation, inversion, null-embedding tuning, the editing operators and path
-replay are all such callbacks.
+It builds the grid's step table once (training level, sampling step and the
+two signal factors of each position, checked once per step) and walks it in
+either direction for N rows in lock-step.  The rows' latents are one (N, d)
+array, and each step is one hop of all of them: the update is elementwise,
+so every row gets the bits of a walk of its own.  A callback
+``choose(i, step, X)`` supplies the step's noises, applying its operators to
+whole groups of rows; it asks the core for the predictions it needs, each
+request pairing conditions with latents (the rows' own, or others, such as
+the reference path's for an attention hook), and the core answers each
+request with one denoiser call.  Generation, inversion, null-embedding
+tuning, the editing operators and path replay are all such callbacks.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .denoiser import ConditionEmbedding, Denoiser
+from .denoiser import ConditionEmbedding, Denoiser, _condition_rows
 from .errors import DenoiserError, ParameterError
 from .schedule import AlphaSchedule, TimestepGrid
 
@@ -46,14 +49,14 @@ def f_theta(x_t: np.ndarray, eps: np.ndarray, alpha_bar_t: float) -> np.ndarray:
     a = float(alpha_bar_t)
     if not 0.0 < a <= 1.0:
         raise ParameterError(f"alpha_bar_t must lie in (0, 1], got {a}")
+    return _clean(x_t, eps, a)
+
+
+def _clean(x_t: np.ndarray, eps: np.ndarray, a: float) -> np.ndarray:
     return (x_t - np.sqrt(1.0 - a) * eps) / np.sqrt(a)
 
 
-def ddim_step(x_t: np.ndarray, eps: np.ndarray,
-              alpha_bar_t: float, alpha_bar_prev: float) -> np.ndarray:
-    """One deterministic update from level alpha_bar_t down to alpha_bar_prev."""
-    a_t = float(alpha_bar_t)
-    a_prev = float(alpha_bar_prev)
+def _check_down(a_t: float, a_prev: float) -> None:
     if not 0.0 < a_t < 1.0:
         raise ParameterError(f"alpha_bar_t must lie in (0, 1), got {a_t}")
     if not 0.0 < a_prev <= 1.0:
@@ -61,10 +64,39 @@ def ddim_step(x_t: np.ndarray, eps: np.ndarray,
     if a_prev < a_t:
         raise ParameterError(
             f"schedule order violated: alpha_bar_prev={a_prev} < alpha_bar_t={a_t}")
+
+
+def _check_up(a_t: float, a_next: float) -> None:
+    if not 0.0 < a_t <= 1.0:
+        raise ParameterError(f"alpha_bar_t must lie in (0, 1], got {a_t}")
+    if not 0.0 < a_next <= a_t:
+        raise ParameterError(
+            f"inversion requires alpha_bar_next <= alpha_bar_t, got {a_next} > {a_t}")
+
+
+def _down(x_t: np.ndarray, eps: np.ndarray, a_t: float, a_prev: float) -> np.ndarray:
     if a_prev == a_t:
         # algebraic fixed point: no noise is removed
         return x_t + 0.0 * eps
-    return np.sqrt(a_prev) * f_theta(x_t, eps, a_t) + np.sqrt(1.0 - a_prev) * eps
+    return _move(x_t, eps, a_t, a_prev)
+
+
+def _move(x_t: np.ndarray, eps: np.ndarray, a_from: float, a_to: float) -> np.ndarray:
+    return np.sqrt(a_to) * _clean(x_t, eps, a_from) + np.sqrt(1.0 - a_to) * eps
+
+
+def ddim_step(x_t: np.ndarray, eps: np.ndarray,
+              alpha_bar_t: float, alpha_bar_prev: float) -> np.ndarray:
+    """One deterministic update from level alpha_bar_t down to alpha_bar_prev.
+
+    The walks do not call this: their step table checks each step's levels
+    once, and every hop of a step then runs this arithmetic on all rows at
+    once.  Being elementwise, it gives each row the bits of this function.
+    """
+    a_t = float(alpha_bar_t)
+    a_prev = float(alpha_bar_prev)
+    _check_down(a_t, a_prev)
+    return _down(x_t, eps, a_t, a_prev)
 
 
 def invert_step(x_t: np.ndarray, eps: np.ndarray,
@@ -72,12 +104,8 @@ def invert_step(x_t: np.ndarray, eps: np.ndarray,
     """One upward hop from level alpha_bar_t to the noisier alpha_bar_next."""
     a_t = float(alpha_bar_t)
     a_next = float(alpha_bar_next)
-    if not 0.0 < a_t <= 1.0:
-        raise ParameterError(f"alpha_bar_t must lie in (0, 1], got {a_t}")
-    if not 0.0 < a_next <= a_t:
-        raise ParameterError(
-            f"inversion requires alpha_bar_next <= alpha_bar_t, got {a_next} > {a_t}")
-    return np.sqrt(a_next) * f_theta(x_t, eps, a_t) + np.sqrt(1.0 - a_next) * eps
+    _check_up(a_t, a_next)
+    return _move(x_t, eps, a_t, a_next)
 
 
 def effective_noise(x_t: np.ndarray, x_prev: np.ndarray,
@@ -146,12 +174,12 @@ class PathRecord:
         """Max-abs replay residual per hop; all-zero for a consistent record."""
         errs = []
 
-        def replay(i: int, step: _Step, x: np.ndarray) -> np.ndarray:
+        def replay(i: int, step: _Step, X: np.ndarray) -> np.ndarray:
             redo = _hop(step, self.latents[i], self.noises[i], self.direction)
             errs.append(np.max(np.abs(redo - self.latents[i + 1])))
-            return self.noises[i]
+            return self.noises[i][None]
 
-        _walk(None, self.grid, schedule, [(self.latents[0], self.condition, replay)],
+        _walk(None, self.grid, schedule, [self.latents[0]], [self.condition], replay,
               self.direction)
         return np.array(errs)
 
@@ -165,114 +193,100 @@ class _Step(NamedTuple):
     a_prev: float
 
 
-def _step_table(grid: TimestepGrid, schedule: AlphaSchedule) -> tuple[_Step, ...]:
-    """The grid's positions in generation order, each with its signal factors."""
+def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
+                direction: str) -> tuple[_Step, ...]:
+    """The grid's positions in walk order, each with its signal factors checked.
+
+    The checks are ``ddim_step``'s for generation and ``invert_step``'s for
+    inversion, made once per step here instead of once per hop.
+    """
     if grid.level(0) > schedule.t_train:
         raise ParameterError(
             f"grid top {grid.level(0)} exceeds schedule length {schedule.t_train}")
-    t_sample = grid.t_sample
-    return tuple(_Step(grid.level(i), t_sample - i, schedule.at(grid.level(i)),
-                       schedule.at(grid.prev_level(i))) for i in range(t_sample))
+    levels = grid.steps
+    alpha_bar = schedule.alpha_bar
+    table = tuple(map(_Step, levels, range(grid.t_sample, 0, -1),
+                      alpha_bar[list(levels)].tolist(), alpha_bar[[*levels[1:], 0]].tolist()))
+    if direction == GENERATION:
+        for step in table:
+            _check_down(step.a_t, step.a_prev)
+        return table
+    for step in table:
+        _check_up(step.a_prev, step.a_t)
+    return table[::-1]
 
 
 def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndarray:
     """Generation steps down from ``step.level``; inversion climbs up to it."""
     if direction == GENERATION:
-        return ddim_step(x, eps, step.a_t, step.a_prev)
-    return invert_step(x, eps, step.a_prev, step.a_t)
+        return _down(x, eps, step.a_t, step.a_prev)
+    return _move(x, eps, step.a_prev, step.a_t)
 
 
-#: what a callback gives for one hop: the noise itself, or a generator that
-#: yields lists of conditions, is sent their noises at the row's latent as the
-#: rows of an array, and returns the hop's noise
-Choice = np.ndarray | Generator[list[ConditionEmbedding], np.ndarray, np.ndarray]
+#: a round's request: latents (k, d) and one condition per latent
+Request = tuple[np.ndarray, Sequence[ConditionEmbedding]]
+#: what a callback gives for one step: the noises of all rows (N, d), or a
+#: generator that yields requests, is sent each one's predictions (k, d), and
+#: returns the noises
+Choice = np.ndarray | Generator[Request, np.ndarray, np.ndarray]
 ChooseEps = Callable[[int, _Step, np.ndarray], Choice]
 
 
 def _walk(denoiser: Denoiser | None, grid: TimestepGrid, schedule: AlphaSchedule,
-          rows: Sequence[tuple[np.ndarray, ConditionEmbedding, ChooseEps | None]],
-          direction: str = GENERATION) -> list[PathRecord]:
-    """The stepping core: rows ``(x_start, condition, choose_eps)`` walk in lock-step.
+          starts: Sequence[np.ndarray], conditions: Sequence[ConditionEmbedding],
+          choose: ChooseEps | None = None, direction: str = GENERATION) -> list[PathRecord]:
+    """The stepping core: N rows, from ``starts`` under ``conditions``, walk in lock-step.
 
-    Hop ``i`` of a row takes the noise that ``choose_eps(i, step, x)`` gives
-    at the row's latent ``x``; a row without a callback takes the prediction
-    under its condition.  A callback that needs predictions is a generator,
-    ``noises = yield [conditions]`` then ``return eps``.  Each round, the
-    requests of every pending row, in row order, go out as one denoiser
-    call, and a callback may ask again for a further round.  Generation
-    visits the step table top down, inversion bottom up; each row's record
-    holds every latent and the noise of every hop.
+    The rows' latents are one (N, d) array ``X`` and each step is one hop of
+    all of them.  Hop ``i`` takes the noises ``choose(i, step, X)`` gives,
+    one row each; without a callback, row r takes the prediction under
+    ``conditions[r]``.  A callback that needs predictions is a generator:
+    ``noises = yield latents, conditions`` asks for one prediction per
+    condition at the paired latent (a row of ``X``, or any other latent, such
+    as a reference path's), and each request goes out as one denoiser call.
+    Generation visits the step table top down, inversion bottom up; each
+    row's record holds every latent and the noise of every hop.
     """
-    table = _step_table(grid, schedule)
-    xs = [_as_latent(x) for x, _, _ in rows]
-    latents = [[x] for x in xs]
-    noises: list[list[np.ndarray]] = [[] for _ in rows]
-    for i, step in enumerate(table if direction == GENERATION else table[::-1]):
-        eps: list = [None] * len(rows)
-        pending = []
-        for r, (_, c, choose_eps) in enumerate(rows):
-            choice = [c] if choose_eps is None else choose_eps(i, step, xs[r])
-            if isinstance(choice, np.ndarray):
-                eps[r] = choice
-            else:
-                pending.append((r, choice, None))
-        while pending:
-            pending = _round(denoiser, step, xs, pending, eps)
-        for r, noise in enumerate(eps):
-            xs[r] = _hop(step, xs[r], noise, direction)
-            noises[r].append(noise)
-            latents[r].append(xs[r])
-    return [PathRecord(grid=grid, latents=tuple(lat), noises=tuple(hops), condition=c,
-                       direction=direction)
-            for (_, c, _), lat, hops in zip(rows, latents, noises)]
-
-
-def _round(denoiser: Denoiser | None, step: _Step, xs: list[np.ndarray],
-           pending: list, eps: list) -> list:
-    """One denoiser call for the pending rows' requests; returns the rows still pending.
-
-    A pending row is ``(r, request, sent)``: a plain row's request is its
-    condition list, whose one prediction is its noise; a callback's is its
-    generator, sent ``sent`` to get its next conditions or its noise (into
-    ``eps[r]``).
-    """
-    asks, X, C = [], [], []
-    for r, request, sent in pending:
-        if isinstance(request, list):
-            conds = request
-        else:
-            try:
-                conds = request.send(sent)
-            except StopIteration as done:
-                eps[r] = done.value
-                continue
-        asks.append((r, request, len(C), len(C) + len(conds)))
-        X += [xs[r]] * len(conds)
-        C += conds
-    if not asks:
+    if not len(starts):
         return []
-    answers = _predict_rows(denoiser, X, C, step)
-    still = []
-    for r, request, lo, hi in asks:
-        if isinstance(request, list):
-            eps[r] = answers[lo]
+    X = _as_latents(starts)
+    latents, noises = [X], []
+    for i, step in enumerate(_step_table(grid, schedule, direction)):
+        if choose is None:
+            eps = _predict_rows(denoiser, X, conditions, step)
         else:
-            still.append((r, request, answers[lo:hi]))
-    return still
+            eps = choose(i, step, X)
+            if not isinstance(eps, np.ndarray):
+                eps = _answer(denoiser, step, eps)
+        X = _hop(step, X, eps, direction)
+        noises.append(eps)
+        latents.append(X)
+    latents, noises = np.array(latents), np.array(noises)  # (T + 1, N, d) and (T, N, d)
+    return [PathRecord(grid=grid, latents=tuple(latents[:, r]), noises=tuple(noises[:, r]),
+                       condition=c, direction=direction) for r, c in enumerate(conditions)]
 
 
-def _predict_rows(denoiser: Denoiser, xs: list[np.ndarray],
-                  conditions: list[ConditionEmbedding], step: _Step) -> np.ndarray:
-    """One denoiser call; row j is ``conditions[j]``'s noise at ``xs[j]``.
+def _answer(denoiser: Denoiser, step: _Step, requests: Generator) -> np.ndarray:
+    """Answer each of a callback's requests with one denoiser call; returns its noises."""
+    try:
+        request = next(requests)
+        while True:
+            request = requests.send(_predict_rows(denoiser, *request, step))
+    except StopIteration as done:
+        return done.value
+
+
+def _predict_rows(denoiser: Denoiser, X: np.ndarray,
+                  conditions: Sequence[ConditionEmbedding], step: _Step) -> np.ndarray:
+    """One denoiser call; row j is ``conditions[j]``'s noise at ``X[j]``.
 
     A single row goes through ``predict_noise``, so a one-row walk that asks
     for one prediction per hop makes the calls of an unbatched loop.
     """
     if len(conditions) == 1:
-        x, c = xs[0], conditions[0]
+        x, c = X[0], conditions[0]
         return _checked_noise(lambda: denoiser.predict_noise(x, c, step.a_t, step.level),
                               x.shape, step)[None]
-    X = np.array(xs)
     return _checked_noise(
         lambda: denoiser.predict_noise_batch(X, conditions, step.a_t, step.level),
         X.shape, step)
@@ -306,13 +320,13 @@ def _checked_noise(call: Callable[[], np.ndarray], shape: tuple[int, ...],
     return eps
 
 
-def _as_latent(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
+def _as_latents(starts: Sequence[np.ndarray]) -> np.ndarray:
+    X = np.array(starts, dtype=np.float64)
+    if X.ndim != 2:
         raise ParameterError("latent must be a vector")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(X).all():
         raise ParameterError("latent entries must be finite")
-    return x.copy()
+    return X
 
 
 def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
@@ -326,18 +340,18 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
     actually drove the update.
     """
     if guidance is None:
-        return _walk(denoiser, grid, schedule, [(x_top, c, None)])[0]
+        return _walk(denoiser, grid, schedule, [x_top], [c])[0]
     beta, nulls = guidance
     if not isinstance(nulls, ConditionEmbedding) and len(nulls) != grid.t_sample:
         raise ParameterError(
             f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
 
-    def choose_eps(i: int, step: _Step, x: np.ndarray) -> Choice:
+    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Choice:
         null = nulls if isinstance(nulls, ConditionEmbedding) else nulls[i]
-        eps_c, eps_null = yield [c, null]
-        return cfg_combine(eps_c, eps_null, beta)
+        eps = yield np.repeat(X, 2, axis=0), (c, null)
+        return cfg_combine(eps[:1], eps[1:], beta)
 
-    return _walk(denoiser, grid, schedule, [(x_top, c, choose_eps)])[0]
+    return _walk(denoiser, grid, schedule, [x_top], [c], choose_eps)[0]
 
 
 def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
@@ -347,7 +361,7 @@ def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     Each hop raises the level from the grid's previous index to its step
     index, predicting the noise at the target level.
     """
-    return _walk(denoiser, grid, schedule, [(x0, c, None)], INVERSION)[0]
+    return _walk(denoiser, grid, schedule, [x0], [c], direction=INVERSION)[0]
 
 
 @dataclass(frozen=True)
@@ -389,32 +403,36 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     half_width = 1e-4  # central-difference half-width of the gradient probes
     bumps = half_width * np.eye(denoiser.m)
 
-    def tune(i: int, step: _Step, x: np.ndarray) -> Choice:
-        target = inv.latents[step.sampling_step - 1]
+    def with_probes(null: np.ndarray, probe: bool) -> tuple[ConditionEmbedding, ...]:
+        # null, then null +/- eps*e_j for each coordinate j when a gradient is needed
+        rows = np.empty((1 + 2 * null.size if probe else 1, null.size))
+        rows[0] = null
+        if probe:
+            rows[1::2] = null + bumps
+            rows[2::2] = null - bumps
+        return _condition_rows(rows)
 
-        def with_probes(null: np.ndarray, probe: bool) -> list[ConditionEmbedding]:
-            # null, then null +/- eps*e_j for each coordinate j when a gradient is needed
-            rows = [null]
-            if probe:
-                for bump in bumps:
-                    rows += [null + bump, null - bump]
-            return [ConditionEmbedding(v) for v in rows]
+    def tune(i: int, step: _Step, X: np.ndarray) -> Choice:
+        x = X[0]
+        target = inv.latents[step.sampling_step - 1]
 
         def losses(eps_null: np.ndarray) -> list[float]:
             # elementwise over the rows, so each row repeats the one-row arithmetic
             guided = cfg_combine(np.broadcast_to(eps_c, eps_null.shape), eps_null, beta)
-            resid = ddim_step(x, guided, step.a_t, step.a_prev) - target
+            resid = _down(x, guided, step.a_t, step.a_prev) - target
             return [float(r @ r) for r in resid]
 
         null = np.zeros(denoiser.m)
-        eps = yield [c, *with_probes(null, iterations > 0)]
+        probes = with_probes(null, iterations > 0)
+        eps = yield np.repeat(X, 1 + len(probes), axis=0), (c, *probes)
         eps_c, eps_best = eps[0], eps[1]
         best, *probed = losses(eps[1:])
         for it in range(iterations):
             grad = np.array([(probed[2 * j] - probed[2 * j + 1]) / (2.0 * half_width)
                              for j in range(null.size)])
             candidate = null - step_size * grad
-            eps_null = yield with_probes(candidate, it + 1 < iterations)
+            probes = with_probes(candidate, it + 1 < iterations)
+            eps_null = yield np.repeat(X, len(probes), axis=0), probes
             value, *probed = losses(eps_null)
             if value > best * (1.0 + 1e-12) + 1e-300:
                 msg = (f"sampling step {step.sampling_step}: objective rose "
@@ -425,8 +443,8 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             null, best, eps_best = candidate, value, eps_null[0]
         embeddings.append(ConditionEmbedding(null))
         objectives.append(best)
-        return cfg_combine(eps_c, eps_best, beta)
+        return cfg_combine(eps_c, eps_best, beta)[None]
 
-    _walk(denoiser, grid, schedule, [(inv.x_top, c, tune)])
+    _walk(denoiser, grid, schedule, [inv.x_top], [c], tune)
     return NullTextResult(embeddings=tuple(embeddings), objectives=tuple(objectives),
                           diagnostics=tuple(diagnostics))

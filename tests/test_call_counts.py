@@ -48,9 +48,9 @@ RUN_EDIT_COUNTS = {
 
 #: (calls, rows) of the default 5 x 5 window sweep.  The two pure paths take
 #: 50 calls of 2 rows.  The 25 edits then take one call per step in which any
-#: of them predicts: all 50, or 44 for the kinds that predict nothing inside
-#: or above a window (noise streams, attention), as over the top 6 hops every
-#: edit is there; the attention hook adds its own 400 per-row calls.
+#: of them predicts: all 50, or 44 for the noise-stream kinds, which predict
+#: nothing inside or above a window, as over the top 6 hops every edit is
+#: there.  The attention kind's identity hook asks through the step's call.
 #: Rows are the per-row count (100 for the paths, then each edit's run_edit
 #: rows with both paths precomputed), which is 100 fewer than a walk that
 #: predicted above the window tops (50 - t_max: 0+2+4+6+8 hops for each t_m).
@@ -61,7 +61,7 @@ RUN_SWEEP_COUNTS = {
     "latent_mask": (100, 1250),
     "cond_interp": (100, 1250),
     "guidance": (100, 1650),
-    "attention": (494, 1250),
+    "attention": (100, 1250),
 }
 
 
@@ -167,5 +167,7 @@ def test_cli_demo_prompt_switch(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["demo", "--scenario", "prompt-switch", "--output", str(tmp_path)])
     assert code == 0
-    # path A once, then from its latent k the remaining 50 - k hops under c_b
-    assert [(den.calls, den.rows) for den in built] == [(1325, 1325)]
+    # all 51 switch points in one walk: per step one c_a prediction for the
+    # rows not yet switched (they share path A's latent) and one c_b
+    # prediction per switched row
+    assert [(den.calls, den.rows) for den in built] == [(50, 1325)]

@@ -84,11 +84,11 @@ def test_invalid_window_is_config_error():
         RunConfig.from_dict(data)
 
 
-def test_alias_kind_normalized():
+def test_alias_kind_rejected():
     data = demo_config_dict()
     data["manipulation"]["kind"] = "PNI"
-    cfg = RunConfig.from_dict(data)
-    assert cfg.manipulation.kind == "noise_interp"
+    with pytest.raises(ConfigError, match="unknown manipulation kind"):
+        RunConfig.from_dict(data)
 
 
 def test_mask_round_trip_and_validation():

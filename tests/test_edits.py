@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from diffpath.denoiser import ConditionEmbedding
 from diffpath.edits import (CamContext, ManipulationConfig, apply_mask,
                             cam_hook_names, lerp, normalize_kind, prompt_switch,
-                            register_cam_hook, run_edit, validate_mask)
+                            prompt_switches, register_cam_hook, run_edit, run_edits,
+                            validate_mask)
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import ddim_step, generate
 from diffpath.schedule import ScheduleSpec, make_timestep_grid, omega
@@ -68,10 +69,10 @@ class TestConfigValidation:
     TOTAL = 50
 
     def test_kind_aliases(self):
-        assert normalize_kind("PNI") == "noise_interp"
-        assert normalize_kind("cam") == "attention"
-        with pytest.raises(ParameterError):
-            normalize_kind("xyz")
+        assert normalize_kind(" Noise_Interp ") == "noise_interp"
+        for shorthand in ("PNI", "cam", "xyz"):
+            with pytest.raises(ParameterError):
+                normalize_kind(shorthand)
 
     def test_guidance_requires_beta(self):
         with pytest.raises(ParameterError):
@@ -245,6 +246,46 @@ class TestRunEdit:
             from diffpath.edits import _CAM_HOOKS
             _CAM_HOOKS.pop("test-ref-a")
 
+    def test_hook_requests_join_the_round(self, demo, monkeypatch):
+        # a hook that asks through the round, next to other kinds' requests,
+        # gives the bits of one that calls the denoiser itself
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        t = grid.t_sample
+        from diffpath.edits import _CAM_HOOKS
+
+        def asking(ctx: CamContext):
+            eps_a, eps_b = yield np.array([ctx.x_ref, ctx.x_ref]), (ctx.c_a, ctx.c_b)
+            return 0.5 * (eps_a + eps_b)
+
+        def calling(ctx: CamContext):
+            eps_a = ctx.denoiser.predict_noise(ctx.x_ref, ctx.c_a, ctx.alpha_bar, ctx.level)
+            eps_b = ctx.denoiser.predict_noise(ctx.x_ref, ctx.c_b, ctx.alpha_bar, ctx.level)
+            return 0.5 * (eps_a + eps_b)
+
+        monkeypatch.setitem(_CAM_HOOKS, "test-asking", asking)
+        monkeypatch.setitem(_CAM_HOOKS, "test-calling", calling)
+        configs = [ManipulationConfig("attention", _spec(20, 45, t, 1.0), cam_hook=hook)
+                   for hook in ("test-asking", "test-calling")]
+        configs.append(ManipulationConfig("guidance", _spec(0, t, t, 1.0), beta=-0.5))
+        asked, called, _ = run_edits(den, x_top, c_a, c_b, configs, grid, sched)
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(asked.path.latents + asked.path.noises,
+                       called.path.latents + called.path.noises))
+
+    def test_hook_asking_twice_in_a_step_is_rejected(self, demo, monkeypatch):
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        from diffpath.edits import _CAM_HOOKS
+
+        def greedy(ctx: CamContext):
+            yield ctx.x_ref[None], (ctx.c_a,)
+            yield ctx.x_ref[None], (ctx.c_b,)
+
+        monkeypatch.setitem(_CAM_HOOKS, "test-greedy", greedy)
+        with pytest.raises(ParameterError, match="cam_hook 'test-greedy' made a second"):
+            run_edit(den, x_top, c_a, c_b, ManipulationConfig(
+                "attention", _spec(0, grid.t_sample, grid.t_sample, 1.0),
+                cam_hook="test-greedy"), grid, sched)
+
     def test_non_finite_hook_output_names_hook_and_step(self, demo, monkeypatch):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
         t = grid.t_sample
@@ -349,6 +390,16 @@ class TestPromptSwitch:
         all_b = prompt_switch(den, demo["x_top"], demo["c_a"], demo["c_b"], 0, grid, sched)
         assert np.array_equal(all_a.x0, pure_a.x0)
         assert np.array_equal(all_b.x0, pure_b.x0)
+
+    def test_switch_points_together_equal_one_at_a_time(self, demo):
+        den, grid, sched = demo["denoiser"], demo["grid"], demo["schedule"]
+        args = (demo["x_top"], demo["c_a"], demo["c_b"])
+        ks = range(grid.t_sample, -1, -1)
+        for k, path in zip(ks, prompt_switches(den, *args, ks, grid, sched), strict=True):
+            alone = prompt_switch(den, *args, k, grid, sched)
+            assert np.array_equal(path.condition.values, alone.condition.values)
+            assert all(a.tobytes() == b.tobytes() for a, b in
+                       zip(path.latents + path.noises, alone.latents + alone.noises))
 
     def test_equivalence_with_condition_interpolation(self, demo):
         den, grid, sched = demo["denoiser"], demo["grid"], demo["schedule"]

@@ -299,6 +299,13 @@ class TestNullTextInversion:
                  for den in (demo["denoiser"], PerRow())]
         assert all(np.array_equal(a, b) for a, b in zip(paths[0].noises, paths[1].noises))
 
+    def test_non_finite_candidate_rejected(self, demo):
+        # every round's probe rows are checked at once, with the error a
+        # single embedding raises
+        with pytest.raises(ParameterError, match="condition embedding must be finite"):
+            null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 2.0,
+                             GRID, SCHED, iterations=2, step_size=float("inf"))
+
     def test_negative_iterations_rejected(self, demo):
         with pytest.raises(ParameterError):
             null_text_invert(demo["denoiser"], np.zeros(2), demo["c_a"], 1.0,
