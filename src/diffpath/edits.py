@@ -311,23 +311,16 @@ def _edit_noises(denoiser: Denoiser, configs: Sequence[ManipulationConfig],
 
     def choose_eps(i: int, step: _Step, X: np.ndarray) -> Choice:
         E = np.empty_like(X)
-        asks = []
-        for kind, rows, idx in group(columns[i]):
+        latents, conditions, hooks = [], [], []
+        groups = group(columns[i])
+        for kind, rows, idx in groups:
             if kind == _REUSE:
                 E[rows] = path_b.noises[i]
             elif kind == "noise_interp":
                 E[rows] = _blend(path_a.noises[i], path_b.noises[i], W[rows, i, None])
             elif kind == "noise_mask":
                 E[rows] = _splice(path_a.noises[i], path_b.noises[i], masks[rows])
-            else:
-                asks.append((kind, rows, idx))
-        return predicted(i, step, X, E, asks) if asks else E
-
-    def predicted(i: int, step: _Step, X: np.ndarray, E: np.ndarray,
-                  asks: list[_Group]) -> Choice:
-        latents, conditions, hooks = [], [], []
-        for kind, rows, idx in asks:
-            if kind == "attention":
+            elif kind == "attention":
                 ctx = CamContext(denoiser=denoiser, x_ref=path_a.latents[i],
                                  eps_ref=path_a.noises[i], c_a=c_a, c_b=c_b,
                                  alpha_bar=step.a_t, level=step.level,
@@ -354,7 +347,9 @@ def _edit_noises(denoiser: Denoiser, configs: Sequence[ManipulationConfig],
             eps = yield (np.concatenate(latents) if len(latents) > 1 else latents[0],
                          conditions)
         lo = 0
-        for kind, rows, idx in asks:
+        for kind, rows, idx in groups:
+            if kind in (_REUSE, "noise_interp", "noise_mask"):
+                continue
             if kind == "attention":
                 eps_hook = []
                 for r, (hook, asked) in zip(idx, hooks):

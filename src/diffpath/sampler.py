@@ -204,9 +204,8 @@ def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
         raise ParameterError(
             f"grid top {grid.level(0)} exceeds schedule length {schedule.t_train}")
     levels = grid.steps
-    alpha_bar = schedule.alpha_bar
-    table = tuple(map(_Step, levels, range(grid.t_sample, 0, -1),
-                      alpha_bar[list(levels)].tolist(), alpha_bar[[*levels[1:], 0]].tolist()))
+    table = tuple(map(_Step, levels, range(grid.t_sample, 0, -1), map(schedule.at, levels),
+                      map(schedule.at, (*levels[1:], 0))))
     if direction == GENERATION:
         for step in table:
             _check_down(step.a_t, step.a_prev)
