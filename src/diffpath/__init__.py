@@ -11,8 +11,7 @@ from .edits import (CamContext, EditResult, ManipulationConfig, apply_mask, lerp
                     prompt_switch, prompt_switches, register_cam_hook, run_edit,
                     run_edits)
 from .errors import ConfigError, DenoiserError, ParameterError
-from .metrics import (EditMetrics, SweepScenario, SweepTable, inversion_report,
-                      run_sweep, score_edit)
+from .metrics import EditMetrics, SweepScenario, inversion_report, run_sweep, score_edit
 from .sampler import (PathRecord, NullTextResult, cfg_combine, ddim_invert,
                       ddim_step, effective_noise, f_theta, generate, invert_step,
                       null_text_invert)
@@ -26,7 +25,7 @@ __all__ = [
     "Denoiser", "DenoiserError", "EditMetrics", "EditResult", "GMMDenoiser",
     "GMMDenoiserParams", "ManipulationConfig", "NullTextResult",
     "ParameterError", "PathRecord", "ScheduleSpec", "SweepScenario",
-    "SweepTable", "TimestepGrid", "apply_mask", "build_linear_beta_schedule",
+    "TimestepGrid", "apply_mask", "build_linear_beta_schedule",
     "cfg_combine", "ddim_invert", "ddim_step", "effective_noise", "f_theta",
     "generate", "gmm_log_density", "gmm_posterior_mean", "inversion_report",
     "invert_step", "lerp",

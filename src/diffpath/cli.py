@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -24,8 +25,8 @@ import numpy as np
 from .config import (RunConfig, apply_overrides, canonical_json, config_digest)
 from .edits import ManipulationConfig, prompt_switches, run_edit
 from .errors import ConfigError, ParameterError
-from .metrics import (SweepRow, SweepScenario, SweepTable, inversion_report, path_divergence,
-                      run_sweep, score_edit)
+from .metrics import (SweepRow, SweepScenario, inversion_report, path_divergence, run_sweep,
+                      score_edit, sweep_digest)
 from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
 from .presets import demo_config_dict, preset_manipulation
 from .remote import RemoteDenoiser, serve_stream, serve_tcp
@@ -238,19 +239,19 @@ def _window_axes(total: int) -> dict:
 
 
 def _sweep_and_write(config: RunConfig, denoiser, axes: dict, writer: ArtifactWriter,
-                     csv_name: str, svg_name: str) -> SweepTable:
+                     csv_name: str, svg_name: str) -> tuple[SweepRow, ...]:
     manip, c_a, c_b = _edit_setup(config)
     scenario = SweepScenario(denoiser=denoiser, score_params=config.model,
                              c_a=c_a, c_b=c_b, grid=config.grid,
                              noise_schedule=config.noise_schedule, base=manip)
-    table = run_sweep(scenario, axes, config.seed)
-    writer.write(csv_name, lambda: sweep_table_csv(table.rows))
+    rows = run_sweep(scenario, axes, config.seed)
+    writer.write(csv_name, lambda: sweep_table_csv(rows))
     writer.write(svg_name, lambda: svg_scatter(
         [("grid points (layout vs alignment)",
           np.array([[row.metrics.layout_preservation, row.metrics.semantic_alignment]
-                    for row in table.rows]))],
+                    for row in rows]))],
         title=f"sweep (seed {config.seed})"))
-    return table
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -258,8 +259,9 @@ def cmd_sweep(args) -> int:
     axes = _parse_axes(args, config)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as writer:
-        table = _sweep_and_write(config, denoiser, axes, writer, "sweep.csv", "sweep.svg")
-    print(f"rows={len(table.rows)} sweep_digest={table.digest}")
+        rows = _sweep_and_write(config, denoiser, axes, writer, "sweep.csv", "sweep.svg")
+    print(f"rows={len(rows)} sweep_digest="
+          f"{sweep_digest(axes, config.build_manipulation(), config.seed)}")
     return 0
 
 
@@ -328,7 +330,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="diffpath",
         description="deterministic sampling-path engine with editing operators")

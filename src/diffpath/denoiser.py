@@ -83,9 +83,11 @@ class Denoiser(abc.ABC):
         """Predictions for the rows of ``X`` (N, d) under ``C[i]``, all at one level.
 
         Row i must equal ``predict_noise(X[i], C[i], alpha_bar, t)`` bit for
-        bit.  This default makes one ``predict_noise`` call per row, in row
-        order, so wrappers and remote peers need not implement it; a subclass
-        that overrides ``predict_noise`` must keep the two consistent.
+        bit.  The walks make every prediction through this method, one call
+        per round, one-row rounds included.  This default makes one
+        ``predict_noise`` call per row, in row order, so wrappers and remote
+        peers need not implement it; a subclass that overrides either method
+        must keep the two consistent.
         """
         return np.array([self.predict_noise(x, c, alpha_bar, t)
                          for x, c in zip(X, C, strict=True)])

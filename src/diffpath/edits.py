@@ -21,6 +21,11 @@ Wherever the weight is zero the step is plain c_b denoising of the evolving
 latent, so a schedule amplitude of zero reproduces the c_b path for every
 kind.  Interpolation weights always weight the reference (first) argument.
 
+An attention hook is a plain function of a :class:`CamContext`.  It reads the
+predictions of both conditions at the reference latent (the c_b one is made
+in the step's one denoiser call, shared by every attention pass) and returns
+the step's noise.
+
 Noise blending draws both operands from recorded trajectories (the reference
 path under c_a and the editing path under c_b, both from the shared initial
 noise).  This keeps the edited path an exact convex combination of the two
@@ -42,8 +47,8 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
-from .sampler import (GENERATION, Choice, ChooseEps, PathRecord, Request, cfg_combine,
-                      effective_noise, generate, _down, _Step, _walk)
+from .sampler import (GENERATION, ChooseEps, PathRecord, cfg_combine, effective_noise,
+                      generate, _down, _Step, _walk)
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
@@ -105,11 +110,16 @@ def validate_mask(mask, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CamContext:
-    """What an attention-style hook may look at for one step."""
+    """What an attention-style hook may look at for one step.
 
-    denoiser: Denoiser
+    Both predictions are at the reference latent ``x_ref``: ``eps_ref`` is
+    the reference condition's (path A's recorded noise) and ``eps_edit`` the
+    editing condition's, asked for in the step's one denoiser call.
+    """
+
     x_ref: np.ndarray
     eps_ref: np.ndarray
+    eps_edit: np.ndarray
     c_a: ConditionEmbedding
     c_b: ConditionEmbedding
     alpha_bar: float
@@ -117,10 +127,8 @@ class CamContext:
     sampling_step: int
 
 
-#: a hook returns its noise, or is a generator that yields one request
-#: ``(latents, conditions)``, is sent its predictions (k, d) and returns its
-#: noise; the request joins the step's one denoiser call
-CamHook = Callable[[CamContext], np.ndarray | Generator[Request, np.ndarray, np.ndarray]]
+#: a hook maps a step's context to the noise that steps the reference latent
+CamHook = Callable[[CamContext], np.ndarray]
 
 _CAM_HOOKS: dict[str, CamHook] = {}
 
@@ -133,14 +141,8 @@ def cam_hook_names() -> tuple[str, ...]:
     return tuple(sorted(_CAM_HOOKS))
 
 
-def _identity_hook(ctx: CamContext) -> Generator[Request, np.ndarray, np.ndarray]:
-    """The editing condition's prediction at the reference latent."""
-    (eps,) = yield ctx.x_ref[None], (ctx.c_b,)
-    return eps
-
-
-register_cam_hook("identity", _identity_hook)
-register_cam_hook("replay", lambda ctx: np.array(ctx.eps_ref, copy=True))
+register_cam_hook("identity", lambda ctx: ctx.eps_edit)
+register_cam_hook("replay", lambda ctx: ctx.eps_ref)
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,7 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
     weights = [tuple(omega(config.schedule, t_sample - i) for i in range(t_sample))
                for config in configs]
     paths = _walk(denoiser, grid, schedule, [x_top] * len(configs), [c_b] * len(configs),
-                  _edit_noises(denoiser, configs, c_a, c_b, path_a, path_b, weights))
+                  _edit_noises(configs, c_a, c_b, path_a, path_b, weights))
     return tuple(EditResult(path=path, path_a=path_a, weights=w)
                  for path, w in zip(paths, weights))
 
@@ -269,14 +271,10 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
 #: how a row takes a hop's noise when it does not apply its kind's operator
 _PLAIN, _REUSE = "plain", "reuse"
 
-#: a hop's group of rows: how they take their noise, a selection of the rows
-#: (a slice where they are adjacent) and their row numbers
-_Group = tuple[str, slice | np.ndarray, list[int]]
 
-
-def _edit_noises(denoiser: Denoiser, configs: Sequence[ManipulationConfig],
-                 c_a: ConditionEmbedding, c_b: ConditionEmbedding, path_a: PathRecord,
-                 path_b: PathRecord | None, weights: list[tuple[float, ...]]) -> ChooseEps:
+def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
+                 c_b: ConditionEmbedding, path_a: PathRecord, path_b: PathRecord | None,
+                 weights: list[tuple[float, ...]]) -> ChooseEps:
     """The stepping-core callback of the manipulated passes, one row per config.
 
     At each hop the rows fall into groups: while ``path_b`` is known, rows
@@ -284,8 +282,9 @@ def _edit_noises(denoiser: Denoiser, configs: Sequence[ManipulationConfig],
     that path); rows of weight zero take the plain ``c_b`` prediction; the
     other rows apply their kind's operator.  Each group's arithmetic runs on
     all its rows at once and is elementwise, so every row gets the bits of a
-    walk of its own.  The predictions of all groups, the hooks' requests
-    included, go out as one call per round.
+    walk of its own.  The predictions of all groups go out as one call per
+    round, with one ``c_b`` prediction at the reference latent that every
+    attention row's hook reads.
     """
     W = np.array(weights)
     t_sample = W.shape[1]
@@ -294,26 +293,22 @@ def _edit_noises(denoiser: Denoiser, configs: Sequence[ManipulationConfig],
         weighted = W != 0.0
         first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
         tags[np.arange(t_sample) < first[:, None]] = _REUSE
-    columns = [tuple(column) for column in tags.T.tolist()]
+    columns = tags.T.tolist()
     masks = np.array([np.zeros(path_a.x0.size) if c.mask is None else c.mask
                       for c in configs])
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     blended = functools.cache(lambda w: ConditionEmbedding(_blend(c_a.values, c_b.values, w)))
 
-    @functools.cache
-    def group(column: tuple[str, ...]) -> list[_Group]:
-        """A hop's groups, in order of their first row; hops of one pattern share them."""
-        members: dict[str, list[int]] = {}
-        for r, tag in enumerate(column):
-            members.setdefault(tag, []).append(r)
-        return [(tag, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1
-                 else np.array(idx), idx) for tag, idx in members.items()]
-
-    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Choice:
+    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Generator:
         E = np.empty_like(X)
-        latents, conditions, hooks = [], [], []
-        groups = group(columns[i])
-        for kind, rows, idx in groups:
+        x_ref = path_a.latents[i]
+        latents, conditions = [], []
+        # a hop's groups in order of their first row, each with its row numbers
+        members: dict[str, list[int]] = {}
+        for r, tag in enumerate(columns[i]):
+            members.setdefault(tag, []).append(r)
+        groups = [(kind, np.array(rows)) for kind, rows in members.items()]
+        for kind, rows in groups:
             if kind == _REUSE:
                 E[rows] = path_b.noises[i]
             elif kind == "noise_interp":
@@ -321,53 +316,40 @@ def _edit_noises(denoiser: Denoiser, configs: Sequence[ManipulationConfig],
             elif kind == "noise_mask":
                 E[rows] = _splice(path_a.noises[i], path_b.noises[i], masks[rows])
             elif kind == "attention":
-                ctx = CamContext(denoiser=denoiser, x_ref=path_a.latents[i],
-                                 eps_ref=path_a.noises[i], c_a=c_a, c_b=c_b,
-                                 alpha_bar=step.a_t, level=step.level,
-                                 sampling_step=step.sampling_step)
-                for r in idx:
-                    hook = _CAM_HOOKS[configs[r].cam_hook](ctx)
-                    asked = None
-                    if isinstance(hook, Generator):  # its request joins the step's call
-                        x, cs = next(hook)
-                        latents.append(x)
-                        conditions += cs
-                        asked = len(cs)
-                    hooks.append((hook, asked))
+                latents.append(x_ref[None])
+                conditions.append(c_b)
             elif kind == "guidance":
-                latents += [X[rows], X[rows]]
-                conditions += [c_a] * len(idx) + [c_b] * len(idx)
+                latents += [X[rows]] * 2
+                conditions += [c_a] * len(rows) + [c_b] * len(rows)
             elif kind == "cond_interp":
                 latents.append(X[rows])
                 conditions += [blended(w) for w in W[rows, i].tolist()]
             else:  # plain, and the latent kinds' prediction before their blend
                 latents.append(X[rows])
-                conditions += [c_b] * len(idx)
+                conditions += [c_b] * len(rows)
         if latents:
-            eps = yield (np.concatenate(latents) if len(latents) > 1 else latents[0],
-                         conditions)
+            eps = yield np.concatenate(latents), conditions
         lo = 0
-        for kind, rows, idx in groups:
+        for kind, rows in groups:
             if kind in (_REUSE, "noise_interp", "noise_mask"):
                 continue
             if kind == "attention":
-                eps_hook = []
-                for r, (hook, asked) in zip(idx, hooks):
-                    if asked is not None:
-                        hook, lo = _hook_answer(configs[r].cam_hook, hook,
-                                                eps[lo:lo + asked]), lo + asked
-                    eps_hook.append(_hook_noise(configs[r].cam_hook, hook, X.shape[1:], step))
+                eps_edit, lo = eps[lo], lo + 1
+                eps_edit.setflags(write=False)
+                ctx = CamContext(x_ref=x_ref, eps_ref=path_a.noises[i], eps_edit=eps_edit,
+                                 c_a=c_a, c_b=c_b, alpha_bar=step.a_t, level=step.level,
+                                 sampling_step=step.sampling_step)
+                eps_hook = np.array([_hook_noise(configs[r].cam_hook, ctx, X.shape[1:])
+                                     for r in rows])
                 # where the evolving latent is the reference, the hook's noise steps it
-                x_ref = path_a.latents[i]
-                eps_hook = np.array(eps_hook)
                 E[rows] = eps_hook
-                _settle(E, X[rows], idx, _down(x_ref, eps_hook, step.a_t, step.a_prev),
+                _settle(E, X[rows], rows, _down(x_ref, eps_hook, step.a_t, step.a_prev),
                         (X[rows] == x_ref).all(axis=1), step)
                 continue
-            got, lo = eps[lo:lo + len(idx)], lo + len(idx)
+            got, lo = eps[lo:lo + len(rows)], lo + len(rows)
             if kind == "guidance":
-                E[rows] = cfg_combine(got, eps[lo:lo + len(idx)], betas[rows])
-                lo += len(idx)
+                E[rows] = cfg_combine(got, eps[lo:lo + len(rows)], betas[rows])
+                lo += len(rows)
             else:
                 E[rows] = got
             if kind in ("latent_interp", "latent_mask"):
@@ -377,39 +359,30 @@ def _edit_noises(denoiser: Denoiser, configs: Sequence[ManipulationConfig],
                     else _splice(ref, stepped, masks[rows])
                 # a no-op blend keeps the directly predicted noise so the step is
                 # identical to plain denoising
-                _settle(E, X[rows], idx, mixed, (mixed == stepped).all(axis=1), step)
+                _settle(E, X[rows], rows, mixed, (mixed == stepped).all(axis=1), step)
         return E
 
     return choose_eps
 
 
-def _settle(E: np.ndarray, x: np.ndarray, idx: list[int], targets: np.ndarray,
+def _settle(E: np.ndarray, x: np.ndarray, rows: np.ndarray, targets: np.ndarray,
             keep: np.ndarray, step: _Step) -> None:
-    """Rows ``idx`` not kept take the noise that steps them from ``x`` onto ``targets``."""
+    """``rows`` not kept take the noise that steps them from ``x`` onto ``targets``."""
     if not keep.all():
         moved = ~keep
-        E[np.array(idx)[moved]] = effective_noise(x[moved], targets[moved], step.a_t,
-                                                  step.a_prev)
+        E[rows[moved]] = effective_noise(x[moved], targets[moved], step.a_t, step.a_prev)
 
 
-def _hook_noise(name: str, eps_hook, shape: tuple[int, ...], step: _Step) -> np.ndarray:
-    """A hook's noise for one row of latent shape ``shape``, checked where it enters."""
+def _hook_noise(name: str, ctx: CamContext, shape: tuple[int, ...]) -> np.ndarray:
+    """Hook ``name``'s noise for one row of latent shape ``shape``, checked where it enters."""
+    eps_hook = _CAM_HOOKS[name](ctx)
+    if np.shape(eps_hook) != shape:
+        raise ParameterError(f"cam_hook {name!r} returned shape {np.shape(eps_hook)}")
     eps_hook = np.asarray(eps_hook, dtype=np.float64)
-    if eps_hook.shape != shape:
-        raise ParameterError(f"cam_hook {name!r} returned shape {eps_hook.shape}")
     if not np.isfinite(eps_hook).all():
         raise DenoiserError(f"cam_hook {name!r} returned non-finite noise",
-                            sampling_step=step.sampling_step, training_step=step.level)
+                            sampling_step=ctx.sampling_step, training_step=ctx.level)
     return eps_hook
-
-
-def _hook_answer(name: str, hook: Generator, noises: np.ndarray) -> np.ndarray:
-    """What a hook returns once sent the predictions of its request."""
-    try:
-        hook.send(noises)
-    except StopIteration as done:
-        return done.value
-    raise ParameterError(f"cam_hook {name!r} made a second request in one step")
 
 
 def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
@@ -439,7 +412,7 @@ def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbeddi
             raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
     switch = np.array(ks)
 
-    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Choice:
+    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Generator:
         under_a = switch > i
         shared = np.flatnonzero(under_a)[:1]  # the rows not yet switched share a latent
         under_b = np.flatnonzero(~under_a)

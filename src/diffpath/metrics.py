@@ -100,12 +100,6 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
-    digest: str
-
-
-@dataclass(frozen=True)
 class SweepScenario:
     """Everything a sweep needs besides the axes: model, conditions, base point."""
 
@@ -150,7 +144,8 @@ def derive_config(base: ManipulationConfig, assignment: Mapping[str, object]) ->
     return replace(base, schedule=new_sched, beta=None if beta is None else float(beta))
 
 
-def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence], seed: int) -> SweepTable:
+def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence],
+              seed: int) -> tuple[SweepRow, ...]:
     """Evaluate the cartesian grid of axis values, one deterministic row each.
 
     The shared initial noise is derived from the seed; rows are ordered by
@@ -176,12 +171,15 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence], seed: int) 
     configs = [derive_config(scenario.base, dict(zip(names, combo))) for combo in combos]
     results = run_edits(scenario.denoiser, x_top, scenario.c_a, scenario.c_b, configs,
                         scenario.grid, scenario.noise_schedule, path_a=path_a, path_b=path_b)
-    rows = [SweepRow.of(config, seed, score_edit(result, path_b, scenario.score_params))
-            for config, result in zip(configs, results)]
-    digest_src = json.dumps({"axes": axes, "base": asdict(scenario.base), "seed": seed},
-                            sort_keys=True, default=lambda v: np.asarray(v).tolist())
-    digest = hashlib.sha256(digest_src.encode()).hexdigest()[:12]
-    return SweepTable(rows=tuple(rows), digest=digest)
+    return tuple(SweepRow.of(config, seed, score_edit(result, path_b, scenario.score_params))
+                 for config, result in zip(configs, results))
+
+
+def sweep_digest(axes: Mapping[str, Sequence], base: ManipulationConfig, seed: int) -> str:
+    """Short sha256 naming a sweep: its axes, base manipulation and seed."""
+    src = json.dumps({"axes": dict(axes), "base": asdict(base), "seed": seed},
+                     sort_keys=True, default=lambda v: np.asarray(v).tolist())
+    return hashlib.sha256(src.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

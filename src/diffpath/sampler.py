@@ -17,12 +17,12 @@ two signal factors of each position, checked once per step) and walks it in
 either direction for N rows in lock-step.  The rows' latents are one (N, d)
 array, and each step is one hop of all of them: the update is elementwise,
 so every row gets the bits of a walk of its own.  A callback
-``choose(i, step, X)`` supplies the step's noises, applying its operators to
-whole groups of rows; it asks the core for the predictions it needs, each
-request pairing conditions with latents (the rows' own, or others, such as
-the reference path's for an attention hook), and the core answers each
-request with one denoiser call.  Generation, inversion, null-embedding
-tuning, the editing operators and path replay are all such callbacks.
+``choose(i, step, X)`` is a generator that supplies the step's noises,
+applying its operators to whole groups of rows; it asks the core for the
+predictions it needs, each request pairing conditions with latents (the
+rows' own, or others, such as the reference path's), and the core answers
+each request with one ``predict_noise_batch`` call.  Guided generation,
+null-embedding tuning and the editing operators are such callbacks.
 """
 
 from __future__ import annotations
@@ -172,16 +172,10 @@ class PathRecord:
 
     def replay_errors(self, schedule: AlphaSchedule) -> np.ndarray:
         """Max-abs replay residual per hop; all-zero for a consistent record."""
-        errs = []
-
-        def replay(i: int, step: _Step, X: np.ndarray) -> np.ndarray:
-            redo = _hop(step, self.latents[i], self.noises[i], self.direction)
-            errs.append(np.max(np.abs(redo - self.latents[i + 1])))
-            return self.noises[i][None]
-
-        _walk(None, self.grid, schedule, [self.latents[0]], [self.condition], replay,
-              self.direction)
-        return np.array(errs)
+        steps = _step_table(self.grid, schedule, self.direction)
+        return np.array([np.max(np.abs(_hop(step, x, eps, self.direction) - after))
+                         for step, x, eps, after in
+                         zip(steps, self.latents, self.noises, self.latents[1:])])
 
 
 class _Step(NamedTuple):
@@ -224,27 +218,25 @@ def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndar
 
 #: a round's request: latents (k, d) and one condition per latent
 Request = tuple[np.ndarray, Sequence[ConditionEmbedding]]
-#: what a callback gives for one step: the noises of all rows (N, d), or a
-#: generator that yields requests, is sent each one's predictions (k, d), and
-#: returns the noises
-Choice = np.ndarray | Generator[Request, np.ndarray, np.ndarray]
-ChooseEps = Callable[[int, _Step, np.ndarray], Choice]
+#: a step's callback: a generator that yields requests, is sent each one's
+#: predictions (k, d), and returns the noises of all rows (N, d)
+ChooseEps = Callable[[int, _Step, np.ndarray], Generator[Request, np.ndarray, np.ndarray]]
 
 
-def _walk(denoiser: Denoiser | None, grid: TimestepGrid, schedule: AlphaSchedule,
+def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
           starts: Sequence[np.ndarray], conditions: Sequence[ConditionEmbedding],
           choose: ChooseEps | None = None, direction: str = GENERATION) -> list[PathRecord]:
     """The stepping core: N rows, from ``starts`` under ``conditions``, walk in lock-step.
 
     The rows' latents are one (N, d) array ``X`` and each step is one hop of
-    all of them.  Hop ``i`` takes the noises ``choose(i, step, X)`` gives,
-    one row each; without a callback, row r takes the prediction under
-    ``conditions[r]``.  A callback that needs predictions is a generator:
-    ``noises = yield latents, conditions`` asks for one prediction per
-    condition at the paired latent (a row of ``X``, or any other latent, such
-    as a reference path's), and each request goes out as one denoiser call.
-    Generation visits the step table top down, inversion bottom up; each
-    row's record holds every latent and the noise of every hop.
+    all of them.  Without a callback, row r takes the prediction under
+    ``conditions[r]``.  Otherwise hop ``i`` takes the noises the generator
+    ``choose(i, step, X)`` returns, one row each: ``noises = yield latents,
+    conditions`` asks for one prediction per condition at the paired latent
+    (a row of ``X``, or any other latent, such as a reference path's), and
+    each request goes out as one denoiser call.  Generation visits the step
+    table top down, inversion bottom up; each row's record holds every latent
+    and the noise of every hop.
     """
     if not len(starts):
         return []
@@ -254,9 +246,7 @@ def _walk(denoiser: Denoiser | None, grid: TimestepGrid, schedule: AlphaSchedule
         if choose is None:
             eps = _predict_rows(denoiser, X, conditions, step)
         else:
-            eps = choose(i, step, X)
-            if not isinstance(eps, np.ndarray):
-                eps = _answer(denoiser, step, eps)
+            eps = _answer(denoiser, step, choose(i, step, X))
         X = _hop(step, X, eps, direction)
         noises.append(eps)
         latents.append(X)
@@ -277,26 +267,13 @@ def _answer(denoiser: Denoiser, step: _Step, requests: Generator) -> np.ndarray:
 
 def _predict_rows(denoiser: Denoiser, X: np.ndarray,
                   conditions: Sequence[ConditionEmbedding], step: _Step) -> np.ndarray:
-    """One denoiser call; row j is ``conditions[j]``'s noise at ``X[j]``.
+    """One ``predict_noise_batch`` call; row j is ``conditions[j]``'s noise at ``X[j]``.
 
-    A single row goes through ``predict_noise``, so a one-row walk that asks
-    for one prediction per hop makes the calls of an unbatched loop.
+    A failure or a bad answer names the step.
     """
-    if len(conditions) == 1:
-        x, c = X[0], conditions[0]
-        return _checked_noise(lambda: denoiser.predict_noise(x, c, step.a_t, step.level),
-                              x.shape, step)[None]
-    return _checked_noise(
-        lambda: denoiser.predict_noise_batch(X, conditions, step.a_t, step.level),
-        X.shape, step)
-
-
-def _checked_noise(call: Callable[[], np.ndarray], shape: tuple[int, ...],
-                   step: _Step) -> np.ndarray:
-    """Run one denoiser call for ``step``; a failure or a bad answer names the step."""
     level, sampling_step = step.level, step.sampling_step
     try:
-        eps = call()
+        eps = denoiser.predict_noise_batch(X, conditions, step.a_t, level)
     except (ParameterError, ZeroDivisionError):
         raise
     except DenoiserError as err:
@@ -309,9 +286,9 @@ def _checked_noise(call: Callable[[], np.ndarray], shape: tuple[int, ...],
         raise DenoiserError(f"denoiser call failed: {err}",
                             sampling_step=sampling_step, training_step=level) from err
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != shape:
+    if eps.shape != X.shape:
         raise DenoiserError(
-            f"denoiser returned shape {eps.shape}, expected {shape}",
+            f"denoiser returned shape {eps.shape}, expected {X.shape}",
             sampling_step=sampling_step, training_step=level)
     if not np.isfinite(eps).all():
         raise DenoiserError("denoiser returned non-finite noise",
@@ -345,7 +322,7 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
         raise ParameterError(
             f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
 
-    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Choice:
+    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Generator:
         null = nulls if isinstance(nulls, ConditionEmbedding) else nulls[i]
         eps = yield np.repeat(X, 2, axis=0), (c, null)
         return cfg_combine(eps[:1], eps[1:], beta)
@@ -411,7 +388,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             rows[2::2] = null - bumps
         return _condition_rows(rows)
 
-    def tune(i: int, step: _Step, X: np.ndarray) -> Choice:
+    def tune(i: int, step: _Step, X: np.ndarray) -> Generator:
         x = X[0]
         target = inv.latents[step.sampling_step - 1]
 

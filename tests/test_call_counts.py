@@ -50,10 +50,13 @@ RUN_EDIT_COUNTS = {
 #: 50 calls of 2 rows.  The 25 edits then take one call per step in which any
 #: of them predicts: all 50, or 44 for the noise-stream kinds, which predict
 #: nothing inside or above a window, as over the top 6 hops every edit is
-#: there.  The attention kind's identity hook asks through the step's call.
-#: Rows are the per-row count (100 for the paths, then each edit's run_edit
-#: rows with both paths precomputed), which is 100 fewer than a walk that
-#: predicted above the window tops (50 - t_max: 0+2+4+6+8 hops for each t_m).
+#: there.  Rows are the per-row count (100 for the paths, then each edit's
+#: run_edit rows with both paths precomputed), which is 100 fewer than a walk
+#: that predicted above the window tops (50 - t_max: 0+2+4+6+8 hops for each
+#: t_m).  The attention rows of a step share one c_b prediction at the
+#: reference latent, so that sweep's rows are 100 for the paths, 750 plain
+#: rows below the windows (t_max - t_m - 1 per edit, summed over the grid) and
+#: one for each of the 34 steps inside some window (sampling steps 17 to 50).
 RUN_SWEEP_COUNTS = {
     "noise_interp": (94, 850),
     "noise_mask": (94, 850),
@@ -61,7 +64,7 @@ RUN_SWEEP_COUNTS = {
     "latent_mask": (100, 1250),
     "cond_interp": (100, 1250),
     "guidance": (100, 1650),
-    "attention": (100, 1250),
+    "attention": (100, 884),
 }
 
 

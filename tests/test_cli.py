@@ -89,9 +89,12 @@ class TestDemo:
 
     def test_guidance_grid(self, tmp_path, config_path):
         out = tmp_path / "demo"
-        code = main(["demo", "--config", str(config_path), "--scenario",
-                     "guidance-grid", "--output", str(out)])
+        # the grid's two betas above 0 extrapolate beyond the interpolation range
+        with pytest.warns(UserWarning, match="outside") as caught:
+            code = main(["demo", "--config", str(config_path), "--scenario",
+                         "guidance-grid", "--output", str(out)])
         assert code == 0
+        assert {str(w.message).split()[1] for w in caught} == {"beta=0.3", "beta=0.7"}
         _, rows = _read_csv(out / "guidance_grid.csv")
         assert len(rows) == 25
         assert all(row[0] == "guidance" for row in rows)

@@ -232,7 +232,7 @@ class TestRunEdit:
 
         def hook(ctx: CamContext):
             seen.append(ctx.sampling_step)
-            return ctx.denoiser.predict_noise(ctx.x_ref, ctx.c_a, ctx.alpha_bar, ctx.level)
+            return ctx.eps_ref
 
         register_cam_hook("test-ref-a", hook)
         try:
@@ -246,45 +246,41 @@ class TestRunEdit:
             from diffpath.edits import _CAM_HOOKS
             _CAM_HOOKS.pop("test-ref-a")
 
-    def test_hook_requests_join_the_round(self, demo, monkeypatch):
-        # a hook that asks through the round, next to other kinds' requests,
-        # gives the bits of one that calls the denoiser itself
+    def test_hook_reads_the_rounds_predictions(self, demo, monkeypatch):
+        # next to a guidance row, a hook sees at each weighted step the two
+        # conditions' predictions at the reference latent, bit for bit
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
         t = grid.t_sample
         from diffpath.edits import _CAM_HOOKS
+        seen = []
 
-        def asking(ctx: CamContext):
-            eps_a, eps_b = yield np.array([ctx.x_ref, ctx.x_ref]), (ctx.c_a, ctx.c_b)
-            return 0.5 * (eps_a + eps_b)
+        def recording(ctx: CamContext):
+            seen.append(ctx)
+            return 0.5 * (ctx.eps_ref + ctx.eps_edit)
 
-        def calling(ctx: CamContext):
-            eps_a = ctx.denoiser.predict_noise(ctx.x_ref, ctx.c_a, ctx.alpha_bar, ctx.level)
-            eps_b = ctx.denoiser.predict_noise(ctx.x_ref, ctx.c_b, ctx.alpha_bar, ctx.level)
-            return 0.5 * (eps_a + eps_b)
+        monkeypatch.setitem(_CAM_HOOKS, "test-recording", recording)
+        configs = [ManipulationConfig("attention", _spec(20, 45, t, 1.0),
+                                      cam_hook="test-recording"),
+                   ManipulationConfig("guidance", _spec(0, t, t, 1.0), beta=-0.5)]
+        run_edits(den, x_top, c_a, c_b, configs, grid, sched)
+        assert [ctx.sampling_step for ctx in seen] == list(range(45, 19, -1))
+        for ctx in seen:
+            for got, c in ((ctx.eps_ref, c_a), (ctx.eps_edit, c_b)):
+                want = den.predict_noise(ctx.x_ref, c, ctx.alpha_bar, ctx.level)
+                assert got.tobytes() == want.tobytes()
 
-        monkeypatch.setitem(_CAM_HOOKS, "test-asking", asking)
-        monkeypatch.setitem(_CAM_HOOKS, "test-calling", calling)
-        configs = [ManipulationConfig("attention", _spec(20, 45, t, 1.0), cam_hook=hook)
-                   for hook in ("test-asking", "test-calling")]
-        configs.append(ManipulationConfig("guidance", _spec(0, t, t, 1.0), beta=-0.5))
-        asked, called, _ = run_edits(den, x_top, c_a, c_b, configs, grid, sched)
-        assert all(a.tobytes() == b.tobytes() for a, b in
-                   zip(asked.path.latents + asked.path.noises,
-                       called.path.latents + called.path.noises))
-
-    def test_hook_asking_twice_in_a_step_is_rejected(self, demo, monkeypatch):
+    def test_generator_hook_is_a_wrong_shape(self, demo, monkeypatch):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
         from diffpath.edits import _CAM_HOOKS
 
-        def greedy(ctx: CamContext):
-            yield ctx.x_ref[None], (ctx.c_a,)
+        def asking(ctx: CamContext):
             yield ctx.x_ref[None], (ctx.c_b,)
 
-        monkeypatch.setitem(_CAM_HOOKS, "test-greedy", greedy)
-        with pytest.raises(ParameterError, match="cam_hook 'test-greedy' made a second"):
+        monkeypatch.setitem(_CAM_HOOKS, "test-asking", asking)
+        with pytest.raises(ParameterError, match="cam_hook 'test-asking' returned shape"):
             run_edit(den, x_top, c_a, c_b, ManipulationConfig(
                 "attention", _spec(0, grid.t_sample, grid.t_sample, 1.0),
-                cam_hook="test-greedy"), grid, sched)
+                cam_hook="test-asking"), grid, sched)
 
     def test_non_finite_hook_output_names_hook_and_step(self, demo, monkeypatch):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)

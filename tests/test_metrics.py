@@ -4,11 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from diffpath.denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
+from diffpath.denoiser import ConditionEmbedding
 from diffpath.edits import ManipulationConfig, run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.metrics import (EditMetrics, SweepRow, SweepScenario, derive_config,
-                              inversion_report, run_sweep, score_edit)
+                              inversion_report, run_sweep, score_edit, sweep_digest)
 from diffpath.output import SWEEP_CSV_HEADER, sweep_table_csv
 from diffpath.presets import EDIT_PRESETS
 from diffpath.rng import standard_normals, substream
@@ -120,18 +120,18 @@ class TestDeriveConfig:
 
 class TestRunSweep:
     def test_grid_shape_and_order(self, demo):
-        table = run_sweep(_scenario(demo),
-                          {"t_max": (50, 48, 46, 44, 42), "t_m": (5, 10, 15, 20, 25)},
-                          seed=demo["cfg"].seed)
-        assert len(table.rows) == 25
-        keys = [(r.t_max, r.t_max - r.t_min) for r in table.rows]
+        rows = run_sweep(_scenario(demo),
+                         {"t_max": (50, 48, 46, 44, 42), "t_m": (5, 10, 15, 20, 25)},
+                         seed=demo["cfg"].seed)
+        assert len(rows) == 25
+        keys = [(r.t_max, r.t_max - r.t_min) for r in rows]
         assert keys == sorted(keys)
-        assert all(r.kind == "noise_interp" for r in table.rows)
+        assert all(r.kind == "noise_interp" for r in rows)
 
     def test_single_point_equals_direct_call(self, demo):
         seed = demo["cfg"].seed
-        table = run_sweep(_scenario(demo), {"weight": (0.4,)}, seed=seed)
-        assert len(table.rows) == 1
+        rows = run_sweep(_scenario(demo), {"weight": (0.4,)}, seed=seed)
+        assert len(rows) == 1
         t = demo["grid"].t_sample
         x_top = standard_normals(substream(seed, "sweep", "x_top"), 2)
         config = ManipulationConfig("noise_interp",
@@ -141,7 +141,7 @@ class TestRunSweep:
         path_b = generate(demo["denoiser"], x_top, demo["c_b"], demo["grid"],
                           demo["schedule"])
         direct = score_edit(res, path_b, demo["params"])
-        row = table.rows[0]
+        row = rows[0]
         assert row.metrics.layout_preservation == direct.layout_preservation
         assert row.metrics.semantic_alignment == direct.semantic_alignment
         assert row.metrics.ab_gap == direct.ab_gap
@@ -150,31 +150,25 @@ class TestRunSweep:
         axes = {"t_max": (50, 46), "t_m": (5, 15)}
         t1 = run_sweep(_scenario(demo), axes, seed=11)
         t2 = run_sweep(_scenario(demo), axes, seed=11)
-        assert sweep_table_csv(t1.rows) == sweep_table_csv(t2.rows)
-        assert t1.digest == t2.digest
+        assert sweep_table_csv(t1) == sweep_table_csv(t2)
+        base = _scenario(demo).base
+        assert sweep_digest(axes, base, 11) == sweep_digest(axes, base, 11) \
+            != sweep_digest(axes, base, 12)
 
     def test_digest_sees_every_mask_entry(self, demo):
         # numpy's repr of a 2000-entry vector elides the middle, so these two
         # masks print alike; the digest must still tell them apart
         d, t = 2000, 2
-        den = GMMDenoiser(GMMDenoiserParams(
-            weights=np.array([1.0]), base_means=np.zeros((1, d)),
-            condition_maps=np.full((1, d, 2), 0.1), variances=np.array([1.0])))
-        grid = make_timestep_grid(demo["schedule"].t_train, t)
         masks = [np.zeros(d), np.zeros(d)]
         masks[1][d // 2] = 1.0
         assert repr(masks[0]) == repr(masks[1])
-        digests = {run_sweep(SweepScenario(
-            denoiser=den, score_params=den.params, c_a=demo["c_a"], c_b=demo["c_b"],
-            grid=grid, noise_schedule=demo["schedule"],
-            base=ManipulationConfig("noise_mask", ScheduleSpec("constant", 0, t, t, 1.0),
-                                    mask=mask)), {"weight": (1.0,)}, seed=3).digest
+        digests = {sweep_digest({"weight": (1.0,)}, ManipulationConfig(
+            "noise_mask", ScheduleSpec("constant", 0, t, t, 1.0), mask=mask), seed=3)
             for mask in masks}
         assert len(digests) == 2
 
     def test_csv_contract(self, demo):
-        table = run_sweep(_scenario(demo), {"weight": (0.0, 1.0)}, seed=3)
-        text = sweep_table_csv(table.rows)
+        text = sweep_table_csv(run_sweep(_scenario(demo), {"weight": (0.0, 1.0)}, seed=3))
         lines = text.strip().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
         assert lines[0] == ("kind,schedule,t_max,t_min,weight,beta,seed,"
@@ -187,9 +181,9 @@ class TestRunSweep:
         t = demo["grid"].t_sample
         base = ManipulationConfig("guidance",
                                   ScheduleSpec("constant", 0, t, t, 1.0), beta=-0.3)
-        table = run_sweep(_scenario(demo, base), {"beta": (-0.7, -0.3)}, seed=5)
-        assert [r.beta for r in table.rows] == [-0.7, -0.3]
-        text = sweep_table_csv(table.rows)
+        rows = run_sweep(_scenario(demo, base), {"beta": (-0.7, -0.3)}, seed=5)
+        assert [r.beta for r in rows] == [-0.7, -0.3]
+        text = sweep_table_csv(rows)
         assert "-0.69999999999999996" in text  # 17 significant digits
 
     @pytest.mark.filterwarnings("ignore:guidance beta")
@@ -203,8 +197,7 @@ class TestRunSweep:
         batched = run_sweep(sweep_scenario(config, demo["denoiser"]), axes, config.seed)
         per_row = PerRowDenoiser(demo["denoiser"])
         scenario = sweep_scenario(config, per_row)
-        assert sweep_table_csv(batched.rows) == sweep_table_csv(
-            run_sweep(scenario, axes, config.seed).rows)
+        assert sweep_table_csv(batched) == sweep_table_csv(run_sweep(scenario, axes, config.seed))
         # the reference: one run_edit per grid point, one prediction per call
         x_top = standard_normals(substream(config.seed, "sweep", "x_top"), 2)
         path_a, path_b = (generate(per_row, x_top, c, scenario.grid, scenario.noise_schedule)
@@ -216,7 +209,7 @@ class TestRunSweep:
                               scenario.noise_schedule, path_a=path_a, path_b=path_b)
             edit_by_edit.append(SweepRow.of(manip, config.seed,
                                             score_edit(result, path_b, config.model)))
-        assert sweep_table_csv(batched.rows) == sweep_table_csv(edit_by_edit)
+        assert sweep_table_csv(batched) == sweep_table_csv(edit_by_edit)
 
     def test_bad_row_in_a_batched_step_names_the_step(self, demo):
         # row 5 of the edits' batch at sampling step 20 comes back as NaN

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from diffpath.denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams
+from diffpath.edits import KINDS, prompt_switch, run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import (GENERATION, INVERSION, PathRecord, cfg_combine,
                               ddim_invert, ddim_step, effective_noise, f_theta,
                               generate, invert_step, null_text_invert)
 from diffpath.schedule import build_linear_beta_schedule, make_timestep_grid
 
-from conftest import single_gaussian
+from conftest import PerRowDenoiser, preset_config, single_gaussian
 
 
 class TestFTheta:
@@ -137,7 +138,7 @@ class TestGenerate:
                     raise RuntimeError("boom")
                 return super().predict_noise(x, c, alpha_bar, t)
 
-        broken = Broken(demo["params"])
+        broken = PerRowDenoiser(Broken(demo["params"]))
         with pytest.raises(DenoiserError) as err:
             generate(broken, demo["x_top"], demo["c_a"], GRID, SCHED)
         assert err.value.sampling_step is not None
@@ -151,7 +152,8 @@ class TestGenerate:
                 return super().predict_noise(x, c, alpha_bar, t)
 
         with pytest.raises(DenoiserError, match="non-finite") as err:
-            generate(NaNs(demo["params"]), demo["x_top"], demo["c_a"], GRID, SCHED)
+            generate(PerRowDenoiser(NaNs(demo["params"])), demo["x_top"], demo["c_a"],
+                     GRID, SCHED)
         assert err.value.sampling_step == 44
         assert err.value.training_step == 880
 
@@ -323,3 +325,41 @@ class TestNullTextInversion:
         assert all("reverted" in d for d in res.diagnostics)
         assert all(np.isfinite(v) for v in res.objectives)
         assert any("diverged" in rec.message for rec in caplog.records)
+
+
+class BatchOnly(Denoiser):
+    """Answers batches through the oracle; a one-row ``predict_noise`` is an error."""
+
+    def __init__(self, inner: Denoiser):
+        self._inner = inner
+        self.d = inner.d
+        self.m = inner.m
+
+    def predict_noise(self, x, c, alpha_bar, t):
+        raise AssertionError("every round is one predict_noise_batch call")
+
+    def predict_noise_batch(self, X, C, alpha_bar, t):
+        return self._inner.predict_noise_batch(X, C, alpha_bar, t)
+
+
+def test_every_walk_is_batch_calls_with_the_oracles_bits(demo):
+    oracle = demo["denoiser"]
+    x_top, c_a, c_b, null = demo["x_top"], demo["c_a"], demo["c_b"], demo["null"]
+    x0 = np.array([0.6, -0.3])
+    presets = ("noise-interp-local", "noise-mask-demo", "latent-interp-local",
+               "latent-mask-demo", "cond-interp-local", "guidance-default", "attention-local")
+    manips = [preset_config(name).build_manipulation() for name in presets]
+    assert sorted(m.kind for m in manips) == sorted(KINDS)
+
+    def walks(den):
+        records = [generate(den, x_top, c_a, GRID, SCHED),
+                   generate(den, x_top, c_a, GRID, SCHED, guidance=(2.0, null)),
+                   ddim_invert(den, x0, c_a, GRID, SCHED),
+                   prompt_switch(den, x_top, c_a, c_b, 20, GRID, SCHED)]
+        records += [run_edit(den, x_top, c_a, c_b, m, GRID, SCHED).path for m in manips]
+        tuned = null_text_invert(den, x0, c_a, 2.0, GRID, SCHED, iterations=2)
+        arrays = [a for r in records for a in (*r.latents, *r.noises, r.replay_errors(SCHED))]
+        return [a.tobytes() for a in arrays] + [e.values.tobytes() for e in tuned.embeddings] \
+            + [repr(tuned.objectives)]
+
+    assert walks(BatchOnly(oracle)) == walks(oracle)
