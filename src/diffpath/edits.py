@@ -8,9 +8,9 @@ the same initial noise:
 kind            per-step action while the schedule weight w is nonzero
 ==============  =====================================================
 noise_interp    blend the two recorded noise streams and step with the mix
-noise_mask      splice the recorded noise streams through a binary mask
+noise_mask      noise_interp with the binary mask as per-entry weights
 latent_interp   blend the reference latent into the stepped latent
-latent_mask     splice reference latents through a binary mask
+latent_mask     latent_interp with the binary mask as per-entry weights
 cond_interp     denoise under the blended condition embedding
 guidance        extrapolate between predictions of c_a and c_b by beta
 attention       delegate the prediction to a registered hook, stepping
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from collections.abc import Generator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,7 +53,9 @@ from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
          "cond_interp", "guidance", "attention")
 
-_MASKED_KINDS = ("noise_mask", "latent_mask")
+#: each masked kind and the blend it runs, with its mask as the weight of
+#: every entry wherever the schedule weight is non-zero
+_MASKED_KINDS = {"noise_mask": "noise_interp", "latent_mask": "latent_interp"}
 
 
 def normalize_kind(kind: str) -> str:
@@ -77,7 +78,7 @@ def lerp(a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
 
 
 def _blend(a: np.ndarray, b: np.ndarray, w) -> np.ndarray:
-    """``lerp``'s arithmetic; ``w`` may be a column of per-row weights (n, 1).
+    """``lerp``'s arithmetic; ``w`` may hold per-row (n, 1) or per-entry (n, d) weights.
 
     A weight of exactly 1 or 0 copies its operand: ``1.0 * a + 0.0 * b`` is
     not ``a`` where ``a`` is -0.0.
@@ -86,16 +87,11 @@ def _blend(a: np.ndarray, b: np.ndarray, w) -> np.ndarray:
 
 
 def apply_mask(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Elementwise splice mask*a + (1-mask)*b for a binary mask."""
+    """Elementwise mask*a + (1-mask)*b for a binary mask: ``lerp`` with per-entry weights."""
     mask = np.asarray(mask, dtype=np.float64)
     if np.shape(a) != np.shape(b) or np.shape(a) != mask.shape:
         raise ParameterError("mask and operands must share a shape")
-    return _splice(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), mask)
-
-
-def _splice(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``apply_mask``'s arithmetic; ``mask`` may hold one mask per row (n, d)."""
-    return mask * a + (1.0 - mask) * b
+    return _blend(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), mask)
 
 
 def validate_mask(mask, d: int) -> np.ndarray:
@@ -280,26 +276,31 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     At each hop the rows fall into groups: while ``path_b`` is known, rows
     above their first weighted hop reuse its noise (until then the pass is
     that path); rows of weight zero take the plain ``c_b`` prediction; the
-    other rows apply their kind's operator.  Each group's arithmetic runs on
-    all its rows at once and is elementwise, so every row gets the bits of a
-    walk of its own.  The predictions of all groups go out as one call per
-    round, with one ``c_b`` prediction at the reference latent that every
-    attention row's hook reads.
+    other rows apply their kind's operator, a masked kind its blend with the
+    mask as per-entry weights.  Each group's arithmetic runs on all its rows
+    at once and is elementwise, so every row gets the bits of a walk of its
+    own.  The predictions of all groups go out as one call per step, with one
+    ``c_b`` prediction at the reference latent that every attention row's
+    hook reads.
     """
     W = np.array(weights)
     t_sample = W.shape[1]
-    tags = np.where(W == 0.0, _PLAIN, [[c.kind] for c in configs])
+    tags = np.where(W == 0.0, _PLAIN, [[_MASKED_KINDS.get(c.kind, c.kind)] for c in configs])
     if path_b is not None:
         weighted = W != 0.0
         first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
         tags[np.arange(t_sample) < first[:, None]] = _REUSE
     columns = tags.T.tolist()
+    masked = np.array([[c.mask is not None] for c in configs])
     masks = np.array([np.zeros(path_a.x0.size) if c.mask is None else c.mask
                       for c in configs])
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     blended = functools.cache(lambda w: ConditionEmbedding(_blend(c_a.values, c_b.values, w)))
 
-    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Generator:
+    def blend_weights(rows: np.ndarray, i: int) -> np.ndarray:
+        return np.where(masked[rows], masks[rows], W[rows, i, None])
+
+    def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         E = np.empty_like(X)
         x_ref = path_a.latents[i]
         latents, conditions = [], []
@@ -312,9 +313,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
             if kind == _REUSE:
                 E[rows] = path_b.noises[i]
             elif kind == "noise_interp":
-                E[rows] = _blend(path_a.noises[i], path_b.noises[i], W[rows, i, None])
-            elif kind == "noise_mask":
-                E[rows] = _splice(path_a.noises[i], path_b.noises[i], masks[rows])
+                E[rows] = _blend(path_a.noises[i], path_b.noises[i], blend_weights(rows, i))
             elif kind == "attention":
                 latents.append(x_ref[None])
                 conditions.append(c_b)
@@ -328,10 +327,10 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                 latents.append(X[rows])
                 conditions += [c_b] * len(rows)
         if latents:
-            eps = yield np.concatenate(latents), conditions
+            eps = predict(np.concatenate(latents), conditions)
         lo = 0
         for kind, rows in groups:
-            if kind in (_REUSE, "noise_interp", "noise_mask"):
+            if kind in (_REUSE, "noise_interp"):
                 continue
             if kind == "attention":
                 eps_edit, lo = eps[lo], lo + 1
@@ -352,11 +351,9 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                 lo += len(rows)
             else:
                 E[rows] = got
-            if kind in ("latent_interp", "latent_mask"):
-                ref = path_a.latents[i + 1]
+            if kind == "latent_interp":
                 stepped = _down(X[rows], got, step.a_t, step.a_prev)
-                mixed = _blend(ref, stepped, W[rows, i, None]) if kind == "latent_interp" \
-                    else _splice(ref, stepped, masks[rows])
+                mixed = _blend(path_a.latents[i + 1], stepped, blend_weights(rows, i))
                 # a no-op blend keeps the directly predicted noise so the step is
                 # identical to plain denoising
                 _settle(E, X[rows], rows, mixed, (mixed == stepped).all(axis=1), step)
@@ -412,12 +409,12 @@ def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbeddi
             raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
     switch = np.array(ks)
 
-    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Generator:
+    def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         under_a = switch > i
         shared = np.flatnonzero(under_a)[:1]  # the rows not yet switched share a latent
         under_b = np.flatnonzero(~under_a)
-        eps = yield (X[np.concatenate([shared, under_b])],
-                     [c_a] * len(shared) + [c_b] * len(under_b))
+        eps = predict(X[np.concatenate([shared, under_b])],
+                      [c_a] * len(shared) + [c_b] * len(under_b))
         E = np.empty_like(X)
         E[under_a] = eps[:len(shared)]
         E[under_b] = eps[len(shared):]

@@ -17,18 +17,17 @@ two signal factors of each position, checked once per step) and walks it in
 either direction for N rows in lock-step.  The rows' latents are one (N, d)
 array, and each step is one hop of all of them: the update is elementwise,
 so every row gets the bits of a walk of its own.  A callback
-``choose(i, step, X)`` is a generator that supplies the step's noises,
-applying its operators to whole groups of rows; it asks the core for the
-predictions it needs, each request pairing conditions with latents (the
-rows' own, or others, such as the reference path's), and the core answers
-each request with one ``predict_noise_batch`` call.  Guided generation,
+``choose(i, step, X, predict)`` returns the step's noises, applying its
+operators to whole groups of rows.  ``predict(latents, conditions)`` is one
+``predict_noise_batch`` call that pairs each condition with a latent (the
+rows' own, or others, such as the reference path's).  Guided generation,
 null-embedding tuning and the editing operators are such callbacks.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -216,11 +215,9 @@ def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndar
     return _move(x, eps, step.a_prev, step.a_t)
 
 
-#: a round's request: latents (k, d) and one condition per latent
-Request = tuple[np.ndarray, Sequence[ConditionEmbedding]]
-#: a step's callback: a generator that yields requests, is sent each one's
-#: predictions (k, d), and returns the noises of all rows (N, d)
-ChooseEps = Callable[[int, _Step, np.ndarray], Generator[Request, np.ndarray, np.ndarray]]
+#: a step's callback ``choose(i, step, X, predict)``: returns the noises of all
+#: rows (N, d); ``predict(latents, conditions)`` makes one denoiser call
+ChooseEps = Callable[[int, _Step, np.ndarray, Callable], np.ndarray]
 
 
 def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
@@ -229,40 +226,27 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     """The stepping core: N rows, from ``starts`` under ``conditions``, walk in lock-step.
 
     The rows' latents are one (N, d) array ``X`` and each step is one hop of
-    all of them.  Without a callback, row r takes the prediction under
-    ``conditions[r]``.  Otherwise hop ``i`` takes the noises the generator
-    ``choose(i, step, X)`` returns, one row each: ``noises = yield latents,
-    conditions`` asks for one prediction per condition at the paired latent
-    (a row of ``X``, or any other latent, such as a reference path's), and
-    each request goes out as one denoiser call.  Generation visits the step
-    table top down, inversion bottom up; each row's record holds every latent
-    and the noise of every hop.
+    all of them.  Hop ``i`` takes the noises ``choose(i, step, X, predict)``
+    returns, one row each; ``predict(latents, conditions)`` is one denoiser
+    call for one prediction per condition at the paired latent (a row of
+    ``X``, or any other latent, such as a reference path's).  The default
+    callback predicts row r under ``conditions[r]``.  Generation visits the
+    step table top down, inversion bottom up; each row's record holds every
+    latent and the noise of every hop.
     """
     if not len(starts):
         return []
+    choose = choose or (lambda i, step, X, predict: predict(X, conditions))
     X = _as_latents(starts)
     latents, noises = [X], []
     for i, step in enumerate(_step_table(grid, schedule, direction)):
-        if choose is None:
-            eps = _predict_rows(denoiser, X, conditions, step)
-        else:
-            eps = _answer(denoiser, step, choose(i, step, X))
+        eps = choose(i, step, X, functools.partial(_predict_rows, denoiser, step=step))
         X = _hop(step, X, eps, direction)
         noises.append(eps)
         latents.append(X)
     latents, noises = np.array(latents), np.array(noises)  # (T + 1, N, d) and (T, N, d)
     return [PathRecord(grid=grid, latents=tuple(latents[:, r]), noises=tuple(noises[:, r]),
                        condition=c, direction=direction) for r, c in enumerate(conditions)]
-
-
-def _answer(denoiser: Denoiser, step: _Step, requests: Generator) -> np.ndarray:
-    """Answer each of a callback's requests with one denoiser call; returns its noises."""
-    try:
-        request = next(requests)
-        while True:
-            request = requests.send(_predict_rows(denoiser, *request, step))
-    except StopIteration as done:
-        return done.value
 
 
 def _predict_rows(denoiser: Denoiser, X: np.ndarray,
@@ -322,9 +306,9 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
         raise ParameterError(
             f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
 
-    def choose_eps(i: int, step: _Step, X: np.ndarray) -> Generator:
+    def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         null = nulls if isinstance(nulls, ConditionEmbedding) else nulls[i]
-        eps = yield np.repeat(X, 2, axis=0), (c, null)
+        eps = predict(np.repeat(X, 2, axis=0), (c, null))
         return cfg_combine(eps[:1], eps[1:], beta)
 
     return _walk(denoiser, grid, schedule, [x_top], [c], choose_eps)[0]
@@ -388,7 +372,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             rows[2::2] = null - bumps
         return _condition_rows(rows)
 
-    def tune(i: int, step: _Step, X: np.ndarray) -> Generator:
+    def tune(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         x = X[0]
         target = inv.latents[step.sampling_step - 1]
 
@@ -400,7 +384,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
 
         null = np.zeros(denoiser.m)
         probes = with_probes(null, iterations > 0)
-        eps = yield np.repeat(X, 1 + len(probes), axis=0), (c, *probes)
+        eps = predict(np.repeat(X, 1 + len(probes), axis=0), (c, *probes))
         eps_c, eps_best = eps[0], eps[1]
         best, *probed = losses(eps[1:])
         for it in range(iterations):
@@ -408,7 +392,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
                              for j in range(null.size)])
             candidate = null - step_size * grad
             probes = with_probes(candidate, it + 1 < iterations)
-            eps_null = yield np.repeat(X, len(probes), axis=0), probes
+            eps_null = predict(np.repeat(X, len(probes), axis=0), probes)
             value, *probed = losses(eps_null)
             if value > best * (1.0 + 1e-12) + 1e-300:
                 msg = (f"sampling step {step.sampling_step}: objective rose "

@@ -58,6 +58,10 @@ class TestApplyMask:
                          np.array([1.0, 0.0]))
         assert got.tolist() == [1.0, 3.0]
 
+    def test_signed_zeros_are_copied(self):
+        got = apply_mask(np.array([-0.0, 2.0]), np.array([1.0, -0.0]), np.array([1.0, 0.0]))
+        assert got.tobytes() == np.array([-0.0, -0.0]).tobytes()
+
     def test_soft_masks_rejected(self):
         with pytest.raises(ParameterError):
             validate_mask(np.array([0.5, 1.0]), 2)
