@@ -20,7 +20,7 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
 from .edits import ManipulationConfig, validate_mask
-from .errors import ConfigError
+from .errors import ConfigError, checked_number
 from .schedule import (AlphaSchedule, ScheduleSpec, TimestepGrid,
                        build_linear_beta_schedule, make_timestep_grid)
 
@@ -54,7 +54,7 @@ def _parse_model(data: Mapping[str, Any]) -> GMMDenoiserParams:
     params = GMMDenoiserParams(weights=stack("weight"), base_means=stack("base_mean"),
                                condition_maps=stack("condition_map"),
                                variances=stack("variance"))
-    d, m = int(data["d"]), int(data["m"])
+    d, m = (checked_number(data[key], f"model.{key}", integer=True) for key in ("d", "m"))
     if (params.d, params.m) != (d, m):
         raise ConfigError(f"model declares d={d}, m={m} but its components have "
                           f"d={params.d}, m={params.m}")
@@ -84,8 +84,9 @@ def _parse_manipulation(data: Mapping[str, Any], conditions: Mapping[str, Any],
             raise ConfigError(f"manipulation references unknown condition {name!r}")
     sched = data["schedule"]
     _require(sched, "manipulation.schedule", ("kind", "t_min", "t_max"), ("amplitude",))
-    spec = ScheduleSpec(kind=str(sched["kind"]), t_min=int(sched["t_min"]),
-                        t_max=int(sched["t_max"]), total=total,
+    t_min, t_max = (checked_number(sched[key], f"manipulation.schedule.{key}", integer=True)
+                    for key in ("t_min", "t_max"))
+    spec = ScheduleSpec(kind=str(sched["kind"]), t_min=t_min, t_max=t_max, total=total,
                         amplitude=float(sched.get("amplitude", 1.0)))
     beta, mask, hook = data.get("beta"), data.get("mask"), data.get("cam_hook")
     manip = ManipulationConfig(kind=str(data["kind"]), schedule=spec,
@@ -145,13 +146,15 @@ class RunConfig:
             conditions = _parse_conditions(data["conditions"], model.m)
             sampler = data["sampler"]
             _require(sampler, "sampler", ("t_train", "t_sample", "beta_min", "beta_max"))
-            t_train, t_sample = int(sampler["t_train"]), int(sampler["t_sample"])
+            t_train, t_sample = (checked_number(sampler[key], f"sampler.{key}", integer=True)
+                                 for key in ("t_train", "t_sample"))
             betas = float(sampler["beta_min"]), float(sampler["beta_max"])
             raw = data.get("manipulation")
             manip, cond_a, cond_b = (None, "a", "b") if raw is None else _parse_manipulation(
                 raw, conditions, t_sample, model.d)
             return RunConfig(
-                seed=int(data["seed"]), model=model, conditions=conditions,
+                seed=checked_number(data["seed"], "seed", integer=True), model=model,
+                conditions=conditions,
                 noise_schedule=build_linear_beta_schedule(t_train, *betas),
                 grid=make_timestep_grid(t_train, t_sample),
                 manipulation=manip, condition_a=cond_a, condition_b=cond_b,

@@ -1,8 +1,22 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the number check that raises one."""
+
+import numbers
 
 
 class ParameterError(ValueError):
     """An operation's precondition on its parameters was violated."""
+
+
+def checked_number(value, name: str, integer: bool = False) -> int | float:
+    """``value`` as an int if ``integer``, else as a float, never truncated.
+
+    A boolean, a non-number or a non-integral value for an integer is a
+    ParameterError naming ``name``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            not integer or value % 1 == 0):
+        return int(value) if integer else float(value)
+    raise ParameterError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
 
 class ConfigError(ValueError):

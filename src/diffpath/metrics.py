@@ -19,7 +19,7 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density
 from .edits import EditResult, ManipulationConfig, run_edits
-from .errors import ParameterError
+from .errors import ParameterError, checked_number
 from .rng import standard_normals, substream
 from .sampler import INVERSION, PathRecord, _walk
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, make_timestep_grid
@@ -124,23 +124,25 @@ def derive_config(base: ManipulationConfig, assignment: Mapping[str, object]) ->
             raise ParameterError(f"unknown sweep axis {name!r}; expected one of {AXIS_NAMES}")
     if "t_min" in assignment and "t_m" in assignment:
         raise ParameterError("give either t_min or t_m, not both")
+    values = {name: value if name == "schedule" else
+              checked_number(value, f"sweep axis {name!r}", integer=name.startswith("t_"))
+              for name, value in assignment.items()}
     sched = base.schedule
-    kind_s = str(assignment.get("schedule", sched.kind))
-    t_max = int(assignment.get("t_max", sched.t_max))
+    kind_s = str(values.get("schedule", sched.kind))
+    t_max = values.get("t_max", sched.t_max)
     if kind_s != "constant":
         t_max = sched.total
-    if "t_m" in assignment:
-        t_min = t_max - int(assignment["t_m"])
-    elif "t_min" in assignment:
-        t_min = int(assignment["t_min"])
-    elif "t_max" in assignment:
+    if "t_m" in values:
+        t_min = t_max - values["t_m"]
+    elif "t_min" in values:
+        t_min = values["t_min"]
+    elif "t_max" in values:
         t_min = t_max - (sched.t_max - sched.t_min)
     else:
         t_min = sched.t_min
-    amplitude = float(assignment.get("weight", sched.amplitude))
-    new_sched = ScheduleSpec(kind=kind_s, t_min=t_min, t_max=t_max,
-                             total=sched.total, amplitude=amplitude)
-    beta = assignment.get("beta", base.beta)
+    new_sched = ScheduleSpec(kind=kind_s, t_min=t_min, t_max=t_max, total=sched.total,
+                             amplitude=values.get("weight", sched.amplitude))
+    beta = values.get("beta", base.beta)
     return replace(base, schedule=new_sched, beta=None if beta is None else float(beta))
 
 

@@ -271,6 +271,30 @@ class TestFailures:
         assert "non-finite noise (sampling step 20," in err
         assert not out.exists() or os.listdir(out) == []
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--set", "seed=1.5", "seed"),
+        ("--set", "model.d=2.5", "model.d"),
+        ("--set", "model.m=2.5", "model.m"),
+        ("--set", "sampler.t_train=1000.5", "sampler.t_train"),
+        ("--set", "sampler.t_sample=50.5", "sampler.t_sample"),
+        ("--set", "sampler.t_sample=true", "sampler.t_sample"),
+        ("--set", "manipulation.schedule.t_min=28.9", "manipulation.schedule.t_min"),
+        ("--set", "manipulation.schedule.t_max=\"48\"", "manipulation.schedule.t_max"),
+        ("--axis", "t_m=10.7", "sweep axis 't_m'"),
+        ("--axis", "t_m=abc", "sweep axis 't_m'"),
+        ("--axis", "t_m=null", "sweep axis 't_m'"),
+        ("--axis", "t_max=[1]", "sweep axis 't_max'"),
+        ("--axis", "t_min=1.5", "sweep axis 't_min'"),
+        ("--axis", "weight=x", "sweep axis 'weight'"),
+        ("--axis", "beta=x", "sweep axis 'beta'"),
+    ])
+    def test_malformed_number_exits_one_naming_its_field(self, tmp_path, flag, value, field,
+                                                          capsys):
+        assert main(["sweep", flag, value, "--output", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f'diffpath-error kind=validation message="{field} must be ')
+        assert not (tmp_path / "x").exists()
+
     def test_bad_remote_spec_exits_one(self, config_path, capsys):
         assert main(["edit", "--config", str(config_path), "--remote", "ftp:x"]) == 1
 
