@@ -53,8 +53,7 @@ from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
          "cond_interp", "guidance", "attention")
 
-#: each masked kind and the blend it runs, with its mask as the weight of
-#: every entry wherever the schedule weight is non-zero
+#: each masked kind and the blend it runs, with the mask as per-entry weights
 _MASKED_KINDS = {"noise_mask": "noise_interp", "latent_mask": "latent_interp"}
 
 

@@ -237,7 +237,11 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     if not len(starts):
         return []
     choose = choose or (lambda i, step, X, predict: predict(X, conditions))
-    X = _as_latents(starts)
+    X = np.array(starts, dtype=np.float64)
+    if X.ndim != 2:
+        raise ParameterError("latent must be a vector")
+    if not np.isfinite(X).all():
+        raise ParameterError("latent entries must be finite")
     latents, noises = [X], []
     for i, step in enumerate(_step_table(grid, schedule, direction)):
         eps = choose(i, step, X, functools.partial(_predict_rows, denoiser, step=step))
@@ -278,15 +282,6 @@ def _predict_rows(denoiser: Denoiser, X: np.ndarray,
         raise DenoiserError("denoiser returned non-finite noise",
                             sampling_step=sampling_step, training_step=level)
     return eps
-
-
-def _as_latents(starts: Sequence[np.ndarray]) -> np.ndarray:
-    X = np.array(starts, dtype=np.float64)
-    if X.ndim != 2:
-        raise ParameterError("latent must be a vector")
-    if not np.isfinite(X).all():
-        raise ParameterError("latent entries must be finite")
-    return X
 
 
 def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
