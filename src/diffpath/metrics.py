@@ -166,11 +166,11 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence],
         combos = sorted(itertools.product(*(axes[name] for name in names)))
     except TypeError as err:
         raise ParameterError(f"axis values must be mutually comparable: {err}") from err
+    configs = [derive_config(scenario.base, dict(zip(names, combo))) for combo in combos]
     d = scenario.score_params.d
     x_top = standard_normals(substream(seed, "sweep", "x_top"), d)
     path_a, path_b = _walk(scenario.denoiser, scenario.grid, scenario.noise_schedule,
                            [x_top, x_top], [scenario.c_a, scenario.c_b])
-    configs = [derive_config(scenario.base, dict(zip(names, combo))) for combo in combos]
     results = run_edits(scenario.denoiser, x_top, scenario.c_a, scenario.c_b, configs,
                         scenario.grid, scenario.noise_schedule, path_a=path_a, path_b=path_b)
     return tuple(SweepRow.of(config, seed, score_edit(result, path_b, scenario.score_params))

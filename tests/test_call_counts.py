@@ -17,6 +17,7 @@ from diffpath import cli
 from diffpath.config import RunConfig
 from diffpath.denoiser import Denoiser
 from diffpath.edits import prompt_switch, run_edit
+from diffpath.errors import ParameterError
 from diffpath.metrics import inversion_report, run_sweep
 from diffpath.sampler import ddim_invert, generate, null_text_invert
 
@@ -144,6 +145,14 @@ def test_run_sweep(count, kind):
     config = preset_config(KIND_PRESETS[kind])
     assert count(lambda den: run_sweep(sweep_scenario(config, den), WINDOW_AXES,
                                        config.seed)) == RUN_SWEEP_COUNTS[kind]
+
+
+def test_bad_sweep_axis_costs_no_call(demo):
+    counting = CountingDenoiser(demo["denoiser"])
+    scenario = sweep_scenario(preset_config("noise-interp-local"), counting)
+    with pytest.raises(ParameterError, match="sweep axis 't_m' must be an integer"):
+        run_sweep(scenario, {"t_m": ("abc",)}, 1)
+    assert (counting.calls, counting.rows) == (0, 0)
 
 
 def test_inversion_report(demo, count):
