@@ -102,3 +102,18 @@ def test_run_edits_equals_run_edit_per_config(case):
     for result, manip in zip(together, manips, strict=True):
         assert _same_result(result, run_edit(per_row, x_top, c_a, c_b, manip, grid, SCHEDULE,
                                              **paths))
+
+
+@given(case=cases())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_on_demand_paths_equal_precomputed_ones(case):
+    den, x_top, c_a, c_b, manips, grid = case
+    path_a = generate(den, x_top, c_a, grid, SCHEDULE)
+    path_b = generate(den, x_top, c_b, grid, SCHEDULE)
+    on_demand = run_edits(den, x_top, c_a, c_b, manips, grid, SCHEDULE)
+    precomputed = run_edits(den, x_top, c_a, c_b, manips, grid, SCHEDULE,
+                            path_a=path_a, path_b=path_b)
+    for got, want in zip(on_demand, precomputed, strict=True):
+        assert _same_result(got, want)
+        assert _same_path(got.path_a, path_a)
