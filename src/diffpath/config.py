@@ -87,10 +87,12 @@ def _parse_manipulation(data: Mapping[str, Any], conditions: Mapping[str, Any],
     t_min, t_max = (checked_number(sched[key], f"manipulation.schedule.{key}", integer=True)
                     for key in ("t_min", "t_max"))
     spec = ScheduleSpec(kind=str(sched["kind"]), t_min=t_min, t_max=t_max, total=total,
-                        amplitude=float(sched.get("amplitude", 1.0)))
+                        amplitude=checked_number(sched.get("amplitude", 1.0),
+                                                 "manipulation.schedule.amplitude"))
     beta, mask, hook = data.get("beta"), data.get("mask"), data.get("cam_hook")
     manip = ManipulationConfig(kind=str(data["kind"]), schedule=spec,
-                               beta=None if beta is None else float(beta),
+                               beta=None if beta is None else checked_number(
+                                   beta, "manipulation.beta"),
                                mask=None if mask is None else validate_mask(mask, d),
                                cam_hook=None if hook is None else str(hook))
     return (manip, *names)
@@ -148,14 +150,15 @@ class RunConfig:
             _require(sampler, "sampler", ("t_train", "t_sample", "beta_min", "beta_max"))
             t_train, t_sample = (checked_number(sampler[key], f"sampler.{key}", integer=True)
                                  for key in ("t_train", "t_sample"))
-            betas = float(sampler["beta_min"]), float(sampler["beta_max"])
+            beta_min, beta_max = (checked_number(sampler[key], f"sampler.{key}")
+                                  for key in ("beta_min", "beta_max"))
             raw = data.get("manipulation")
             manip, cond_a, cond_b = (None, "a", "b") if raw is None else _parse_manipulation(
                 raw, conditions, t_sample, model.d)
             return RunConfig(
                 seed=checked_number(data["seed"], "seed", integer=True), model=model,
                 conditions=conditions,
-                noise_schedule=build_linear_beta_schedule(t_train, *betas),
+                noise_schedule=build_linear_beta_schedule(t_train, beta_min, beta_max),
                 grid=make_timestep_grid(t_train, t_sample),
                 manipulation=manip, condition_a=cond_a, condition_b=cond_b,
                 output=OutputCfg.from_dict(data.get("output", {})))

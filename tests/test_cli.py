@@ -280,6 +280,13 @@ class TestFailures:
         ("--set", "sampler.t_sample=true", "sampler.t_sample"),
         ("--set", "manipulation.schedule.t_min=28.9", "manipulation.schedule.t_min"),
         ("--set", "manipulation.schedule.t_max=\"48\"", "manipulation.schedule.t_max"),
+        ("--set", "manipulation.schedule.amplitude=true", "manipulation.schedule.amplitude"),
+        ("--set", "manipulation.schedule.amplitude=\"0.5\"",
+         "manipulation.schedule.amplitude"),
+        ("--set", "manipulation.beta=x", "manipulation.beta"),
+        ("--set", "manipulation.beta=false", "manipulation.beta"),
+        ("--set", "sampler.beta_min=x", "sampler.beta_min"),
+        ("--set", "sampler.beta_max=[0.02]", "sampler.beta_max"),
         ("--axis", "t_m=10.7", "sweep axis 't_m'"),
         ("--axis", "t_m=abc", "sweep axis 't_m'"),
         ("--axis", "t_m=null", "sweep axis 't_m'"),
