@@ -46,8 +46,8 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
-from .sampler import (GENERATION, ChooseEps, PathRecord, cfg_combine, effective_noise,
-                      generate, _down, _Step, _walk)
+from .sampler import (GENERATION, ChooseEps, PathRecord, cfg_combine, effective_noise, _down,
+                      _Step, _walk)
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
@@ -108,8 +108,9 @@ class CamContext:
     """What an attention-style hook may look at for one step.
 
     Both predictions are at the reference latent ``x_ref``: ``eps_ref`` is
-    the reference condition's (path A's recorded noise) and ``eps_edit`` the
-    editing condition's, asked for in the step's one denoiser call.
+    the reference condition's (path A's noise of this step) and ``eps_edit``
+    the editing condition's, asked for in the step's one denoiser call.  All
+    three arrays are read-only.
     """
 
     x_ref: np.ndarray
@@ -206,11 +207,12 @@ def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
     """Run one manipulated generation pass from the shared initial noise.
 
     The reference path under ``c_a`` (and, for the noise-stream kinds, the
-    editing path under ``c_b``) is generated on demand; precomputed paths
-    are the plain generations under those conditions, and must share the
-    grid and start at ``x_top``.  Latent blends and hook steps are recorded
-    through their replay-equivalent noise so the returned path replays like
-    any other trajectory.
+    editing path under ``c_b``) is walked as rows of the edit's own walk
+    unless it is given; precomputed paths are the plain generations under
+    those conditions, and must share the grid and start at ``x_top``.
+    Latent blends and hook steps are recorded through their
+    replay-equivalent noise so the returned path replays like any other
+    trajectory.
     """
     return run_edits(denoiser, x_top, c_a, c_b, (config,), grid, schedule,
                      path_a=path_a, path_b=path_b)[0]
@@ -223,18 +225,24 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
               path_b: PathRecord | None = None) -> tuple[EditResult, ...]:
     """``run_edit`` for each config, all passes walked in lock-step.
 
-    Each step's predictions for every pass go out as one denoiser call; each
-    result is bitwise the one ``run_edit`` gives for its config alone.  While
-    the editing path ``path_b`` is known, every hop above a pass's first
-    weighted step reuses its noise: until then the pass is that path.
+    The reference path under ``c_a`` is one more row of the walk, and so is
+    the editing path under ``c_b`` when it is given or a noise-stream kind
+    needs it.  A reference row steps with its given path's recorded noise,
+    or else with its prediction, asked for in the step's one denoiser call
+    with the passes' own; the operators read it from that round.  Each
+    result is bitwise the one ``run_edit`` gives for its config alone, and
+    its ``path_a`` is the reference row's record.  While the editing path is
+    walked, every hop above a pass's first weighted step reuses its noise:
+    until then the pass is that path.
     """
     t_sample = grid.t_sample
+    d = np.asarray(x_top).size
     for config in configs:
         if config.schedule.total != t_sample:
             raise ParameterError(
                 f"schedule covers {config.schedule.total} steps but the grid has {t_sample}")
         if config.mask is not None:
-            validate_mask(config.mask, np.asarray(x_top).size)
+            validate_mask(config.mask, d)
 
     def _check_path(path: PathRecord, label: str, c: ConditionEmbedding) -> None:
         if path.grid.steps != grid.steps or path.direction != GENERATION:
@@ -244,22 +252,24 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
         if not np.array_equal(path.condition.values, c.values):
             raise ParameterError(f"precomputed {label} path must be under its condition")
 
-    if path_a is None:
-        path_a = generate(denoiser, x_top, c_a, grid, schedule)
-    else:
+    if path_a is not None:
         _check_path(path_a, "reference", c_a)
     if path_b is not None:
         _check_path(path_b, "editing", c_b)
-    elif any(config.kind in ("noise_interp", "noise_mask") for config in configs):
-        path_b = generate(denoiser, x_top, c_b, grid, schedule)
     if not configs:
         return ()
 
+    references = [(c_a, path_a)]
+    if path_b is not None or any(config.kind in ("noise_interp", "noise_mask")
+                                 for config in configs):
+        references.append((c_b, path_b))
     weights = [tuple(omega(config.schedule, t_sample - i) for i in range(t_sample))
                for config in configs]
-    paths = _walk(denoiser, grid, schedule, [x_top] * len(configs), [c_b] * len(configs),
-                  _edit_noises(configs, c_a, c_b, path_a, path_b, weights))
-    return tuple(EditResult(path=path, path_a=path_a, weights=w)
+    n = len(configs)
+    paths = _walk(denoiser, grid, schedule, [x_top] * (n + len(references)),
+                  [c_b] * n + [c for c, _ in references],
+                  _edit_noises(configs, c_a, c_b, references, weights, d))
+    return tuple(EditResult(path=path, path_a=paths[n], weights=w)
                  for path, w in zip(paths, weights))
 
 
@@ -268,52 +278,58 @@ _PLAIN, _REUSE = "plain", "reuse"
 
 
 def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
-                 c_b: ConditionEmbedding, path_a: PathRecord, path_b: PathRecord | None,
-                 weights: list[tuple[float, ...]]) -> ChooseEps:
+                 c_b: ConditionEmbedding,
+                 references: Sequence[tuple[ConditionEmbedding, PathRecord | None]],
+                 weights: list[tuple[float, ...]], d: int) -> ChooseEps:
     """The stepping-core callback of the manipulated passes, one row per config.
 
-    At each hop the rows fall into groups: while ``path_b`` is known, rows
-    above their first weighted hop reuse its noise (until then the pass is
-    that path); rows of weight zero take the plain ``c_b`` prediction; the
-    other rows apply their kind's operator, a masked kind its blend with the
-    mask as per-entry weights.  Each group's arithmetic runs on all its rows
-    at once and is elementwise, so every row gets the bits of a walk of its
-    own.  The predictions of all groups go out as one call per step, with one
-    ``c_b`` prediction at the reference latent that every attention row's
-    hook reads.
+    The config rows are followed by one row per entry of ``references``:
+    path A under ``c_a``, then path B under ``c_b`` if it is walked.  A
+    reference row takes its given path's recorded noise, or else its
+    prediction.  At each hop the config rows fall into groups: while path B
+    is walked, rows above their first weighted hop reuse its noise (until
+    then the pass is that path); rows of weight zero take the plain ``c_b``
+    prediction; the other rows apply their kind's operator, a masked kind
+    its blend with the mask as per-entry weights.  Each group's arithmetic
+    runs on all its rows at once and is elementwise, so every row gets the
+    bits of a walk of its own.  The reference rows' predictions and those of
+    all groups go out as one call per step, with one ``c_b`` prediction at
+    the reference latent that every attention row's hook reads.
     """
     W = np.array(weights)
-    t_sample = W.shape[1]
+    n, t_sample = W.shape
+    ref_a, ref_b = n, n + 1  # path B's row exists only while it is walked
     tags = np.where(W == 0.0, _PLAIN, [[_MASKED_KINDS.get(c.kind, c.kind)] for c in configs])
-    if path_b is not None:
+    if len(references) > 1:
         weighted = W != 0.0
         first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
         tags[np.arange(t_sample) < first[:, None]] = _REUSE
     columns = tags.T.tolist()
     masked = np.array([[c.mask is not None] for c in configs])
-    masks = np.array([np.zeros(path_a.x0.size) if c.mask is None else c.mask
-                      for c in configs])
+    masks = np.array([np.zeros(d) if c.mask is None else c.mask for c in configs])
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     blended = functools.cache(lambda w: ConditionEmbedding(_blend(c_a.values, c_b.values, w)))
+    # the reference rows that predict, and those that replay their given path
+    asked = [n + j for j, (_, path) in enumerate(references) if path is None]
+    asked_conditions = [c for c, path in references if path is None]
+    given = [(n + j, path) for j, (_, path) in enumerate(references) if path is not None]
 
     def blend_weights(rows: np.ndarray, i: int) -> np.ndarray:
         return np.where(masked[rows], masks[rows], W[rows, i, None])
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         E = np.empty_like(X)
-        x_ref = path_a.latents[i]
-        latents, conditions = [], []
+        x_ref = X[ref_a]
+        latents, conditions = [X[asked]], list(asked_conditions)
         # a hop's groups in order of their first row, each with its row numbers
         members: dict[str, list[int]] = {}
         for r, tag in enumerate(columns[i]):
             members.setdefault(tag, []).append(r)
         groups = [(kind, np.array(rows)) for kind, rows in members.items()]
         for kind, rows in groups:
-            if kind == _REUSE:
-                E[rows] = path_b.noises[i]
-            elif kind == "noise_interp":
-                E[rows] = _blend(path_a.noises[i], path_b.noises[i], blend_weights(rows, i))
-            elif kind == "attention":
+            if kind in (_REUSE, "noise_interp"):
+                continue
+            if kind == "attention":
                 latents.append(x_ref[None])
                 conditions.append(c_b)
             elif kind == "guidance":
@@ -325,16 +341,25 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
             else:  # plain, and the latent kinds' prediction before their blend
                 latents.append(X[rows])
                 conditions += [c_b] * len(rows)
-        if latents:
+        if conditions:
             eps = predict(np.concatenate(latents), conditions)
-        lo = 0
+            E[asked] = eps[:len(asked)]
+        for r, path in given:
+            E[r] = path.noises[i]
+        eps_ref = E[ref_a]
+        lo = len(asked)
         for kind, rows in groups:
-            if kind in (_REUSE, "noise_interp"):
+            if kind == _REUSE:
+                E[rows] = E[ref_b]
+                continue
+            if kind == "noise_interp":
+                E[rows] = _blend(eps_ref, E[ref_b], blend_weights(rows, i))
                 continue
             if kind == "attention":
                 eps_edit, lo = eps[lo], lo + 1
-                eps_edit.setflags(write=False)
-                ctx = CamContext(x_ref=x_ref, eps_ref=path_a.noises[i], eps_edit=eps_edit,
+                for shown in (x_ref, eps_ref, eps_edit):
+                    shown.setflags(write=False)
+                ctx = CamContext(x_ref=x_ref, eps_ref=eps_ref, eps_edit=eps_edit,
                                  c_a=c_a, c_b=c_b, alpha_bar=step.a_t, level=step.level,
                                  sampling_step=step.sampling_step)
                 eps_hook = np.array([_hook_noise(configs[r].cam_hook, ctx, X.shape[1:])
@@ -352,7 +377,9 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                 E[rows] = got
             if kind == "latent_interp":
                 stepped = _down(X[rows], got, step.a_t, step.a_prev)
-                mixed = _blend(path_a.latents[i + 1], stepped, blend_weights(rows, i))
+                # the reference row's hop of this step, as the walk will take it
+                ref_next = _down(x_ref, eps_ref, step.a_t, step.a_prev)
+                mixed = _blend(ref_next, stepped, blend_weights(rows, i))
                 # a no-op blend keeps the directly predicted noise so the step is
                 # identical to plain denoising
                 _settle(E, X[rows], rows, mixed, (mixed == stepped).all(axis=1), step)

@@ -1,15 +1,31 @@
 """Remote denoiser bridge: newline-delimited JSON over stdio or TCP.
 
 One JSON object per line.  The client opens with a handshake
-``{"id": 0, "op": "hello", "d": ..., "m": ...}`` which the server must echo
-with its own dimensions (and an optional ``"concurrent"`` flag); afterwards
-each prediction is one request/response round trip with strictly increasing
-ids:
+``{"id": 0, "op": "hello", "d": ..., "m": ..., "batch": true}`` which the
+server must echo with its own dimensions (and an optional ``"concurrent"``
+flag); afterwards each prediction is one request/response round trip with
+strictly increasing ids:
 
     -> {"id": 7, "op": "predict_noise", "x": [...], "c": [...],
         "t": 840, "alpha_bar": 0.123}
     <- {"id": 7, "eps": [...]}            on success
     <- {"id": 7, "error": "message"}      on failure
+
+The server echoes ``"batch": true`` only to a hello that carries it; a hello
+without the flag gets the same bytes as from a server that predates it.
+Once both sides have said ``"batch": true``, a batch of n >= 1 rows, all at
+one level, travels as one frame:
+
+    -> {"id": 8, "op": "predict_noise_batch", "X": [[...], ...],
+        "C": [[...], ...], "t": 840, "alpha_bar": 0.123}
+    <- {"id": 8, "eps": [[...], ...]}     row i answers X[i] under C[i]
+
+A client whose peer did not echo the flag sends one ``predict_noise`` frame
+per row.  Every vector is a list of JSON numbers (integers or floats, never
+booleans or strings) of the expected length, ``t`` is an integer and
+``alpha_bar`` a number; a frame that breaks this gets an error reply, and a
+reply that breaks it is a :class:`MalformedFrameError` or, for numbers of
+the wrong shape, a :class:`DimensionMismatchError`.
 
 Floats survive the trip exactly because JSON rendering uses shortest
 round-trip representations, so a loopback server wrapping the in-process
@@ -32,8 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .denoiser import ConditionEmbedding, Denoiser
-from .errors import DenoiserError, ParameterError
+from .denoiser import ConditionEmbedding, Denoiser, _condition_rows
+from .errors import DenoiserError, ParameterError, checked_number
 
 
 class MalformedFrameError(DenoiserError):
@@ -74,6 +90,27 @@ _FRAME_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
 _REPLY_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
+def _numbers(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A decoded vector (``shape`` (d,)) or list of rows (``shape`` (n, d)) as floats.
+
+    Every entry must be a JSON number, never a boolean or a string: anything
+    else is a MalformedFrameError, numbers in another shape a
+    DimensionMismatchError.  Both name ``what``.
+    """
+    rows = value if len(shape) == 2 else [value]
+    if type(value) is not list or not all(
+            type(row) is list and all(type(v) is float or type(v) is int for v in row)
+            for row in rows):
+        raise MalformedFrameError(f"{what} must be {'rows' if len(shape) == 2 else 'a list'}"
+                                  " of JSON numbers")
+    if len(value) != shape[0] or any(len(row) != shape[-1] for row in rows):
+        raise DimensionMismatchError(f"{what} must have shape {shape}")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        raise MalformedFrameError(f"{what} holds a number beyond the float range") from None
+
+
 def serve_stream(denoiser: Denoiser, rfile, wfile) -> None:
     """Answer protocol requests on a line-oriented stream until EOF.
 
@@ -96,20 +133,31 @@ def serve_stream(denoiser: Denoiser, rfile, wfile) -> None:
         try:
             op = msg.get("op")
             if op == "hello":
-                if int(msg["d"]) != denoiser.d or int(msg["m"]) != denoiser.m:
+                dims = (checked_number(msg["d"], "d", integer=True),
+                        checked_number(msg["m"], "m", integer=True))
+                if dims != (denoiser.d, denoiser.m):
                     raise ValueError(
                         f"dimension mismatch: server has d={denoiser.d}, m={denoiser.m}")
                 reply = {"id": msg_id, "op": "hello", "d": denoiser.d, "m": denoiser.m,
                          "concurrent": bool(denoiser.concurrent_safe)}
-            elif op == "predict_noise":
-                x = np.asarray(msg["x"], dtype=np.float64)
-                c = ConditionEmbedding(np.asarray(msg["c"], dtype=np.float64))
-                if x.shape != (denoiser.d,) or c.m != denoiser.m:
-                    raise ValueError(
-                        f"x must have {denoiser.d} entries and c {denoiser.m}, "
-                        f"got shapes {x.shape} and {c.values.shape}")
-                eps = denoiser.predict_noise(x, c, float(msg["alpha_bar"]), int(msg["t"]))
-                reply = {"id": msg_id, "eps": [float(v) for v in eps]}
+                if msg.get("batch") is True:
+                    reply["batch"] = True
+            elif op in ("predict_noise", "predict_noise_batch"):
+                t = checked_number(msg["t"], "t", integer=True)
+                alpha_bar = checked_number(msg["alpha_bar"], "alpha_bar")
+                if op == "predict_noise":
+                    x = _numbers(msg["x"], (denoiser.d,), "x")
+                    c = ConditionEmbedding(_numbers(msg["c"], (denoiser.m,), "c"))
+                    eps = denoiser.predict_noise(x, c, alpha_bar, t)
+                    reply = {"id": msg_id, "eps": [float(v) for v in eps]}
+                else:
+                    n = len(msg["X"]) if type(msg["X"]) is list else 0
+                    if not n:
+                        raise ValueError("X must be a non-empty list of rows")
+                    X = _numbers(msg["X"], (n, denoiser.d), "X")
+                    C = _condition_rows(_numbers(msg["C"], (n, denoiser.m), "C"))
+                    eps = denoiser.predict_noise_batch(X, C, alpha_bar, t)
+                    reply = {"id": msg_id, "eps": np.asarray(eps, dtype=np.float64).tolist()}
             else:
                 raise ValueError(f"unknown op {op!r}")
             text = _REPLY_ENCODER.encode(reply)
@@ -217,7 +265,7 @@ class RemoteDenoiser(Denoiser):
         self.d = d
         self.m = m
         try:
-            reply = self._round_trip({"op": "hello", "d": d, "m": m})
+            reply = self._round_trip({"op": "hello", "d": d, "m": m, "batch": True})
             dims = reply.get("d"), reply.get("m")
             if reply.get("op") != "hello" or any(type(v) is not int for v in dims):
                 raise MalformedFrameError(f"handshake needs op hello, integer d and m: {reply}")
@@ -229,6 +277,8 @@ class RemoteDenoiser(Denoiser):
             transport.close()  # no client is returned that could close it later
             raise
         self.concurrent_safe = bool(reply.get("concurrent", False))
+        #: whether the peer answers a batch in one ``predict_noise_batch`` frame
+        self.batched = reply.get("batch") is True
 
     @classmethod
     def from_command(cls, argv: Sequence[str], d: int, m: int,
@@ -274,26 +324,45 @@ class RemoteDenoiser(Denoiser):
     def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
                       alpha_bar: float, t: int) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if c.values.size != self.m:
-            raise ParameterError(
-                f"condition has dimension {c.values.size}, expected {self.m}")
         reply = self._round_trip({
             "op": "predict_noise",
             "x": [float(v) for v in x],
-            "c": [float(v) for v in c.values],
+            "c": self._condition(c),
             "t": int(t),
             "alpha_bar": float(alpha_bar),
         })
+        return self._noise(reply, (x.size,), t)
+
+    def predict_noise_batch(self, X: np.ndarray, C: Sequence[ConditionEmbedding],
+                            alpha_bar: float, t: int) -> np.ndarray:
+        """One ``predict_noise_batch`` frame if the handshake agreed on it, else one per row."""
+        if not (self.batched and len(X)):
+            return super().predict_noise_batch(X, C, alpha_bar, t)
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or len(C) != len(X):
+            raise ParameterError(f"need one condition per latent row, got {len(C)} "
+                                 f"for latents of shape {X.shape}")
+        reply = self._round_trip({
+            "op": "predict_noise_batch",
+            "X": X.tolist(),
+            "C": [self._condition(c) for c in C],
+            "t": int(t),
+            "alpha_bar": float(alpha_bar),
+        })
+        return self._noise(reply, X.shape, t)
+
+    def _condition(self, c: ConditionEmbedding) -> list[float]:
+        if c.values.size != self.m:
+            raise ParameterError(
+                f"condition has dimension {c.values.size}, expected {self.m}")
+        return [float(v) for v in c.values]
+
+    @staticmethod
+    def _noise(reply: dict, shape: tuple[int, ...], t: int) -> np.ndarray:
+        """The reply's ``eps`` of ``shape``, checked where it enters and naming the step."""
         if "error" in reply:
             raise DenoiserError(f"server error at training step {t}: {reply['error']}")
-        if not isinstance(reply.get("eps"), list):
-            raise MalformedFrameError(f"reply carries no eps array: {reply}")
-        eps = np.asarray(reply["eps"], dtype=np.float64)
-        if eps.ndim != 1 or eps.size != x.size:
-            raise DimensionMismatchError(
-                f"server returned {eps.size} values at training step {t}, "
-                f"expected {x.size}")
-        return eps
+        return _numbers(reply.get("eps"), shape, f"eps returned at training step {t}")
 
     def close(self) -> None:
         self._transport.close()

@@ -34,17 +34,18 @@ KIND_PRESETS = {
     "attention": "attention-local",
 }
 
-#: (calls, rows) with the paths generated on demand, then with the reference
-#: and editing paths precomputed; while the editing path is known, the hops
-#: above the window top (50 - t_max of them) reuse its noises
+#: (calls, rows) with the paths walked on demand, then with the reference and
+#: editing paths precomputed; while the editing path is known, the hops above
+#: the window top (50 - t_max of them) reuse its noises.  On demand, the
+#: reference rows ride in the edit's own call of each step: one call per step
 RUN_EDIT_COUNTS = {
-    "noise_interp": ((127, 127), (27, 27)),
-    "noise_mask": ((127, 127), (27, 27)),
-    "latent_interp": ((100, 100), (46, 46)),
-    "latent_mask": ((100, 100), (46, 46)),
-    "cond_interp": ((100, 100), (48, 48)),
-    "guidance": ((100, 150), (50, 100)),
-    "attention": ((100, 100), (50, 50)),
+    "noise_interp": ((50, 127), (27, 27)),
+    "noise_mask": ((50, 127), (27, 27)),
+    "latent_interp": ((50, 100), (46, 46)),
+    "latent_mask": ((50, 100), (46, 46)),
+    "cond_interp": ((50, 100), (48, 48)),
+    "guidance": ((50, 150), (50, 100)),
+    "attention": ((50, 100), (50, 50)),
 }
 
 #: (calls, rows) of the default 5 x 5 window sweep.  The two pure paths take

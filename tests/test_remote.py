@@ -1,26 +1,34 @@
 import io
 import json
 import math
+import os
 import select
+import shlex
 import socket
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffpath
 from diffpath.config import canonical_json
 from diffpath.denoiser import ConditionEmbedding, Denoiser
 from diffpath.edits import ManipulationConfig, run_edit
 from diffpath.errors import DenoiserError
+from diffpath.metrics import run_sweep
 from diffpath.remote import (DimensionMismatchError, IdMismatchError,
                              MalformedFrameError, RemoteDenoiser,
                              RemoteTimeoutError, TransportClosedError,
                              _SubprocessTransport, serve_stream, serve_tcp)
 from diffpath.sampler import generate
 from diffpath.schedule import ScheduleSpec
+
+from conftest import WINDOW_AXES, preset_config, sweep_scenario
+from test_artifact_bytes import DIGESTS, _run
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +42,39 @@ def _spawn_server(config_file):
     return RemoteDenoiser.from_command(
         [sys.executable, "-m", "diffpath.cli", "serve", "--config", str(config_file)],
         d=2, m=2, timeout=30.0)
+
+
+class RecordingTransport:
+    """Forwards to a transport and keeps every line sent through it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.sent: list[str] = []
+
+    def send_line(self, line: str) -> None:
+        self.sent.append(line)
+        self._inner.send_line(line)
+
+    def recv_line(self, timeout: float) -> str:
+        return self._inner.recv_line(timeout)
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+def _guidance_edit(demo, denoiser):
+    """The guidance-default edit of the demo's x_top, both paths on demand."""
+    manip = preset_config("guidance-default").build_manipulation()
+    return run_edit(denoiser, demo["x_top"], demo["c_a"], demo["c_b"], manip,
+                    demo["grid"], demo["schedule"])
+
+
+def _same_bytes(got, want) -> bool:
+    arrays = [(g, w) for attr in ("path", "path_a")
+              for field in ("latents", "noises")
+              for g, w in zip(getattr(getattr(got, attr), field),
+                              getattr(getattr(want, attr), field), strict=True)]
+    return all(g.tobytes() == w.tobytes() for g, w in arrays)
 
 
 class TestLoopback:
@@ -51,6 +92,29 @@ class TestLoopback:
                    for a, b in zip(local.path.latents, over_wire.path.latents))
         assert all(np.array_equal(a, b)
                    for a, b in zip(local.path.noises, over_wire.path.noises))
+
+    def test_guidance_edit_is_fifty_round_trips(self, demo, config_file):
+        transport = RecordingTransport(_SubprocessTransport(
+            [sys.executable, "-m", "diffpath.cli", "serve", "--config", str(config_file)]))
+        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
+            assert remote.batched
+            over_wire = _guidance_edit(demo, remote)
+        frames = [json.loads(line) for line in transport.sent]
+        assert [frame["op"] for frame in frames] == ["hello"] + ["predict_noise_batch"] * 50
+        # path A's row rides with the edit's c_a and c_b rows in every step
+        assert [len(frame["X"]) for frame in frames[1:]] == [3] * 50
+        assert _same_bytes(over_wire, _guidance_edit(demo, demo["denoiser"]))
+
+    @pytest.mark.parametrize("preset, round_trips", [("noise-interp-local", 94),
+                                                     ("guidance-default", 100)])
+    def test_sweep_is_one_round_trip_per_call(self, config_file, preset, round_trips):
+        # the call counts of tests/test_call_counts.py's RUN_SWEEP_COUNTS
+        config = preset_config(preset)
+        transport = RecordingTransport(_SubprocessTransport(
+            [sys.executable, "-m", "diffpath.cli", "serve", "--config", str(config_file)]))
+        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
+            run_sweep(sweep_scenario(config, remote), WINDOW_AXES, config.seed)
+        assert len(transport.sent) == 1 + round_trips
 
     def test_client_starts_no_thread(self, config_file, demo):
         before = set(threading.enumerate())
@@ -82,23 +146,71 @@ def _strict_loads(text):
 _numbers = st.one_of(st.integers(-3, 3).map(str),
                      st.floats(allow_nan=False, allow_infinity=False).map(repr),
                      st.sampled_from(["1e400", "-1e400", "NaN", "Infinity", '"0.5"', "null"]))
+_numbers = st.one_of(_numbers, st.sampled_from(["true", "10" + "0" * 400]))
 _vectors = st.lists(_numbers, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+_matrices = st.lists(st.one_of(_vectors, _numbers), max_size=3).map(
+    lambda rows: "[" + ", ".join(rows) + "]")
 _frames = st.fixed_dictionaries(
     {"id": st.one_of(_numbers, st.text(max_size=4).map(json.dumps))},
-    optional={"op": st.sampled_from(['"hello"', '"predict_noise"', '"warp"']),
-              "d": _numbers, "m": _numbers, "x": _vectors, "c": _vectors,
+    optional={"op": st.sampled_from(['"hello"', '"predict_noise"', '"predict_noise_batch"',
+                                     '"warp"']),
+              "d": _numbers, "m": _numbers, "batch": st.sampled_from(["true", "false", "1"]),
+              "x": _vectors, "c": _vectors, "X": _matrices, "C": _matrices,
               "t": _numbers, "alpha_bar": _numbers},
 ).map(lambda fields: "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
 _floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _batch_requests(draw):
+    """A batch frame of 0-4 rows, some of the wrong width, ragged or huge."""
+    n = draw(st.integers(0, 4))
+    widths = draw(st.lists(st.sampled_from([2, 2, 2, 1, 3]), min_size=n, max_size=n))
+    X = [draw(st.lists(_floats, min_size=w, max_size=w)) for w in widths]
+    C = draw(st.lists(st.lists(st.floats(-10, 10), min_size=2, max_size=2),
+                      min_size=draw(st.sampled_from([n, n, max(n - 1, 0), n + 1])),
+                      max_size=n + 1))
+    return json.dumps({"id": draw(st.integers(0, 99)), "op": "predict_noise_batch", "X": X,
+                       "C": C, "t": draw(st.integers(1, 1000)),
+                       "alpha_bar": draw(st.floats(0.0, 1.0))})
+
+
 #: well-formed requests, some with the wrong dimensions or a huge latent
 _requests = st.one_of(
-    st.builds(lambda i, d, m: json.dumps({"id": i, "op": "hello", "d": d, "m": m}),
-              st.integers(0, 99), st.sampled_from([2, 3]), st.sampled_from([2, 1])),
+    st.builds(lambda i, d, m, batch: json.dumps({"id": i, "op": "hello", "d": d, "m": m,
+                                                 **batch}),
+              st.integers(0, 99), st.sampled_from([2, 3]), st.sampled_from([2, 1]),
+              st.sampled_from([{}, {"batch": True}])),
     st.builds(lambda i, x, c, t, a: json.dumps({"id": i, "op": "predict_noise", "x": x,
                                                 "c": c, "t": t, "alpha_bar": a}),
               st.integers(0, 99), st.lists(_floats, min_size=1, max_size=3),
               st.lists(st.floats(-10, 10), min_size=2, max_size=2),
-              st.integers(1, 1000), st.floats(0.0, 1.0)))
+              st.integers(1, 1000), st.floats(0.0, 1.0)),
+    _batch_requests())
+
+#: frames a parent client sends and the replies a parent server gave them,
+#: byte for byte: a hello without the batch flag, predictions (integer
+#: entries, a signed zero, a huge latent) and two error replies
+PARENT_TRANSCRIPT = [
+    ('{"id": 0, "op": "hello", "d": 2, "m": 2}',
+     '{"id": 0, "op": "hello", "d": 2, "m": 2, "concurrent": true}'),
+    ('{"id": 1, "op": "predict_noise", "x": [0.25, -1.5], "c": [1.0, 0.25], "t": 500, '
+     '"alpha_bar": 0.5}',
+     '{"id": 1, "eps": [-0.061538215887779246, -1.2475526871894427]}'),
+    ('{"id": 2, "op": "predict_noise", "x": [-0.7436796225232284, 1.9181013457392315], '
+     '"c": [0.3, -1.2], "t": 980, "alpha_bar": 0.0404}',
+     '{"id": 2, "eps": [-0.7283543504520946, 1.9837550425900574]}'),
+    ('{"id": 3, "op": "predict_noise", "x": [3, -0.0], "c": [0, 1], "t": 20, '
+     '"alpha_bar": 0.999}',
+     '{"id": 3, "eps": [0.08888504807629191, 0.005424275539658918]}'),
+    ('{"id": 4, "op": "predict_noise", "x": [1e308, 1e308], "c": [1.0, 0.25], "t": 500, '
+     '"alpha_bar": 0.5}',
+     '{"id": 4, "eps": [7.252377242938948e+307, 7.252377242938948e+307]}'),
+    ('{"id": 5, "op": "predict_noise", "x": [0.25, -1.5], "c": [1.0, 0.25], "t": 500, '
+     '"alpha_bar": 1.0}',
+     '{"id": 5, "error": "noise prediction is undefined at alpha_bar = 1 (clean endpoint)"}'),
+    ('{"id": 6, "op": "warp"}', '{"id": 6, "error": "unknown op \'warp\'"}'),
+]
 #: other lines: bare text, blanks, non-objects and deep nesting
 _raw_lines = st.one_of(
     st.text(st.characters(blacklist_characters="\n\r"), max_size=30),
@@ -181,6 +293,67 @@ class TestServeStream:
         serve_stream(demo["denoiser"], io.StringIO(line + "\n"), out)
         assert out.getvalue() == '{"id": null, "error": "malformed frame"}\n'
 
+    def test_parent_frames_get_the_parent_replies(self, demo):
+        out = io.StringIO()
+        serve_stream(demo["denoiser"],
+                     io.StringIO("".join(f"{frame}\n" for frame, _ in PARENT_TRANSCRIPT)), out)
+        assert out.getvalue() == "".join(f"{reply}\n" for _, reply in PARENT_TRANSCRIPT)
+
+    @pytest.mark.parametrize("flag, echoed", [(True, True), (False, False), (1, False),
+                                              ("true", False)])
+    def test_hello_echoes_batch_only_when_asked(self, demo, flag, echoed):
+        reply, = self._roundtrip(demo, json.dumps(
+            {"id": 0, "op": "hello", "d": 2, "m": 2, "batch": flag}) + "\n")
+        assert reply == {"id": 0, "op": "hello", "d": 2, "m": 2, "concurrent": True,
+                         **({"batch": True} if echoed else {})}
+
+    def test_batch_rows_are_the_single_replies(self, demo):
+        X = [[0.25, -1.5], [3, -0.0], [1e308, 1e308]]
+        C = [[1.0, 0.25], [0, 1], [0.3, -1.2]]
+        singles = "".join(json.dumps({"id": i, "op": "predict_noise", "x": x, "c": c,
+                                      "t": 500, "alpha_bar": 0.5}) + "\n"
+                          for i, (x, c) in enumerate(zip(X, C)))
+        batch = json.dumps({"id": 9, "op": "predict_noise_batch", "X": X, "C": C,
+                            "t": 500, "alpha_bar": 0.5}) + "\n"
+        out = io.StringIO()
+        serve_stream(demo["denoiser"], io.StringIO(singles + batch), out)
+        *rows, reply = out.getvalue().splitlines()
+        # each row's text is the single frame's, so the floats are the same bits
+        assert reply == '{"id": 9, "eps": [%s]}' % ", ".join(
+            row[row.index("["):-1] for row in rows)
+
+    @pytest.mark.parametrize("fields", [
+        {"x": ["0.5", True]},
+        {"x": [0.5, True]},
+        {"c": [0, "1"]},
+        {"x": [None, 0.5]},
+        {"x": [[0.5], 0.5]},
+        {"x": 0.5},
+        {"t": "500"},
+        {"t": True},
+        {"t": 500.5},
+        {"alpha_bar": "0.5"},
+        {"alpha_bar": False},
+        {"op": "predict_noise_batch", "X": [["0.5", 1.0]], "C": [[1.0, 0.25]]},
+        {"op": "predict_noise_batch", "X": [[0.5, 1.0]], "C": [[True, 0.25]]},
+        {"op": "predict_noise_batch", "X": [[0.5, 1.0], [0.5]], "C": [[1.0, 0.25]] * 2},
+        {"op": "predict_noise_batch", "X": [[0.5, 1.0]], "C": [[1.0, 0.25]] * 2},
+        {"op": "predict_noise_batch", "X": [[0.5, 1.0, 2.0]], "C": [[1.0, 0.25]]},
+        {"op": "predict_noise_batch", "X": [], "C": []},
+        {"op": "predict_noise_batch", "X": [0.5, 1.0], "C": [1.0, 0.25]},
+    ])
+    def test_non_numbers_get_an_error_reply(self, demo, fields):
+        frame = {"id": 5, "op": "predict_noise", "x": [0.25, -1.5], "c": [1.0, 0.25],
+                 "t": 500, "alpha_bar": 0.5, **fields}
+        reply, = self._roundtrip(demo, json.dumps(frame) + "\n")
+        assert reply["id"] == 5 and "error" in reply and "eps" not in reply
+
+    def test_integer_beyond_the_float_range_gets_an_error_reply(self, demo):
+        reply, = self._roundtrip(demo, '{"id": 5, "op": "predict_noise", "x": [1%s, 0], '
+                                       '"c": [1.0, 0.25], "t": 500, "alpha_bar": 0.5}\n'
+                                 % ("0" * 400))
+        assert reply["id"] == 5 and "float range" in reply["error"]
+
     @given(lines=st.lists(st.one_of(_raw_lines, _frames, _requests), max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_fuzzed_frames_get_one_strict_reply_each(self, demo, lines):
@@ -200,10 +373,14 @@ class TestServeStream:
             kinds = [k for k in ("eps", "op", "error") if k in reply]
             assert len(kinds) == 1
             if kinds == ["eps"]:
-                assert len(reply["eps"]) == 2
-                assert all(math.isfinite(v) for v in reply["eps"])
+                batch = msg["op"] == "predict_noise_batch"
+                rows = reply["eps"] if batch else [reply["eps"]]
+                assert len(rows) == (len(msg["X"]) if batch else 1)
+                assert all(len(row) == 2 for row in rows)
+                assert all(type(v) is float and math.isfinite(v) for row in rows for v in row)
             elif kinds == ["op"]:
                 assert reply["op"] == "hello"
+                assert reply.get("batch", False) is (msg.get("batch") is True)
 
 
 FAKE_SERVER = r"""
@@ -212,11 +389,24 @@ mode = sys.argv[1]
 if mode == "hangup":  # wait for the hello, then exit without reading it
     select.select([sys.stdin], [], [])
     sys.exit(0)
+if mode == "oracle":  # the demo model, served as by a peer without the batch op
+    import numpy as np
+    from diffpath.config import RunConfig
+    from diffpath.denoiser import ConditionEmbedding
+    from diffpath.presets import demo_config_dict
+    oracle = RunConfig.from_dict(demo_config_dict()).build_denoiser()
+#: eps replies as written on the wire
+RAW_EPS = {"streps": '["0.5", 0.0]', "booleps": '[true, 0.0]', "nulleps": '[null, 0.0]',
+           "nested": '[[0.0], 0.0]', "hugeint": '[1%s, 0]' % ("0" * 400),
+           "batch-short": '[[0.0, 0.0]]', "batch-str": '[["0.5", 0.0], [0.0, 0.0]]'}
 count = 0
 for line in sys.stdin:
     msg = json.loads(line)
     if msg.get("op") == "hello":
-        if mode == "baddim":
+        if mode.startswith("batch-"):
+            reply = {"id": msg["id"], "op": "hello", "d": msg["d"], "m": msg["m"],
+                     "batch": True}
+        elif mode == "baddim":
             reply = {"id": msg["id"], "op": "hello", "d": 5, "m": 5}
         elif mode == "strdim":
             reply = {"id": msg["id"], "op": "hello", "d": "two", "m": msg["m"]}
@@ -227,7 +417,17 @@ for line in sys.stdin:
         print(json.dumps(reply), flush=True)
         continue
     count += 1
-    if mode == "shorteps":
+    if mode in RAW_EPS:
+        print('{"id": %d, "eps": %s}' % (msg["id"], RAW_EPS[mode]), flush=True)
+    elif mode == "oracle":
+        if msg["op"] == "predict_noise":
+            eps = oracle.predict_noise(np.array(msg["x"]), ConditionEmbedding(np.array(msg["c"])),
+                                       msg["alpha_bar"], msg["t"])
+            reply = {"id": msg["id"], "eps": [float(v) for v in eps]}
+        else:
+            reply = {"id": msg["id"], "error": "unknown op %r" % msg["op"]}
+        print(json.dumps(reply), flush=True)
+    elif mode == "shorteps":
         print(json.dumps({"id": msg["id"], "eps": [0.0]}), flush=True)
     elif mode == "wrongid":
         print(json.dumps({"id": msg["id"] + 900, "eps": [0.0, 0.0]}), flush=True)
@@ -286,6 +486,33 @@ class TestProtocolErrors:
         with _fake(fake_server, mode) as remote:
             with pytest.raises(MalformedFrameError):
                 remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640)
+
+    @pytest.mark.parametrize("mode", ["streps", "booleps", "nulleps", "nested", "hugeint"])
+    def test_reply_of_non_numbers_is_malformed(self, fake_server, demo, mode):
+        with _fake(fake_server, mode) as remote:
+            with pytest.raises(MalformedFrameError, match="training step 640"):
+                remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640)
+
+    def test_wrong_batch_reply_shape_names_step(self, fake_server, demo):
+        with _fake(fake_server, "batch-short") as remote:
+            assert remote.batched
+            with pytest.raises(DimensionMismatchError, match="training step 640"):
+                remote.predict_noise_batch(np.zeros((2, 2)), [demo["c_a"]] * 2, 0.5, 640)
+
+    def test_batch_reply_of_non_numbers_is_malformed(self, fake_server, demo):
+        with _fake(fake_server, "batch-str") as remote:
+            with pytest.raises(MalformedFrameError, match="training step 640"):
+                remote.predict_noise_batch(np.zeros((2, 2)), [demo["c_a"]] * 2, 0.5, 640)
+
+    def test_edit_over_a_peer_without_the_batch_op(self, fake_server, demo):
+        transport = RecordingTransport(
+            _SubprocessTransport([sys.executable, str(fake_server), "oracle"]))
+        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
+            assert not remote.batched
+            over_wire = _guidance_edit(demo, remote)
+        ops = [json.loads(line)["op"] for line in transport.sent]
+        assert ops == ["hello"] + ["predict_noise"] * 150
+        assert _same_bytes(over_wire, _guidance_edit(demo, demo["denoiser"]))
 
     def test_timeout(self, fake_server, demo):
         with _fake(fake_server, "silent", timeout=0.3) as remote:
@@ -391,3 +618,23 @@ class TestTcpTransport:
     def test_reset_connection_closes_the_transport(self):
         with pytest.raises(TransportClosedError):
             RemoteDenoiser.from_address("127.0.0.1", _hangup_tcp_server(), d=2, m=2)
+
+
+#: the source tree of the package under test, for a ``cmd:`` child run elsewhere
+_SRC = str(Path(diffpath.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("peer", ["cmd", "tcp"])
+@pytest.mark.parametrize("command", [f"{command} --preset {preset}"
+                                     for command in ("sweep", "edit")
+                                     for preset in ("guidance-default", "noise-interp-local")])
+def test_remote_artifacts_are_the_in_process_bytes(demo, command, peer, tmp_path,
+                                                   monkeypatch, capsys):
+    if peer == "cmd":
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+        spec = "cmd:" + shlex.join([sys.executable, "-m", "diffpath.cli", "serve"])
+    else:
+        spec = f"tcp:127.0.0.1:{_tcp_server(demo)}"
+    got = _run([*command.split(), "--remote", spec], tmp_path, monkeypatch, capsys)
+    assert got == DIGESTS[command]
