@@ -309,9 +309,11 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     masks = np.array([np.zeros(d) if c.mask is None else c.mask for c in configs])
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     blended = functools.cache(lambda w: ConditionEmbedding(_blend(c_a.values, c_b.values, w)))
-    # the reference rows that predict, and those that replay their given path
-    asked = [n + j for j, (_, path) in enumerate(references) if path is None]
+    # the reference rows that predict (a range: they are among rows n and n + 1)
+    # and those that replay their given path
     asked_conditions = [c for c, path in references if path is None]
+    first = n + (references[0][1] is not None)
+    asked = slice(first, first + len(asked_conditions))
     given = [(n + j, path) for j, (_, path) in enumerate(references) if path is not None]
 
     def blend_weights(rows: np.ndarray, i: int) -> np.ndarray:
@@ -343,11 +345,11 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                 conditions += [c_b] * len(rows)
         if conditions:
             eps = predict(np.concatenate(latents), conditions)
-            E[asked] = eps[:len(asked)]
+            E[asked] = eps[:len(asked_conditions)]
         for r, path in given:
             E[r] = path.noises[i]
         eps_ref = E[ref_a]
-        lo = len(asked)
+        lo = len(asked_conditions)
         for kind, rows in groups:
             if kind == _REUSE:
                 E[rows] = E[ref_b]
