@@ -312,8 +312,8 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     # the reference rows that predict (a range: they are among rows n and n + 1)
     # and those that replay their given path
     asked_conditions = [c for c, path in references if path is None]
-    first = n + (references[0][1] is not None)
-    asked = slice(first, first + len(asked_conditions))
+    start = n + (references[0][1] is not None)
+    asked = slice(start, start + len(asked_conditions))
     given = [(n + j, path) for j, (_, path) in enumerate(references) if path is not None]
 
     def blend_weights(rows: np.ndarray, i: int) -> np.ndarray:
