@@ -199,9 +199,8 @@ def cmd_edit(args) -> int:
         manip, c_a, c_b = _edit_setup(config)
         grid, schedule = config.grid, config.noise_schedule
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
-        path_b = generate(denoiser, x_top, c_b, grid, schedule)
-        result = run_edit(denoiser, x_top, c_a, c_b, manip, grid, schedule, path_b=path_b)
-        row = SweepRow.of(manip, config.seed, score_edit(result, path_b, config.model))
+        result = run_edit(denoiser, x_top, c_a, c_b, manip, grid, schedule, with_path_b=True)
+        row = SweepRow.of(manip, config.seed, score_edit(result, config.model))
         writer.write("edit.csv", lambda: sweep_table_csv([row]))
         writer.write("edit_profile.csv", lambda: table_csv(
             ["index", "sampling_step", "divergence_from_reference", "seed"],
@@ -209,7 +208,7 @@ def cmd_edit(args) -> int:
              for i, div in enumerate(path_divergence(result))]))
         writer.write("edit.svg", lambda: svg_scatter(
             [("path A endpoint", result.path_a.x0[None, :]),
-             ("path B endpoint", path_b.x0[None, :]),
+             ("path B endpoint", result.path_b.x0[None, :]),
              ("edited endpoint", result.path.x0[None, :])],
             title=f"{manip.kind} edit (seed {config.seed})"))
     return 0

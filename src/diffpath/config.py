@@ -39,6 +39,13 @@ def _require(mapping: Mapping[str, Any], section: str, keys: tuple[str, ...],
         raise ConfigError(f"missing keys in {section}: {missing}")
 
 
+def _numbers(value, name: str):
+    """``value``, a number or nested lists of numbers, each checked by ``checked_number``."""
+    if isinstance(value, (list, tuple)):
+        return [_numbers(entry, f"{name}[{i}]") for i, entry in enumerate(value)]
+    return checked_number(value, name)
+
+
 def _parse_model(data: Mapping[str, Any]) -> GMMDenoiserParams:
     _require(data, "model", ("d", "m", "components"))
     comps = data["components"]
@@ -49,7 +56,8 @@ def _parse_model(data: Mapping[str, Any]) -> GMMDenoiserParams:
         raise ConfigError("model needs at least one component")
 
     def stack(key):
-        return np.array([comp[key] for comp in comps], dtype=np.float64)
+        return np.array([_numbers(comp[key], f"model.components[{i}].{key}")
+                         for i, comp in enumerate(comps)], dtype=np.float64)
 
     params = GMMDenoiserParams(weights=stack("weight"), base_means=stack("base_mean"),
                                condition_maps=stack("condition_map"),
@@ -66,7 +74,7 @@ def _parse_conditions(data: Mapping[str, Any], m: int) -> dict[str, ConditionEmb
         raise ConfigError("conditions must map names to vectors")
     named = {}
     for name, vec in data.items():
-        values = np.array(vec, dtype=np.float64)
+        values = np.array(_numbers(vec, f"conditions.{name}"), dtype=np.float64)
         if values.shape != (m,):
             raise ConfigError(f"condition {name!r} has dimension {values.size}, "
                               f"model expects {m}")
@@ -93,7 +101,8 @@ def _parse_manipulation(data: Mapping[str, Any], conditions: Mapping[str, Any],
     manip = ManipulationConfig(kind=str(data["kind"]), schedule=spec,
                                beta=None if beta is None else checked_number(
                                    beta, "manipulation.beta"),
-                               mask=None if mask is None else validate_mask(mask, d),
+                               mask=None if mask is None else validate_mask(
+                                   _numbers(mask, "manipulation.mask"), d),
                                cam_hook=None if hook is None else str(hook))
     return (manip, *names)
 
@@ -106,12 +115,18 @@ class OutputCfg:
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "OutputCfg":
         _require(data, "output", (), ("directory", "formats"))
-        directory = data.get("directory") or os.environ.get(OUTPUT_DIR_ENV, "out")
-        formats = tuple(str(f) for f in data.get("formats", ("csv", "svg")))
+        directory = data.get("directory")
+        if directory is not None and not isinstance(directory, str):
+            raise ConfigError(f"output.directory must be a string, got {directory!r}")
+        directory = directory or os.environ.get(OUTPUT_DIR_ENV, "out")
+        formats = data.get("formats", ("csv", "svg"))
+        if not isinstance(formats, (list, tuple)):
+            raise ConfigError(f"output.formats must be a list, got {formats!r}")
+        formats = tuple(str(f) for f in formats)
         for f in formats:
             if f not in ("csv", "svg"):
                 raise ConfigError(f"unknown output format {f!r}")
-        return OutputCfg(directory=str(directory), formats=formats)
+        return OutputCfg(directory=directory, formats=formats)
 
     def to_dict(self) -> dict:
         return {"directory": self.directory, "formats": list(self.formats)}
@@ -252,14 +267,25 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         target: Any = data
         for key in keys[:-1]:
             if isinstance(target, list):
-                target = target[int(key)]
+                target = target[_list_index(target, key, path)]
             else:
                 target = target.setdefault(key, {})
             if not isinstance(target, (dict, list)):
                 raise ConfigError(f"override path {path!r} crosses a non-container")
         last = keys[-1]
         if isinstance(target, list):
-            target[int(last)] = value
+            target[_list_index(target, last, path)] = value
         else:
             target[last] = value
     return data
+
+
+def _list_index(items: list, key: str, path: str) -> int:
+    """``key`` as an index of ``items``, or a ConfigError naming the override ``path``."""
+    try:
+        index = int(key)
+        items[index]
+    except (ValueError, IndexError):
+        raise ConfigError(f"override path {path!r}: {key!r} is not an index of a list "
+                          f"of {len(items)}") from None
+    return index

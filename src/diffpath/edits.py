@@ -46,8 +46,7 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
-from .sampler import (GENERATION, ChooseEps, PathRecord, cfg_combine, effective_noise, _down,
-                      _Step, _walk)
+from .sampler import ChooseEps, PathRecord, cfg_combine, effective_noise, _down, _Step, _walk
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
 
 KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
@@ -187,53 +186,51 @@ class ManipulationConfig:
 
 @dataclass(frozen=True)
 class EditResult:
-    """An edited trajectory plus the reference path and the applied weights.
+    """An edited trajectory plus the pure paths and the applied weights.
 
     ``weights[i]`` is the schedule weight at the step taken from
     ``path.latents[i]``; it is zero for every step outside the schedule
-    support.
+    support.  ``path_a`` is the reference path under ``c_a``; ``path_b`` is
+    the editing path under ``c_b`` when the edit walked it, else ``None``.
     """
 
     path: PathRecord
     path_a: PathRecord
+    path_b: PathRecord | None
     weights: tuple[float, ...]
 
 
 def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
              c_b: ConditionEmbedding, config: ManipulationConfig,
-             grid: TimestepGrid, schedule: AlphaSchedule,
-             path_a: PathRecord | None = None,
-             path_b: PathRecord | None = None) -> EditResult:
+             grid: TimestepGrid, schedule: AlphaSchedule, *,
+             with_path_b: bool = False) -> EditResult:
     """Run one manipulated generation pass from the shared initial noise.
 
-    The reference path under ``c_a`` (and, for the noise-stream kinds, the
-    editing path under ``c_b``) is walked as rows of the edit's own walk
-    unless it is given; precomputed paths are the plain generations under
-    those conditions, and must share the grid and start at ``x_top``.
-    Latent blends and hook steps are recorded through their
-    replay-equivalent noise so the returned path replays like any other
-    trajectory.
+    The reference path under ``c_a`` is walked as a row of the edit's own
+    walk, and so is the editing path under ``c_b`` when the noise-stream
+    kinds need it or ``with_path_b`` asks for it.  Latent blends and hook
+    steps are recorded through their replay-equivalent noise so the
+    returned path replays like any other trajectory.
     """
     return run_edits(denoiser, x_top, c_a, c_b, (config,), grid, schedule,
-                     path_a=path_a, path_b=path_b)[0]
+                     with_path_b=with_path_b)[0]
 
 
 def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
               c_b: ConditionEmbedding, configs: Sequence[ManipulationConfig],
-              grid: TimestepGrid, schedule: AlphaSchedule,
-              path_a: PathRecord | None = None,
-              path_b: PathRecord | None = None) -> tuple[EditResult, ...]:
+              grid: TimestepGrid, schedule: AlphaSchedule, *,
+              with_path_b: bool = False) -> tuple[EditResult, ...]:
     """``run_edit`` for each config, all passes walked in lock-step.
 
     The reference path under ``c_a`` is one more row of the walk, and so is
-    the editing path under ``c_b`` when it is given or a noise-stream kind
-    needs it.  A reference row steps with its given path's recorded noise,
-    or else with its prediction, asked for in the step's one denoiser call
-    with the passes' own; the operators read it from that round.  Each
-    result is bitwise the one ``run_edit`` gives for its config alone, and
-    its ``path_a`` is the reference row's record.  While the editing path is
-    walked, every hop above a pass's first weighted step reuses its noise:
-    until then the pass is that path.
+    the editing path under ``c_b`` when ``with_path_b`` is set or a
+    noise-stream kind needs it.  Each pure row steps with its prediction,
+    asked for in the step's one denoiser call with the passes' own; the
+    operators read it from that round.  Each result is bitwise the one
+    ``run_edit`` gives for its config alone, and its ``path_a``/``path_b``
+    are the pure rows' records.  While the editing path is walked, every hop
+    above a pass's first weighted step reuses its noise: until then the pass
+    is that path.
     """
     t_sample = grid.t_sample
     d = np.asarray(x_top).size
@@ -243,33 +240,19 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
                 f"schedule covers {config.schedule.total} steps but the grid has {t_sample}")
         if config.mask is not None:
             validate_mask(config.mask, d)
-
-    def _check_path(path: PathRecord, label: str, c: ConditionEmbedding) -> None:
-        if path.grid.steps != grid.steps or path.direction != GENERATION:
-            raise ParameterError(f"precomputed {label} path must match the grid")
-        if not np.array_equal(path.latents[0], np.asarray(x_top, dtype=np.float64)):
-            raise ParameterError(f"precomputed {label} path must start at x_top")
-        if not np.array_equal(path.condition.values, c.values):
-            raise ParameterError(f"precomputed {label} path must be under its condition")
-
-    if path_a is not None:
-        _check_path(path_a, "reference", c_a)
-    if path_b is not None:
-        _check_path(path_b, "editing", c_b)
     if not configs:
         return ()
 
-    references = [(c_a, path_a)]
-    if path_b is not None or any(config.kind in ("noise_interp", "noise_mask")
-                                 for config in configs):
-        references.append((c_b, path_b))
+    walk_b = with_path_b or any(config.kind in ("noise_interp", "noise_mask")
+                                for config in configs)
+    pure = [c_a, c_b] if walk_b else [c_a]
     weights = [tuple(omega(config.schedule, t_sample - i) for i in range(t_sample))
                for config in configs]
     n = len(configs)
-    paths = _walk(denoiser, grid, schedule, [x_top] * (n + len(references)),
-                  [c_b] * n + [c for c, _ in references],
-                  _edit_noises(configs, c_a, c_b, references, weights, d))
-    return tuple(EditResult(path=path, path_a=paths[n], weights=w)
+    paths = _walk(denoiser, grid, schedule, [x_top] * (n + len(pure)), [c_b] * n + pure,
+                  _edit_noises(configs, c_a, c_b, pure, weights, d))
+    path_b = paths[n + 1] if walk_b else None
+    return tuple(EditResult(path=path, path_a=paths[n], path_b=path_b, weights=w)
                  for path, w in zip(paths, weights))
 
 
@@ -278,29 +261,28 @@ _PLAIN, _REUSE = "plain", "reuse"
 
 
 def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
-                 c_b: ConditionEmbedding,
-                 references: Sequence[tuple[ConditionEmbedding, PathRecord | None]],
+                 c_b: ConditionEmbedding, pure: Sequence[ConditionEmbedding],
                  weights: list[tuple[float, ...]], d: int) -> ChooseEps:
     """The stepping-core callback of the manipulated passes, one row per config.
 
-    The config rows are followed by one row per entry of ``references``:
-    path A under ``c_a``, then path B under ``c_b`` if it is walked.  A
-    reference row takes its given path's recorded noise, or else its
-    prediction.  At each hop the config rows fall into groups: while path B
-    is walked, rows above their first weighted hop reuse its noise (until
-    then the pass is that path); rows of weight zero take the plain ``c_b``
-    prediction; the other rows apply their kind's operator, a masked kind
-    its blend with the mask as per-entry weights.  Each group's arithmetic
-    runs on all its rows at once and is elementwise, so every row gets the
-    bits of a walk of its own.  The reference rows' predictions and those of
-    all groups go out as one call per step, with one ``c_b`` prediction at
-    the reference latent that every attention row's hook reads.
+    The config rows are followed by one row per condition of ``pure``: path
+    A under ``c_a``, then path B under ``c_b`` if it is walked; each steps
+    with its prediction.  At each hop the config rows fall into groups:
+    while path B is walked, rows above their first weighted hop reuse its
+    noise (until then the pass is that path); rows of weight zero take the
+    plain ``c_b`` prediction; the other rows apply their kind's operator, a
+    masked kind its blend with the mask as per-entry weights.  Each group's
+    arithmetic runs on all its rows at once and is elementwise, so every row
+    gets the bits of a walk of its own.  The pure rows' predictions and
+    those of all groups go out as one call per step, with one ``c_b``
+    prediction at the reference latent that every attention row's hook
+    reads.
     """
     W = np.array(weights)
     n, t_sample = W.shape
     ref_a, ref_b = n, n + 1  # path B's row exists only while it is walked
     tags = np.where(W == 0.0, _PLAIN, [[_MASKED_KINDS.get(c.kind, c.kind)] for c in configs])
-    if len(references) > 1:
+    if len(pure) > 1:
         weighted = W != 0.0
         first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
         tags[np.arange(t_sample) < first[:, None]] = _REUSE
@@ -309,12 +291,6 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     masks = np.array([np.zeros(d) if c.mask is None else c.mask for c in configs])
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     blended = functools.cache(lambda w: ConditionEmbedding(_blend(c_a.values, c_b.values, w)))
-    # the reference rows that predict (a range: they are among rows n and n + 1)
-    # and those that replay their given path
-    asked_conditions = [c for c, path in references if path is None]
-    start = n + (references[0][1] is not None)
-    asked = slice(start, start + len(asked_conditions))
-    given = [(n + j, path) for j, (_, path) in enumerate(references) if path is not None]
 
     def blend_weights(rows: np.ndarray, i: int) -> np.ndarray:
         return np.where(masked[rows], masks[rows], W[rows, i, None])
@@ -322,7 +298,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         E = np.empty_like(X)
         x_ref = X[ref_a]
-        latents, conditions = [X[asked]], list(asked_conditions)
+        latents, conditions = [X[n:]], list(pure)
         # a hop's groups in order of their first row, each with its row numbers
         members: dict[str, list[int]] = {}
         for r, tag in enumerate(columns[i]):
@@ -343,13 +319,10 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
             else:  # plain, and the latent kinds' prediction before their blend
                 latents.append(X[rows])
                 conditions += [c_b] * len(rows)
-        if conditions:
-            eps = predict(np.concatenate(latents), conditions)
-            E[asked] = eps[:len(asked_conditions)]
-        for r, path in given:
-            E[r] = path.noises[i]
+        eps = predict(np.concatenate(latents), conditions)
+        lo = len(pure)
+        E[n:] = eps[:lo]
         eps_ref = E[ref_a]
-        lo = len(asked_conditions)
         for kind, rows in groups:
             if kind == _REUSE:
                 E[rows] = E[ref_b]

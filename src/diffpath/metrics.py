@@ -21,7 +21,7 @@ from .denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserPara
 from .edits import EditResult, ManipulationConfig, run_edits
 from .errors import ParameterError, checked_number
 from .rng import standard_normals, substream
-from .sampler import INVERSION, PathRecord, _walk
+from .sampler import INVERSION, _walk
 from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, make_timestep_grid
 
 AXIS_NAMES = ("t_max", "t_min", "t_m", "schedule", "weight", "beta")
@@ -60,15 +60,16 @@ def path_divergence(result: EditResult) -> tuple[float, ...]:
                  zip(result.path.latents, result.path_a.latents))
 
 
-def score_edit(result: EditResult, path_b: PathRecord,
-               params: GMMDenoiserParams) -> EditMetrics:
+def score_edit(result: EditResult, params: GMMDenoiserParams) -> EditMetrics:
     """Score an edit against its pure endpoints.
 
-    ``path_b`` must be the plain generation under the editing condition from
-    the same grid; the density is evaluated under ``path_b.condition``.
+    ``result`` must carry the editing path (``run_edit(..., with_path_b=True)``);
+    the density is evaluated under that path's condition.
     """
-    if result.path.grid.steps != path_b.grid.steps:
-        raise ParameterError("edited path and reference path use different grids")
+    path_b = result.path_b
+    if path_b is None:
+        raise ParameterError("score_edit needs the editing path: "
+                             "run the edit with with_path_b=True")
     x_star = result.path.x0
     x_a = result.path_a.x0
     x_b = path_b.x0
@@ -151,9 +152,9 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence],
     """Evaluate the cartesian grid of axis values, one deterministic row each.
 
     The shared initial noise is derived from the seed; rows are ordered by
-    the lexicographic sort of their axis-value tuples.  The two pure paths
-    walk in lock-step, and then every grid point's edit: one denoiser call
-    per step for all of them.
+    the lexicographic sort of their axis-value tuples.  Every grid point's
+    edit and the two pure paths walk in lock-step: one denoiser call per
+    step for all of them.
     """
     axes = {name: tuple(values) for name, values in axes.items()}
     for name, values in axes.items():
@@ -169,11 +170,9 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence],
     configs = [derive_config(scenario.base, dict(zip(names, combo))) for combo in combos]
     d = scenario.score_params.d
     x_top = standard_normals(substream(seed, "sweep", "x_top"), d)
-    path_a, path_b = _walk(scenario.denoiser, scenario.grid, scenario.noise_schedule,
-                           [x_top, x_top], [scenario.c_a, scenario.c_b])
     results = run_edits(scenario.denoiser, x_top, scenario.c_a, scenario.c_b, configs,
-                        scenario.grid, scenario.noise_schedule, path_a=path_a, path_b=path_b)
-    return tuple(SweepRow.of(config, seed, score_edit(result, path_b, scenario.score_params))
+                        scenario.grid, scenario.noise_schedule, with_path_b=True)
+    return tuple(SweepRow.of(config, seed, score_edit(result, scenario.score_params))
                  for config, result in zip(configs, results))
 
 

@@ -221,13 +221,11 @@ def test_criterion_08_affine_linearity(demo, affine_denoiser):
         grid, sched = demo["grid"], demo["schedule"]
         t = grid.t_sample
         x_top = demo["x_top"]
-        path_a = generate(affine_denoiser, x_top, demo["c_a"], grid, sched)
-        path_b = generate(affine_denoiser, x_top, demo["c_b"], grid, sched)
         for amplitude in (0.0, 0.25, 0.5, 0.75, 1.0):
             res = run_edit(affine_denoiser, x_top, demo["c_a"], demo["c_b"],
                            ManipulationConfig("noise_interp", _full(t, amplitude)),
-                           grid, sched, path_a=path_a, path_b=path_b)
-            metrics = score_edit(res, path_b, affine_denoiser.params)
+                           grid, sched, with_path_b=True)
+            metrics = score_edit(res, affine_denoiser.params)
             expect = (1.0 - amplitude) * metrics.ab_gap
             assert abs(metrics.layout_preservation - expect) <= 1e-9 * metrics.ab_gap
 

@@ -34,39 +34,36 @@ KIND_PRESETS = {
     "attention": "attention-local",
 }
 
-#: (calls, rows) with the paths walked on demand, then with the reference and
-#: editing paths precomputed; while the editing path is known, the hops above
-#: the window top (50 - t_max of them) reuse its noises.  On demand, the
-#: reference rows ride in the edit's own call of each step: one call per step
+#: (calls, rows) of a bare edit, then of one that also walks path B
+#: (``with_path_b=True``).  Path A's row, and path B's while it is walked, ride
+#: in the edit's own call of each step: one call per step.  While path B is
+#: walked, the hops above the window top (50 - t_max of them) reuse its noises.
 RUN_EDIT_COUNTS = {
-    "noise_interp": ((50, 127), (27, 27)),
-    "noise_mask": ((50, 127), (27, 27)),
-    "latent_interp": ((50, 100), (46, 46)),
-    "latent_mask": ((50, 100), (46, 46)),
-    "cond_interp": ((50, 100), (48, 48)),
-    "guidance": ((50, 150), (50, 100)),
-    "attention": ((50, 100), (50, 50)),
+    "noise_interp": ((50, 127), (50, 127)),
+    "noise_mask": ((50, 127), (50, 127)),
+    "latent_interp": ((50, 100), (50, 146)),
+    "latent_mask": ((50, 100), (50, 146)),
+    "cond_interp": ((50, 100), (50, 148)),
+    "guidance": ((50, 150), (50, 200)),
+    "attention": ((50, 100), (50, 150)),
 }
 
-#: (calls, rows) of the default 5 x 5 window sweep.  The two pure paths take
-#: 50 calls of 2 rows.  The 25 edits then take one call per step in which any
-#: of them predicts: all 50, or 44 for the noise-stream kinds, which predict
-#: nothing inside or above a window, as over the top 6 hops every edit is
-#: there.  Rows are the per-row count (100 for the paths, then each edit's
-#: run_edit rows with both paths precomputed), which is 100 fewer than a walk
-#: that predicted above the window tops (50 - t_max: 0+2+4+6+8 hops for each
-#: t_m).  The attention rows of a step share one c_b prediction at the
-#: reference latent, so that sweep's rows are 100 for the paths, 750 plain
+#: (calls, rows) of the default 5 x 5 window sweep: one walk of the 25 edits
+#: and both pure paths, one call per step.  Rows are 100 for the paths, then
+#: each edit's rows, which is 100 fewer than a walk that predicted above the
+#: window tops (50 - t_max: 0+2+4+6+8 hops for each t_m), as those hops reuse
+#: path B's noises.  The attention rows of a step share one c_b prediction at
+#: the reference latent, so that sweep's rows are 100 for the paths, 750 plain
 #: rows below the windows (t_max - t_m - 1 per edit, summed over the grid) and
 #: one for each of the 34 steps inside some window (sampling steps 17 to 50).
 RUN_SWEEP_COUNTS = {
-    "noise_interp": (94, 850),
-    "noise_mask": (94, 850),
-    "latent_interp": (100, 1250),
-    "latent_mask": (100, 1250),
-    "cond_interp": (100, 1250),
-    "guidance": (100, 1650),
-    "attention": (100, 884),
+    "noise_interp": (50, 850),
+    "noise_mask": (50, 850),
+    "latent_interp": (50, 1250),
+    "latent_mask": (50, 1250),
+    "cond_interp": (50, 1250),
+    "guidance": (50, 1650),
+    "attention": (50, 884),
 }
 
 
@@ -132,13 +129,9 @@ def test_run_edit(demo, count, kind):
     manip = preset_config(KIND_PRESETS[kind]).build_manipulation()
     assert manip.kind == kind
     args = (demo["x_top"], demo["c_a"], demo["c_b"], manip, demo["grid"], demo["schedule"])
-    paths = {"path_a": generate(demo["denoiser"], demo["x_top"], demo["c_a"],
-                                demo["grid"], demo["schedule"]),
-             "path_b": generate(demo["denoiser"], demo["x_top"], demo["c_b"],
-                                demo["grid"], demo["schedule"])}
-    on_demand = count(lambda den: run_edit(den, *args))
-    precomputed = count(lambda den: run_edit(den, *args, **paths))
-    assert (on_demand, precomputed) == RUN_EDIT_COUNTS[kind]
+    bare = count(lambda den: run_edit(den, *args))
+    with_path_b = count(lambda den: run_edit(den, *args, with_path_b=True))
+    assert (bare, with_path_b) == RUN_EDIT_COUNTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_PRESETS))
@@ -146,6 +139,29 @@ def test_run_sweep(count, kind):
     config = preset_config(KIND_PRESETS[kind])
     assert count(lambda den: run_sweep(sweep_scenario(config, den), WINDOW_AXES,
                                        config.seed)) == RUN_SWEEP_COUNTS[kind]
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """The counting denoisers the CLI builds while the fixture is active."""
+    dens = []
+    build = RunConfig.build_denoiser
+
+    def counting_build(config):
+        dens.append(CountingDenoiser(build(config)))
+        return dens[-1]
+
+    monkeypatch.setattr(RunConfig, "build_denoiser", counting_build)
+    return dens
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PRESETS))
+def test_cli_edit(built, tmp_path, kind):
+    # one walk: the edit and both pure paths, which it scores against
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["edit", "--preset", KIND_PRESETS[kind], "--output", str(tmp_path)])
+    assert code == 0
+    assert [(den.calls, den.rows) for den in built] == [RUN_EDIT_COUNTS[kind][1]]
 
 
 def test_bad_sweep_axis_costs_no_call(demo):
@@ -168,15 +184,7 @@ def test_prompt_switch(demo, count, k):
                                            demo["grid"], demo["schedule"])) == (50, 50)
 
 
-def test_cli_demo_prompt_switch(tmp_path, monkeypatch):
-    built = []
-    build = RunConfig.build_denoiser
-
-    def counting_build(config):
-        built.append(CountingDenoiser(build(config)))
-        return built[-1]
-
-    monkeypatch.setattr(RunConfig, "build_denoiser", counting_build)
+def test_cli_demo_prompt_switch(built, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["demo", "--scenario", "prompt-switch", "--output", str(tmp_path)])
     assert code == 0

@@ -287,6 +287,9 @@ class TestFailures:
         ("--set", "manipulation.beta=false", "manipulation.beta"),
         ("--set", "sampler.beta_min=x", "sampler.beta_min"),
         ("--set", "sampler.beta_max=[0.02]", "sampler.beta_max"),
+        ("--set", "conditions.a=[true,0.25]", "conditions.a[0]"),
+        ("--set", "model.components.1.variance=true", "model.components[1].variance"),
+        ("--set", 'manipulation.mask=[1,"0"]', "manipulation.mask[1]"),
         ("--axis", "t_m=10.7", "sweep axis 't_m'"),
         ("--axis", "t_m=abc", "sweep axis 't_m'"),
         ("--axis", "t_m=null", "sweep axis 't_m'"),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,45 @@ def test_override_bad_shapes():
         apply_overrides({}, ["no-equals-sign"])
     with pytest.raises(ConfigError):
         apply_overrides({"a": 3}, ["a.b=1"])
+    for path in ("model.components.9.weight", "model.components.x.weight",
+                 "conditions.a.5", "conditions.a.x"):
+        with pytest.raises(ConfigError, match=f"override path '{path}'"):
+            apply_overrides(demo_config_dict(), [f"{path}=1"])
+
+
+def _set_manipulation_mask(d, mask):
+    d["manipulation"].update(kind="noise_mask", mask=mask)
+
+
+@pytest.mark.parametrize("field, mutate", [
+    ("conditions.a[0]", lambda d: d["conditions"].update(a=[True, 0.25])),
+    ("conditions.a[0]", lambda d: d["conditions"].update(a=["1.0", "0.25"])),
+    ("model.components[0].weight", lambda d: d["model"]["components"][0].update(weight="0.5")),
+    ("model.components[1].variance", lambda d: d["model"]["components"][1].update(variance=True)),
+    ("model.components[0].base_mean[0]",
+     lambda d: d["model"]["components"][0].update(base_mean=["0", "0"])),
+    ("model.components[0].condition_map[1][0]",
+     lambda d: d["model"]["components"][0]["condition_map"][1].__setitem__(0, False)),
+    ("manipulation.mask[0]", lambda d: _set_manipulation_mask(d, [True, False])),
+    ("manipulation.mask[1]", lambda d: _set_manipulation_mask(d, [1.0, "0"])),
+], ids=["bool-condition", "string-condition", "string-weight", "bool-variance",
+        "string-base-mean", "bool-condition-map", "bool-mask", "string-mask"])
+def test_vector_entries_must_be_numbers(field, mutate):
+    data = demo_config_dict()
+    mutate(data)
+    with pytest.raises(ConfigError, match=re.escape(f"{field} must be a number")):
+        RunConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("formats", "csv", "output.formats must be a list"),
+    ("directory", 5, "output.directory must be a string"),
+])
+def test_output_field_types_checked(key, value, message):
+    data = demo_config_dict()
+    data["output"][key] = value
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(data)
 
 
 def test_output_defaults_from_env(monkeypatch):

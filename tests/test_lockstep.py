@@ -6,6 +6,9 @@ one pass and predicts one row per call.  The property draws a random mixture
 model, grid, initial noise and 1-40 configs (all seven kinds, all four
 schedule kinds, masks, both hooks, amplitudes including 0 and 1) and compares
 every latent, noise and weight by its bytes, so a sign of zero counts too.
+A second property holds the pure paths an edit walks as rows to the plain
+generations under ``c_a`` and ``c_b``, and each edit to path B up to its
+first weighted hop.
 """
 
 import warnings
@@ -85,35 +88,37 @@ def _same_result(got, want) -> bool:
             and np.array(got.weights).tobytes() == np.array(want.weights).tobytes())
 
 
-@given(case=cases())
+@given(case=cases(), with_path_b=st.booleans())
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_run_edits_equals_run_edit_per_config(case):
+def test_run_edits_equals_run_edit_per_config(case, with_path_b):
     den, x_top, c_a, c_b, manips, grid = case
     per_row = PerRowDenoiser(den)
-    # paths generated on demand
-    together = run_edits(den, x_top, c_a, c_b, manips, grid, SCHEDULE)
+    together = run_edits(den, x_top, c_a, c_b, manips, grid, SCHEDULE, with_path_b=with_path_b)
     for result, manip in zip(together, manips, strict=True):
-        assert _same_result(result, run_edit(per_row, x_top, c_a, c_b, manip, grid, SCHEDULE))
-    # paths precomputed
-    paths = {"path_a": generate(den, x_top, c_a, grid, SCHEDULE),
-             "path_b": generate(den, x_top, c_b, grid, SCHEDULE)}
-    together = run_edits(den, x_top, c_a, c_b, manips, grid, SCHEDULE, **paths)
-    for result, manip in zip(together, manips, strict=True):
-        assert _same_result(result, run_edit(per_row, x_top, c_a, c_b, manip, grid, SCHEDULE,
-                                             **paths))
+        alone = run_edit(per_row, x_top, c_a, c_b, manip, grid, SCHEDULE,
+                         with_path_b=with_path_b)
+        assert _same_result(result, alone)
+        # path B is walked for the whole batch when any of its kinds needs it
+        if alone.path_b is not None:
+            assert _same_path(result.path_b, alone.path_b)
 
 
-@given(case=cases())
+@given(case=cases(), with_path_b=st.booleans())
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-def test_on_demand_paths_equal_precomputed_ones(case):
+def test_walked_paths_are_the_pure_generations(case, with_path_b):
     den, x_top, c_a, c_b, manips, grid = case
     path_a = generate(den, x_top, c_a, grid, SCHEDULE)
     path_b = generate(den, x_top, c_b, grid, SCHEDULE)
-    on_demand = run_edits(den, x_top, c_a, c_b, manips, grid, SCHEDULE)
-    precomputed = run_edits(den, x_top, c_a, c_b, manips, grid, SCHEDULE,
-                            path_a=path_a, path_b=path_b)
-    for got, want in zip(on_demand, precomputed, strict=True):
-        assert _same_result(got, want)
-        assert _same_path(got.path_a, path_a)
+    walks_b = with_path_b or any(m.kind in ("noise_interp", "noise_mask") for m in manips)
+    for result in run_edits(den, x_top, c_a, c_b, manips, grid, SCHEDULE,
+                            with_path_b=with_path_b):
+        assert _same_path(result.path_a, path_a)
+        assert _same_path(result.path_b, path_b) if walks_b else result.path_b is None
+        # until its first weighted hop an edit is path B, reused or predicted
+        first = next((i for i, w in enumerate(result.weights) if w != 0.0), grid.t_sample)
+        assert all(g.tobytes() == w.tobytes() for g, w in
+                   zip(result.path.latents[:first + 1], path_b.latents[:first + 1]))
+        assert all(g.tobytes() == w.tobytes() for g, w in
+                   zip(result.path.noises[:first], path_b.noises[:first]))

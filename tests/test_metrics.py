@@ -12,7 +12,6 @@ from diffpath.metrics import (EditMetrics, SweepRow, SweepScenario, derive_confi
 from diffpath.output import SWEEP_CSV_HEADER, sweep_table_csv
 from diffpath.presets import EDIT_PRESETS
 from diffpath.rng import standard_normals, substream
-from diffpath.sampler import generate
 from diffpath.schedule import ScheduleSpec, make_timestep_grid
 
 from conftest import (WINDOW_AXES, NanRowDenoiser, PerRowDenoiser, preset_config,
@@ -45,52 +44,42 @@ class TestEditMetrics:
 class TestScoreEdit:
     def test_full_strength_gives_zero_layout_distance(self, demo):
         t = demo["grid"].t_sample
-        path_b = generate(demo["denoiser"], demo["x_top"], demo["c_b"],
-                          demo["grid"], demo["schedule"])
         res = run_edit(demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_b"],
                        ManipulationConfig("noise_interp",
                                           ScheduleSpec("constant", 0, t, t, 1.0)),
-                       demo["grid"], demo["schedule"], path_b=path_b)
-        m = score_edit(res, path_b, demo["params"])
+                       demo["grid"], demo["schedule"], with_path_b=True)
+        m = score_edit(res, demo["params"])
         assert m.layout_preservation == 0.0
         assert m.ab_gap > 0.0
         assert np.isfinite(m.semantic_alignment) and m.semantic_alignment >= 0.0
 
     def test_zero_amplitude_layout_equals_gap(self, demo):
         t = demo["grid"].t_sample
-        path_b = generate(demo["denoiser"], demo["x_top"], demo["c_b"],
-                          demo["grid"], demo["schedule"])
         res = run_edit(demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_b"],
                        ManipulationConfig("noise_interp",
                                           ScheduleSpec("constant", 0, t, t, 0.0)),
-                       demo["grid"], demo["schedule"], path_b=path_b)
-        m = score_edit(res, path_b, demo["params"])
+                       demo["grid"], demo["schedule"], with_path_b=True)
+        m = score_edit(res, demo["params"])
         assert m.layout_preservation == m.ab_gap
 
     def test_affine_midpoint(self, demo, affine_denoiser):
         t = demo["grid"].t_sample
-        x_top = demo["x_top"]
-        path_b = generate(affine_denoiser, x_top, demo["c_b"],
-                          demo["grid"], demo["schedule"])
-        res = run_edit(affine_denoiser, x_top, demo["c_a"], demo["c_b"],
+        res = run_edit(affine_denoiser, demo["x_top"], demo["c_a"], demo["c_b"],
                        ManipulationConfig("noise_interp",
                                           ScheduleSpec("constant", 0, t, t, 0.5)),
-                       demo["grid"], demo["schedule"], path_b=path_b)
-        m = score_edit(res, path_b, affine_denoiser.params)
+                       demo["grid"], demo["schedule"], with_path_b=True)
+        m = score_edit(res, affine_denoiser.params)
         assert m.layout_preservation == pytest.approx(0.5 * m.ab_gap, rel=1e-9)
 
-    def test_grid_mismatch_rejected(self, demo):
-        from diffpath.schedule import make_timestep_grid
+    def test_result_without_editing_path_rejected(self, demo):
         t = demo["grid"].t_sample
-        other_grid = make_timestep_grid(1000, 25)
-        path_b = generate(demo["denoiser"], demo["x_top"], demo["c_b"],
-                          other_grid, demo["schedule"])
         res = run_edit(demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_b"],
-                       ManipulationConfig("noise_interp",
+                       ManipulationConfig("latent_interp",
                                           ScheduleSpec("constant", 0, t, t, 1.0)),
                        demo["grid"], demo["schedule"])
-        with pytest.raises(ParameterError):
-            score_edit(res, path_b, demo["params"])
+        assert res.path_b is None
+        with pytest.raises(ParameterError, match="with_path_b"):
+            score_edit(res, demo["params"])
 
 
 class TestDeriveConfig:
@@ -137,10 +126,8 @@ class TestRunSweep:
         config = ManipulationConfig("noise_interp",
                                     ScheduleSpec("constant", 28, 48, t, 0.4))
         res = run_edit(demo["denoiser"], x_top, demo["c_a"], demo["c_b"], config,
-                       demo["grid"], demo["schedule"])
-        path_b = generate(demo["denoiser"], x_top, demo["c_b"], demo["grid"],
-                          demo["schedule"])
-        direct = score_edit(res, path_b, demo["params"])
+                       demo["grid"], demo["schedule"], with_path_b=True)
+        direct = score_edit(res, demo["params"])
         row = rows[0]
         assert row.metrics.layout_preservation == direct.layout_preservation
         assert row.metrics.semantic_alignment == direct.semantic_alignment
@@ -200,15 +187,13 @@ class TestRunSweep:
         assert sweep_table_csv(batched) == sweep_table_csv(run_sweep(scenario, axes, config.seed))
         # the reference: one run_edit per grid point, one prediction per call
         x_top = standard_normals(substream(config.seed, "sweep", "x_top"), 2)
-        path_a, path_b = (generate(per_row, x_top, c, scenario.grid, scenario.noise_schedule)
-                          for c in (scenario.c_a, scenario.c_b))
         edit_by_edit = []
         for combo in sorted(itertools.product(*axes.values())):
             manip = derive_config(scenario.base, dict(zip(axes, combo)))
             result = run_edit(per_row, x_top, scenario.c_a, scenario.c_b, manip, scenario.grid,
-                              scenario.noise_schedule, path_a=path_a, path_b=path_b)
+                              scenario.noise_schedule, with_path_b=True)
             edit_by_edit.append(SweepRow.of(manip, config.seed,
-                                            score_edit(result, path_b, config.model)))
+                                            score_edit(result, config.model)))
         assert sweep_table_csv(batched) == sweep_table_csv(edit_by_edit)
 
     def test_bad_row_in_a_batched_step_names_the_step(self, demo):

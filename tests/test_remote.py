@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffpath
+from diffpath import cli
 from diffpath.config import canonical_json
 from diffpath.denoiser import ConditionEmbedding, Denoiser
 from diffpath.edits import ManipulationConfig, run_edit
@@ -63,7 +64,7 @@ class RecordingTransport:
 
 
 def _guidance_edit(demo, denoiser):
-    """The guidance-default edit of the demo's x_top, both paths on demand."""
+    """The bare guidance-default edit of the demo's x_top: path A is its only pure row."""
     manip = preset_config("guidance-default").build_manipulation()
     return run_edit(denoiser, demo["x_top"], demo["c_a"], demo["c_b"], manip,
                     demo["grid"], demo["schedule"])
@@ -105,16 +106,32 @@ class TestLoopback:
         assert [len(frame["X"]) for frame in frames[1:]] == [3] * 50
         assert _same_bytes(over_wire, _guidance_edit(demo, demo["denoiser"]))
 
-    @pytest.mark.parametrize("preset, round_trips", [("noise-interp-local", 94),
-                                                     ("guidance-default", 100)])
-    def test_sweep_is_one_round_trip_per_call(self, config_file, preset, round_trips):
+    @pytest.mark.parametrize("preset", ["noise-interp-local", "guidance-default"])
+    def test_sweep_is_one_round_trip_per_call(self, config_file, preset):
         # the call counts of tests/test_call_counts.py's RUN_SWEEP_COUNTS
         config = preset_config(preset)
         transport = RecordingTransport(_SubprocessTransport(
             [sys.executable, "-m", "diffpath.cli", "serve", "--config", str(config_file)]))
         with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
             run_sweep(sweep_scenario(config, remote), WINDOW_AXES, config.seed)
-        assert len(transport.sent) == 1 + round_trips
+        assert len(transport.sent) == 1 + 50
+
+    def test_cli_edit_is_fifty_round_trips(self, monkeypatch, tmp_path, capsys):
+        # the edit walks both pure paths, which it scores against, as its own rows
+        ops = []
+        round_trip = RemoteDenoiser._round_trip
+
+        def recording(remote, payload):
+            ops.append(payload["op"])
+            return round_trip(remote, payload)
+
+        monkeypatch.setattr(RemoteDenoiser, "_round_trip", recording)
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+        spec = "cmd:" + shlex.join([sys.executable, "-m", "diffpath.cli", "serve"])
+        assert cli.main(["edit", "--preset", "guidance-default", "--remote", spec,
+                         "--output", str(tmp_path)]) == 0
+        assert ops == ["hello"] + ["predict_noise_batch"] * 50
 
     def test_client_starts_no_thread(self, config_file, demo):
         before = set(threading.enumerate())
