@@ -100,14 +100,16 @@ def _load_config(args) -> RunConfig:
         data = demo_config_dict()
     if getattr(args, "preset", None):
         manip = preset_manipulation(args.preset)
-        base = data.get("manipulation", {})
+        base = data.get("manipulation")
+        base = base if isinstance(base, dict) else {}
         manip.setdefault("condition_a", base.get("condition_a", "a"))
         manip.setdefault("condition_b", base.get("condition_b", "b"))
         data["manipulation"] = manip
-    apply_overrides(data, args.set or [])
+    config = RunConfig.from_dict(apply_overrides(data, args.set or []))
     if getattr(args, "output", None):
-        data.setdefault("output", {})["directory"] = args.output
-    return RunConfig.from_dict(data)
+        config = dataclasses.replace(config, output=dataclasses.replace(
+            config.output, directory=args.output))
+    return config
 
 
 def _pick_denoiser(args, config: RunConfig):

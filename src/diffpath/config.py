@@ -1,15 +1,17 @@
 """Run-configuration schema: strict parsing, canonical serialization.
 
 A run config is a single JSON document with six sections (seed, model,
-conditions, sampler, manipulation, output).  Parsing is strict: unknown keys
-anywhere are rejected so typos cannot silently change a run.  Each section is
-parsed once, straight into the objects the engine runs on; the canonical
-serialization is rendered back from those objects, is byte-stable, and its
-SHA-256 prefix is the run's digest.
+conditions, sampler, manipulation, output).  ``FIELDS`` is its schema: one
+walk checks every field against it, rejects unknown keys anywhere so typos
+cannot silently change a run, and names the dotted path of whatever it
+rejects.  The checked fields are built once into the objects the engine runs
+on; the canonical serialization is rendered back from those objects, is
+byte-stable, and its SHA-256 prefix is the run's digest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -20,113 +22,86 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
 from .edits import ManipulationConfig, validate_mask
-from .errors import ConfigError, checked_number
+from .errors import ConfigError, ParameterError, checked_number
 from .schedule import (AlphaSchedule, ScheduleSpec, TimestepGrid,
                        build_linear_beta_schedule, make_timestep_grid)
 
 OUTPUT_DIR_ENV = "DIFFPATH_OUTPUT_DIR"
 
-
-def _require(mapping: Mapping[str, Any], section: str, keys: tuple[str, ...],
-             optional: tuple[str, ...] = ()) -> None:
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{section} must be an object")
-    unknown = set(mapping) - set(keys) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
-    missing = [k for k in keys if k not in mapping]
-    if missing:
-        raise ConfigError(f"missing keys in {section}: {missing}")
-
-
-def _numbers(value, name: str):
-    """``value``, a number or nested lists of numbers, each checked by ``checked_number``."""
-    if isinstance(value, (list, tuple)):
-        return [_numbers(entry, f"{name}[{i}]") for i, entry in enumerate(value)]
-    return checked_number(value, name)
-
-
-def _parse_model(data: Mapping[str, Any]) -> GMMDenoiserParams:
-    _require(data, "model", ("d", "m", "components"))
-    comps = data["components"]
-    for i, comp in enumerate(comps):
-        _require(comp, f"model.components[{i}]",
-                 ("weight", "base_mean", "condition_map", "variance"))
-    if not comps:
-        raise ConfigError("model needs at least one component")
-
-    def stack(key):
-        return np.array([_numbers(comp[key], f"model.components[{i}].{key}")
-                         for i, comp in enumerate(comps)], dtype=np.float64)
-
-    params = GMMDenoiserParams(weights=stack("weight"), base_means=stack("base_mean"),
-                               condition_maps=stack("condition_map"),
-                               variances=stack("variance"))
-    d, m = (checked_number(data[key], f"model.{key}", integer=True) for key in ("d", "m"))
-    if (params.d, params.m) != (d, m):
-        raise ConfigError(f"model declares d={d}, m={m} but its components have "
-                          f"d={params.d}, m={params.m}")
-    return params
+#: What each field may hold: an "int", a "num"ber (both by ``checked_number``),
+#: a "dim" (an int that sizes vectors) or a "name" (a string).  A dict is an
+#: object whose keys ending in "?" are optional (null counts as absent), or
+#: with the key "*" a map from any name; ``[kind]`` is a list and
+#: ``(dim, kind)`` a list of as many entries as the "dim" at that path.  The
+#: walk keeps this order, so model.d and model.m are bound before their use.
+FIELDS: dict = {
+    "seed": "int",
+    "model": {"d": "dim", "m": "dim", "components": [{
+        "weight": "num", "base_mean": ("model.d", "num"),
+        "condition_map": ("model.d", ("model.m", "num")), "variance": "num"}]},
+    "conditions": {"*": ("model.m", "num")},
+    "sampler": {"t_train": "int", "t_sample": "int", "beta_min": "num", "beta_max": "num"},
+    "manipulation?": {
+        "kind": "name", "condition_a?": "name", "condition_b?": "name",
+        "schedule": {"kind": "name", "t_min": "int", "t_max": "int", "amplitude?": "num"},
+        "beta?": "num", "mask?": ("model.d", "num"), "cam_hook?": "name"},
+    "output?": {"directory?": "name", "formats?": ["name"]},
+}
 
 
-def _parse_conditions(data: Mapping[str, Any], m: int) -> dict[str, ConditionEmbedding]:
-    if not isinstance(data, Mapping):
-        raise ConfigError("conditions must map names to vectors")
-    named = {}
-    for name, vec in data.items():
-        values = np.array(_numbers(vec, f"conditions.{name}"), dtype=np.float64)
-        if values.shape != (m,):
-            raise ConfigError(f"condition {name!r} has dimension {values.size}, "
-                              f"model expects {m}")
-        named[str(name)] = ConditionEmbedding(values)
-    return named
+def _checked(value, kind, path: str, dims: dict[str, int]):
+    """``value`` checked against the ``FIELDS`` entry ``kind``; errors name ``path``."""
+    if kind == "name":
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    if isinstance(kind, str):
+        try:
+            number = checked_number(value, path, integer=kind != "num")
+        except ParameterError as err:
+            raise ConfigError(str(err)) from None
+        if kind == "dim":
+            dims[path] = number
+        return number
+    if isinstance(kind, (list, tuple)):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        if isinstance(kind, tuple) and len(value) != dims[kind[0]]:
+            raise ConfigError(f"{path} has length {len(value)} but {kind[0]} is "
+                              f"{dims[kind[0]]}")
+        return [_checked(entry, kind[-1], f"{path}[{i}]", dims) for i, entry in enumerate(value)]
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path or 'config'} must be an object, got {value!r}")
+    if "*" in kind:
+        return {name: _checked(entry, kind["*"], f"{path}.{name}", dims)
+                for name, entry in value.items()}
+    keys = {key.rstrip("?"): key for key in kind}
+    for name in value:
+        if name not in keys:
+            raise ConfigError(f"unknown key {f'{path}.{name}'.lstrip('.')}")
+    out = {}
+    for name, key in keys.items():
+        sub = f"{path}.{name}".lstrip(".")
+        if value.get(name) is not None or name in value and name == key:
+            out[name] = _checked(value[name], kind[key], sub, dims)
+        elif name == key:
+            raise ConfigError(f"missing key {sub}")
+    return out
 
 
-def _parse_manipulation(data: Mapping[str, Any], conditions: Mapping[str, Any],
-                        total: int, d: int) -> tuple[ManipulationConfig, str, str]:
-    _require(data, "manipulation", ("kind", "schedule"),
-             ("beta", "mask", "cam_hook", "condition_a", "condition_b"))
-    names = (str(data.get("condition_a", "a")), str(data.get("condition_b", "b")))
-    for name in names:
-        if name not in conditions and name != "null":
-            raise ConfigError(f"manipulation references unknown condition {name!r}")
-    sched = data["schedule"]
-    _require(sched, "manipulation.schedule", ("kind", "t_min", "t_max"), ("amplitude",))
-    t_min, t_max = (checked_number(sched[key], f"manipulation.schedule.{key}", integer=True)
-                    for key in ("t_min", "t_max"))
-    spec = ScheduleSpec(kind=str(sched["kind"]), t_min=t_min, t_max=t_max, total=total,
-                        amplitude=checked_number(sched.get("amplitude", 1.0),
-                                                 "manipulation.schedule.amplitude"))
-    beta, mask, hook = data.get("beta"), data.get("mask"), data.get("cam_hook")
-    manip = ManipulationConfig(kind=str(data["kind"]), schedule=spec,
-                               beta=None if beta is None else checked_number(
-                                   beta, "manipulation.beta"),
-                               mask=None if mask is None else validate_mask(
-                                   _numbers(mask, "manipulation.mask"), d),
-                               cam_hook=None if hook is None else str(hook))
-    return (manip, *names)
+@contextlib.contextmanager
+def _section(name: str):
+    """Re-raise a constructor's ValueError as a ConfigError naming the section ``name``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from err
 
 
 @dataclass(frozen=True)
 class OutputCfg:
     directory: str
     formats: tuple[str, ...] = ("csv", "svg")
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "OutputCfg":
-        _require(data, "output", (), ("directory", "formats"))
-        directory = data.get("directory")
-        if directory is not None and not isinstance(directory, str):
-            raise ConfigError(f"output.directory must be a string, got {directory!r}")
-        directory = directory or os.environ.get(OUTPUT_DIR_ENV, "out")
-        formats = data.get("formats", ("csv", "svg"))
-        if not isinstance(formats, (list, tuple)):
-            raise ConfigError(f"output.formats must be a list, got {formats!r}")
-        formats = tuple(str(f) for f in formats)
-        for f in formats:
-            if f not in ("csv", "svg"):
-                raise ConfigError(f"unknown output format {f!r}")
-        return OutputCfg(directory=directory, formats=formats)
 
     def to_dict(self) -> dict:
         return {"directory": self.directory, "formats": list(self.formats)}
@@ -156,31 +131,42 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "RunConfig":
-        _require(data, "config", ("seed", "model", "conditions", "sampler"),
-                 ("manipulation", "output"))
-        try:
-            model = _parse_model(data["model"])
-            conditions = _parse_conditions(data["conditions"], model.m)
-            sampler = data["sampler"]
-            _require(sampler, "sampler", ("t_train", "t_sample", "beta_min", "beta_max"))
-            t_train, t_sample = (checked_number(sampler[key], f"sampler.{key}", integer=True)
-                                 for key in ("t_train", "t_sample"))
-            beta_min, beta_max = (checked_number(sampler[key], f"sampler.{key}")
-                                  for key in ("beta_min", "beta_max"))
-            raw = data.get("manipulation")
-            manip, cond_a, cond_b = (None, "a", "b") if raw is None else _parse_manipulation(
-                raw, conditions, t_sample, model.d)
-            return RunConfig(
-                seed=checked_number(data["seed"], "seed", integer=True), model=model,
-                conditions=conditions,
-                noise_schedule=build_linear_beta_schedule(t_train, beta_min, beta_max),
-                grid=make_timestep_grid(t_train, t_sample),
-                manipulation=manip, condition_a=cond_a, condition_b=cond_b,
-                output=OutputCfg.from_dict(data.get("output", {})))
-        except ConfigError:
-            raise
-        except (ValueError, TypeError, OverflowError) as err:
-            raise ConfigError(str(err)) from err
+        dims: dict[str, int] = {}
+        cfg = _checked(data, FIELDS, "", dims)
+        components, sampler = cfg["model"]["components"], cfg["sampler"]
+        with _section("model"):
+            model = GMMDenoiserParams(*([comp[key] for comp in components] for key in (
+                "weight", "base_mean", "condition_map", "variance")))
+        conditions = {name: ConditionEmbedding(values)
+                      for name, values in cfg["conditions"].items()}
+        with _section("sampler"):
+            grid = make_timestep_grid(sampler["t_train"], sampler["t_sample"])
+            noise_schedule = build_linear_beta_schedule(
+                sampler["t_train"], sampler["beta_min"], sampler["beta_max"])
+        manip, names = None, {"condition_a": "a", "condition_b": "b"}
+        if "manipulation" in cfg:
+            raw = cfg["manipulation"]
+            names = {key: raw.get(key, name) for key, name in names.items()}
+            for key, name in names.items():
+                if name not in conditions and name != "null":
+                    raise ConfigError(f"manipulation.{key}: {name!r} is not in conditions")
+            sched, mask = raw["schedule"], raw.get("mask")
+            with _section("manipulation"):
+                manip = ManipulationConfig(
+                    raw["kind"], ScheduleSpec(sched["kind"], sched["t_min"], sched["t_max"],
+                                              grid.t_sample, sched.get("amplitude", 1.0)),
+                    beta=raw.get("beta"), cam_hook=raw.get("cam_hook"),
+                    mask=None if mask is None else validate_mask(mask, model.d))
+        out = cfg.get("output", {})
+        formats = tuple(out.get("formats", ("csv", "svg")))
+        for i, fmt in enumerate(formats):
+            if fmt not in ("csv", "svg"):
+                raise ConfigError(f"output.formats[{i}] must be 'csv' or 'svg', got {fmt!r}")
+        return RunConfig(
+            seed=cfg["seed"], model=model, conditions=conditions,
+            noise_schedule=noise_schedule, grid=grid, manipulation=manip, **names,
+            output=OutputCfg(out.get("directory") or os.environ.get(OUTPUT_DIR_ENV, "out"),
+                             formats))
 
     def to_dict(self) -> dict:
         p, schedule = self.model, self.noise_schedule
@@ -231,14 +217,6 @@ class RunConfig:
         if self.manipulation is None:
             raise ConfigError("this command needs a manipulation section (or --preset)")
         return self.manipulation
-
-
-def parse_config(text: str) -> RunConfig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    return RunConfig.from_dict(data)
 
 
 def canonical_json(config: RunConfig) -> str:

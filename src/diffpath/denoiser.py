@@ -130,6 +130,10 @@ class GMMDenoiserParams:
             if not np.all(np.isfinite(arr)):
                 raise ParameterError("mixture parameters must be finite")
             arr.setflags(write=False)
+        for k, var in enumerate(v.tolist()):  # the oracle's normaliser takes log(2*pi*var)
+            if math.isinf(2.0 * math.pi * var):
+                raise ParameterError(f"component {k}'s variance {var} is too large: "
+                                     "2*pi*variance exceeds the float range")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "base_means", b)
         object.__setattr__(self, "condition_maps", cm)

@@ -1,6 +1,7 @@
 """Error types shared across the package, and the number check that raises one."""
 
 import numbers
+import sys
 
 
 class ParameterError(ValueError):
@@ -10,12 +11,16 @@ class ParameterError(ValueError):
 def checked_number(value, name: str, integer: bool = False) -> int | float:
     """``value`` as an int if ``integer``, else as a float, never truncated.
 
-    A boolean, a non-number or a non-integral value for an integer is a
+    A boolean, a non-number, a value beyond the finite float range (NaN, an
+    infinity, a huge integer) or a non-integral value for an integer is a
     ParameterError naming ``name``.
     """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-            not integer or value % 1 == 0):
-        return int(value) if integer else float(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if not abs(value) <= sys.float_info.max:
+            raise ParameterError(f"{name} must be finite and within the float range, "
+                                 f"got {value!r}")
+        if not integer or value % 1 == 0:
+            return int(value) if integer else float(value)
     raise ParameterError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
 

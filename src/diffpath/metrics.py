@@ -70,14 +70,18 @@ def score_edit(result: EditResult, params: GMMDenoiserParams) -> EditMetrics:
     if path_b is None:
         raise ParameterError("score_edit needs the editing path: "
                              "run the edit with with_path_b=True")
-    x_star = result.path.x0
-    x_a = result.path_a.x0
-    x_b = path_b.x0
-    return EditMetrics(
-        layout_preservation=float(np.linalg.norm(x_star - x_a)),
-        semantic_alignment=-gmm_log_density(params, x_star, path_b.condition),
-        ab_gap=float(np.linalg.norm(x_a - x_b)),
-    )
+    x_star, x_a = result.path.x0, result.path_a.x0
+    scores = {"layout_preservation": lambda: np.linalg.norm(x_star - x_a),
+              "semantic_alignment": lambda: -gmm_log_density(params, x_star, path_b.condition),
+              "ab_gap": lambda: np.linalg.norm(x_a - path_b.x0)}
+    with np.errstate(over="raise", invalid="raise"):
+        for name, score in scores.items():
+            try:
+                scores[name] = float(score())
+            except FloatingPointError:
+                raise ParameterError(f"{name} exceeds the float range for these "
+                                     "endpoints") from None
+    return EditMetrics(**scores)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,25 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffpath import cli
 from diffpath.cli import main
-from diffpath.config import RunConfig, canonical_json
+from diffpath.config import RunConfig, canonical_json, config_digest
 from diffpath.output import SWEEP_CSV_HEADER
-from diffpath.presets import demo_config_dict
+from diffpath.presets import demo_config_dict, preset_manipulation
 
 from conftest import NanRowDenoiser
 
@@ -212,6 +219,12 @@ class TestFailures:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path / "none.json")]) == 1
 
+    def test_bad_json_config_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main(["config", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("diffpath-error kind=validation")
+
     def test_dying_server_exits_two_and_removes_partial_outputs(
             self, tmp_path, config_path, capsys):
         fake = tmp_path / "fake server.py"
@@ -297,6 +310,11 @@ class TestFailures:
         ("--axis", "t_min=1.5", "sweep axis 't_min'"),
         ("--axis", "weight=x", "sweep axis 'weight'"),
         ("--axis", "beta=x", "sweep axis 'beta'"),
+        ("--set", "conditions.a=[NaN,0]", "conditions.a[0]"),
+        ("--set", "sampler.beta_min=1e400", "sampler.beta_min"),
+        pytest.param("--set", f"model.components.0.variance={10**400}",
+                     "model.components[0].variance", id="huge-integer-variance"),
+        pytest.param("--axis", f"beta={10**400}", "sweep axis 'beta'", id="huge-integer-beta"),
     ])
     def test_malformed_number_exits_one_naming_its_field(self, tmp_path, flag, value, field,
                                                           capsys):
@@ -304,6 +322,33 @@ class TestFailures:
         err = capsys.readouterr().err
         assert err.startswith(f'diffpath-error kind=validation message="{field} must be ')
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("model.components=5", "model.components must be a list, got 5"),
+        ('model.components={"x":1}', "model.components must be a list, got {'x': 1}"),
+        ("model.components.0.base_mean=5", "model.components[0].base_mean must be a list"),
+        ("model.components.0.condition_map=[[1,0],[0]]",
+         "model.components[0].condition_map[1] has length 1 but model.m is 2"),
+        ("model.components.0.variance=1e308", "model: component 0's variance 1e+308 is too large"),
+        ("conditions.c=[1]", "conditions.c has length 1 but model.m is 2"),
+        ("sampler.t_sample=0", "sampler: t_sample must be >= 1"),
+        ("manipulation.condition_a=5", "manipulation.condition_a must be a string, got 5"),
+        ("manipulation.condition_b=c", "manipulation.condition_b: 'c' is not in conditions"),
+        ("output.formats=[\"pdf\"]", "output.formats[0] must be 'csv' or 'svg', got 'pdf'"),
+    ])
+    def test_malformed_field_exits_one_naming_its_path(self, tmp_path, override, message,
+                                                       capsys):
+        assert main(["edit", "--set", override, "--output", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f'diffpath-error kind=validation message="{message}')
+        assert not (tmp_path / "x").exists()
+
+    def test_output_flag_with_a_malformed_output_section_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["edit", "--set", "output=5", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            'diffpath-error kind=validation message="output must be an object, got 5"\n'
+        assert not out.exists()
 
     def test_bad_remote_spec_exits_one(self, config_path, capsys):
         assert main(["edit", "--config", str(config_path), "--remote", "ftp:x"]) == 1
@@ -358,6 +403,21 @@ class TestConfigCommand:
         out = capsys.readouterr().out
         assert out == canonical_json(demo_cfg)
 
+    def test_output_flag_sets_the_directory_the_digest_names(self, capsys):
+        assert main(["config", "--output", "elsewhere"]) == 0
+        data = demo_config_dict()
+        data["output"]["directory"] = "elsewhere"
+        captured = capsys.readouterr()
+        assert captured.out == canonical_json(RunConfig.from_dict(data))
+        assert f"config_digest={config_digest(RunConfig.from_dict(data))}" in captured.err
+
+    def test_preset_replaces_a_manipulation_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**demo_config_dict(), "manipulation": 5}))
+        assert main(["config", "--config", str(path), "--preset", "guidance-default"]) == 0
+        manip = json.loads(capsys.readouterr().out)["manipulation"]
+        assert (manip["kind"], manip["condition_a"], manip["condition_b"]) == ("guidance", "a", "b")
+
     def test_env_var_default_output_dir(self, tmp_path, monkeypatch):
         data = demo_config_dict()
         del data["output"]
@@ -368,3 +428,88 @@ class TestConfigCommand:
         assert main(["edit", "--config", str(path), "--preset",
                      "noise-interp-local"]) == 0
         assert (target / "edit.csv").exists()
+
+
+#: what a fuzzed leaf is swapped for
+SWAPS = (True, "x", None, [], {}, 1e308, -1e308)
+
+
+def _nodes(node, path=()):
+    """Every (path, value) below ``node``; a path is a tuple of keys and indices."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _dotted(path) -> str:
+    """``path`` as config errors name it, e.g. ``model.components[0].base_mean[1]``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+@st.composite
+def mutated_configs(draw):
+    """The demo config, bare or under the guidance-default preset, with one mutation.
+
+    A leaf is swapped for one of ``SWAPS``, a key dropped or added, or a list
+    shortened or lengthened.  Returns the config and the mutated path.
+    """
+    data = demo_config_dict()
+    if draw(st.booleans()):
+        data["manipulation"] = {**preset_manipulation("guidance-default"),
+                                "condition_a": "a", "condition_b": "b"}
+    nodes = list(_nodes(data))
+    mutation = draw(st.sampled_from(["swap", "drop", "add", "resize"]))
+    value = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+    if mutation == "swap":
+        path = draw(st.sampled_from([p for p, v in nodes if not isinstance(v, (dict, list))]))
+    elif mutation == "drop":
+        path = draw(st.sampled_from([p for p, _ in nodes if isinstance(p[-1], str)]))
+    elif mutation == "add":
+        parent = draw(st.sampled_from([()] + [p for p, v in nodes if isinstance(v, dict)]))
+        path = parent + (draw(st.sampled_from(["x", "beta", "mask", "cam_hook", "amplitude"])),)
+    else:
+        path = draw(st.sampled_from([p for p, v in nodes if isinstance(v, list) and v]))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "resize":
+        parent[key].pop() if draw(st.booleans()) else parent[key].append(parent[key][-1])
+    else:
+        parent[key] = value
+    return data, path
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mutated_configs())
+def test_a_mutated_config_exits_zero_or_one_naming_its_path(case):
+    data, path = case
+    # the mutated path or one of its ancestors, as a whole dotted path
+    named = re.compile("|".join(rf"(?<![\w.\[]){re.escape(_dotted(path[:i]))}(?!\w)"
+                                for i in range(1, len(path) + 1)))
+    manip = data.get("manipulation")
+    manip = manip if isinstance(manip, dict) else {}
+    beta = manip.get("beta")
+    warns = manip.get("kind") == "guidance" and type(beta) is float and not -1 <= beta <= 0
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(data))
+        for argv in (["config", "--config", str(config)],
+                     ["edit", "--config", str(config), "--output", str(out)]):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+                    pytest.warns(UserWarning, match="guidance beta") if warns \
+                    else contextlib.nullcontext():
+                code = main(argv)
+            assert code in (0, 1)
+            if code == 1:
+                message = stderr.getvalue()
+                assert message.startswith("diffpath-error kind=validation")
+                # a valid config whose endpoints no float can score names the metric
+                assert named.search(message) or argv[0] == "edit" and re.search(
+                    "(layout_preservation|semantic_alignment|ab_gap) exceeds the float range",
+                    message)
+                assert not out.exists() or not any(out.iterdir())

@@ -4,8 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from diffpath.config import (RunConfig, apply_overrides, canonical_json,
-                             config_digest, parse_config)
+from diffpath.config import RunConfig, apply_overrides, canonical_json, config_digest
 from diffpath.errors import ConfigError
 from diffpath.presets import EDIT_PRESETS, demo_config_dict, preset_manipulation
 
@@ -21,12 +20,11 @@ def test_demo_config_parses_and_builds(demo_cfg):
 
 
 def test_round_trip_is_canonical():
-    text = json.dumps(demo_config_dict())
-    cfg = parse_config(text)
+    cfg = RunConfig.from_dict(json.loads(json.dumps(demo_config_dict())))
     once = canonical_json(cfg)
-    twice = canonical_json(parse_config(once))
-    assert once == twice
-    assert config_digest(cfg) == config_digest(parse_config(once))
+    again = RunConfig.from_dict(json.loads(once))
+    assert canonical_json(again) == once
+    assert config_digest(cfg) == config_digest(again)
 
 
 def test_digest_changes_with_content():
@@ -152,12 +150,19 @@ def _set_manipulation_mask(d, mask):
      lambda d: d["model"]["components"][0]["condition_map"][1].__setitem__(0, False)),
     ("manipulation.mask[0]", lambda d: _set_manipulation_mask(d, [True, False])),
     ("manipulation.mask[1]", lambda d: _set_manipulation_mask(d, [1.0, "0"])),
+    ("conditions.a[0]", lambda d: d["conditions"].update(a=[float("nan"), 0.25])),
+    ("conditions.b[1]", lambda d: d["conditions"].update(b=[0.0, float("-inf")])),
+    ("model.components[2].base_mean[1]",
+     lambda d: d["model"]["components"][2].update(base_mean=[0.0, 10**400])),
+    ("model.components[0].variance",
+     lambda d: d["model"]["components"][0].update(variance=float("inf"))),
 ], ids=["bool-condition", "string-condition", "string-weight", "bool-variance",
-        "string-base-mean", "bool-condition-map", "bool-mask", "string-mask"])
+        "string-base-mean", "bool-condition-map", "bool-mask", "string-mask",
+        "nan-condition", "infinite-condition", "huge-integer-base-mean", "infinite-variance"])
 def test_vector_entries_must_be_numbers(field, mutate):
     data = demo_config_dict()
     mutate(data)
-    with pytest.raises(ConfigError, match=re.escape(f"{field} must be a number")):
+    with pytest.raises(ConfigError, match=re.escape(field) + " must be (a number|finite)"):
         RunConfig.from_dict(data)
 
 
@@ -181,11 +186,6 @@ def test_output_defaults_from_env(monkeypatch):
     monkeypatch.delenv("DIFFPATH_OUTPUT_DIR")
     cfg = RunConfig.from_dict(data)
     assert cfg.output.directory == "out"
-
-
-def test_bad_json_is_config_error():
-    with pytest.raises(ConfigError):
-        parse_config("{not json")
 
 
 def test_presets_all_valid():
@@ -239,5 +239,7 @@ def test_pinned_digests_cover_every_preset():
 def test_declared_dimensions_must_match_components(key, value):
     data = demo_config_dict()
     data["model"][key] = value
-    with pytest.raises(ConfigError, match="components have d=2, m=2"):
+    vector = {"d": "base_mean", "m": "condition_map[0]"}[key]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"model.components[0].{vector} has length 2 but model.{key} is {value}")):
         RunConfig.from_dict(data)

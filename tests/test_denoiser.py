@@ -342,6 +342,12 @@ class TestParamsValidation:
                               condition_maps=np.zeros((2, 2, 2)),
                               variances=np.ones(2))
 
+    def test_variance_whose_normaliser_overflows_is_rejected(self):
+        # log(2*pi*variance) is finite for 2.8e307 and not for 2.9e307
+        assert np.isfinite(gmm_log_density(_k1((0.0, 0.0), ZERO_MAP, 2.8e307), np.zeros(2), C))
+        with pytest.raises(ParameterError, match="component 0's variance 2.9e\\+307 is too large"):
+            _k1((0.0, 0.0), ZERO_MAP, 2.9e307)
+
     def test_sample_clean_respects_condition(self, demo):
         gen = np.random.Generator(np.random.Philox(key=5))
         xs = demo["denoiser"].sample_clean(demo["c_a"], 4000, gen)

@@ -81,6 +81,15 @@ class TestScoreEdit:
         with pytest.raises(ParameterError, match="with_path_b"):
             score_edit(res, demo["params"])
 
+    def test_endpoints_too_far_apart_name_the_metric(self, demo):
+        far = ConditionEmbedding(np.array([1e200, 0.0]))
+        t = demo["grid"].t_sample
+        res = run_edit(demo["denoiser"], demo["x_top"], far, demo["c_b"],
+                       ManipulationConfig("noise_interp", ScheduleSpec("constant", 28, 48, t)),
+                       demo["grid"], demo["schedule"], with_path_b=True)
+        with pytest.raises(ParameterError, match="^layout_preservation exceeds the float range"):
+            score_edit(res, demo["params"])
+
 
 class TestDeriveConfig:
     BASE = ManipulationConfig("noise_interp", ScheduleSpec("constant", 28, 48, 50, 1.0))
