@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -363,3 +365,34 @@ def test_every_walk_is_batch_calls_with_the_oracles_bits(demo):
             + [repr(tuned.objectives)]
 
     assert walks(BatchOnly(oracle)) == walks(oracle)
+
+
+#: (sample, beta, iterations, step_size): guidance off and negative, 0, 1 and
+#: 10 iterations, and a step size that reverts.  The digest was recorded with
+#: numpy 2.4.6 on CPython 3.11.7.
+NULL_TEXT_CASES = ((0, 2.0, 10, 0.1), (1, 7.5, 10, 0.1), (2, 0.0, 10, 0.1), (3, -1.0, 1, 0.1),
+                   (0, 2.0, 0, 0.1), (1, 7.5, 1, 0.1), (2, 2.0, 5, 1e5), (3, 7.5, 3, 0.1))
+NULL_TEXT_DIGEST = "4ed7c09ec2d9d1bf53c7d290accb3404b5ee260cc8849a0920d926a4cdc5ba08"
+
+
+def test_null_text_bytes_are_pinned(demo):
+    # no CLI command reaches null_text_invert, so its bytes are pinned here:
+    # per case, the embeddings, objectives and diagnostics, then every latent
+    # and noise of the guided regeneration from the inverted top
+    den, c = demo["denoiser"], demo["c_a"]
+    x0s = den.sample_clean(c, 4, np.random.Generator(np.random.Philox(key=17)))
+    digest = hashlib.sha256()
+    reverted = set()
+    for sample, beta, iterations, step_size in NULL_TEXT_CASES:
+        res = null_text_invert(den, x0s[sample], c, beta, GRID, SCHED,
+                               iterations=iterations, step_size=step_size)
+        if res.diagnostics:
+            reverted.add(step_size)
+        x_top = ddim_invert(den, x0s[sample], c, GRID, SCHED).x_top
+        path = generate(den, x_top, c, GRID, SCHED, guidance=(beta, res.embeddings))
+        for part in (*(e.values for e in res.embeddings), *path.latents, *path.noises):
+            digest.update(part.tobytes())
+        digest.update(repr(res.objectives).encode())
+        digest.update("\n".join(res.diagnostics).encode())
+    assert reverted == {1e5}
+    assert digest.hexdigest() == NULL_TEXT_DIGEST
