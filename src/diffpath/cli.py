@@ -93,7 +93,10 @@ def _artifacts(config: RunConfig, denoiser):
 
 def _load_config(args) -> RunConfig:
     if args.config is not None:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:  # also non-UTF-8 bytes, integers past the digit limit, too deep a nesting
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as err:
+            raise ConfigError(f"config file {args.config}: {err}") from None
         if not isinstance(data, dict):
             raise ConfigError("config root must be an object")
     else:
@@ -227,7 +230,7 @@ def _parse_axes(args, config: RunConfig) -> dict:
             chunk = chunk.strip()
             try:
                 values.append(json.loads(chunk))
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 values.append(chunk)
         axes[name.strip()] = tuple(values)
     return axes or _window_axes(config.grid.t_sample)
@@ -406,8 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, KeyError, FileNotFoundError,
-            json.JSONDecodeError) as err:
+    except (ConfigError, ParameterError, KeyError, FileNotFoundError) as err:
         detail = str(err).replace("\n", " ")
         print(f'diffpath-error kind=validation message="{detail}"', file=sys.stderr)
         return 1

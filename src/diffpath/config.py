@@ -28,6 +28,10 @@ from .schedule import (AlphaSchedule, ScheduleSpec, TimestepGrid,
 
 OUTPUT_DIR_ENV = "DIFFPATH_OUTPUT_DIR"
 
+#: the longest noise schedule a config may ask for: each of its arrays holds
+#: 8 bytes per training step
+MAX_T_TRAIN = 10**6
+
 #: What each field may hold: an "int", a "num"ber (both by ``checked_number``),
 #: a "dim" (an int that sizes vectors) or a "name" (a string).  A dict is an
 #: object whose keys ending in "?" are optional (null counts as absent), or
@@ -134,6 +138,9 @@ class RunConfig:
         dims: dict[str, int] = {}
         cfg = _checked(data, FIELDS, "", dims)
         components, sampler = cfg["model"]["components"], cfg["sampler"]
+        if sampler["t_train"] > MAX_T_TRAIN:
+            raise ConfigError(f"sampler.t_train must be at most {MAX_T_TRAIN}, "
+                              f"got {sampler['t_train']}")
         with _section("model"):
             model = GMMDenoiserParams(*([comp[key] for comp in components] for key in (
                 "weight", "base_mean", "condition_map", "variance")))
@@ -230,8 +237,10 @@ def config_digest(config: RunConfig) -> str:
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply ``path.to.key=value`` overrides to a raw config dict.
 
-    Values parse as JSON when possible and fall back to plain strings;
-    integer path segments index into lists.
+    Values parse as JSON when possible and fall back to plain strings (so an
+    integer literal beyond Python's digit limit, or too deep a nesting, is a
+    string, which its field then rejects); integer path segments index into
+    lists.
     """
     for item in overrides:
         if "=" not in item:
@@ -239,7 +248,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         path, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             value = raw
         keys = path.split(".")
         target: Any = data

@@ -305,6 +305,7 @@ class GMMDenoiser(Denoiser):
         self.params = params
         self.d = params.d
         self.m = params.m
+        self._level = (None, None)  # the last batch's alpha_bar and its constants
 
     def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
                       alpha_bar: float, t: int) -> np.ndarray:
@@ -320,15 +321,25 @@ class GMMDenoiser(Denoiser):
         per-row oracle, which holds that case.  Every marginal variance is at
         least ``1 - a > 0`` here.  The per-row oracle keeps its own path: one
         row through this pass took 43.4 against 40.1 microseconds (medians, 2 CPUs).
+
+        What depends on the level alone (``var``, ``log_norm``, ``shrink``,
+        sqrt(a) and sqrt(1 - a)) is computed once per level and kept for the
+        next call, one level at a time: a null-text step makes 11 calls at
+        one level, and a walk's next step moves on.
         """
         p = self.params
         a = _check_alpha_bar(alpha_bar, allow_one=False)
         X = np.asarray(X, dtype=np.float64)
-        var = a * p.variances + (1.0 - a)
+        level, consts = self._level
+        if level != a:
+            var = a * p.variances + (1.0 - a)
+            consts = (var, np.log(p.weights) - 0.5 * p.d * np.log(2.0 * np.pi * var),
+                      math.sqrt(a) * p.variances / var, math.sqrt(a), math.sqrt(1.0 - a))
+            self._level = a, consts
+        var, log_norm, shrink, sqrt_a, sqrt_1ma = consts
         cs = np.array([c.values for c in C])
         mus = (p.condition_maps[None] @ cs[:, None, :, None])[..., 0] + p.base_means
-        resid = X[:, None, :] - math.sqrt(a) * mus                   # (N, K, d)
-        log_norm = np.log(p.weights) - 0.5 * p.d * np.log(2.0 * np.pi * var)
+        resid = X[:, None, :] - sqrt_a * mus                         # (N, K, d)
         with np.errstate(over="ignore"):
             log_resp = log_norm - 0.5 * np.einsum("nkd,nkd->nk", resid, resid) / var
         peak = log_resp.max(axis=1, keepdims=True)
@@ -336,9 +347,8 @@ class GMMDenoiser(Denoiser):
             return super().predict_noise_batch(X, C, alpha_bar, t)
         resp = np.exp(log_resp - peak)
         resp = resp / resp.sum(axis=1, keepdims=True)
-        shrink = math.sqrt(a) * p.variances / var
-        return _in_float_range("noise prediction", a, lambda: (X - math.sqrt(a) * (
-            resp[:, None, :] @ (mus + shrink[:, None] * resid))[:, 0]) / math.sqrt(1.0 - a))
+        return _in_float_range("noise prediction", a, lambda: (X - sqrt_a * (
+            resp[:, None, :] @ (mus + shrink[:, None] * resid))[:, 0]) / sqrt_1ma)
 
     def sample_clean(self, c: ConditionEmbedding, n: int,
                      gen: np.random.Generator) -> np.ndarray:

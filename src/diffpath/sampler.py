@@ -347,6 +347,9 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     one call: first the conditional, the initial null and its 2m probes,
     then each candidate with its own probes (none after the last
     iteration).  The accepted null's prediction is reused for the guided hop.
+    A round's losses are one broadcast guided hop over its rows and its
+    gradient one array expression over the probe pairs; both are
+    elementwise, so each value has the bits of its one-row computation.
     """
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
@@ -372,8 +375,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
         target = inv.latents[step.sampling_step - 1]
 
         def losses(eps_null: np.ndarray) -> list[float]:
-            # elementwise over the rows, so each row repeats the one-row arithmetic
-            guided = cfg_combine(np.broadcast_to(eps_c, eps_null.shape), eps_null, beta)
+            guided = eps_c + beta * (eps_c - eps_null)  # cfg_combine, broadcast
             resid = _down(x, guided, step.a_t, step.a_prev) - target
             return [float(r @ r) for r in resid]
 
@@ -383,8 +385,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
         eps_c, eps_best = eps[0], eps[1]
         best, *probed = losses(eps[1:])
         for it in range(iterations):
-            grad = np.array([(probed[2 * j] - probed[2 * j + 1]) / (2.0 * half_width)
-                             for j in range(null.size)])
+            grad = np.subtract(probed[0::2], probed[1::2]) / (2.0 * half_width)
             candidate = null - step_size * grad
             probes = with_probes(candidate, it + 1 < iterations)
             eps_null = predict(np.repeat(X, len(probes), axis=0), probes)

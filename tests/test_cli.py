@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffpath import cli
+from diffpath import cli, config
 from diffpath.cli import main
 from diffpath.config import RunConfig, canonical_json, config_digest
 from diffpath.output import SWEEP_CSV_HEADER
@@ -225,6 +225,28 @@ class TestFailures:
         assert main(["config", "--config", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("diffpath-error kind=validation")
 
+    @pytest.mark.parametrize("text", [
+        b'{"seed": ' + b"9" * 5000 + b"}", b"[" * 100_000, b'{"seed": "\xff"}',
+    ], ids=["over-digit-limit", "too-deep", "not-utf-8"])
+    def test_unreadable_config_file_exits_one_naming_it(self, tmp_path, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main(["config", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f'diffpath-error kind=validation message="config file {bad}: ')
+
+    def test_overlong_schedule_is_rejected_before_it_is_built(self, monkeypatch, capsys):
+        # 10**9 training steps would be three 8 GB arrays
+        def unbuilt(*args):
+            raise AssertionError("the schedule must not be built")
+
+        monkeypatch.setattr(config, "build_linear_beta_schedule", unbuilt)
+        monkeypatch.setattr(config, "make_timestep_grid", unbuilt)
+        assert main(["config", "--set", "sampler.t_train=1000000000"]) == 1
+        assert capsys.readouterr().err.startswith(
+            'diffpath-error kind=validation message="sampler.t_train must be at most 1000000, '
+            'got 1000000000"')
+
     def test_dying_server_exits_two_and_removes_partial_outputs(
             self, tmp_path, config_path, capsys):
         fake = tmp_path / "fake server.py"
@@ -315,6 +337,13 @@ class TestFailures:
         pytest.param("--set", f"model.components.0.variance={10**400}",
                      "model.components[0].variance", id="huge-integer-variance"),
         pytest.param("--axis", f"beta={10**400}", "sweep axis 'beta'", id="huge-integer-beta"),
+        # past the interpreter's integer digit limit or its nesting depth, a
+        # value is its own string
+        pytest.param("--set", f"seed={'9' * 5000}", "seed", id="over-digit-limit-seed"),
+        pytest.param("--axis", f"beta={'9' * 5000}", "sweep axis 'beta'",
+                     id="over-digit-limit-beta"),
+        pytest.param("--set", f"seed={'[' * 100_000}", "seed", id="too-deep-seed"),
+        pytest.param("--axis", f"beta={'[' * 100_000}", "sweep axis 'beta'", id="too-deep-beta"),
     ])
     def test_malformed_number_exits_one_naming_its_field(self, tmp_path, flag, value, field,
                                                           capsys):

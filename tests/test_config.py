@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from diffpath.config import RunConfig, apply_overrides, canonical_json, config_digest
+from diffpath.config import (MAX_T_TRAIN, RunConfig, apply_overrides, canonical_json,
+                             config_digest)
 from diffpath.errors import ConfigError
 from diffpath.presets import EDIT_PRESETS, demo_config_dict, preset_manipulation
 
@@ -73,6 +74,15 @@ def test_manipulation_condition_names_checked():
     data = demo_config_dict()
     data["manipulation"]["condition_a"] = "missing"
     with pytest.raises(ConfigError):
+        RunConfig.from_dict(data)
+
+
+def test_schedule_length_is_bounded():
+    data = demo_config_dict()
+    data["sampler"]["t_train"] = MAX_T_TRAIN
+    assert RunConfig.from_dict(data).noise_schedule.t_train == MAX_T_TRAIN
+    data["sampler"]["t_train"] = MAX_T_TRAIN + 1
+    with pytest.raises(ConfigError, match=r"^sampler\.t_train must be at most 1000000, got"):
         RunConfig.from_dict(data)
 
 

@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -261,6 +263,60 @@ class TestPredictNoiseBatch:
             predict_noise(params, x, c, a)
         with pytest.raises(ParameterError, match="float range"):
             GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]), [c, c], a, 1)
+
+    def test_interleaved_levels_are_a_fresh_oracles_bits(self, demo):
+        # the constants of the last level are kept; a call at another level
+        # must not see them, and a bad level still fails before they are read
+        den = GMMDenoiser(demo["params"])
+        X = np.array([[0.3, -0.2], [1.5, 0.25], [-2.0, 4.0]])
+        C_rows = [demo["c_a"], demo["c_b"], demo["null"]]
+        for a, t in ((0.3, 700), (0.8, 200), (0.3, 700), (0.3, 700), (0.8, 200)):
+            fresh = GMMDenoiser(demo["params"]).predict_noise_batch(X, C_rows, a, t)
+            assert den.predict_noise_batch(X, C_rows, a, t).tobytes() == fresh.tobytes()
+        with pytest.raises(ZeroDivisionError):
+            den.predict_noise_batch(X, C_rows, 1.0, 0)
+        for a in (0.0, float("nan"), 1.5):
+            with pytest.raises(ParameterError):
+                den.predict_noise_batch(X, C_rows, a, 0)
+
+    def test_level_memo_is_bounded(self, demo):
+        # a long-lived server answers any level a peer sends: over 10,000
+        # distinct levels the oracle keeps its attributes and one level's
+        # constants, the last one's
+        den = GMMDenoiser(demo["params"])
+        X, C_rows = np.array([[0.3, -0.2]]), [demo["c_a"]]
+        attributes = set(vars(den))
+        for a in np.linspace(1e-4, 1.0 - 1e-4, 10_000).tolist():
+            den.predict_noise_batch(X, C_rows, a, 1)
+            level, constants = den._level
+            assert level == a and len(constants) == 5 and set(vars(den)) == attributes
+
+    def test_threads_at_different_levels_get_their_own_bits(self, demo):
+        # the oracle is concurrent_safe: a level and its constants are read
+        # and replaced as one pair, so no call sees another level's constants
+        den = GMMDenoiser(demo["params"])
+        X, C_rows = np.array([[0.3, -0.2], [1.5, 0.25]]), [demo["c_a"], demo["c_b"]]
+        want = {a: GMMDenoiser(demo["params"]).predict_noise_batch(X, C_rows, a, 1).tobytes()
+                for a in (0.2, 0.4, 0.6, 0.8)}
+        wrong = []
+
+        def calls(a):
+            for _ in range(2000):
+                if den.predict_noise_batch(X, C_rows, a, 1).tobytes() != want[a]:
+                    wrong.append(a)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls, args=(a,)) for a in want]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_default_loops_over_predict_noise(self, demo):
         class PerRow(Denoiser):

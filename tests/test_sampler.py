@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffpath.denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams
 from diffpath.edits import KINDS, prompt_switch, run_edit
@@ -12,6 +14,7 @@ from diffpath.sampler import (GENERATION, INVERSION, PathRecord, cfg_combine,
 from diffpath.schedule import build_linear_beta_schedule, make_timestep_grid
 
 from conftest import PerRowDenoiser, preset_config, single_gaussian
+from test_lockstep import models
 
 
 class TestFTheta:
@@ -396,3 +399,29 @@ def test_null_text_bytes_are_pinned(demo):
         digest.update("\n".join(res.diagnostics).encode())
     assert reverted == {1e5}
     assert digest.hexdigest() == NULL_TEXT_DIGEST
+
+
+def _null_text_bytes(den, x0, c, beta, grid, iterations, step_size):
+    """A null-text inversion and its guided regeneration as bytes, or the error raised."""
+    try:
+        res = null_text_invert(den, x0, c, beta, grid, SCHED, iterations, step_size)
+    except (ParameterError, DenoiserError) as err:
+        return type(err), str(err)
+    path = generate(den, ddim_invert(den, x0, c, grid, SCHED).x_top, c, grid, SCHED,
+                    guidance=(beta, res.embeddings))
+    return ([e.values.tobytes() for e in res.embeddings], repr(res.objectives),
+            res.diagnostics, [a.tobytes() for a in (*path.latents, *path.noises)])
+
+
+@given(model=models(), t_sample=st.integers(1, 60), iterations=st.integers(0, 3),
+       beta=st.one_of(st.sampled_from([0.0, -1.0, 2.0, 7.5]), st.floats(-2.0, 10.0)),
+       step_size=st.one_of(st.sampled_from([0.1, 1e5]), st.floats(1e-3, 10.0)))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_null_text_batched_equals_per_row(model, t_sample, iterations, beta, step_size):
+    # drawn mixtures and grids: the oracle's one call per round gives the
+    # embeddings, objectives, diagnostics and guided path of per-row calls
+    den, x0, c, _ = model
+    grid = make_timestep_grid(1000, t_sample)
+    assert (_null_text_bytes(den, x0, c, beta, grid, iterations, step_size)
+            == _null_text_bytes(PerRowDenoiser(den), x0, c, beta, grid, iterations, step_size))
