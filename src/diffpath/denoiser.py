@@ -324,8 +324,8 @@ class GMMDenoiser(Denoiser):
 
         What depends on the level alone (``var``, ``log_norm``, ``shrink``,
         sqrt(a) and sqrt(1 - a)) is computed once per level and kept for the
-        next call, one level at a time: a null-text step makes 11 calls at
-        one level, and a walk's next step moves on.
+        next call, one level at a time: a null-text step at 10 iterations
+        makes 11 calls at one level, and a walk's next step moves on.
         """
         p = self.params
         a = _check_alpha_bar(alpha_bar, allow_one=False)
