@@ -282,13 +282,13 @@ def cmd_demo(args) -> int:
             _, c_a, c_b = _edit_setup(config)
             grid, schedule = config.grid, config.noise_schedule
             x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
-            t = grid.t_sample
+            ks = range(total, -1, -1)
             endpoints = [path.x0 for path in prompt_switches(
-                denoiser, x_top, c_a, c_b, range(t, -1, -1), grid, schedule)]
+                denoiser, x_top, c_a, c_b, ks, grid, schedule)]
             pure_a, pure_b = endpoints[0], endpoints[-1]
             rows = [[k, *x0, float(np.linalg.norm(x0 - pure_a)),
                      float(np.linalg.norm(x0 - pure_b)), config.seed]
-                    for k, x0 in zip(range(t, -1, -1), endpoints)]
+                    for k, x0 in zip(ks, endpoints)]
             header = ["k"] + [f"x{j}" for j in range(config.model.d)] \
                 + ["dist_to_pure_a", "dist_to_pure_b", "seed"]
             writer.write("prompt_switch.csv", lambda: table_csv(header, rows))
@@ -315,8 +315,8 @@ def cmd_serve(args) -> int:
     denoiser = config.build_denoiser()
     if args.tcp is not None:
         serve_tcp(denoiser, port=args.tcp)
-        return 0
-    serve_stream(denoiser, sys.stdin, sys.stdout)
+    else:
+        serve_stream(denoiser, sys.stdin, sys.stdout)
     return 0
 
 
@@ -409,16 +409,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, KeyError, FileNotFoundError) as err:
-        detail = str(err).replace("\n", " ")
-        print(f'diffpath-error kind=validation message="{detail}"', file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 2
     except Exception as err:
+        valid = isinstance(err, (ConfigError, ParameterError, KeyError, FileNotFoundError))
         detail = str(err).replace("\n", " ")
-        print(f'diffpath-error kind=runtime message="{detail}"', file=sys.stderr)
-        return 2
+        print(f'diffpath-error kind={"validation" if valid else "runtime"} message="{detail}"',
+              file=sys.stderr)
+        return 1 if valid else 2
 
 
 if __name__ == "__main__":

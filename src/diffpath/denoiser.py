@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,21 +41,17 @@ class ConditionEmbedding:
         return self.values.size
 
 
-def _condition_rows(matrix: np.ndarray) -> tuple[ConditionEmbedding, ...]:
-    """One embedding per row of the float array ``matrix`` (N, m), checked as a whole.
-
-    The rows share ``matrix``, which becomes read-only; a non-finite entry
-    anywhere is the ParameterError a single embedding raises.
-    """
-    if not np.isfinite(matrix).all():
-        raise ParameterError("condition embedding must be finite")
-    matrix.setflags(write=False)
-    rows = []
-    for values in matrix:
-        row = object.__new__(ConditionEmbedding)
-        object.__setattr__(row, "values", values)
-        rows.append(row)
-    return tuple(rows)
+def _condition_matrix(C, n: int, m: int) -> np.ndarray:
+    """A batch's conditions ``C`` as one float (n, m) array, checked once for the batch."""
+    try:
+        C = np.ascontiguousarray(C, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError("conditions C must be an (N, m) array of numbers") from None
+    if C.shape != (n, m):
+        raise ParameterError(f"conditions C must have shape ({n}, {m}), got {C.shape}")
+    if not np.isfinite(C).all():
+        raise ParameterError("condition embedding must be finite: conditions C hold NaN or inf")
+    return C
 
 
 class Denoiser(abc.ABC):
@@ -78,19 +74,20 @@ class Denoiser(abc.ABC):
                       alpha_bar: float, t: int) -> np.ndarray:
         """Return eps_hat(x, c) at signal level ``alpha_bar`` (training step ``t``)."""
 
-    def predict_noise_batch(self, X: np.ndarray, C: Sequence[ConditionEmbedding],
+    def predict_noise_batch(self, X: np.ndarray, C: np.ndarray,
                             alpha_bar: float, t: int) -> np.ndarray:
-        """Predictions for the rows of ``X`` (N, d) under ``C[i]``, all at one level.
+        """Predictions for the rows of ``X`` (N, d) under those of ``C`` (N, m), at one level.
 
-        Row i must equal ``predict_noise(X[i], C[i], alpha_bar, t)`` bit for
-        bit.  The walks make every prediction through this method, one call
-        per round, one-row rounds included.  This default makes one
-        ``predict_noise`` call per row, in row order, so wrappers and remote
-        peers need not implement it; a subclass that overrides either method
-        must keep the two consistent.
+        Row i must equal ``predict_noise(X[i], ConditionEmbedding(C[i]),
+        alpha_bar, t)`` bit for bit; ``C`` is checked once per call.  The
+        walks make every prediction through this method, one call per round.
+        This default wraps each row of ``C`` for one ``predict_noise`` call per
+        row, in row order, so wrappers and remote peers need not implement it;
+        a subclass that overrides either method must keep the two consistent.
         """
-        return np.array([self.predict_noise(x, c, alpha_bar, t)
-                         for x, c in zip(X, C, strict=True)])
+        C = _condition_matrix(C, len(X), self.m)
+        return np.array([self.predict_noise(x, ConditionEmbedding(c), alpha_bar, t)
+                         for x, c in zip(X, C)])
 
 
 @dataclass(frozen=True)
@@ -311,7 +308,7 @@ class GMMDenoiser(Denoiser):
                       alpha_bar: float, t: int) -> np.ndarray:
         return predict_noise(self.params, x, c, alpha_bar)
 
-    def predict_noise_batch(self, X: np.ndarray, C: Sequence[ConditionEmbedding],
+    def predict_noise_batch(self, X: np.ndarray, C: np.ndarray,
                             alpha_bar: float, t: int) -> np.ndarray:
         """``predict_noise`` for every row in one vectorised pass, bit for bit.
 
@@ -337,8 +334,8 @@ class GMMDenoiser(Denoiser):
                       math.sqrt(a) * p.variances / var, math.sqrt(a), math.sqrt(1.0 - a))
             self._level = a, consts
         var, log_norm, shrink, sqrt_a, sqrt_1ma = consts
-        cs = np.array([c.values for c in C])
-        mus = (p.condition_maps[None] @ cs[:, None, :, None])[..., 0] + p.base_means
+        C = _condition_matrix(C, len(X), p.m)
+        mus = (p.condition_maps[None] @ C[:, None, :, None])[..., 0] + p.base_means
         resid = X[:, None, :] - sqrt_a * mus                         # (N, K, d)
         with np.errstate(over="ignore"):
             log_resp = log_norm - 0.5 * np.einsum("nkd,nkd->nk", resid, resid) / var

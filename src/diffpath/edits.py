@@ -37,7 +37,6 @@ and break that affinity.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -290,7 +289,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     masked = np.array([[c.mask is not None] for c in configs])
     masks = np.array([np.zeros(d) if c.mask is None else c.mask for c in configs])
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
-    blended = functools.cache(lambda w: ConditionEmbedding(_blend(c_a.values, c_b.values, w)))
+    ab = np.array([c_a.values, c_b.values])  # the pure rows' conditions are its first rows
 
     def blend_weights(rows: np.ndarray, i: int) -> np.ndarray:
         return np.where(masked[rows], masks[rows], W[rows, i, None])
@@ -298,7 +297,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         E = np.empty_like(X)
         x_ref = X[ref_a]
-        latents, conditions = [X[n:]], list(pure)
+        latents, conditions = [X[n:]], [ab[:len(pure)]]
         # a hop's groups in order of their first row, each with its row numbers
         members: dict[str, list[int]] = {}
         for r, tag in enumerate(columns[i]):
@@ -309,17 +308,17 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                 continue
             if kind == "attention":
                 latents.append(x_ref[None])
-                conditions.append(c_b)
+                conditions.append(ab[1:])
             elif kind == "guidance":
                 latents += [X[rows]] * 2
-                conditions += [c_a] * len(rows) + [c_b] * len(rows)
+                conditions.append(np.repeat(ab, len(rows), axis=0))  # c_a rows, then c_b
             elif kind == "cond_interp":
                 latents.append(X[rows])
-                conditions += [blended(w) for w in W[rows, i].tolist()]
+                conditions.append(_blend(c_a.values, c_b.values, W[rows, i, None]))
             else:  # plain, and the latent kinds' prediction before their blend
                 latents.append(X[rows])
-                conditions += [c_b] * len(rows)
-        eps = predict(np.concatenate(latents), conditions)
+                conditions.append(np.repeat(ab[1:], len(rows), axis=0))
+        eps = predict(np.concatenate(latents), np.concatenate(conditions))
         lo = len(pure)
         E[n:] = eps[:lo]
         eps_ref = E[ref_a]
@@ -409,13 +408,14 @@ def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbeddi
         if not 0 <= k <= t_sample:
             raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
     switch = np.array(ks)
+    ab = np.array([c_a.values, c_b.values])
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         under_a = switch > i
         shared = np.flatnonzero(under_a)[:1]  # the rows not yet switched share a latent
         under_b = np.flatnonzero(~under_a)
         eps = predict(X[np.concatenate([shared, under_b])],
-                      [c_a] * len(shared) + [c_b] * len(under_b))
+                      np.repeat(ab, [len(shared), len(under_b)], axis=0))
         E = np.empty_like(X)
         E[under_a] = eps[:len(shared)]
         E[under_b] = eps[len(shared):]

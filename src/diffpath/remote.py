@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .denoiser import ConditionEmbedding, Denoiser, _condition_rows
+from .denoiser import ConditionEmbedding, Denoiser, _condition_matrix
 from .errors import DenoiserError, ParameterError, checked_number
 
 
@@ -155,7 +155,7 @@ def serve_stream(denoiser: Denoiser, rfile, wfile) -> None:
                     if not n:
                         raise ValueError("X must be a non-empty list of rows")
                     X = _numbers(msg["X"], (n, denoiser.d), "X")
-                    C = _condition_rows(_numbers(msg["C"], (n, denoiser.m), "C"))
+                    C = _numbers(msg["C"], (n, denoiser.m), "C")
                     eps = denoiser.predict_noise_batch(X, C, alpha_bar, t)
                     reply = {"id": msg_id, "eps": np.asarray(eps, dtype=np.float64).tolist()}
             else:
@@ -324,38 +324,34 @@ class RemoteDenoiser(Denoiser):
     def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
                       alpha_bar: float, t: int) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
+        if c.m != self.m:
+            raise ParameterError(f"condition has dimension {c.m}, expected {self.m}")
         reply = self._round_trip({
             "op": "predict_noise",
             "x": [float(v) for v in x],
-            "c": self._condition(c),
+            "c": c.values.tolist(),
             "t": int(t),
             "alpha_bar": float(alpha_bar),
         })
         return self._noise(reply, (x.size,), t)
 
-    def predict_noise_batch(self, X: np.ndarray, C: Sequence[ConditionEmbedding],
+    def predict_noise_batch(self, X: np.ndarray, C: np.ndarray,
                             alpha_bar: float, t: int) -> np.ndarray:
         """One ``predict_noise_batch`` frame if the handshake agreed on it, else one per row."""
         if not (self.batched and len(X)):
             return super().predict_noise_batch(X, C, alpha_bar, t)
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or len(C) != len(X):
-            raise ParameterError(f"need one condition per latent row, got {len(C)} "
-                                 f"for latents of shape {X.shape}")
+        if X.ndim != 2:
+            raise ParameterError(f"latents must be rows (N, d), got shape {X.shape}")
+        C = _condition_matrix(C, len(X), self.m)
         reply = self._round_trip({
             "op": "predict_noise_batch",
             "X": X.tolist(),
-            "C": [self._condition(c) for c in C],
+            "C": C.tolist(),
             "t": int(t),
             "alpha_bar": float(alpha_bar),
         })
         return self._noise(reply, X.shape, t)
-
-    def _condition(self, c: ConditionEmbedding) -> list[float]:
-        if c.values.size != self.m:
-            raise ParameterError(
-                f"condition has dimension {c.values.size}, expected {self.m}")
-        return [float(v) for v in c.values]
 
     @staticmethod
     def _noise(reply: dict, shape: tuple[int, ...], t: int) -> np.ndarray:

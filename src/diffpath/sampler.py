@@ -19,9 +19,10 @@ array, and each step is one hop of all of them: the update is elementwise,
 so every row gets the bits of a walk of its own.  A callback
 ``choose(i, step, X, predict)`` returns the step's noises, applying its
 operators to whole groups of rows.  ``predict(latents, conditions)`` is one
-``predict_noise_batch`` call that pairs each condition with a latent (the
-rows' own, or others, such as the reference path's).  Guided generation,
-null-embedding tuning and the editing operators are such callbacks.
+``predict_noise_batch`` call that pairs each row of one condition matrix
+(N, m) with a latent (the rows' own, or others, such as the reference
+path's).  Guided generation, null-embedding tuning and the editing
+operators are such callbacks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .denoiser import ConditionEmbedding, Denoiser, _condition_rows
+from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
 from .schedule import AlphaSchedule, TimestepGrid
 
@@ -140,7 +141,7 @@ class PathRecord:
     the order is ascending and ``latents[i]`` sits at sampling index i.  Each
     ``noises[i]`` is the prediction consumed by the hop from ``latents[i]`` to
     ``latents[i+1]``, so replaying the hops reproduces the stored latents
-    exactly.
+    exactly.  Entries are read-only (a walk's are views of its two buffers).
     """
 
     grid: TimestepGrid
@@ -157,7 +158,8 @@ class PathRecord:
         if len(self.noises) != self.grid.t_sample:
             raise ParameterError("trajectory length must match the grid")
         for arr in (*self.latents, *self.noises):
-            arr.setflags(write=False)
+            if arr.flags.writeable:
+                arr.setflags(write=False)
 
     @property
     def x0(self) -> np.ndarray:
@@ -199,13 +201,12 @@ def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
     levels = grid.steps
     table = tuple(map(_Step, levels, range(grid.t_sample, 0, -1), map(schedule.at, levels),
                       map(schedule.at, (*levels[1:], 0))))
-    if direction == GENERATION:
-        for step in table:
-            _check_down(step.a_t, step.a_prev)
-        return table
     for step in table:
-        _check_up(step.a_prev, step.a_t)
-    return table[::-1]
+        if direction == GENERATION:
+            _check_down(step.a_t, step.a_prev)
+        else:
+            _check_up(step.a_prev, step.a_t)
+    return table if direction == GENERATION else table[::-1]
 
 
 def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndarray:
@@ -216,7 +217,7 @@ def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndar
 
 
 #: a step's callback ``choose(i, step, X, predict)``: returns the noises of all
-#: rows (N, d); ``predict(latents, conditions)`` makes one denoiser call
+#: rows (N, d); ``predict(latents, conditions (N, m))`` makes one denoiser call
 ChooseEps = Callable[[int, _Step, np.ndarray, Callable], np.ndarray]
 
 
@@ -228,15 +229,16 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     The rows' latents are one (N, d) array ``X`` and each step is one hop of
     all of them.  Hop ``i`` takes the noises ``choose(i, step, X, predict)``
     returns, one row each; ``predict(latents, conditions)`` is one denoiser
-    call for one prediction per condition at the paired latent (a row of
-    ``X``, or any other latent, such as a reference path's).  The default
-    callback predicts row r under ``conditions[r]``.  Generation visits the
-    step table top down, inversion bottom up; each row's record holds every
-    latent and the noise of every hop.
+    call for one prediction per condition row (N, m) at the paired latent (a
+    row of ``X``, or any other latent, such as a reference path's).  The
+    default callback predicts row r under ``conditions[r]``.  Generation
+    visits the step table top down, inversion bottom up; the records hold
+    views of one read-only buffer of latents (N, T+1, d) and one of noises.
     """
     if not len(starts):
         return []
-    choose = choose or (lambda i, step, X, predict: predict(X, conditions))
+    C = np.array([c.values for c in conditions])  # the default callback's, once per walk
+    choose = choose or (lambda i, step, X, predict: predict(X, C))
     X = np.array(starts, dtype=np.float64)
     if X.ndim != 2:
         raise ParameterError("latent must be a vector")
@@ -248,20 +250,21 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
         X = _hop(step, X, eps, direction)
         noises.append(eps)
         latents.append(X)
-    latents, noises = np.array(latents), np.array(noises)  # (T + 1, N, d) and (T, N, d)
-    return [PathRecord(grid=grid, latents=tuple(latents[:, r]), noises=tuple(noises[:, r]),
+    latents, noises = np.stack(latents, axis=1), np.stack(noises, axis=1)
+    latents.setflags(write=False)
+    noises.setflags(write=False)
+    return [PathRecord(grid=grid, latents=tuple(latents[r]), noises=tuple(noises[r]),
                        condition=c, direction=direction) for r, c in enumerate(conditions)]
 
 
-def _predict_rows(denoiser: Denoiser, X: np.ndarray,
-                  conditions: Sequence[ConditionEmbedding], step: _Step) -> np.ndarray:
-    """One ``predict_noise_batch`` call; row j is ``conditions[j]``'s noise at ``X[j]``.
+def _predict_rows(denoiser: Denoiser, X: np.ndarray, C: np.ndarray, step: _Step) -> np.ndarray:
+    """One ``predict_noise_batch`` call; row j is the noise at ``X[j]`` under ``C[j]``.
 
     A failure or a bad answer names the step.
     """
     level, sampling_step = step.level, step.sampling_step
     try:
-        eps = denoiser.predict_noise_batch(X, conditions, step.a_t, level)
+        eps = denoiser.predict_noise_batch(X, C, step.a_t, level)
     except (ParameterError, ZeroDivisionError):
         raise
     except DenoiserError as err:
@@ -303,7 +306,7 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         null = nulls if isinstance(nulls, ConditionEmbedding) else nulls[i]
-        eps = predict(np.repeat(X, 2, axis=0), (c, null))
+        eps = predict(np.repeat(X, 2, axis=0), np.array([c.values, null.values]))
         return cfg_combine(eps[:1], eps[1:], beta)
 
     return _walk(denoiser, grid, schedule, [x_top], [c], choose_eps)[0]
@@ -361,14 +364,14 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     half_width = 1e-4  # central-difference half-width of the gradient probes
     bumps = half_width * np.eye(denoiser.m)
 
-    def with_probes(null: np.ndarray, probe: bool) -> tuple[ConditionEmbedding, ...]:
+    def with_probes(null: np.ndarray, probe: bool) -> np.ndarray:
         # null, then null +/- eps*e_j for each coordinate j when a gradient is needed
         rows = np.empty((1 + 2 * null.size if probe else 1, null.size))
         rows[0] = null
         if probe:
             rows[1::2] = null + bumps
             rows[2::2] = null - bumps
-        return _condition_rows(rows)
+        return rows
 
     def tune(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         x = X[0]
@@ -380,8 +383,8 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             return [float(r @ r) for r in resid]
 
         null = np.zeros(denoiser.m)
-        probes = with_probes(null, iterations > 0)
-        eps = predict(np.repeat(X, 1 + len(probes), axis=0), (c, *probes))
+        rows = np.vstack([c.values, with_probes(null, iterations > 0)])
+        eps = predict(np.repeat(X, len(rows), axis=0), rows)
         eps_c, eps_best = eps[0], eps[1]
         best, *probed = losses(eps[1:])
         for it in range(iterations):

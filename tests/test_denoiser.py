@@ -12,6 +12,7 @@ from diffpath.denoiser import (ConditionEmbedding, Denoiser, GMMDenoiser,
                                gmm_posterior_mean, gmm_responsibilities,
                                predict_noise)
 from diffpath.errors import ParameterError
+from conftest import PerRowDenoiser
 from mc_oracle import mc_predict_noise
 
 
@@ -198,7 +199,8 @@ class TestResponsibilities:
         x, a = np.array([1e150, 1e150]), 1.0 - 1e-12
         assert gmm_responsibilities(params, x, C, a).tolist() == [0.0, 1.0]
         eps = predict_noise(params, x, C, a)
-        batch = GMMDenoiser(params).predict_noise_batch(np.array([x, x / 2]), [C, C], a, 1)
+        batch = GMMDenoiser(params).predict_noise_batch(np.array([x, x / 2]),
+                                                        np.array([C.values] * 2), a, 1)
         assert np.all(np.isfinite(eps)) and np.array_equal(batch[0], eps)
         assert np.all(np.isfinite(batch))
 
@@ -222,26 +224,26 @@ def batch_cases(draw):
     far = draw(st.lists(st.integers(0, n - 1), max_size=2))
     X[far] = gen.choice([-1.0, 1.0], size=(len(far), d)) * 10.0 ** gen.uniform(
         154.0, 308.0, size=(len(far), 1))
-    C_rows = [ConditionEmbedding(gen.normal(size=m)) for _ in range(n)]
+    C = gen.normal(size=(n, m))
     a = draw(st.one_of(st.floats(1e-6, 1.0, exclude_max=True),
                        st.sampled_from([0.5, 1.0 - 1e-12])))
-    return params, X, C_rows, a
+    return params, X, C, a
 
 
 class TestPredictNoiseBatch:
     @given(case=batch_cases())
     @settings(max_examples=150, deadline=None)
     def test_rows_are_bitwise_the_per_row_oracle(self, case):
-        params, X, C_rows, a = case
+        params, X, C, a = case
         den = GMMDenoiser(params)
         try:
-            rows = [den.predict_noise(x, c, a, 7) for x, c in zip(X, C_rows)]
+            rows = [den.predict_noise(x, ConditionEmbedding(c), a, 7) for x, c in zip(X, C)]
         except ParameterError as err:
             # a noise beyond the float range: the batch fails the same way
             with pytest.raises(type(err)):
-                den.predict_noise_batch(X, C_rows, a, 7)
+                den.predict_noise_batch(X, C, a, 7)
             return
-        batch = den.predict_noise_batch(X, C_rows, a, 7)
+        batch = den.predict_noise_batch(X, C, a, 7)
         assert batch.shape == X.shape
         for i, row in enumerate(rows):
             assert np.array_equal(batch[i], row), i
@@ -253,7 +255,8 @@ class TestPredictNoiseBatch:
         with pytest.raises(ParameterError, match="float range"):
             predict_noise(params, x, c, a)
         with pytest.raises(ParameterError, match="float range"):
-            GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]), [c, c], a, 1)
+            GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]),
+                                                    np.array([c.values] * 2), a, 1)
 
     def test_posterior_mean_beyond_the_float_range_is_a_parameter_error(self):
         # E[x0 | x] is about 1.41 * x here, beyond the float range
@@ -262,32 +265,33 @@ class TestPredictNoiseBatch:
         with pytest.raises(ParameterError, match="float range"):
             predict_noise(params, x, c, a)
         with pytest.raises(ParameterError, match="float range"):
-            GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]), [c, c], a, 1)
+            GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]),
+                                                    np.array([c.values] * 2), a, 1)
 
     def test_interleaved_levels_are_a_fresh_oracles_bits(self, demo):
         # the constants of the last level are kept; a call at another level
         # must not see them, and a bad level still fails before they are read
         den = GMMDenoiser(demo["params"])
         X = np.array([[0.3, -0.2], [1.5, 0.25], [-2.0, 4.0]])
-        C_rows = [demo["c_a"], demo["c_b"], demo["null"]]
+        C = np.array([demo[name].values for name in ("c_a", "c_b", "null")])
         for a, t in ((0.3, 700), (0.8, 200), (0.3, 700), (0.3, 700), (0.8, 200)):
-            fresh = GMMDenoiser(demo["params"]).predict_noise_batch(X, C_rows, a, t)
-            assert den.predict_noise_batch(X, C_rows, a, t).tobytes() == fresh.tobytes()
+            fresh = GMMDenoiser(demo["params"]).predict_noise_batch(X, C, a, t)
+            assert den.predict_noise_batch(X, C, a, t).tobytes() == fresh.tobytes()
         with pytest.raises(ZeroDivisionError):
-            den.predict_noise_batch(X, C_rows, 1.0, 0)
+            den.predict_noise_batch(X, C, 1.0, 0)
         for a in (0.0, float("nan"), 1.5):
             with pytest.raises(ParameterError):
-                den.predict_noise_batch(X, C_rows, a, 0)
+                den.predict_noise_batch(X, C, a, 0)
 
     def test_level_memo_is_bounded(self, demo):
         # a long-lived server answers any level a peer sends: over 10,000
         # distinct levels the oracle keeps its attributes and one level's
         # constants, the last one's
         den = GMMDenoiser(demo["params"])
-        X, C_rows = np.array([[0.3, -0.2]]), [demo["c_a"]]
+        X, C = np.array([[0.3, -0.2]]), demo["c_a"].values[None]
         attributes = set(vars(den))
         for a in np.linspace(1e-4, 1.0 - 1e-4, 10_000).tolist():
-            den.predict_noise_batch(X, C_rows, a, 1)
+            den.predict_noise_batch(X, C, a, 1)
             level, constants = den._level
             assert level == a and len(constants) == 5 and set(vars(den)) == attributes
 
@@ -295,14 +299,15 @@ class TestPredictNoiseBatch:
         # the oracle is concurrent_safe: a level and its constants are read
         # and replaced as one pair, so no call sees another level's constants
         den = GMMDenoiser(demo["params"])
-        X, C_rows = np.array([[0.3, -0.2], [1.5, 0.25]]), [demo["c_a"], demo["c_b"]]
-        want = {a: GMMDenoiser(demo["params"]).predict_noise_batch(X, C_rows, a, 1).tobytes()
+        X = np.array([[0.3, -0.2], [1.5, 0.25]])
+        C = np.array([demo["c_a"].values, demo["c_b"].values])
+        want = {a: GMMDenoiser(demo["params"]).predict_noise_batch(X, C, a, 1).tobytes()
                 for a in (0.2, 0.4, 0.6, 0.8)}
         wrong = []
 
         def calls(a):
             for _ in range(2000):
-                if den.predict_noise_batch(X, C_rows, a, 1).tobytes() != want[a]:
+                if den.predict_noise_batch(X, C, a, 1).tobytes() != want[a]:
                     wrong.append(a)
 
         interval = sys.getswitchinterval()
@@ -326,15 +331,30 @@ class TestPredictNoiseBatch:
                 self.seen = []
 
             def predict_noise(self, x, c, alpha_bar, t):
-                self.seen.append((tuple(x), c))
+                self.seen.append((tuple(x), tuple(c.values)))
                 return demo["denoiser"].predict_noise(x, c, alpha_bar, t)
 
         X = np.array([[0.3, -0.2], [1.5, 0.25], [-2.0, 4.0]])
-        C_rows = [demo["c_a"], demo["c_b"], demo["null"]]
+        C = np.array([demo[name].values for name in ("c_a", "c_b", "null")])
         den = PerRow()
-        batch = den.predict_noise_batch(X, C_rows, 0.4, 600)
-        assert den.seen == [(tuple(x), c) for x, c in zip(X, C_rows)]
-        assert np.array_equal(batch, demo["denoiser"].predict_noise_batch(X, C_rows, 0.4, 600))
+        batch = den.predict_noise_batch(X, C, 0.4, 600)
+        assert den.seen == [(tuple(x), tuple(c)) for x, c in zip(X, C)]
+        assert np.array_equal(batch, demo["denoiser"].predict_noise_batch(X, C, 0.4, 600))
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_conditions_are_one_checked_matrix(self, demo, per_row):
+        # the oracle's pass and the interface's per-row loop check C once,
+        # before any prediction, and name it
+        den = GMMDenoiser(demo["params"])
+        den = PerRowDenoiser(den) if per_row else den
+        X = np.array([[0.3, -0.2], [1.5, 0.25]])
+        C = np.array([demo["c_a"].values, demo["c_b"].values])
+        for bad in (C[:, :1], C[:1], np.hstack([C, C]), C[0], [demo["c_a"], demo["c_b"]]):
+            with pytest.raises(ParameterError, match="conditions C must"):
+                den.predict_noise_batch(X, bad, 0.5, 1)
+        C[1, 0] = np.nan
+        with pytest.raises(ParameterError, match="finite: conditions C hold NaN or inf"):
+            den.predict_noise_batch(X, C, 0.5, 1)
 
 
 @st.composite
@@ -368,10 +388,10 @@ class TestOracleProperty:
                 eps = predict_noise(params, x, c, a)
             except ParameterError as err:
                 with pytest.raises(type(err)):
-                    GMMDenoiser(params).predict_noise_batch(x[None], [c], a, 1)
+                    GMMDenoiser(params).predict_noise_batch(x[None], c.values[None], a, 1)
                 return
             assert np.all(np.isfinite(eps))
-            batch = GMMDenoiser(params).predict_noise_batch(x[None], [c], a, 1)
+            batch = GMMDenoiser(params).predict_noise_batch(x[None], c.values[None], a, 1)
         assert np.array_equal(batch[0], eps)
 
 

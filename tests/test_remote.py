@@ -19,7 +19,7 @@ from diffpath import cli
 from diffpath.config import canonical_json
 from diffpath.denoiser import ConditionEmbedding, Denoiser
 from diffpath.edits import ManipulationConfig, run_edit
-from diffpath.errors import DenoiserError
+from diffpath.errors import DenoiserError, ParameterError
 from diffpath.metrics import run_sweep
 from diffpath.remote import (DimensionMismatchError, IdMismatchError,
                              MalformedFrameError, RemoteDenoiser,
@@ -514,12 +514,27 @@ class TestProtocolErrors:
         with _fake(fake_server, "batch-short") as remote:
             assert remote.batched
             with pytest.raises(DimensionMismatchError, match="training step 640"):
-                remote.predict_noise_batch(np.zeros((2, 2)), [demo["c_a"]] * 2, 0.5, 640)
+                remote.predict_noise_batch(np.zeros((2, 2)), np.array([demo["c_a"].values] * 2),
+                                          0.5, 640)
 
     def test_batch_reply_of_non_numbers_is_malformed(self, fake_server, demo):
         with _fake(fake_server, "batch-str") as remote:
             with pytest.raises(MalformedFrameError, match="training step 640"):
-                remote.predict_noise_batch(np.zeros((2, 2)), [demo["c_a"]] * 2, 0.5, 640)
+                remote.predict_noise_batch(np.zeros((2, 2)), np.array([demo["c_a"].values] * 2),
+                                          0.5, 640)
+
+    @pytest.mark.parametrize("mode", ["serve", "oracle"])
+    def test_batch_conditions_of_the_wrong_width_send_no_frame(self, fake_server,
+                                                               config_file, mode):
+        # a peer with the batch op, and one without it (one frame per row)
+        argv = ([sys.executable, "-m", "diffpath.cli", "serve", "--config", str(config_file)]
+                if mode == "serve" else [sys.executable, str(fake_server), mode])
+        transport = RecordingTransport(_SubprocessTransport(argv))
+        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
+            assert remote.batched == (mode == "serve")
+            with pytest.raises(ParameterError, match=r"conditions C must have shape \(2, 2\)"):
+                remote.predict_noise_batch(np.zeros((2, 2)), np.zeros((2, 3)), 0.5, 640)
+        assert [json.loads(line)["op"] for line in transport.sent] == ["hello"]
 
     def test_edit_over_a_peer_without_the_batch_op(self, fake_server, demo):
         transport = RecordingTransport(

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diffpath.denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams
-from diffpath.edits import KINDS, prompt_switch, run_edit
+from diffpath.edits import KINDS, prompt_switch, prompt_switches, run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import (GENERATION, INVERSION, PathRecord, cfg_combine,
                               ddim_invert, ddim_step, effective_noise, f_theta,
@@ -191,6 +191,25 @@ class TestPathRecord:
                              condition=path.condition, direction=direction)
             errs = bad.replay_errors(SCHED)
             assert np.flatnonzero(errs).tolist() == [6, 7], direction
+
+    def test_a_walks_records_are_read_only_views_of_one_buffer(self, demo):
+        # prompt_switches walks its records together; each record's latents
+        # are views into the walk's one latent buffer, its noises into the
+        # noise buffer
+        records = prompt_switches(demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_b"],
+                                  (0, 10, GRID.t_sample), GRID, SCHED)
+        latents, noises = records[0].latents[0].base, records[0].noises[0].base
+        assert latents.shape == (3, GRID.t_sample + 1, 2)
+        assert noises.shape == (3, GRID.t_sample, 2)
+        for record in records:
+            assert type(record.latents) is tuple and type(record.noises) is tuple
+            for buffer, rows in ((latents, record.latents), (noises, record.noises)):
+                assert all(row.base is buffer and np.shares_memory(row, buffer)
+                           for row in rows)
+                assert not buffer.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[3][0] = 1.0
+        assert not np.shares_memory(latents, noises)
 
     def test_endpoint_accessors(self, demo):
         path = generate(demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED)
