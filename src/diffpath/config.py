@@ -22,7 +22,7 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
 from .edits import ManipulationConfig, validate_mask
-from .errors import ConfigError, ParameterError, checked_number
+from .errors import ConfigError, ParameterError, checked_number, shown
 from .schedule import (AlphaSchedule, ScheduleSpec, TimestepGrid,
                        build_linear_beta_schedule, make_timestep_grid)
 
@@ -58,7 +58,7 @@ def _checked(value, kind, path: str, dims: dict[str, int]):
     if kind == "name":
         if isinstance(value, str):
             return value
-        raise ConfigError(f"{path} must be a string, got {value!r}")
+        raise ConfigError(f"{path} must be a string, got {shown(value)}")
     if isinstance(kind, str):
         try:
             number = checked_number(value, path, integer=kind != "num")
@@ -69,13 +69,13 @@ def _checked(value, kind, path: str, dims: dict[str, int]):
         return number
     if isinstance(kind, (list, tuple)):
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list, got {value!r}")
+            raise ConfigError(f"{path} must be a list, got {shown(value)}")
         if isinstance(kind, tuple) and len(value) != dims[kind[0]]:
             raise ConfigError(f"{path} has length {len(value)} but {kind[0]} is "
                               f"{dims[kind[0]]}")
         return [_checked(entry, kind[-1], f"{path}[{i}]", dims) for i, entry in enumerate(value)]
     if not isinstance(value, Mapping):
-        raise ConfigError(f"{path or 'config'} must be an object, got {value!r}")
+        raise ConfigError(f"{path or 'config'} must be an object, got {shown(value)}")
     if "*" in kind:
         return {name: _checked(entry, kind["*"], f"{path}.{name}", dims)
                 for name, entry in value.items()}
@@ -168,7 +168,7 @@ class RunConfig:
         formats = tuple(out.get("formats", ("csv", "svg")))
         for i, fmt in enumerate(formats):
             if fmt not in ("csv", "svg"):
-                raise ConfigError(f"output.formats[{i}] must be 'csv' or 'svg', got {fmt!r}")
+                raise ConfigError(f"output.formats[{i}] must be 'csv' or 'svg', got {shown(fmt)}")
         return RunConfig(
             seed=cfg["seed"], model=model, conditions=conditions,
             noise_schedule=noise_schedule, grid=grid, manipulation=manip, **names,
@@ -195,12 +195,9 @@ class RunConfig:
                 "schedule": {"kind": spec.kind, "t_min": spec.t_min, "t_max": spec.t_max,
                              "amplitude": spec.amplitude},
                 "condition_a": self.condition_a, "condition_b": self.condition_b}
-            if manip.beta is not None:
-                section["beta"] = manip.beta
-            if manip.mask is not None:
-                section["mask"] = manip.mask.tolist()
-            if manip.cam_hook is not None:
-                section["cam_hook"] = manip.cam_hook
+            mask = None if manip.mask is None else manip.mask.tolist()
+            optional = (("beta", manip.beta), ("mask", mask), ("cam_hook", manip.cam_hook))
+            section.update((key, value) for key, value in optional if value is not None)
             out["manipulation"] = section
         out["output"] = self.output.to_dict()
         return out

@@ -8,20 +8,26 @@ class ParameterError(ValueError):
     """An operation's precondition on its parameters was violated."""
 
 
+def shown(value, limit: int = 40) -> str:
+    """``repr(value)`` for an error message: its first ``limit`` characters and its length."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def checked_number(value, name: str, integer: bool = False) -> int | float:
     """``value`` as an int if ``integer``, else as a float, never truncated.
 
     A boolean, a non-number, a value beyond the finite float range (NaN, an
     infinity, a huge integer) or a non-integral value for an integer is a
-    ParameterError naming ``name``.
+    ParameterError naming ``name`` and showing ``value``, cut by ``shown``.
     """
+    must = "an integer" if integer else "a number"
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if not abs(value) <= sys.float_info.max:
-            raise ParameterError(f"{name} must be finite and within the float range, "
-                                 f"got {value!r}")
-        if not integer or value % 1 == 0:
+            must = "finite and within the float range"
+        elif not integer or value % 1 == 0:
             return int(value) if integer else float(value)
-    raise ParameterError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    raise ParameterError(f"{name} must be {must}, got {shown(value)}")
 
 
 class ConfigError(ValueError):

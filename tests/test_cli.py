@@ -372,6 +372,18 @@ class TestFailures:
         assert err.startswith(f'diffpath-error kind=validation message="{message}')
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("override", [
+        f"seed={'9' * 4000}", f'seed="{"x" * 5000}"',
+        f"manipulation.condition_a=[{','.join(['1'] * 3000)}]",
+    ], ids=["huge-integer", "long-string", "long-list"])
+    def test_a_long_rejected_value_is_shown_cut(self, override, capsys):
+        # the line names the field and shows the value's start and its length
+        assert main(["config", "--set", override]) == 1
+        err = capsys.readouterr().err
+        field = override.split("=")[0]
+        assert err.startswith(f'diffpath-error kind=validation message="{field} must be ')
+        assert len(err) < 200 and "characters)" in err
+
     def test_output_flag_with_a_malformed_output_section_exits_one(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["edit", "--set", "output=5", "--output", str(out)]) == 1
