@@ -201,12 +201,13 @@ def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
     levels = grid.steps
     table = tuple(map(_Step, levels, range(grid.t_sample, 0, -1), map(schedule.at, levels),
                       map(schedule.at, (*levels[1:], 0))))
-    for step in table:
-        if direction == GENERATION:
+    if direction == GENERATION:
+        for step in table:
             _check_down(step.a_t, step.a_prev)
-        else:
-            _check_up(step.a_prev, step.a_t)
-    return table if direction == GENERATION else table[::-1]
+        return table
+    for step in table:
+        _check_up(step.a_prev, step.a_t)
+    return table[::-1]
 
 
 def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndarray:
