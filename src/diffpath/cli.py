@@ -282,13 +282,13 @@ def cmd_demo(args) -> int:
             _, c_a, c_b = _edit_setup(config)
             grid, schedule = config.grid, config.noise_schedule
             x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
-            ks = range(total, -1, -1)
+            t = grid.t_sample
             endpoints = [path.x0 for path in prompt_switches(
-                denoiser, x_top, c_a, c_b, ks, grid, schedule)]
+                denoiser, x_top, c_a, c_b, range(t, -1, -1), grid, schedule)]
             pure_a, pure_b = endpoints[0], endpoints[-1]
             rows = [[k, *x0, float(np.linalg.norm(x0 - pure_a)),
                      float(np.linalg.norm(x0 - pure_b)), config.seed]
-                    for k, x0 in zip(ks, endpoints)]
+                    for k, x0 in zip(range(t, -1, -1), endpoints)]
             header = ["k"] + [f"x{j}" for j in range(config.model.d)] \
                 + ["dist_to_pure_a", "dist_to_pure_b", "seed"]
             writer.write("prompt_switch.csv", lambda: table_csv(header, rows))
@@ -315,8 +315,8 @@ def cmd_serve(args) -> int:
     denoiser = config.build_denoiser()
     if args.tcp is not None:
         serve_tcp(denoiser, port=args.tcp)
-    else:
-        serve_stream(denoiser, sys.stdin, sys.stdout)
+        return 0
+    serve_stream(denoiser, sys.stdin, sys.stdout)
     return 0
 
 
