@@ -8,10 +8,10 @@ class ParameterError(ValueError):
     """An operation's precondition on its parameters was violated."""
 
 
-def shown(value, limit: int = 40) -> str:
-    """``repr(value)`` for an error message: its first ``limit`` characters and its length."""
+def shown(value) -> str:
+    """``repr(value)`` for an error message: at most its first 40 characters, and its length."""
     text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def checked_number(value, name: str, integer: bool = False) -> int | float:
