@@ -25,8 +25,8 @@ import numpy as np
 from .config import (RunConfig, apply_overrides, canonical_json, config_digest)
 from .edits import ManipulationConfig, prompt_switches, run_edit
 from .errors import ConfigError, ParameterError
-from .metrics import (SweepRow, SweepScenario, inversion_report, path_divergence, run_sweep,
-                      score_edit, sweep_digest)
+from .metrics import (SweepRow, inversion_report, path_divergence, run_sweep, score_edit,
+                      sweep_digest)
 from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
 from .presets import demo_config_dict, preset_manipulation
 from .remote import RemoteDenoiser, serve_stream, serve_tcp
@@ -37,25 +37,26 @@ from .schedule import ScheduleSpec, TimestepGrid
 DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-grid")
 
 
-class ArtifactWriter:
-    """Writes a run's artifacts in the configured formats and lists them for cleanup."""
+@contextlib.contextmanager
+def _artifacts(config: RunConfig, denoiser):
+    """``write(name, render)`` for one run's artifacts.
 
-    def __init__(self, config: RunConfig):
-        self.directory = Path(config.output.directory)
-        # scatter plots are drawn for planar models only
-        self.formats = [f for f in config.output.formats if f != "svg" or config.model.d == 2]
-        self.written: list[Path] = []
+    ``write`` writes ``render()`` as ``name`` if its format is on, through a
+    temporary file in the same directory that then replaces ``name``, so no
+    reader ever sees a partial artifact.  On failure every file written so
+    far is removed; the denoiser is closed either way; on success the seed,
+    config digest and written files are announced.
+    """
+    directory = Path(config.output.directory)
+    # scatter plots are drawn for planar models only
+    formats = [f for f in config.output.formats if f != "svg" or config.model.d == 2]
+    written: list[Path] = []
 
-    def write(self, name: str, render: Callable[[], str]) -> None:
-        """Write ``render()`` as ``name`` if its format is on, through a temporary file.
-
-        The temporary file sits in the same directory and then replaces
-        ``name``, so no reader ever sees a partial artifact.
-        """
-        if name.rsplit(".", 1)[1] not in self.formats:
+    def write(name: str, render: Callable[[], str]) -> None:
+        if name.rsplit(".", 1)[1] not in formats:
             return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / name
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / name
         temp = path.with_name(f".{name}.{os.urandom(4).hex()}.tmp")
         try:
             with open(temp, "x", encoding="utf-8") as out:
@@ -64,22 +65,12 @@ class ArtifactWriter:
         except BaseException:
             temp.unlink(missing_ok=True)
             raise
-        self.written.append(path)
+        written.append(path)
 
-
-@contextlib.contextmanager
-def _artifacts(config: RunConfig, denoiser):
-    """Writer for one run's artifacts.
-
-    On failure every file written so far is removed; the denoiser is closed
-    either way; on success the seed, config digest and written files are
-    announced.
-    """
-    writer = ArtifactWriter(config)
     try:
-        yield writer
+        yield write
     except BaseException:
-        for path in writer.written:
+        for path in written:
             path.unlink(missing_ok=True)
         raise
     finally:
@@ -87,7 +78,7 @@ def _artifacts(config: RunConfig, denoiser):
         if close is not None:
             close()
     print(f"seed={config.seed} config_digest={config_digest(config)}")
-    for path in writer.written:
+    for path in written:
         print(f"wrote {path}")
 
 
@@ -152,14 +143,14 @@ def _condition(config: RunConfig, name: str):
 def cmd_generate(args) -> int:
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
-    with _artifacts(config, denoiser) as writer:
+    with _artifacts(config, denoiser) as write:
         c = _condition(config, args.condition)
         sampling, levels = _latent_steps(config.grid)
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path = generate(denoiser, x_top, c, config.grid, config.noise_schedule)
-        writer.write("path.csv", lambda: path_csv(path.latents, path.noises,
-                                                  sampling, levels, config.seed))
-        writer.write("path.svg", lambda: svg_scatter(
+        write("path.csv", lambda: path_csv(path.latents, path.noises,
+                                           sampling, levels, config.seed))
+        write("path.svg", lambda: svg_scatter(
             [("trajectory", np.array(path.latents)), ("endpoint", path.x0[None, :])],
             title=f"generation under {args.condition!r} (seed {config.seed})",
             connect=True))
@@ -176,12 +167,12 @@ def cmd_invert(args) -> int:
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
     regen = generate(denoiser, inv.x_top, c, grid, schedule)
     rel_err = float(np.linalg.norm(regen.x0 - x0) / np.linalg.norm(x0))
-    with _artifacts(config, denoiser) as writer:
-        writer.write("inversion.csv", lambda: path_csv(
+    with _artifacts(config, denoiser) as write:
+        write("inversion.csv", lambda: path_csv(
             inv.latents, inv.noises, sampling[::-1], levels[::-1], config.seed))
-        writer.write("reconstruction.csv", lambda: table_csv(
+        write("reconstruction.csv", lambda: table_csv(
             ["t_sample", "rel_error", "seed"], [[grid.t_sample, rel_err, config.seed]]))
-        writer.write("inversion.svg", lambda: svg_scatter(
+        write("inversion.svg", lambda: svg_scatter(
             [("inversion", np.array(inv.latents)),
              ("regenerated", np.array(regen.latents))],
             title=f"round trip under {args.condition!r} (seed {config.seed})",
@@ -200,18 +191,18 @@ def _edit_setup(config: RunConfig):
 def cmd_edit(args) -> int:
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
-    with _artifacts(config, denoiser) as writer:
+    with _artifacts(config, denoiser) as write:
         manip, c_a, c_b = _edit_setup(config)
         grid, schedule = config.grid, config.noise_schedule
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         result = run_edit(denoiser, x_top, c_a, c_b, manip, grid, schedule, with_path_b=True)
         row = SweepRow.of(manip, config.seed, score_edit(result, config.model))
-        writer.write("edit.csv", lambda: sweep_table_csv([row]))
-        writer.write("edit_profile.csv", lambda: table_csv(
+        write("edit.csv", lambda: sweep_table_csv([row]))
+        write("edit_profile.csv", lambda: table_csv(
             ["index", "sampling_step", "divergence_from_reference", "seed"],
             [[i, grid.t_sample - i, div, config.seed]
              for i, div in enumerate(path_divergence(result))]))
-        writer.write("edit.svg", lambda: svg_scatter(
+        write("edit.svg", lambda: svg_scatter(
             [("path A endpoint", result.path_a.x0[None, :]),
              ("path B endpoint", result.path_b.x0[None, :]),
              ("edited endpoint", result.path.x0[None, :])],
@@ -232,7 +223,10 @@ def _parse_axes(args, config: RunConfig) -> dict:
                 values.append(json.loads(chunk))
             except (ValueError, RecursionError):
                 values.append(chunk)
-        axes[name.strip()] = tuple(values)
+        name = name.strip()
+        if name in axes:
+            raise ConfigError(f"--axis {name!r} is given more than once")
+        axes[name] = tuple(values)
     return axes or _window_axes(config.grid.t_sample)
 
 
@@ -242,15 +236,11 @@ def _window_axes(total: int) -> dict:
             "t_m": (5, 10, 15, 20, 25)}
 
 
-def _sweep_and_write(config: RunConfig, denoiser, axes: dict, writer: ArtifactWriter,
+def _sweep_and_write(config: RunConfig, denoiser, axes: dict, write: Callable,
                      csv_name: str, svg_name: str) -> tuple[SweepRow, ...]:
-    manip, c_a, c_b = _edit_setup(config)
-    scenario = SweepScenario(denoiser=denoiser, score_params=config.model,
-                             c_a=c_a, c_b=c_b, grid=config.grid,
-                             noise_schedule=config.noise_schedule, base=manip)
-    rows = run_sweep(scenario, axes, config.seed)
-    writer.write(csv_name, lambda: sweep_table_csv(rows))
-    writer.write(svg_name, lambda: svg_scatter(
+    rows = run_sweep(denoiser, config, axes)
+    write(csv_name, lambda: sweep_table_csv(rows))
+    write(svg_name, lambda: svg_scatter(
         [("grid points (layout vs alignment)",
           np.array([[row.metrics.layout_preservation, row.metrics.semantic_alignment]
                     for row in rows]))],
@@ -262,8 +252,8 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     axes = _parse_axes(args, config)
     denoiser = _pick_denoiser(args, config)
-    with _artifacts(config, denoiser) as writer:
-        rows = _sweep_and_write(config, denoiser, axes, writer, "sweep.csv", "sweep.svg")
+    with _artifacts(config, denoiser) as write:
+        rows = _sweep_and_write(config, denoiser, axes, write, "sweep.csv", "sweep.svg")
     print(f"rows={len(rows)} sweep_digest="
           f"{sweep_digest(axes, config.build_manipulation(), config.seed)}")
     return 0
@@ -277,7 +267,7 @@ def cmd_demo(args) -> int:
         config = dataclasses.replace(config, manipulation=ManipulationConfig(
             "guidance", ScheduleSpec("constant", 0, total, total), beta=-0.3))
     denoiser = _pick_denoiser(args, config)
-    with _artifacts(config, denoiser) as writer:
+    with _artifacts(config, denoiser) as write:
         if args.scenario == "prompt-switch":
             _, c_a, c_b = _edit_setup(config)
             grid, schedule = config.grid, config.noise_schedule
@@ -291,8 +281,8 @@ def cmd_demo(args) -> int:
                     for k, x0 in zip(range(t, -1, -1), endpoints)]
             header = ["k"] + [f"x{j}" for j in range(config.model.d)] \
                 + ["dist_to_pure_a", "dist_to_pure_b", "seed"]
-            writer.write("prompt_switch.csv", lambda: table_csv(header, rows))
-            writer.write("prompt_switch.svg", lambda: svg_scatter(
+            write("prompt_switch.csv", lambda: table_csv(header, rows))
+            write("prompt_switch.svg", lambda: svg_scatter(
                 [("switch endpoints", np.array(endpoints)),
                  ("pure A", pure_a[None, :]), ("pure B", pure_b[None, :])],
                 title=f"condition switch sweep (seed {config.seed})", connect=True))
@@ -306,7 +296,7 @@ def cmd_demo(args) -> int:
                 axes = {"beta": (0.7, 0.3, 0.0, -0.3, -0.7),
                         "t_m": (10, 20, 30, 40, 50)}
             name = args.scenario.replace("-", "_")
-            _sweep_and_write(config, denoiser, axes, writer, f"{name}.csv", f"{name}.svg")
+            _sweep_and_write(config, denoiser, axes, write, f"{name}.csv", f"{name}.svg")
     return 0
 
 
@@ -327,8 +317,8 @@ def cmd_report(args) -> int:
     t_values = tuple(int(v) for v in (args.t_sample or [50, 100, 200]))
     rows = inversion_report(denoiser, c, config.noise_schedule, t_values, args.samples,
                             config.seed)
-    with _artifacts(config, denoiser) as writer:
-        writer.write("inversion_report.csv", lambda: table_csv(
+    with _artifacts(config, denoiser) as write:
+        write("inversion_report.csv", lambda: table_csv(
             ["t_sample", "mean_rel_error", "max_rel_error", "seed"],
             [[r.t_sample, r.mean_rel_error, r.max_rel_error, config.seed] for r in rows]))
     return 0
@@ -412,8 +402,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 2
     except Exception as err:
-        valid = isinstance(err, (ConfigError, ParameterError, KeyError, FileNotFoundError))
-        detail = str(err).replace("\n", " ")
+        valid = isinstance(err, (ConfigError, ParameterError, FileNotFoundError))
+        # one line, with the message's own backslashes and quotes escaped
+        detail = str(err).replace("\n", " ").replace("\\", "\\\\").replace('"', '\\"')
         print(f'diffpath-error kind={"validation" if valid else "runtime"} message="{detail}"',
               file=sys.stderr)
         return 1 if valid else 2

@@ -228,8 +228,8 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
     operators read it from that round.  Each result is bitwise the one
     ``run_edit`` gives for its config alone, and its ``path_a``/``path_b``
     are the pure rows' records.  While the editing path is walked, every hop
-    above a pass's first weighted step reuses its noise: until then the pass
-    is that path.
+    above a pass's first weighted step is a noise blend of weight zero, which
+    takes that path's noise: until then the pass is that path.
     """
     t_sample = grid.t_sample
     d = np.asarray(x_top).size
@@ -255,10 +255,6 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
                  for path, w in zip(paths, weights))
 
 
-#: how a row takes a hop's noise when it does not apply its kind's operator
-_PLAIN, _REUSE = "plain", "reuse"
-
-
 def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                  c_b: ConditionEmbedding, pure: Sequence[ConditionEmbedding],
                  weights: list[tuple[float, ...]], d: int) -> ChooseEps:
@@ -267,32 +263,34 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     The config rows are followed by one row per condition of ``pure``: path
     A under ``c_a``, then path B under ``c_b`` if it is walked; each steps
     with its prediction.  At each hop the config rows fall into groups:
-    while path B is walked, rows above their first weighted hop reuse its
-    noise (until then the pass is that path); rows of weight zero take the
-    plain ``c_b`` prediction; the other rows apply their kind's operator, a
-    masked kind its blend with the mask as per-entry weights.  Each group's
-    arithmetic runs on all its rows at once and is elementwise, so every row
-    gets the bits of a walk of its own.  The pure rows' predictions and
-    those of all groups go out as one call per step, with one ``c_b``
-    prediction at the reference latent that every attention row's hook
-    reads.
+    while path B is walked, rows above their first weighted hop blend the
+    noises at weight zero, which copies path B's (until then the pass is
+    that path); other rows of weight zero take the plain ``c_b`` prediction;
+    the rest apply their kind's operator.  Every blend reads its weights from
+    one table: a masked kind's mask where its weight is nonzero, else the
+    schedule weight.  Each group's arithmetic runs on all its rows at once
+    and is elementwise, so every row gets the bits of a walk of its own.
+    The pure rows' predictions and those of all groups go out as one call
+    per step, with one ``c_b`` prediction at the reference latent that every
+    attention row's hook reads.
     """
     W = np.array(weights)
     n, t_sample = W.shape
     ref_a, ref_b = n, n + 1  # path B's row exists only while it is walked
-    tags = np.where(W == 0.0, _PLAIN, [[_MASKED_KINDS.get(c.kind, c.kind)] for c in configs])
+    weighted = W != 0.0
+    # object strings: a "<U" array is only as wide as its longest kind, which
+    # may be too narrow for "noise_interp"
+    tags = np.where(weighted, np.array([[_MASKED_KINDS.get(c.kind, c.kind)] for c in configs],
+                                       dtype=object), "plain")
     if len(pure) > 1:
-        weighted = W != 0.0
         first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
-        tags[np.arange(t_sample) < first[:, None]] = _REUSE
+        tags[np.arange(t_sample) < first[:, None]] = "noise_interp"
     columns = tags.T.tolist()
-    masked = np.array([[c.mask is not None] for c in configs])
+    masked = np.array([[[c.mask is not None]] for c in configs])
     masks = np.array([np.zeros(d) if c.mask is None else c.mask for c in configs])
+    blend = np.where(masked & weighted[..., None], masks[:, None], W[..., None])  # (n, T, d)
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     ab = np.array([c_a.values, c_b.values])  # the pure rows' conditions are its first rows
-
-    def blend_weights(rows: np.ndarray, i: int) -> np.ndarray:
-        return np.where(masked[rows], masks[rows], W[rows, i, None])
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         E = np.empty_like(X)
@@ -304,7 +302,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
             members.setdefault(tag, []).append(r)
         groups = [(kind, np.array(rows)) for kind, rows in members.items()]
         for kind, rows in groups:
-            if kind in (_REUSE, "noise_interp"):
+            if kind == "noise_interp":
                 continue
             if kind == "attention":
                 latents.append(x_ref[None])
@@ -323,11 +321,8 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
         E[n:] = eps[:lo]
         eps_ref = E[ref_a]
         for kind, rows in groups:
-            if kind == _REUSE:
-                E[rows] = E[ref_b]
-                continue
             if kind == "noise_interp":
-                E[rows] = _blend(eps_ref, E[ref_b], blend_weights(rows, i))
+                E[rows] = _blend(eps_ref, E[ref_b], blend[rows, i])
                 continue
             if kind == "attention":
                 eps_edit, lo = eps[lo], lo + 1
@@ -353,7 +348,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                 stepped = _down(X[rows], got, step.a_t, step.a_prev)
                 # the reference row's hop of this step, as the walk will take it
                 ref_next = _down(x_ref, eps_ref, step.a_t, step.a_prev)
-                mixed = _blend(ref_next, stepped, blend_weights(rows, i))
+                mixed = _blend(ref_next, stepped, blend[rows, i])
                 # a no-op blend keeps the directly predicted noise so the step is
                 # identical to plain denoising
                 _settle(E, X[rows], rows, mixed, (mixed == stepped).all(axis=1), step)

@@ -17,12 +17,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density
 from .edits import EditResult, ManipulationConfig, run_edits
 from .errors import ParameterError, checked_number
 from .rng import standard_normals, substream
 from .sampler import INVERSION, _walk
-from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, make_timestep_grid
+from .schedule import AlphaSchedule, ScheduleSpec, make_timestep_grid
 
 AXIS_NAMES = ("t_max", "t_min", "t_m", "schedule", "weight", "beta")
 
@@ -104,19 +105,6 @@ class SweepRow:
                    seed=seed, metrics=metrics)
 
 
-@dataclass(frozen=True)
-class SweepScenario:
-    """Everything a sweep needs besides the axes: model, conditions, base point."""
-
-    denoiser: Denoiser
-    score_params: GMMDenoiserParams
-    c_a: ConditionEmbedding
-    c_b: ConditionEmbedding
-    grid: TimestepGrid
-    noise_schedule: AlphaSchedule
-    base: ManipulationConfig
-
-
 def derive_config(base: ManipulationConfig, assignment: Mapping[str, object]) -> ManipulationConfig:
     """Apply one grid point's axis values to the base manipulation config.
 
@@ -151,15 +139,19 @@ def derive_config(base: ManipulationConfig, assignment: Mapping[str, object]) ->
     return replace(base, schedule=new_sched, beta=None if beta is None else float(beta))
 
 
-def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence],
-              seed: int) -> tuple[SweepRow, ...]:
+def run_sweep(denoiser: Denoiser, config: RunConfig,
+              axes: Mapping[str, Sequence]) -> tuple[SweepRow, ...]:
     """Evaluate the cartesian grid of axis values, one deterministic row each.
 
-    The shared initial noise is derived from the seed; rows are ordered by
-    the lexicographic sort of their axis-value tuples.  Every grid point's
-    edit and the two pure paths walk in lock-step: one denoiser call per
-    step for all of them.
+    ``config`` gives the rest: its manipulation is the base point the axes
+    move, its two named conditions are the reference and editing ones, and
+    its model scores the rows.  The shared initial noise is derived from its
+    seed; rows are ordered by the lexicographic sort of their axis-value
+    tuples.  Every grid point's edit and the two pure paths walk in
+    lock-step: one denoiser call per step for all of them.
     """
+    base = config.build_manipulation()
+    conditions = config.build_conditions()
     axes = {name: tuple(values) for name, values in axes.items()}
     for name, values in axes.items():
         if name not in AXIS_NAMES:
@@ -171,13 +163,14 @@ def run_sweep(scenario: SweepScenario, axes: Mapping[str, Sequence],
         combos = sorted(itertools.product(*(axes[name] for name in names)))
     except TypeError as err:
         raise ParameterError(f"axis values must be mutually comparable: {err}") from err
-    configs = [derive_config(scenario.base, dict(zip(names, combo))) for combo in combos]
-    d = scenario.score_params.d
-    x_top = standard_normals(substream(seed, "sweep", "x_top"), d)
-    results = run_edits(scenario.denoiser, x_top, scenario.c_a, scenario.c_b, configs,
-                        scenario.grid, scenario.noise_schedule, with_path_b=True)
-    return tuple(SweepRow.of(config, seed, score_edit(result, scenario.score_params))
-                 for config, result in zip(configs, results))
+    configs = [derive_config(base, dict(zip(names, combo))) for combo in combos]
+    seed = config.seed
+    x_top = standard_normals(substream(seed, "sweep", "x_top"), config.model.d)
+    results = run_edits(denoiser, x_top, conditions[config.condition_a],
+                        conditions[config.condition_b], configs, config.grid,
+                        config.noise_schedule, with_path_b=True)
+    return tuple(SweepRow.of(manip, seed, score_edit(result, config.model))
+                 for manip, result in zip(configs, results))
 
 
 def sweep_digest(axes: Mapping[str, Sequence], base: ManipulationConfig, seed: int) -> str:

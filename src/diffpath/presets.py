@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import copy
 
+from .errors import ConfigError
+
 #: manipulation-section presets, keyed by "<operator>-<scope>"
 EDIT_PRESETS: dict[str, dict] = {
     "noise-interp-local": {
@@ -106,5 +108,5 @@ def demo_config_dict() -> dict:
 
 def preset_manipulation(name: str) -> dict:
     if name not in EDIT_PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(EDIT_PRESETS)}")
+        raise ConfigError(f"unknown preset {name!r}; available: {sorted(EDIT_PRESETS)}")
     return copy.deepcopy(EDIT_PRESETS[name])

@@ -28,7 +28,6 @@ operators are such callbacks.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,8 +36,6 @@ import numpy as np
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
 from .schedule import AlphaSchedule, TimestepGrid
-
-log = logging.getLogger(__name__)
 
 GENERATION = "generation"
 INVERSION = "inversion"
@@ -398,7 +395,6 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
                 msg = (f"sampling step {step.sampling_step}: objective rose "
                        f"{best:.6e} -> {value:.6e} at iteration {it}; reverted and stopped")
                 diagnostics.append(msg)
-                log.warning("null-embedding optimization diverged: %s", msg)
                 break
             null, best, eps_best = candidate, value, eps_null[0]
         embeddings.append(ConditionEmbedding(null))

@@ -3,7 +3,6 @@ import pytest
 
 from diffpath.config import RunConfig
 from diffpath.denoiser import Denoiser, GMMDenoiser, GMMDenoiserParams
-from diffpath.metrics import SweepScenario
 from diffpath.presets import demo_config_dict, preset_manipulation
 from diffpath.rng import standard_normals, substream
 
@@ -54,15 +53,6 @@ def preset_config(preset: str) -> RunConfig:
     data["manipulation"] = {**preset_manipulation(preset),
                             "condition_a": "a", "condition_b": "b"}
     return RunConfig.from_dict(data)
-
-
-def sweep_scenario(config: RunConfig, denoiser: Denoiser) -> SweepScenario:
-    """The sweep of ``config``'s manipulation, predicted by ``denoiser``."""
-    conds = config.build_conditions()
-    return SweepScenario(denoiser=denoiser, score_params=config.model,
-                         c_a=conds[config.condition_a], c_b=conds[config.condition_b],
-                         grid=config.grid, noise_schedule=config.noise_schedule,
-                         base=config.build_manipulation())
 
 
 class PerRowDenoiser(Denoiser):

@@ -5,6 +5,7 @@ lines.  Tolerances are fixed here and nowhere else.
 """
 
 import contextlib
+import dataclasses
 import json
 import sys
 import warnings
@@ -15,8 +16,7 @@ import pytest
 from diffpath.config import RunConfig, canonical_json
 from diffpath.denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
 from diffpath.edits import ManipulationConfig, lerp, prompt_switch, run_edit
-from diffpath.metrics import (SweepScenario, inversion_report, run_sweep,
-                              score_edit)
+from diffpath.metrics import inversion_report, run_sweep, score_edit
 from diffpath.output import sweep_table_csv
 from diffpath.presets import demo_config_dict
 from diffpath.remote import RemoteDenoiser
@@ -256,15 +256,13 @@ def test_criterion_09_prompt_switch(demo):
 def test_criterion_10_determinism_and_protocol(demo, tmp_path):
     with criterion(10, "seeded runs byte-stable; loopback equals in-process"):
         t = demo["grid"].t_sample
-        scenario = SweepScenario(
-            denoiser=demo["denoiser"], score_params=demo["params"],
-            c_a=demo["c_a"], c_b=demo["c_b"], grid=demo["grid"],
-            noise_schedule=demo["schedule"],
-            base=ManipulationConfig("noise_interp",
-                                    ScheduleSpec("constant", 28, 48, t, 1.0)))
+        sweep_config = dataclasses.replace(
+            demo["cfg"], seed=SEED,
+            manipulation=ManipulationConfig("noise_interp",
+                                            ScheduleSpec("constant", 28, 48, t, 1.0)))
         axes = {"t_max": (50, 48, 46), "t_m": (5, 15)}
-        csv_a = sweep_table_csv(run_sweep(scenario, axes, seed=SEED))
-        csv_b = sweep_table_csv(run_sweep(scenario, axes, seed=SEED))
+        csv_a = sweep_table_csv(run_sweep(demo["denoiser"], sweep_config, axes))
+        csv_b = sweep_table_csv(run_sweep(demo["denoiser"], sweep_config, axes))
         assert csv_a.encode() == csv_b.encode()
 
         config_path = tmp_path / "config.json"

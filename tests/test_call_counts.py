@@ -21,7 +21,7 @@ from diffpath.errors import ParameterError
 from diffpath.metrics import inversion_report, run_sweep
 from diffpath.sampler import ddim_invert, generate, null_text_invert
 
-from conftest import WINDOW_AXES, preset_config, sweep_scenario
+from conftest import WINDOW_AXES, preset_config
 
 #: one preset per operator kind
 KIND_PRESETS = {
@@ -137,8 +137,7 @@ def test_run_edit(demo, count, kind):
 @pytest.mark.parametrize("kind", sorted(KIND_PRESETS))
 def test_run_sweep(count, kind):
     config = preset_config(KIND_PRESETS[kind])
-    assert count(lambda den: run_sweep(sweep_scenario(config, den), WINDOW_AXES,
-                                       config.seed)) == RUN_SWEEP_COUNTS[kind]
+    assert count(lambda den: run_sweep(den, config, WINDOW_AXES)) == RUN_SWEEP_COUNTS[kind]
 
 
 @pytest.fixture()
@@ -166,9 +165,9 @@ def test_cli_edit(built, tmp_path, kind):
 
 def test_bad_sweep_axis_costs_no_call(demo):
     counting = CountingDenoiser(demo["denoiser"])
-    scenario = sweep_scenario(preset_config("noise-interp-local"), counting)
+    config = preset_config("noise-interp-local")
     with pytest.raises(ParameterError, match="sweep axis 't_m' must be an integer"):
-        run_sweep(scenario, {"t_m": ("abc",)}, 1)
+        run_sweep(counting, config, {"t_m": ("abc",)})
     assert (counting.calls, counting.rows) == (0, 0)
 
 

@@ -207,6 +207,39 @@ class TestFailures:
             'diffpath-error kind=validation message="unknown condition \'zz\'"\n'
         assert not (tmp_path / "x").exists()
 
+    def test_unknown_preset_exits_one_in_one_quoted_message(self, tmp_path, capsys):
+        assert main(["edit", "--preset", "nope", "--output", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            'diffpath-error kind=validation message="unknown preset \'nope\'; available: [')
+        assert err.count('"') == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value, shown", [
+        ('"it\'s"', '\\"it\'s\\"'),
+        ('"a\\\\b"', "'a\\\\\\\\b'"),
+    ], ids=["quotes", "backslash"])
+    def test_quotes_and_backslashes_in_a_message_are_escaped(self, value, shown, capsys):
+        assert main(["config", "--set", f"seed={value}"]) == 1
+        assert capsys.readouterr().err == \
+            f'diffpath-error kind=validation message="seed must be an integer, got {shown}"\n'
+
+    def test_a_stray_key_error_is_a_runtime_failure(self, monkeypatch, capsys):
+        def broken(args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "_load_config", broken)
+        assert main(["config"]) == 2
+        assert capsys.readouterr().err == 'diffpath-error kind=runtime message="\'x\'"\n'
+
+    def test_repeated_axis_exits_one_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["sweep", "--axis", "t_m=5,10", "--axis", "t_m=3",
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            'diffpath-error kind=validation message="--axis \'t_m\' is given more than once"\n'
+        assert not out.exists()
+
     def test_declared_dimension_mismatch_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         data = demo_config_dict()

@@ -211,7 +211,7 @@ def test_presets_all_valid():
 
 
 def test_unknown_preset():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         preset_manipulation("nope")
 
 

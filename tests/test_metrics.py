@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -7,15 +8,15 @@ import pytest
 from diffpath.denoiser import ConditionEmbedding
 from diffpath.edits import ManipulationConfig, run_edit
 from diffpath.errors import DenoiserError, ParameterError
-from diffpath.metrics import (EditMetrics, SweepRow, SweepScenario, derive_config,
-                              inversion_report, run_sweep, score_edit, sweep_digest)
+from diffpath.metrics import (EditMetrics, SweepRow, derive_config, inversion_report,
+                              run_sweep, score_edit, sweep_digest)
 from diffpath.output import SWEEP_CSV_HEADER, sweep_table_csv
 from diffpath.presets import EDIT_PRESETS
 from diffpath.rng import standard_normals, substream
 from diffpath.schedule import ScheduleSpec, make_timestep_grid
 
 from conftest import (WINDOW_AXES, NanRowDenoiser, PerRowDenoiser, preset_config,
-                      single_gaussian, sweep_scenario)
+                      single_gaussian)
 
 #: the axes of the schedule-grid and guidance-grid demos
 SCHEDULE_GRID_AXES = {"schedule": ("linear", "cosine", "exponential"),
@@ -23,14 +24,13 @@ SCHEDULE_GRID_AXES = {"schedule": ("linear", "cosine", "exponential"),
 GUIDANCE_GRID_AXES = {"beta": (0.7, 0.3, 0.0, -0.3, -0.7), "t_m": (10, 20, 30, 40, 50)}
 
 
-def _scenario(demo, base=None):
+def _config(demo, seed, base=None):
+    """The demo config with ``seed``, sweeping around ``base`` (a noise_interp window)."""
     t = demo["grid"].t_sample
     if base is None:
         base = ManipulationConfig("noise_interp",
                                   ScheduleSpec("constant", 28, 48, t, 1.0))
-    return SweepScenario(denoiser=demo["denoiser"], score_params=demo["params"],
-                         c_a=demo["c_a"], c_b=demo["c_b"], grid=demo["grid"],
-                         noise_schedule=demo["schedule"], base=base)
+    return replace(demo["cfg"], seed=seed, manipulation=base)
 
 
 class TestEditMetrics:
@@ -118,9 +118,8 @@ class TestDeriveConfig:
 
 class TestRunSweep:
     def test_grid_shape_and_order(self, demo):
-        rows = run_sweep(_scenario(demo),
-                         {"t_max": (50, 48, 46, 44, 42), "t_m": (5, 10, 15, 20, 25)},
-                         seed=demo["cfg"].seed)
+        rows = run_sweep(demo["denoiser"], _config(demo, demo["cfg"].seed),
+                         {"t_max": (50, 48, 46, 44, 42), "t_m": (5, 10, 15, 20, 25)})
         assert len(rows) == 25
         keys = [(r.t_max, r.t_max - r.t_min) for r in rows]
         assert keys == sorted(keys)
@@ -128,7 +127,7 @@ class TestRunSweep:
 
     def test_single_point_equals_direct_call(self, demo):
         seed = demo["cfg"].seed
-        rows = run_sweep(_scenario(demo), {"weight": (0.4,)}, seed=seed)
+        rows = run_sweep(demo["denoiser"], _config(demo, seed), {"weight": (0.4,)})
         assert len(rows) == 1
         t = demo["grid"].t_sample
         x_top = standard_normals(substream(seed, "sweep", "x_top"), 2)
@@ -144,10 +143,10 @@ class TestRunSweep:
 
     def test_repeat_runs_are_byte_identical(self, demo):
         axes = {"t_max": (50, 46), "t_m": (5, 15)}
-        t1 = run_sweep(_scenario(demo), axes, seed=11)
-        t2 = run_sweep(_scenario(demo), axes, seed=11)
+        t1 = run_sweep(demo["denoiser"], _config(demo, 11), axes)
+        t2 = run_sweep(demo["denoiser"], _config(demo, 11), axes)
         assert sweep_table_csv(t1) == sweep_table_csv(t2)
-        base = _scenario(demo).base
+        base = _config(demo, 11).manipulation
         assert sweep_digest(axes, base, 11) == sweep_digest(axes, base, 11) \
             != sweep_digest(axes, base, 12)
 
@@ -164,7 +163,8 @@ class TestRunSweep:
         assert len(digests) == 2
 
     def test_csv_contract(self, demo):
-        text = sweep_table_csv(run_sweep(_scenario(demo), {"weight": (0.0, 1.0)}, seed=3))
+        text = sweep_table_csv(run_sweep(demo["denoiser"], _config(demo, 3),
+                                         {"weight": (0.0, 1.0)}))
         lines = text.strip().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
         assert lines[0] == ("kind,schedule,t_max,t_min,weight,beta,seed,"
@@ -177,7 +177,7 @@ class TestRunSweep:
         t = demo["grid"].t_sample
         base = ManipulationConfig("guidance",
                                   ScheduleSpec("constant", 0, t, t, 1.0), beta=-0.3)
-        rows = run_sweep(_scenario(demo, base), {"beta": (-0.7, -0.3)}, seed=5)
+        rows = run_sweep(demo["denoiser"], _config(demo, 5, base), {"beta": (-0.7, -0.3)})
         assert [r.beta for r in rows] == [-0.7, -0.3]
         text = sweep_table_csv(rows)
         assert "-0.69999999999999996" in text  # 17 significant digits
@@ -190,17 +190,18 @@ class TestRunSweep:
         pytest.param("guidance-default", GUIDANCE_GRID_AXES, id="guidance-grid")])
     def test_batched_sweep_equals_per_row_sweep(self, demo, preset, axes):
         config = preset_config(preset)
-        batched = run_sweep(sweep_scenario(config, demo["denoiser"]), axes, config.seed)
+        batched = run_sweep(demo["denoiser"], config, axes)
         per_row = PerRowDenoiser(demo["denoiser"])
-        scenario = sweep_scenario(config, per_row)
-        assert sweep_table_csv(batched) == sweep_table_csv(run_sweep(scenario, axes, config.seed))
+        assert sweep_table_csv(batched) == sweep_table_csv(run_sweep(per_row, config, axes))
         # the reference: one run_edit per grid point, one prediction per call
         x_top = standard_normals(substream(config.seed, "sweep", "x_top"), 2)
+        conds = config.build_conditions()
         edit_by_edit = []
         for combo in sorted(itertools.product(*axes.values())):
-            manip = derive_config(scenario.base, dict(zip(axes, combo)))
-            result = run_edit(per_row, x_top, scenario.c_a, scenario.c_b, manip, scenario.grid,
-                              scenario.noise_schedule, with_path_b=True)
+            manip = derive_config(config.build_manipulation(), dict(zip(axes, combo)))
+            result = run_edit(per_row, x_top, conds[config.condition_a],
+                              conds[config.condition_b], manip, config.grid,
+                              config.noise_schedule, with_path_b=True)
             edit_by_edit.append(SweepRow.of(manip, config.seed,
                                             score_edit(result, config.model)))
         assert sweep_table_csv(batched) == sweep_table_csv(edit_by_edit)
@@ -210,12 +211,12 @@ class TestRunSweep:
         den = NanRowDenoiser(demo["denoiser"], demo["grid"].level(50 - 20), row=5)
         with pytest.raises(DenoiserError, match=r"non-finite noise \(sampling step 20,") \
                 as err:
-            run_sweep(sweep_scenario(demo["cfg"], den), WINDOW_AXES, demo["cfg"].seed)
+            run_sweep(den, demo["cfg"], WINDOW_AXES)
         assert err.value.sampling_step == 20
 
     def test_empty_axis_rejected(self, demo):
         with pytest.raises(ParameterError):
-            run_sweep(_scenario(demo), {"t_max": ()}, seed=1)
+            run_sweep(demo["denoiser"], _config(demo, 1), {"t_max": ()})
 
 
 class TestInversionReport:

@@ -28,7 +28,7 @@ from diffpath.remote import (DimensionMismatchError, IdMismatchError,
 from diffpath.sampler import generate
 from diffpath.schedule import ScheduleSpec
 
-from conftest import WINDOW_AXES, preset_config, sweep_scenario
+from conftest import WINDOW_AXES, preset_config
 from test_artifact_bytes import DIGESTS, _run
 
 
@@ -113,7 +113,7 @@ class TestLoopback:
         transport = RecordingTransport(_SubprocessTransport(
             [sys.executable, "-m", "diffpath.cli", "serve", "--config", str(config_file)]))
         with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
-            run_sweep(sweep_scenario(config, remote), WINDOW_AXES, config.seed)
+            run_sweep(remote, config, WINDOW_AXES)
         assert len(transport.sent) == 1 + 50
 
     def test_cli_edit_is_fifty_round_trips(self, monkeypatch, tmp_path, capsys):
