@@ -25,14 +25,13 @@ import numpy as np
 from .config import (RunConfig, apply_overrides, canonical_json, config_digest)
 from .edits import ManipulationConfig, prompt_switches, run_edit
 from .errors import ConfigError, ParameterError
-from .metrics import (SweepRow, inversion_report, path_divergence, run_sweep, score_edit,
-                      sweep_digest)
+from .metrics import inversion_report, path_divergence, run_sweep, score_edit, sweep_digest
 from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
 from .presets import demo_config_dict, preset_manipulation
 from .remote import RemoteDenoiser, serve_stream, serve_tcp
 from .rng import standard_normals, substream
 from .sampler import ddim_invert, generate
-from .schedule import ScheduleSpec, TimestepGrid
+from .schedule import ScheduleSpec
 
 DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-grid")
 
@@ -106,6 +105,13 @@ def _load_config(args) -> RunConfig:
     return config
 
 
+def _port(port: int, flag: str) -> int:
+    """A TCP port named on the command line, checked before any socket is opened."""
+    if not 1 <= port <= 65535:
+        raise ConfigError(f"{flag} port must be in 1-65535, got {port}")
+    return port
+
+
 def _pick_denoiser(args, config: RunConfig):
     """The configured analytic model, or a protocol peer when --remote is given."""
     spec = getattr(args, "remote", None)
@@ -118,7 +124,7 @@ def _pick_denoiser(args, config: RunConfig):
             port = int(port)
         except ValueError as err:
             raise ConfigError(f"bad --remote address {spec!r}: {err}") from err
-        return RemoteDenoiser.from_address(host, port, d, m)
+        return RemoteDenoiser.from_address(host, _port(port, "--remote"), d, m)
     if spec.startswith("cmd:"):
         import shlex
         argv = shlex.split(spec[4:])
@@ -126,11 +132,6 @@ def _pick_denoiser(args, config: RunConfig):
             raise ConfigError("--remote cmd: needs a command line")
         return RemoteDenoiser.from_command(argv, d, m)
     raise ConfigError("--remote must be 'tcp:HOST:PORT' or 'cmd:ARGV...'")
-
-
-def _latent_steps(grid: TimestepGrid):
-    """Sampling step and training level of each latent of a generation path."""
-    return list(range(grid.t_sample, -1, -1)), [*grid.steps, 0]
 
 
 def _condition(config: RunConfig, name: str):
@@ -145,11 +146,9 @@ def cmd_generate(args) -> int:
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as write:
         c = _condition(config, args.condition)
-        sampling, levels = _latent_steps(config.grid)
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path = generate(denoiser, x_top, c, config.grid, config.noise_schedule)
-        write("path.csv", lambda: path_csv(path.latents, path.noises,
-                                           sampling, levels, config.seed))
+        write("path.csv", lambda: path_csv(path, config.seed))
         write("path.svg", lambda: svg_scatter(
             [("trajectory", np.array(path.latents)), ("endpoint", path.x0[None, :])],
             title=f"generation under {args.condition!r} (seed {config.seed})",
@@ -162,14 +161,12 @@ def cmd_invert(args) -> int:
     denoiser = config.build_denoiser()
     c = _condition(config, args.condition)
     grid, schedule = config.grid, config.noise_schedule
-    sampling, levels = _latent_steps(grid)
     x0 = denoiser.sample_clean(c, 1, substream(config.seed, "x0"))[0]
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
     regen = generate(denoiser, inv.x_top, c, grid, schedule)
     rel_err = float(np.linalg.norm(regen.x0 - x0) / np.linalg.norm(x0))
     with _artifacts(config, denoiser) as write:
-        write("inversion.csv", lambda: path_csv(
-            inv.latents, inv.noises, sampling[::-1], levels[::-1], config.seed))
+        write("inversion.csv", lambda: path_csv(inv, config.seed))
         write("reconstruction.csv", lambda: table_csv(
             ["t_sample", "rel_error", "seed"], [[grid.t_sample, rel_err, config.seed]]))
         write("inversion.svg", lambda: svg_scatter(
@@ -196,8 +193,8 @@ def cmd_edit(args) -> int:
         grid, schedule = config.grid, config.noise_schedule
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         result = run_edit(denoiser, x_top, c_a, c_b, manip, grid, schedule, with_path_b=True)
-        row = SweepRow.of(manip, config.seed, score_edit(result, config.model))
-        write("edit.csv", lambda: sweep_table_csv([row]))
+        scores = score_edit(result, config.model)
+        write("edit.csv", lambda: sweep_table_csv([(manip, scores)], config.seed))
         write("edit_profile.csv", lambda: table_csv(
             ["index", "sampling_step", "divergence_from_reference", "seed"],
             [[i, grid.t_sample - i, div, config.seed]
@@ -237,13 +234,13 @@ def _window_axes(total: int) -> dict:
 
 
 def _sweep_and_write(config: RunConfig, denoiser, axes: dict, write: Callable,
-                     csv_name: str, svg_name: str) -> tuple[SweepRow, ...]:
+                     csv_name: str, svg_name: str) -> tuple:
     rows = run_sweep(denoiser, config, axes)
-    write(csv_name, lambda: sweep_table_csv(rows))
+    write(csv_name, lambda: sweep_table_csv(rows, config.seed))
     write(svg_name, lambda: svg_scatter(
         [("grid points (layout vs alignment)",
-          np.array([[row.metrics.layout_preservation, row.metrics.semantic_alignment]
-                    for row in rows]))],
+          np.array([[scores.layout_preservation, scores.semantic_alignment]
+                    for _, scores in rows]))],
         title=f"sweep (seed {config.seed})"))
     return rows
 
@@ -304,7 +301,7 @@ def cmd_serve(args) -> int:
     config = _load_config(args)
     denoiser = config.build_denoiser()
     if args.tcp is not None:
-        serve_tcp(denoiser, port=args.tcp)
+        serve_tcp(denoiser, port=_port(args.tcp, "--tcp"))
         return 0
     serve_stream(denoiser, sys.stdin, sys.stdout)
     return 0

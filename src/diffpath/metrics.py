@@ -85,26 +85,6 @@ def score_edit(result: EditResult, params: GMMDenoiserParams) -> EditMetrics:
     return EditMetrics(**scores)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    kind: str
-    schedule_kind: str
-    t_max: int
-    t_min: int
-    weight: float
-    beta: float | None
-    seed: int
-    metrics: EditMetrics
-
-    @classmethod
-    def of(cls, config: ManipulationConfig, seed: int, metrics: EditMetrics) -> "SweepRow":
-        """The sweep columns of one scored manipulation."""
-        sched = config.schedule
-        return cls(kind=config.kind, schedule_kind=sched.kind, t_max=sched.t_max,
-                   t_min=sched.t_min, weight=sched.amplitude, beta=config.beta,
-                   seed=seed, metrics=metrics)
-
-
 def derive_config(base: ManipulationConfig, assignment: Mapping[str, object]) -> ManipulationConfig:
     """Apply one grid point's axis values to the base manipulation config.
 
@@ -139,9 +119,9 @@ def derive_config(base: ManipulationConfig, assignment: Mapping[str, object]) ->
     return replace(base, schedule=new_sched, beta=None if beta is None else float(beta))
 
 
-def run_sweep(denoiser: Denoiser, config: RunConfig,
-              axes: Mapping[str, Sequence]) -> tuple[SweepRow, ...]:
-    """Evaluate the cartesian grid of axis values, one deterministic row each.
+def run_sweep(denoiser: Denoiser, config: RunConfig, axes: Mapping[str, Sequence]
+              ) -> tuple[tuple[ManipulationConfig, EditMetrics], ...]:
+    """Evaluate the cartesian grid of axis values: one (config, metrics) row each.
 
     ``config`` gives the rest: its manipulation is the base point the axes
     move, its two named conditions are the reference and editing ones, and
@@ -164,12 +144,11 @@ def run_sweep(denoiser: Denoiser, config: RunConfig,
     except TypeError as err:
         raise ParameterError(f"axis values must be mutually comparable: {err}") from err
     configs = [derive_config(base, dict(zip(names, combo))) for combo in combos]
-    seed = config.seed
-    x_top = standard_normals(substream(seed, "sweep", "x_top"), config.model.d)
+    x_top = standard_normals(substream(config.seed, "sweep", "x_top"), config.model.d)
     results = run_edits(denoiser, x_top, conditions[config.condition_a],
                         conditions[config.condition_b], configs, config.grid,
                         config.noise_schedule, with_path_b=True)
-    return tuple(SweepRow.of(manip, seed, score_edit(result, config.model))
+    return tuple((manip, score_edit(result, config.model))
                  for manip, result in zip(configs, results))
 
 

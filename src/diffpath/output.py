@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metrics import SweepRow
+from .sampler import INVERSION, PathRecord
 
 SWEEP_CSV_HEADER = ("kind,schedule,t_max,t_min,weight,beta,seed,"
                     "layout_preservation,semantic_alignment,ab_gap")
@@ -36,25 +36,25 @@ def _cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def sweep_table_csv(rows: Iterable[SweepRow]) -> str:
-    """One line per sweep row; beta is blank outside guidance."""
+def sweep_table_csv(rows: Iterable[tuple], seed: int) -> str:
+    """One line per (manipulation config, edit metrics) pair; beta is blank outside guidance."""
     return table_csv(SWEEP_CSV_HEADER.split(","), (
-        (row.kind, row.schedule_kind, row.t_max, row.t_min, row.weight, row.beta,
-         row.seed, row.metrics.layout_preservation, row.metrics.semantic_alignment,
-         row.metrics.ab_gap) for row in rows))
+        (config.kind, config.schedule.kind, config.schedule.t_max, config.schedule.t_min,
+         config.schedule.amplitude, config.beta, seed, scores.layout_preservation,
+         scores.semantic_alignment, scores.ab_gap) for config, scores in rows))
 
 
-def path_csv(latents: Sequence[np.ndarray], noises: Sequence[np.ndarray],
-             sampling_steps: Sequence[int], levels: Sequence[int],
-             seed: int) -> str:
-    """Trajectory table: one row per latent, noise columns blank on the last."""
-    d = latents[0].size
+def path_csv(path: PathRecord, seed: int) -> str:
+    """Trajectory table: one row per latent at its grid step, noise columns blank on the last."""
+    d = path.latents[0].size
+    steps = [*zip(range(path.grid.t_sample, -1, -1), [*path.grid.steps, 0])]
+    steps = steps[::-1] if path.direction == INVERSION else steps  # inversion ascends
     header = ["index", "sampling_step", "training_step",
               *(f"x{j}" for j in range(d)), *(f"eps{j}" for j in range(d)), "seed"]
     return table_csv(header, (
-        [i, sampling_steps[i], levels[i], *latent,
-         *(noises[i] if i < len(noises) else [None] * d), seed]
-        for i, latent in enumerate(latents)))
+        [i, *steps[i], *latent,
+         *(path.noises[i] if i < len(path.noises) else [None] * d), seed]
+        for i, latent in enumerate(path.latents)))
 
 
 _PALETTE = ("#3366cc", "#dc3912", "#109618", "#ff9900", "#990099",

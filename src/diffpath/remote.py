@@ -25,7 +25,8 @@ per row.  Every vector is a list of JSON numbers (integers or floats, never
 booleans or strings) of the expected length, ``t`` is an integer and
 ``alpha_bar`` a number; a frame that breaks this gets an error reply, and a
 reply that breaks it is a :class:`MalformedFrameError` or, for numbers of
-the wrong shape, a :class:`DimensionMismatchError`.
+the wrong shape, a :class:`DimensionMismatchError`.  A request holding a NaN
+or infinite number is a :class:`ParameterError` and sends no frame.
 
 Floats survive the trip exactly because JSON rendering uses shortest
 round-trip representations, so a loopback server wrapping the in-process
@@ -87,7 +88,7 @@ def _finite_float(token: str) -> float:
 #: a literal that overflows to infinity (``1e400``) is rejected as well
 _FRAME_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
                                   parse_float=_finite_float)
-_REPLY_ENCODER = json.JSONEncoder(allow_nan=False)
+_FRAME_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def _numbers(value, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -160,7 +161,7 @@ def serve_stream(denoiser: Denoiser, rfile, wfile) -> None:
                     reply = {"id": msg_id, "eps": np.asarray(eps, dtype=np.float64).tolist()}
             else:
                 raise ValueError(f"unknown op {op!r}")
-            text = _REPLY_ENCODER.encode(reply)
+            text = _FRAME_ENCODER.encode(reply)
         except Exception as err:
             text = json.dumps({"id": msg_id, "error": str(err)})
         _send(wfile, text)
@@ -246,6 +247,14 @@ def _SubprocessTransport(argv: Sequence[str]) -> _SocketTransport:
     return _SocketTransport(ours, proc)
 
 
+def _finite_latents(x, what: str) -> np.ndarray:
+    """``x`` as floats, refused before any frame if strict JSON cannot carry it."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ParameterError(f"{what} must be finite: it holds NaN or inf")
+    return x
+
+
 class RemoteDenoiser(Denoiser):
     """Denoiser implementation backed by a protocol peer.
 
@@ -301,9 +310,12 @@ class RemoteDenoiser(Denoiser):
             if self._timed_out:
                 raise TransportClosedError("transport was closed after a timeout")
             msg_id = self._next_id
+            try:  # strict JSON: a NaN or infinite number sends no frame
+                request = _FRAME_ENCODER.encode({"id": msg_id, **payload})
+            except ValueError as err:
+                raise ParameterError(f"{payload['op']} request: {err}") from None
             self._next_id += 1
-            request = {"id": msg_id, **payload}
-            self._transport.send_line(json.dumps(request))
+            self._transport.send_line(request)
             try:
                 line = self._transport.recv_line(self._timeout)
             except RemoteTimeoutError:
@@ -323,7 +335,7 @@ class RemoteDenoiser(Denoiser):
 
     def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
                       alpha_bar: float, t: int) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _finite_latents(x, "latent x")
         if c.m != self.m:
             raise ParameterError(f"condition has dimension {c.m}, expected {self.m}")
         reply = self._round_trip({
@@ -338,9 +350,9 @@ class RemoteDenoiser(Denoiser):
     def predict_noise_batch(self, X: np.ndarray, C: np.ndarray,
                             alpha_bar: float, t: int) -> np.ndarray:
         """One ``predict_noise_batch`` frame if the handshake agreed on it, else one per row."""
+        X = _finite_latents(X, "latents X")
         if not (self.batched and len(X)):
             return super().predict_noise_batch(X, C, alpha_bar, t)
-        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ParameterError(f"latents must be rows (N, d), got shape {X.shape}")
         C = _condition_matrix(C, len(X), self.m)

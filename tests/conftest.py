@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,11 @@ from diffpath.config import RunConfig
 from diffpath.denoiser import Denoiser, GMMDenoiser, GMMDenoiserParams
 from diffpath.presets import demo_config_dict, preset_manipulation
 from diffpath.rng import standard_normals, substream
+
+#: the package's sources, which ``pythonpath`` in pyproject.toml puts on
+#: sys.path, go on PYTHONPATH too, so child processes import the same code
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 #: the default sweep and the window-grid demo
 WINDOW_AXES = {"t_max": (50, 48, 46, 44, 42), "t_m": (5, 10, 15, 20, 25)}

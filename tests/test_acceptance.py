@@ -261,8 +261,8 @@ def test_criterion_10_determinism_and_protocol(demo, tmp_path):
             manipulation=ManipulationConfig("noise_interp",
                                             ScheduleSpec("constant", 28, 48, t, 1.0)))
         axes = {"t_max": (50, 48, 46), "t_m": (5, 15)}
-        csv_a = sweep_table_csv(run_sweep(demo["denoiser"], sweep_config, axes))
-        csv_b = sweep_table_csv(run_sweep(demo["denoiser"], sweep_config, axes))
+        csv_a = sweep_table_csv(run_sweep(demo["denoiser"], sweep_config, axes), SEED)
+        csv_b = sweep_table_csv(run_sweep(demo["denoiser"], sweep_config, axes), SEED)
         assert csv_a.encode() == csv_b.encode()
 
         config_path = tmp_path / "config.json"

@@ -427,6 +427,25 @@ class TestFailures:
     def test_bad_remote_spec_exits_one(self, config_path, capsys):
         assert main(["edit", "--config", str(config_path), "--remote", "ftp:x"]) == 1
 
+    @pytest.mark.parametrize("argv, flag, port", [
+        (["edit", "--remote", "tcp:127.0.0.1:101977"], "--remote", 101977),
+        (["sweep", "--remote", "tcp:127.0.0.1:-1"], "--remote", -1),
+        (["generate", "--remote", "tcp:127.0.0.1:0"], "--remote", 0),
+        (["serve", "--tcp", "70000"], "--tcp", 70000),
+        (["serve", "--tcp", "-1"], "--tcp", -1)])
+    def test_port_out_of_range_exits_one_before_any_socket(self, argv, flag, port, tmp_path,
+                                                           monkeypatch, capsys):
+        # the resolver would wrap 101977 to 36441, and bind() rejects 70000 at run time
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        monkeypatch.setattr(cli, "serve_tcp", no_socket)
+        assert main([*argv, "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == ('diffpath-error kind=validation message='
+                                           f'"{flag} port must be in 1-65535, got {port}"\n')
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("scenario", ["guidance-grid", "window-grid"])
     def test_demo_without_manipulation_exits_one(self, tmp_path, scenario, capsys):
         bare = tmp_path / "bare.json"
@@ -441,11 +460,8 @@ class TestFailures:
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
-    """Run this interpreter on ``argv`` with the package's sources importable."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    """Run this interpreter on ``argv``; conftest.py makes the package's sources importable."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True)
 
 
 def test_cli_import_loads_no_scipy():

@@ -8,8 +8,8 @@ import pytest
 from diffpath.denoiser import ConditionEmbedding
 from diffpath.edits import ManipulationConfig, run_edit
 from diffpath.errors import DenoiserError, ParameterError
-from diffpath.metrics import (EditMetrics, SweepRow, derive_config, inversion_report,
-                              run_sweep, score_edit, sweep_digest)
+from diffpath.metrics import (EditMetrics, derive_config, inversion_report, run_sweep,
+                              score_edit, sweep_digest)
 from diffpath.output import SWEEP_CSV_HEADER, sweep_table_csv
 from diffpath.presets import EDIT_PRESETS
 from diffpath.rng import standard_normals, substream
@@ -121,9 +121,9 @@ class TestRunSweep:
         rows = run_sweep(demo["denoiser"], _config(demo, demo["cfg"].seed),
                          {"t_max": (50, 48, 46, 44, 42), "t_m": (5, 10, 15, 20, 25)})
         assert len(rows) == 25
-        keys = [(r.t_max, r.t_max - r.t_min) for r in rows]
+        keys = [(r.schedule.t_max, r.schedule.t_max - r.schedule.t_min) for r, _ in rows]
         assert keys == sorted(keys)
-        assert all(r.kind == "noise_interp" for r in rows)
+        assert all(r.kind == "noise_interp" for r, _ in rows)
 
     def test_single_point_equals_direct_call(self, demo):
         seed = demo["cfg"].seed
@@ -136,16 +136,16 @@ class TestRunSweep:
         res = run_edit(demo["denoiser"], x_top, demo["c_a"], demo["c_b"], config,
                        demo["grid"], demo["schedule"], with_path_b=True)
         direct = score_edit(res, demo["params"])
-        row = rows[0]
-        assert row.metrics.layout_preservation == direct.layout_preservation
-        assert row.metrics.semantic_alignment == direct.semantic_alignment
-        assert row.metrics.ab_gap == direct.ab_gap
+        _, scores = rows[0]
+        assert scores.layout_preservation == direct.layout_preservation
+        assert scores.semantic_alignment == direct.semantic_alignment
+        assert scores.ab_gap == direct.ab_gap
 
     def test_repeat_runs_are_byte_identical(self, demo):
         axes = {"t_max": (50, 46), "t_m": (5, 15)}
         t1 = run_sweep(demo["denoiser"], _config(demo, 11), axes)
         t2 = run_sweep(demo["denoiser"], _config(demo, 11), axes)
-        assert sweep_table_csv(t1) == sweep_table_csv(t2)
+        assert sweep_table_csv(t1, 11) == sweep_table_csv(t2, 11)
         base = _config(demo, 11).manipulation
         assert sweep_digest(axes, base, 11) == sweep_digest(axes, base, 11) \
             != sweep_digest(axes, base, 12)
@@ -164,7 +164,7 @@ class TestRunSweep:
 
     def test_csv_contract(self, demo):
         text = sweep_table_csv(run_sweep(demo["denoiser"], _config(demo, 3),
-                                         {"weight": (0.0, 1.0)}))
+                                         {"weight": (0.0, 1.0)}), 3)
         lines = text.strip().split("\n")
         assert lines[0] == SWEEP_CSV_HEADER
         assert lines[0] == ("kind,schedule,t_max,t_min,weight,beta,seed,"
@@ -178,8 +178,8 @@ class TestRunSweep:
         base = ManipulationConfig("guidance",
                                   ScheduleSpec("constant", 0, t, t, 1.0), beta=-0.3)
         rows = run_sweep(demo["denoiser"], _config(demo, 5, base), {"beta": (-0.7, -0.3)})
-        assert [r.beta for r in rows] == [-0.7, -0.3]
-        text = sweep_table_csv(rows)
+        assert [r.beta for r, _ in rows] == [-0.7, -0.3]
+        text = sweep_table_csv(rows, 5)
         assert "-0.69999999999999996" in text  # 17 significant digits
 
     @pytest.mark.filterwarnings("ignore:guidance beta")
@@ -192,7 +192,8 @@ class TestRunSweep:
         config = preset_config(preset)
         batched = run_sweep(demo["denoiser"], config, axes)
         per_row = PerRowDenoiser(demo["denoiser"])
-        assert sweep_table_csv(batched) == sweep_table_csv(run_sweep(per_row, config, axes))
+        assert sweep_table_csv(batched, config.seed) == sweep_table_csv(
+            run_sweep(per_row, config, axes), config.seed)
         # the reference: one run_edit per grid point, one prediction per call
         x_top = standard_normals(substream(config.seed, "sweep", "x_top"), 2)
         conds = config.build_conditions()
@@ -202,9 +203,9 @@ class TestRunSweep:
             result = run_edit(per_row, x_top, conds[config.condition_a],
                               conds[config.condition_b], manip, config.grid,
                               config.noise_schedule, with_path_b=True)
-            edit_by_edit.append(SweepRow.of(manip, config.seed,
-                                            score_edit(result, config.model)))
-        assert sweep_table_csv(batched) == sweep_table_csv(edit_by_edit)
+            edit_by_edit.append((manip, score_edit(result, config.model)))
+        assert sweep_table_csv(batched, config.seed) == sweep_table_csv(edit_by_edit,
+                                                                        config.seed)
 
     def test_bad_row_in_a_batched_step_names_the_step(self, demo):
         # row 5 of the edits' batch at sampling step 20 comes back as NaN

@@ -1,20 +1,17 @@
 import io
 import json
 import math
-import os
 import select
 import shlex
 import socket
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import diffpath
 from diffpath import cli
 from diffpath.config import canonical_json
 from diffpath.denoiser import ConditionEmbedding, Denoiser
@@ -25,11 +22,12 @@ from diffpath.remote import (DimensionMismatchError, IdMismatchError,
                              MalformedFrameError, RemoteDenoiser,
                              RemoteTimeoutError, TransportClosedError,
                              _SubprocessTransport, serve_stream, serve_tcp)
-from diffpath.sampler import generate
+from diffpath.sampler import ddim_invert, generate, null_text_invert
 from diffpath.schedule import ScheduleSpec
 
 from conftest import WINDOW_AXES, preset_config
 from test_artifact_bytes import DIGESTS, _run
+from test_call_counts import CountingDenoiser
 
 
 @pytest.fixture(scope="module")
@@ -126,8 +124,6 @@ class TestLoopback:
             return round_trip(remote, payload)
 
         monkeypatch.setattr(RemoteDenoiser, "_round_trip", recording)
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-            filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
         spec = "cmd:" + shlex.join([sys.executable, "-m", "diffpath.cli", "serve"])
         assert cli.main(["edit", "--preset", "guidance-default", "--remote", spec,
                          "--output", str(tmp_path)]) == 0
@@ -477,6 +473,13 @@ def fake_server(tmp_path_factory):
     return path
 
 
+def _recorded_peer(fake_server, config_file, mode) -> RecordingTransport:
+    """``diffpath serve`` (mode ``serve``, with the batch op) or a fake peer, recorded."""
+    argv = ([sys.executable, "-m", "diffpath.cli", "serve", "--config", str(config_file)]
+            if mode == "serve" else [sys.executable, str(fake_server), mode])
+    return RecordingTransport(_SubprocessTransport(argv))
+
+
 def _fake(fake_server, mode, timeout=10.0):
     return RemoteDenoiser.from_command(
         [sys.executable, str(fake_server), mode], d=2, m=2, timeout=timeout)
@@ -526,15 +529,56 @@ class TestProtocolErrors:
     @pytest.mark.parametrize("mode", ["serve", "oracle"])
     def test_batch_conditions_of_the_wrong_width_send_no_frame(self, fake_server,
                                                                config_file, mode):
-        # a peer with the batch op, and one without it (one frame per row)
-        argv = ([sys.executable, "-m", "diffpath.cli", "serve", "--config", str(config_file)]
-                if mode == "serve" else [sys.executable, str(fake_server), mode])
-        transport = RecordingTransport(_SubprocessTransport(argv))
+        transport = _recorded_peer(fake_server, config_file, mode)
         with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
             assert remote.batched == (mode == "serve")
             with pytest.raises(ParameterError, match=r"conditions C must have shape \(2, 2\)"):
                 remote.predict_noise_batch(np.zeros((2, 2)), np.zeros((2, 3)), 0.5, 640)
         assert [json.loads(line)["op"] for line in transport.sent] == ["hello"]
+
+    @pytest.mark.parametrize("mode", ["serve", "oracle"])
+    def test_non_finite_latents_send_no_frame(self, fake_server, config_file, demo, mode):
+        # strict JSON has no NaN or Infinity, and 1e309 overflows to infinity
+        transport = _recorded_peer(fake_server, config_file, mode)
+        C = np.array([demo["c_a"].values] * 2)
+        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
+            for bad in (math.nan, math.inf, -math.inf, float("1e309")):
+                X = np.zeros((2, 2))
+                X[1, 0] = bad
+                with pytest.raises(ParameterError, match="latents X must be finite"):
+                    remote.predict_noise_batch(X, C, 0.5, 640)
+                with pytest.raises(ParameterError, match="latent x must be finite"):
+                    remote.predict_noise(X[1], demo["c_a"], 0.5, 640)
+                with pytest.raises(ParameterError, match="predict_noise request: Out of range"):
+                    remote.predict_noise(X[0], demo["c_a"], bad, 640)
+            # the connection is still good: the next request is answered
+            assert remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640).shape == (2,)
+        ops = [json.loads(line)["op"] for line in transport.sent]
+        assert ops == ["hello", "predict_noise"]
+
+    @pytest.mark.parametrize("mode", ["serve", "oracle"])
+    def test_null_text_is_the_in_process_run(self, fake_server, config_file, demo, mode):
+        # null-text inversion at 2 iterations, then the guided regeneration with
+        # its per-step nulls; test_call_counts.py's counter gives the frames
+        grid, sched, c = demo["grid"], demo["schedule"], demo["c_a"]
+        x0 = generate(demo["denoiser"], demo["x_top"], c, grid, sched).x0
+        x_top = ddim_invert(demo["denoiser"], x0, c, grid, sched).x_top
+
+        def run(den):
+            res = null_text_invert(den, x0, c, 2.0, grid, sched, iterations=2)
+            path = generate(den, x_top, c, grid, sched, guidance=(2.0, res.embeddings))
+            return ([e.values.tobytes() for e in res.embeddings], repr(res.objectives),
+                    res.diagnostics, [a.tobytes() for a in (*path.latents, *path.noises)])
+
+        counting = CountingDenoiser(demo["denoiser"])
+        local = run(counting)
+        # null-text: 200 calls, 650 rows; the guided generate: 50 calls, 100 rows
+        assert (counting.calls, counting.rows) == (250, 750)
+        transport = _recorded_peer(fake_server, config_file, mode)
+        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
+            assert run(remote) == local
+        frames = len(transport.sent) - 1
+        assert frames == (counting.calls if mode == "serve" else counting.rows)
 
     def test_edit_over_a_peer_without_the_batch_op(self, fake_server, demo):
         transport = RecordingTransport(
@@ -652,10 +696,6 @@ class TestTcpTransport:
             RemoteDenoiser.from_address("127.0.0.1", _hangup_tcp_server(), d=2, m=2)
 
 
-#: the source tree of the package under test, for a ``cmd:`` child run elsewhere
-_SRC = str(Path(diffpath.__file__).resolve().parents[1])
-
-
 @pytest.mark.parametrize("peer", ["cmd", "tcp"])
 @pytest.mark.parametrize("command", [f"{command} --preset {preset}"
                                      for command in ("sweep", "edit")
@@ -663,8 +703,6 @@ _SRC = str(Path(diffpath.__file__).resolve().parents[1])
 def test_remote_artifacts_are_the_in_process_bytes(demo, command, peer, tmp_path,
                                                    monkeypatch, capsys):
     if peer == "cmd":
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-            filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
         spec = "cmd:" + shlex.join([sys.executable, "-m", "diffpath.cli", "serve"])
     else:
         spec = f"tcp:127.0.0.1:{_tcp_server(demo)}"
