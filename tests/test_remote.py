@@ -129,6 +129,30 @@ class TestLoopback:
                          "--output", str(tmp_path)]) == 0
         assert ops == ["hello"] + ["predict_noise_batch"] * 50
 
+    @pytest.mark.parametrize("mode", ["serve", "oracle"])
+    def test_null_text_is_the_in_process_run(self, fake_server, config_file, demo, mode):
+        # null-text inversion at 2 iterations, then the guided regeneration with
+        # its per-step nulls; test_call_counts.py's counter gives the frames
+        grid, sched, c = demo["grid"], demo["schedule"], demo["c_a"]
+        x0 = generate(demo["denoiser"], demo["x_top"], c, grid, sched).x0
+        x_top = ddim_invert(demo["denoiser"], x0, c, grid, sched).x_top
+
+        def run(den):
+            res = null_text_invert(den, x0, c, 2.0, grid, sched, iterations=2)
+            path = generate(den, x_top, c, grid, sched, guidance=(2.0, res.embeddings))
+            return ([e.values.tobytes() for e in res.embeddings], repr(res.objectives),
+                    res.diagnostics, [a.tobytes() for a in (*path.latents, *path.noises)])
+
+        counting = CountingDenoiser(demo["denoiser"])
+        local = run(counting)
+        # null-text: 200 calls, 650 rows; the guided generate: 50 calls, 100 rows
+        assert (counting.calls, counting.rows) == (250, 750)
+        transport = _recorded_peer(fake_server, config_file, mode)
+        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
+            assert run(remote) == local
+        frames = len(transport.sent) - 1
+        assert frames == (counting.calls if mode == "serve" else counting.rows)
+
     def test_client_starts_no_thread(self, config_file, demo):
         before = set(threading.enumerate())
         with _spawn_server(config_file) as remote:
@@ -555,30 +579,6 @@ class TestProtocolErrors:
             assert remote.predict_noise(np.zeros(2), demo["c_a"], 0.5, 640).shape == (2,)
         ops = [json.loads(line)["op"] for line in transport.sent]
         assert ops == ["hello", "predict_noise"]
-
-    @pytest.mark.parametrize("mode", ["serve", "oracle"])
-    def test_null_text_is_the_in_process_run(self, fake_server, config_file, demo, mode):
-        # null-text inversion at 2 iterations, then the guided regeneration with
-        # its per-step nulls; test_call_counts.py's counter gives the frames
-        grid, sched, c = demo["grid"], demo["schedule"], demo["c_a"]
-        x0 = generate(demo["denoiser"], demo["x_top"], c, grid, sched).x0
-        x_top = ddim_invert(demo["denoiser"], x0, c, grid, sched).x_top
-
-        def run(den):
-            res = null_text_invert(den, x0, c, 2.0, grid, sched, iterations=2)
-            path = generate(den, x_top, c, grid, sched, guidance=(2.0, res.embeddings))
-            return ([e.values.tobytes() for e in res.embeddings], repr(res.objectives),
-                    res.diagnostics, [a.tobytes() for a in (*path.latents, *path.noises)])
-
-        counting = CountingDenoiser(demo["denoiser"])
-        local = run(counting)
-        # null-text: 200 calls, 650 rows; the guided generate: 50 calls, 100 rows
-        assert (counting.calls, counting.rows) == (250, 750)
-        transport = _recorded_peer(fake_server, config_file, mode)
-        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
-            assert run(remote) == local
-        frames = len(transport.sent) - 1
-        assert frames == (counting.calls if mode == "serve" else counting.rows)
 
     def test_edit_over_a_peer_without_the_batch_op(self, fake_server, demo):
         transport = RecordingTransport(
