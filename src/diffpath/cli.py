@@ -16,16 +16,18 @@ import dataclasses
 import functools
 import json
 import os
+import socket
 import sys
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .config import (RunConfig, apply_overrides, canonical_json, config_digest)
+from .config import RunConfig, apply_overrides, canonical_json, config_digest, json_literal
 from .edits import ManipulationConfig, prompt_switches, run_edit
 from .errors import ConfigError, ParameterError
-from .metrics import inversion_report, path_divergence, run_sweep, score_edit, sweep_digest
+from .metrics import (AXIS_NAMES, inversion_report, path_divergence, run_sweep, score_edit,
+                      sweep_digest)
 from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
 from .presets import demo_config_dict, preset_manipulation
 from .remote import RemoteDenoiser, serve_stream, serve_tcp
@@ -46,9 +48,9 @@ def _artifacts(config: RunConfig, denoiser):
     far is removed; the denoiser is closed either way; on success the seed,
     config digest and written files are announced.
     """
-    directory = Path(config.output.directory)
+    directory = Path(config.output_dir)
     # scatter plots are drawn for planar models only
-    formats = [f for f in config.output.formats if f != "svg" or config.model.d == 2]
+    formats = [f for f in config.formats if f != "svg" or config.model.d == 2]
     written: list[Path] = []
 
     def write(name: str, render: Callable[[], str]) -> None:
@@ -100,8 +102,7 @@ def _load_config(args) -> RunConfig:
         data["manipulation"] = manip
     config = RunConfig.from_dict(apply_overrides(data, args.set or []))
     if getattr(args, "output", None):
-        config = dataclasses.replace(config, output=dataclasses.replace(
-            config.output, directory=args.output))
+        config = dataclasses.replace(config, output_dir=args.output)
     return config
 
 
@@ -119,12 +120,13 @@ def _pick_denoiser(args, config: RunConfig):
         return config.build_denoiser()
     d, m = config.model.d, config.model.m
     if spec.startswith("tcp:"):
+        host, _, port = spec[4:].rpartition(":")
         try:
-            _, host, port = spec.split(":")
             port = int(port)
-        except ValueError as err:
-            raise ConfigError(f"bad --remote address {spec!r}: {err}") from err
-        return RemoteDenoiser.from_address(host, _port(port, "--remote"), d, m)
+        except ValueError:
+            raise ConfigError(f"bad --remote address {spec!r}: expected 'tcp:HOST:PORT' or "
+                              "'tcp:[IPV6]:PORT'") from None
+        return RemoteDenoiser.from_address(host.strip("[]"), _port(port, "--remote"), d, m)
     if spec.startswith("cmd:"):
         import shlex
         argv = shlex.split(spec[4:])
@@ -134,18 +136,11 @@ def _pick_denoiser(args, config: RunConfig):
     raise ConfigError("--remote must be 'tcp:HOST:PORT' or 'cmd:ARGV...'")
 
 
-def _condition(config: RunConfig, name: str):
-    conditions = config.build_conditions()
-    if name not in conditions:
-        raise ConfigError(f"unknown condition {name!r}")
-    return conditions[name]
-
-
 def cmd_generate(args) -> int:
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as write:
-        c = _condition(config, args.condition)
+        c = config.condition(args.condition)
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         path = generate(denoiser, x_top, c, config.grid, config.noise_schedule)
         write("path.csv", lambda: path_csv(path, config.seed))
@@ -159,7 +154,7 @@ def cmd_generate(args) -> int:
 def cmd_invert(args) -> int:
     config = _load_config(args)
     denoiser = config.build_denoiser()
-    c = _condition(config, args.condition)
+    c = config.condition(args.condition)
     grid, schedule = config.grid, config.noise_schedule
     x0 = denoiser.sample_clean(c, 1, substream(config.seed, "x0"))[0]
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
@@ -178,18 +173,11 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _edit_setup(config: RunConfig):
-    """The configured manipulation and its reference and editing conditions."""
-    manip = config.build_manipulation()
-    conditions = config.build_conditions()
-    return manip, conditions[config.condition_a], conditions[config.condition_b]
-
-
 def cmd_edit(args) -> int:
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as write:
-        manip, c_a, c_b = _edit_setup(config)
+        manip, c_a, c_b = config.edit_setup()
         grid, schedule = config.grid, config.noise_schedule
         x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
         result = run_edit(denoiser, x_top, c_a, c_b, manip, grid, schedule, with_path_b=True)
@@ -213,17 +201,10 @@ def _parse_axes(args, config: RunConfig) -> dict:
         if "=" not in item:
             raise ConfigError(f"--axis {item!r} is not of the form name=v1,v2,...")
         name, raw = item.split("=", 1)
-        values = []
-        for chunk in raw.split(","):
-            chunk = chunk.strip()
-            try:
-                values.append(json.loads(chunk))
-            except (ValueError, RecursionError):
-                values.append(chunk)
         name = name.strip()
         if name in axes:
             raise ConfigError(f"--axis {name!r} is given more than once")
-        axes[name] = tuple(values)
+        axes[name] = tuple(json_literal(chunk.strip()) for chunk in raw.split(","))
     return axes or _window_axes(config.grid.t_sample)
 
 
@@ -266,7 +247,7 @@ def cmd_demo(args) -> int:
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as write:
         if args.scenario == "prompt-switch":
-            _, c_a, c_b = _edit_setup(config)
+            _, c_a, c_b = config.edit_setup()
             grid, schedule = config.grid, config.noise_schedule
             x_top = standard_normals(substream(config.seed, "x_top"), config.model.d)
             t = grid.t_sample
@@ -301,7 +282,8 @@ def cmd_serve(args) -> int:
     config = _load_config(args)
     denoiser = config.build_denoiser()
     if args.tcp is not None:
-        serve_tcp(denoiser, port=_port(args.tcp, "--tcp"))
+        port = _port(args.tcp, "--tcp")
+        serve_tcp(denoiser, socket.create_server(("127.0.0.1", port), backlog=1))
         return 0
     serve_stream(denoiser, sys.stdin, sys.stdout)
     return 0
@@ -310,7 +292,7 @@ def cmd_serve(args) -> int:
 def cmd_report(args) -> int:
     config = _load_config(args)
     denoiser = config.build_denoiser()
-    c = _condition(config, args.condition)
+    c = config.condition(args.condition)
     t_values = tuple(int(v) for v in (args.t_sample or [50, 100, 200]))
     rows = inversion_report(denoiser, c, config.noise_schedule, t_values, args.samples,
                             config.seed)
@@ -340,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--condition", default="a", help="condition name (default: a)")
         if remote:
             p.add_argument("--remote", metavar="SPEC",
-                           help="use a remote denoiser: 'tcp:HOST:PORT' or 'cmd:ARGV...'")
+                           help="use a remote denoiser: 'tcp:HOST:PORT', "
+                           "'tcp:[IPV6]:PORT' or 'cmd:ARGV...'")
 
     p = sub.add_parser("generate", help="run one generation pass")
     common(p, condition=True, remote=True)
@@ -357,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a grid of manipulation parameters")
     common(p, preset=True, remote=True)
     p.add_argument("--axis", action="append", metavar="NAME=V1,V2,...",
-                   help="sweep axis (t_max, t_min, t_m, schedule, weight, beta)")
+                   help=f"sweep axis ({', '.join(AXIS_NAMES)})")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("demo", help="run a canned scenario")

@@ -103,15 +103,6 @@ def _section(name: str):
 
 
 @dataclass(frozen=True)
-class OutputCfg:
-    directory: str
-    formats: tuple[str, ...] = ("csv", "svg")
-
-    def to_dict(self) -> dict:
-        return {"directory": self.directory, "formats": list(self.formats)}
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """A parsed run config, held as the objects the engine runs on.
 
@@ -120,7 +111,7 @@ class RunConfig:
     ``conditions`` holds the declared conditions only; ``build_conditions``
     adds the all-zeros ``null`` condition when none is declared.
     ``condition_a``/``condition_b`` name the manipulation's reference and
-    editing conditions.
+    editing conditions; ``output_dir`` and ``formats`` are the ``output`` section.
     """
 
     seed: int
@@ -131,7 +122,8 @@ class RunConfig:
     manipulation: ManipulationConfig | None
     condition_a: str
     condition_b: str
-    output: OutputCfg
+    output_dir: str
+    formats: tuple[str, ...]
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "RunConfig":
@@ -172,8 +164,8 @@ class RunConfig:
         return RunConfig(
             seed=cfg["seed"], model=model, conditions=conditions,
             noise_schedule=noise_schedule, grid=grid, manipulation=manip, **names,
-            output=OutputCfg(out.get("directory") or os.environ.get(OUTPUT_DIR_ENV, "out"),
-                             formats))
+            output_dir=out.get("directory") or os.environ.get(OUTPUT_DIR_ENV, "out"),
+            formats=formats)
 
     def to_dict(self) -> dict:
         p, schedule = self.model, self.noise_schedule
@@ -199,7 +191,7 @@ class RunConfig:
             optional = (("beta", manip.beta), ("mask", mask), ("cam_hook", manip.cam_hook))
             section.update((key, value) for key, value in optional if value is not None)
             out["manipulation"] = section
-        out["output"] = self.output.to_dict()
+        out["output"] = {"directory": self.output_dir, "formats": list(self.formats)}
         return out
 
     def build_denoiser(self) -> GMMDenoiser:
@@ -222,6 +214,18 @@ class RunConfig:
             raise ConfigError("this command needs a manipulation section (or --preset)")
         return self.manipulation
 
+    def condition(self, name: str) -> ConditionEmbedding:
+        """The condition called ``name``, ``null`` included."""
+        try:
+            return self.build_conditions()[name]
+        except KeyError:
+            raise ConfigError(f"unknown condition {name!r}") from None
+
+    def edit_setup(self) -> tuple[ManipulationConfig, ConditionEmbedding, ConditionEmbedding]:
+        """The manipulation and its reference and editing conditions, ``c_a`` and ``c_b``."""
+        return (self.build_manipulation(), self.condition(self.condition_a),
+                self.condition(self.condition_b))
+
 
 def canonical_json(config: RunConfig) -> str:
     return json.dumps(config.to_dict(), indent=2, sort_keys=False) + "\n"
@@ -231,22 +235,27 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
 
 
+def json_literal(raw: str):
+    """``raw`` parsed as JSON, or the string itself where it does not parse.
+
+    A literal past the digit limit, or nested too deep, stays a string that its field rejects.
+    """
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError):
+        return raw
+
+
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
     """Apply ``path.to.key=value`` overrides to a raw config dict.
 
-    Values parse as JSON when possible and fall back to plain strings (so an
-    integer literal beyond Python's digit limit, or too deep a nesting, is a
-    string, which its field then rejects); integer path segments index into
-    lists.
+    Values are ``json_literal``s; integer path segments index into lists.
     """
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form path=value")
         path, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except (ValueError, RecursionError):
-            value = raw
+        value = json_literal(raw)
         keys = path.split(".")
         target: Any = data
         for key in keys[:-1]:

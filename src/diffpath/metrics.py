@@ -130,12 +130,9 @@ def run_sweep(denoiser: Denoiser, config: RunConfig, axes: Mapping[str, Sequence
     tuples.  Every grid point's edit and the two pure paths walk in
     lock-step: one denoiser call per step for all of them.
     """
-    base = config.build_manipulation()
-    conditions = config.build_conditions()
+    base, c_a, c_b = config.edit_setup()
     axes = {name: tuple(values) for name, values in axes.items()}
     for name, values in axes.items():
-        if name not in AXIS_NAMES:
-            raise ParameterError(f"unknown sweep axis {name!r}; expected one of {AXIS_NAMES}")
         if not values:
             raise ParameterError(f"axis {name!r} has no values")
     names = list(axes)
@@ -145,8 +142,7 @@ def run_sweep(denoiser: Denoiser, config: RunConfig, axes: Mapping[str, Sequence
         raise ParameterError(f"axis values must be mutually comparable: {err}") from err
     configs = [derive_config(base, dict(zip(names, combo))) for combo in combos]
     x_top = standard_normals(substream(config.seed, "sweep", "x_top"), config.model.d)
-    results = run_edits(denoiser, x_top, conditions[config.condition_a],
-                        conditions[config.condition_b], configs, config.grid,
+    results = run_edits(denoiser, x_top, c_a, c_b, configs, config.grid,
                         config.noise_schedule, with_path_b=True)
     return tuple((manip, score_edit(result, config.model))
                  for manip, result in zip(configs, results))

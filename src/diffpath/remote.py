@@ -172,18 +172,9 @@ def _send(wfile, text: str) -> None:
     wfile.flush()
 
 
-def serve_tcp(denoiser: Denoiser, host: str = "127.0.0.1", port: int = 0,
-              ready: threading.Event | None = None,
-              bound: list | None = None) -> None:
-    """Serve one connection at a time; ``bound`` receives the listening port."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((host, port))
-        server.listen(1)
-        if bound is not None:
-            bound.append(server.getsockname()[1])
-        if ready is not None:
-            ready.set()
+def serve_tcp(denoiser: Denoiser, server: socket.socket) -> None:
+    """Serve one connection at a time on the listening socket ``server``, which it closes."""
+    with server:
         while True:
             conn, _ = server.accept()
             with conn:

@@ -105,10 +105,6 @@ class TimestepGrid:
         """Training step at loop position ``position`` (0 = noisiest)."""
         return self.steps[position]
 
-    def prev_level(self, position: int) -> int:
-        """Training step the update at ``position`` lands on (0 at the end)."""
-        return self.steps[position + 1] if position + 1 < len(self.steps) else 0
-
 
 def make_timestep_grid(t_train: int, t_sample: int) -> TimestepGrid:
     """Evenly strided descending grid with ``steps[0] = t_train``.

@@ -9,8 +9,10 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from diffpath.cli import main
 from diffpath.config import RunConfig, canonical_json, config_digest
 from diffpath.output import SWEEP_CSV_HEADER
 from diffpath.presets import demo_config_dict, preset_manipulation
+from diffpath.remote import RemoteDenoiser, TransportClosedError
 
 from conftest import NanRowDenoiser
 
@@ -427,6 +430,14 @@ class TestFailures:
     def test_bad_remote_spec_exits_one(self, config_path, capsys):
         assert main(["edit", "--config", str(config_path), "--remote", "ftp:x"]) == 1
 
+    @pytest.mark.parametrize("spec", ["tcp:localhost", "tcp:[::1]:x", "tcp:127.0.0.1:"])
+    def test_remote_address_without_a_port_names_both_forms(self, spec, tmp_path, capsys):
+        assert main(["edit", "--remote", spec, "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f'diffpath-error kind=validation message="bad --remote address \'{spec}\': '
+            'expected \'tcp:HOST:PORT\' or \'tcp:[IPV6]:PORT\'"\n')
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("argv, flag, port", [
         (["edit", "--remote", "tcp:127.0.0.1:101977"], "--remote", 101977),
         (["sweep", "--remote", "tcp:127.0.0.1:-1"], "--remote", -1),
@@ -440,6 +451,7 @@ class TestFailures:
             raise AssertionError("a socket was opened")
 
         monkeypatch.setattr(socket, "create_connection", no_socket)
+        monkeypatch.setattr(socket, "create_server", no_socket)
         monkeypatch.setattr(cli, "serve_tcp", no_socket)
         assert main([*argv, "--output", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == ('diffpath-error kind=validation message='
@@ -485,6 +497,27 @@ def test_write_failing_midway_leaves_no_partial_or_temp_file(tmp_path, config_pa
     assert result.stderr.startswith("diffpath-error kind=runtime")
     assert "File too large" in result.stderr
     assert list(out.iterdir()) == []
+
+
+class TestServe:
+    def test_serve_tcp_answers_with_the_oracles_bits(self, demo):
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        threading.Thread(target=main, args=(["serve", "--tcp", str(port)],), daemon=True).start()
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                remote = RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2)
+                break
+            except TransportClosedError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
+        x = np.array([0.7, -0.1])
+        with remote:
+            got = remote.predict_noise(x, demo["c_a"], 0.42, 840)
+        expect = demo["denoiser"].predict_noise(x, demo["c_a"], 0.42, 840)
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestConfigCommand:

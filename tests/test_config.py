@@ -192,10 +192,10 @@ def test_output_defaults_from_env(monkeypatch):
     del data["output"]
     monkeypatch.setenv("DIFFPATH_OUTPUT_DIR", "env-dir")
     cfg = RunConfig.from_dict(data)
-    assert cfg.output.directory == "env-dir"
+    assert cfg.output_dir == "env-dir"
     monkeypatch.delenv("DIFFPATH_OUTPUT_DIR")
     cfg = RunConfig.from_dict(data)
-    assert cfg.output.directory == "out"
+    assert cfg.output_dir == "out"
 
 
 def test_presets_all_valid():

@@ -157,7 +157,7 @@ class TestRunEdit:
             if w != 0.0:
                 continue
             a_t = sched.at(grid.level(i))
-            a_prev = sched.at(grid.prev_level(i))
+            a_prev = sched.at((*grid.steps, 0)[i + 1])
             eps = den.predict_noise(res.path.latents[i], c_b, a_t, grid.level(i))
             redo = ddim_step(res.path.latents[i], eps, a_t, a_prev)
             assert np.array_equal(redo, res.path.latents[i + 1])
@@ -175,7 +175,7 @@ class TestRunEdit:
         x = x_top.copy()
         for i in range(t):
             a_t = sched.at(grid.level(i))
-            a_prev = sched.at(grid.prev_level(i))
+            a_prev = sched.at((*grid.steps, 0)[i + 1])
             eps_b = den.predict_noise(x, c_b, a_t, grid.level(i))
             stepped = ddim_step(x, eps_b, a_t, a_prev)
             target = w_amp * path_a.latents[i + 1] + (1 - w_amp) * stepped
@@ -211,7 +211,7 @@ class TestRunEdit:
         x = x_top.copy()
         for i in range(t):
             a_t = sched.at(grid.level(i))
-            a_prev = sched.at(grid.prev_level(i))
+            a_prev = sched.at((*grid.steps, 0)[i + 1])
             eps_a = den.predict_noise(x, c_a, a_t, grid.level(i))
             eps_b = den.predict_noise(x, c_b, a_t, grid.level(i))
             eps = (1 + beta) * eps_a + (-beta) * eps_b

@@ -632,16 +632,12 @@ class TestProtocolErrors:
             assert err.value.sampling_step is not None
 
 
-def _tcp_server(demo) -> int:
-    ready = threading.Event()
-    bound: list = []
-    thread = threading.Thread(
-        target=serve_tcp,
-        args=(demo["denoiser"],), kwargs={"port": 0, "ready": ready, "bound": bound},
-        daemon=True)
-    thread.start()
-    assert ready.wait(5.0)
-    return bound[0]
+def _tcp_server(demo, host: str = "127.0.0.1") -> int:
+    """The port of a ``serve_tcp`` of the demo model listening on ``host``."""
+    server = socket.create_server((host, 0), family=socket.AF_INET6 if ":" in host
+                                  else socket.AF_INET, backlog=1)
+    threading.Thread(target=serve_tcp, args=(demo["denoiser"], server), daemon=True).start()
+    return server.getsockname()[1]
 
 
 def _hangup_tcp_server() -> int:
@@ -696,7 +692,7 @@ class TestTcpTransport:
             RemoteDenoiser.from_address("127.0.0.1", _hangup_tcp_server(), d=2, m=2)
 
 
-@pytest.mark.parametrize("peer", ["cmd", "tcp"])
+@pytest.mark.parametrize("peer", ["cmd", "tcp", "tcp6"])
 @pytest.mark.parametrize("command", [f"{command} --preset {preset}"
                                      for command in ("sweep", "edit")
                                      for preset in ("guidance-default", "noise-interp-local")])
@@ -704,7 +700,12 @@ def test_remote_artifacts_are_the_in_process_bytes(demo, command, peer, tmp_path
                                                    monkeypatch, capsys):
     if peer == "cmd":
         spec = "cmd:" + shlex.join([sys.executable, "-m", "diffpath.cli", "serve"])
-    else:
+    elif peer == "tcp":
         spec = f"tcp:127.0.0.1:{_tcp_server(demo)}"
+    else:
+        try:
+            spec = f"tcp:[::1]:{_tcp_server(demo, '::1')}"
+        except OSError as err:
+            pytest.skip(f"no IPv6 loopback: {err}")
     got = _run([*command.split(), "--remote", spec], tmp_path, monkeypatch, capsys)
     assert got == DIGESTS[command]

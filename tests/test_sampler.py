@@ -108,7 +108,7 @@ class TestGenerate:
         factor = 1.0
         for i in range(GRID.t_sample):
             a_t = SCHED.at(GRID.level(i))
-            a_prev = SCHED.at(GRID.prev_level(i))
+            a_prev = SCHED.at((*GRID.steps, 0)[i + 1])
             factor *= np.sqrt(a_prev * a_t) + np.sqrt((1 - a_prev) * (1 - a_t))
         assert np.allclose(path.x0, factor * x_top, rtol=1e-12)
 
@@ -229,7 +229,7 @@ class TestInversion:
         inv = ddim_invert(den, x0, C_A, GRID, SCHED)
         coeff = 1.0
         for pos in range(GRID.t_sample - 1, -1, -1):
-            a_cur = SCHED.at(GRID.prev_level(pos))
+            a_cur = SCHED.at((*GRID.steps, 0)[pos + 1])
             a_tgt = SCHED.at(GRID.level(pos))
             f_coef = (1 - np.sqrt(1 - a_cur) / np.sqrt(1 - a_tgt)) / np.sqrt(a_cur) \
                 if a_cur < 1.0 else 1.0

@@ -83,10 +83,6 @@ class TestTimestepGrid:
         assert np.all(np.diff(steps) < 0)
         assert steps[-1] >= 1
 
-    def test_prev_level_ends_at_zero(self):
-        grid = make_timestep_grid(10, 3)
-        assert grid.prev_level(grid.t_sample - 1) == 0
-
     def test_rejects_non_decreasing(self):
         with pytest.raises(ParameterError):
             TimestepGrid((10, 10, 5))
