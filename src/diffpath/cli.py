@@ -10,30 +10,22 @@ whole or not at all, and no artifact survives a failed run.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import functools
 import json
 import os
-import socket
 import sys
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .config import RunConfig, apply_overrides, canonical_json, config_digest, json_literal
-from .edits import ManipulationConfig, prompt_switches, run_edit
+# each command imports the engine pieces it runs, so a start loads only those
+from .config import (AXIS_NAMES, RunConfig, apply_overrides, canonical_json, config_digest,
+                     json_literal)
 from .errors import ConfigError, ParameterError
-from .metrics import (AXIS_NAMES, inversion_report, path_divergence, run_sweep, score_edit,
-                      sweep_digest)
-from .output import path_csv, svg_scatter, sweep_table_csv, table_csv
 from .presets import demo_config_dict, preset_manipulation
-from .remote import RemoteDenoiser, serve_stream, serve_tcp
-from .rng import standard_normals, substream
-from .sampler import ddim_invert, generate
-from .schedule import ScheduleSpec
 
 DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-grid")
 
@@ -118,6 +110,7 @@ def _pick_denoiser(args, config: RunConfig):
     spec = getattr(args, "remote", None)
     if not spec:
         return config.build_denoiser()
+    from .remote import RemoteDenoiser
     d, m = config.model.d, config.model.m
     if spec.startswith("tcp:"):
         host, _, port = spec[4:].rpartition(":")
@@ -137,6 +130,9 @@ def _pick_denoiser(args, config: RunConfig):
 
 
 def cmd_generate(args) -> int:
+    from .output import path_csv, svg_scatter
+    from .rng import standard_normals, substream
+    from .sampler import generate
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as write:
@@ -152,6 +148,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from .output import path_csv, svg_scatter, table_csv
+    from .rng import substream
+    from .sampler import ddim_invert, generate
     config = _load_config(args)
     denoiser = config.build_denoiser()
     c = config.condition(args.condition)
@@ -174,6 +173,10 @@ def cmd_invert(args) -> int:
 
 
 def cmd_edit(args) -> int:
+    from .edits import run_edit
+    from .metrics import path_divergence, score_edit
+    from .output import svg_scatter, sweep_table_csv, table_csv
+    from .rng import standard_normals, substream
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as write:
@@ -216,6 +219,8 @@ def _window_axes(total: int) -> dict:
 
 def _sweep_and_write(config: RunConfig, denoiser, axes: dict, write: Callable,
                      csv_name: str, svg_name: str) -> tuple:
+    from .metrics import run_sweep
+    from .output import svg_scatter, sweep_table_csv
     rows = run_sweep(denoiser, config, axes)
     write(csv_name, lambda: sweep_table_csv(rows, config.seed))
     write(svg_name, lambda: svg_scatter(
@@ -227,6 +232,7 @@ def _sweep_and_write(config: RunConfig, denoiser, axes: dict, write: Callable,
 
 
 def cmd_sweep(args) -> int:
+    from .metrics import sweep_digest
     config = _load_config(args)
     axes = _parse_axes(args, config)
     denoiser = _pick_denoiser(args, config)
@@ -238,6 +244,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .edits import ManipulationConfig, prompt_switches
+    from .output import svg_scatter, table_csv
+    from .rng import standard_normals, substream
+    from .schedule import ScheduleSpec
     config = _load_config(args)
     total = config.grid.t_sample
     if args.scenario == "guidance-grid":
@@ -279,10 +289,12 @@ def cmd_demo(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from .remote import serve_stream, serve_tcp
     config = _load_config(args)
     denoiser = config.build_denoiser()
     if args.tcp is not None:
         port = _port(args.tcp, "--tcp")
+        import socket
         serve_tcp(denoiser, socket.create_server(("127.0.0.1", port), backlog=1))
         return 0
     serve_stream(denoiser, sys.stdin, sys.stdout)
@@ -290,6 +302,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .metrics import inversion_report
+    from .output import table_csv
     config = _load_config(args)
     denoiser = config.build_denoiser()
     c = config.condition(args.condition)
@@ -304,8 +318,9 @@ def cmd_report(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def build_parser():
+    """The command-line ``argparse.ArgumentParser``, built once per process."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="diffpath",
         description="deterministic sampling-path engine with editing operators")

@@ -12,7 +12,6 @@ byte-stable, and its SHA-256 prefix is the run's digest.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -31,6 +30,9 @@ OUTPUT_DIR_ENV = "DIFFPATH_OUTPUT_DIR"
 #: the longest noise schedule a config may ask for: each of its arrays holds
 #: 8 bytes per training step
 MAX_T_TRAIN = 10**6
+
+#: the manipulation fields a sweep axis may vary
+AXIS_NAMES = ("t_max", "t_min", "t_m", "schedule", "weight", "beta")
 
 #: What each field may hold: an "int", a "num"ber (both by ``checked_number``),
 #: a "dim" (an int that sizes vectors) or a "name" (a string).  A dict is an
@@ -232,6 +234,7 @@ def canonical_json(config: RunConfig) -> str:
 
 
 def config_digest(config: RunConfig) -> str:
+    import hashlib  # deferred: importing it initialises OpenSSL
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]
 
 

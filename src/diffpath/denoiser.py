@@ -40,6 +40,13 @@ class ConditionEmbedding:
     def m(self) -> int:
         return self.values.size
 
+    @classmethod
+    def _checked_row(cls, row: np.ndarray) -> "ConditionEmbedding":
+        """A read-only row of a matrix ``_condition_matrix`` has checked, wrapped unchecked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "values", row)
+        return c
+
 
 def _condition_matrix(C, n: int, m: int) -> np.ndarray:
     """A batch's conditions ``C`` as one float (n, m) array, checked once for the batch."""
@@ -81,12 +88,14 @@ class Denoiser(abc.ABC):
         Row i must equal ``predict_noise(X[i], ConditionEmbedding(C[i]),
         alpha_bar, t)`` bit for bit; ``C`` is checked once per call.  The
         walks make every prediction through this method, one call per round.
-        This default wraps each row of ``C`` for one ``predict_noise`` call per
-        row, in row order, so wrappers and remote peers need not implement it;
-        a subclass that overrides either method must keep the two consistent.
+        This default wraps each row of ``C``, a read-only view checked with the
+        matrix, for one ``predict_noise`` call per row, in row order, so
+        wrappers and remote peers need not implement it; a subclass that
+        overrides either method must keep the two consistent.
         """
-        C = _condition_matrix(C, len(X), self.m)
-        return np.array([self.predict_noise(x, ConditionEmbedding(c), alpha_bar, t)
+        C = _condition_matrix(C, len(X), self.m).view()
+        C.setflags(write=False)  # on a view: the caller's array stays writable
+        return np.array([self.predict_noise(x, ConditionEmbedding._checked_row(c), alpha_bar, t)
                          for x, c in zip(X, C)])
 
 

@@ -17,15 +17,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import AXIS_NAMES, RunConfig
 from .denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density
 from .edits import EditResult, ManipulationConfig, run_edits
 from .errors import ParameterError, checked_number
 from .rng import standard_normals, substream
 from .sampler import INVERSION, _walk
 from .schedule import AlphaSchedule, ScheduleSpec, make_timestep_grid
-
-AXIS_NAMES = ("t_max", "t_min", "t_m", "schedule", "weight", "beta")
 
 
 @dataclass(frozen=True)

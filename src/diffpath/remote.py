@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import math
 import socket
-import subprocess
 import threading
 from typing import Sequence
 
@@ -184,9 +183,9 @@ def serve_tcp(denoiser: Denoiser, server: socket.socket) -> None:
 
 
 class _SocketTransport:
-    """Protocol peer over a connected socket, and the child process behind it, if any."""
+    """Protocol peer over a connected socket, and any child ``subprocess.Popen`` behind it."""
 
-    def __init__(self, sock: socket.socket, proc: subprocess.Popen | None = None):
+    def __init__(self, sock: socket.socket, proc=None):
         self._sock = sock
         self._proc = proc
         self._rfile = sock.makefile("r", encoding="utf-8")
@@ -222,6 +221,7 @@ class _SocketTransport:
             except OSError:
                 pass
         if self._proc is not None:
+            import subprocess  # already loaded by _SubprocessTransport
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=5)
@@ -231,6 +231,7 @@ class _SocketTransport:
 
 def _SubprocessTransport(argv: Sequence[str]) -> _SocketTransport:
     """Start ``argv`` with one end of a socket pair as its stdin and stdout."""
+    import subprocess  # deferred: only a client with a child process needs it
     ours, theirs = socket.socketpair()
     with theirs:
         proc = subprocess.Popen(list(argv), stdin=theirs, stdout=theirs,

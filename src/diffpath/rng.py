@@ -12,13 +12,9 @@ given seed is pinned by numpy's Philox and the CPython build.
 
 from __future__ import annotations
 
-import hashlib
-from statistics import NormalDist
-
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_INV_CDF = NormalDist().inv_cdf
 #: largest double below 1; only the top grid point j = 2^53 - 1 is capped
 _U_MAX = 1.0 - 2.0**-53
 
@@ -31,6 +27,7 @@ def substream(seed: int, *labels: object) -> np.random.Generator:
     Distinct label paths give counter blocks 2^128 apart in expectation, far
     beyond any draw count reachable here.
     """
+    import hashlib  # deferred: importing it initialises OpenSSL
     path = "/".join(str(label) for label in labels)
     digest = hashlib.sha256(path.encode("utf-8")).digest()
     counter = int.from_bytes(digest[:16], "little") << 64
@@ -45,7 +42,8 @@ def standard_normals(gen: np.random.Generator, shape) -> np.ndarray:
     largest double below 1: every uniform lies strictly inside (0, 1) and
     every variate is finite.
     """
+    from statistics import NormalDist  # deferred: it imports fractions, decimal and random
     u = (gen.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0**-53
     u = np.minimum(u, _U_MAX)
-    return np.fromiter(map(_INV_CDF, u.ravel().tolist()), np.float64,
+    return np.fromiter(map(NormalDist().inv_cdf, u.ravel().tolist()), np.float64,
                        count=u.size).reshape(u.shape)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffpath import cli, config
+from diffpath import cli, config, remote
 from diffpath.cli import main
 from diffpath.config import RunConfig, canonical_json, config_digest
 from diffpath.output import SWEEP_CSV_HEADER
@@ -452,7 +452,7 @@ class TestFailures:
 
         monkeypatch.setattr(socket, "create_connection", no_socket)
         monkeypatch.setattr(socket, "create_server", no_socket)
-        monkeypatch.setattr(cli, "serve_tcp", no_socket)
+        monkeypatch.setattr(remote, "serve_tcp", no_socket)
         assert main([*argv, "--output", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == ('diffpath-error kind=validation message='
                                            f'"{flag} port must be in 1-65535, got {port}"\n')
@@ -476,12 +476,28 @@ def _python(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True)
 
 
-def test_cli_import_loads_no_scipy():
-    probe = ("import diffpath.cli, sys; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = _python("-c", probe)
-    assert result.returncode == 0
-    assert result.stdout.strip() == "[]"
+def _loaded(code: str, names: tuple[str, ...], stdin: str = "") -> tuple[str, str]:
+    """A fresh interpreter's stdout after running ``code``, and which of ``names`` it loaded."""
+    probe = f"{code}\nimport sys\nprint(sorted(set(sys.modules) & {set(names)!r}), file=sys.stderr)"
+    result = subprocess.run([sys.executable, "-c", probe], input=stdin, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout, result.stderr.strip()
+
+
+def test_cli_import_loads_only_what_main_needs():
+    # the engine pieces and standard-library modules that only some commands run
+    names = ("scipy", "diffpath.metrics", "diffpath.output", "diffpath.remote",
+             "argparse", "statistics", "hashlib", "subprocess")
+    assert _loaded("import diffpath.cli", names) == ("", "[]")
+
+
+def test_serve_loads_no_scoring_or_rendering():
+    out, loaded = _loaded("from diffpath.cli import main; main(['serve'])",
+                          ("scipy", "diffpath.metrics", "diffpath.output"),
+                          stdin='{"id": 0, "op": "hello", "d": 2, "m": 2}\n')
+    assert json.loads(out) == {"id": 0, "op": "hello", "d": 2, "m": 2, "concurrent": True}
+    assert loaded == "[]"
 
 
 def test_write_failing_midway_leaves_no_partial_or_temp_file(tmp_path, config_path):

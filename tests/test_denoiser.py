@@ -341,6 +341,21 @@ class TestPredictNoiseBatch:
         assert den.seen == [(tuple(x), tuple(c)) for x, c in zip(X, C)]
         assert np.array_equal(batch, demo["denoiser"].predict_noise_batch(X, C, 0.4, 600))
 
+    def test_default_rows_are_read_only_views_of_a_writable_c(self, demo):
+        class Rows(Denoiser):
+            d, m = 2, 2
+            rows = []
+
+            def predict_noise(self, x, c, alpha_bar, t):
+                self.rows.append(c.values)
+                return np.zeros(2)
+
+        C = np.array([demo["c_a"].values, demo["c_b"].values])
+        Rows().predict_noise_batch(np.zeros((2, 2)), C, 0.4, 600)
+        assert [(r.tobytes(), r.flags.writeable, np.shares_memory(r, C)) for r in Rows.rows] \
+            == [(c.tobytes(), False, True) for c in C]
+        assert C.flags.writeable
+
     @pytest.mark.parametrize("per_row", [False, True])
     def test_conditions_are_one_checked_matrix(self, demo, per_row):
         # the oracle's pass and the interface's per-row loop check C once,

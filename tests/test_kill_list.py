@@ -1,20 +1,27 @@
 """The kill list: planted faults, each with a test that must catch it.
 
-A mutant is a monkeypatch of one package function.  Each case runs a named
-test, which must pass, then plants the mutant, under which it must fail.  Properties run from their
-bodies (``.hypothesis.inner_test``) under a fresh ``@given`` over the same
-strategies, with shrinking off and no example database: a kill takes a
-fraction of a second, no mutant counterexample reaches ``.hypothesis``, and
-the original tests keep their own settings.
+A mutant is a monkeypatch of one package function or object.  Each case runs a
+named test, which must pass, then plants the mutant, under which it must fail
+with a failed assertion or an error.  The test gets the fixtures its
+parameters name.  Properties run from their bodies (``.hypothesis.inner_test``)
+under a fresh ``@given`` over the same strategies, with shrinking off and no
+example database: a kill takes a fraction of a second, no mutant
+counterexample reaches ``.hypothesis``, and the original tests keep their own
+settings.
 """
+
+import inspect
+import json
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
+import test_acceptance
 import test_batched_walks
 import test_edits
+import test_remote
 import test_sampler
-from diffpath import edits
+from diffpath import edits, remote, sampler
 from diffpath.denoiser import GMMDenoiser
 
 KILL = settings(max_examples=20, deadline=None, database=None, derandomize=True,
@@ -59,6 +66,30 @@ def _blend_without_copies(monkeypatch):
     monkeypatch.setattr(edits, "_blend", lambda a, b, w: w * a + (1.0 - w) * b)
 
 
+def _settle_moves_kept_rows(monkeypatch):
+    """``_settle`` ignores its keep mask: every row takes the noise recomputed from its target."""
+    def mutant(E, x, rows, targets, keep, step):
+        E[rows] = edits.effective_noise(x, targets, step.a_t, step.a_prev)
+
+    monkeypatch.setattr(edits, "_settle", mutant)
+
+
+def _inversion_table_unreversed(monkeypatch):
+    """``_step_table`` hands inversion the generation order, top step first."""
+    table = sampler._step_table
+
+    def mutant(grid, schedule, direction):
+        steps = table(grid, schedule, direction)
+        return steps if direction == sampler.GENERATION else steps[::-1]
+
+    monkeypatch.setattr(sampler, "_step_table", mutant)
+
+
+def _lenient_encoder(monkeypatch):
+    """Frames are encoded by a plain ``json.JSONEncoder``, which writes NaN and Infinity."""
+    monkeypatch.setattr(remote, "_FRAME_ENCODER", json.JSONEncoder())
+
+
 KILLS = {
     "reversed-rows/prompt-switches": (
         _reversed_rows_at_five,
@@ -70,13 +101,26 @@ KILLS = {
         _stale_level_memo, test_sampler.TestGenerate().test_affine_recursion_oracle),
     "blend-without-copies/signed-zeros": (
         _blend_without_copies, test_edits.TestApplyMask().test_signed_zeros_are_copied),
+    "settle-moves-kept-rows/replay-hook": (
+        _settle_moves_kept_rows,
+        test_edits.TestRunEdit().test_replay_hook_tracks_reference_inside_window),
+    "settle-moves-kept-rows/mask-extremes": (
+        _settle_moves_kept_rows, test_acceptance.test_criterion_03_mask_extremes_bitwise),
+    "inversion-table-unreversed/null-text-bytes": (
+        _inversion_table_unreversed, test_sampler.test_null_text_bytes_are_pinned),
+    "lenient-encoder/strict-error-replies": (
+        _lenient_encoder,
+        test_remote.TestServeStream().test_bad_frames_get_strict_error_replies),
 }
 
 
 @pytest.mark.parametrize("case", KILLS)
-def test_mutant_is_killed(case, monkeypatch):
+def test_mutant_is_killed(case, monkeypatch, request):
     plant, test = KILLS[case]
-    test()  # the unplanted program passes, so the planted fault is what fails it
+    fixtures = {name: request.getfixturevalue(name)
+                for name, param in inspect.signature(test).parameters.items()
+                if param.kind is param.POSITIONAL_OR_KEYWORD}
+    test(**fixtures)  # the unplanted program passes, so the planted fault is what fails it
     plant(monkeypatch)
-    with pytest.raises(AssertionError):
-        test()
+    with pytest.raises(Exception):
+        test(**fixtures)

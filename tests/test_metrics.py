@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import subprocess
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -292,6 +295,26 @@ class TestRng:
                 q = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1)
                 assert abs(value - q) <= 2e-15 * max(1, abs(q)), (j, value, q)
         assert z[-1] == 0.0
+
+    def test_stream_and_digest_bytes_are_pinned_where_first_loaded(self):
+        # a fresh interpreter: the first draw loads statistics, the first hash hashlib
+        probe = ("import sys\n"
+                 "from diffpath.config import RunConfig, config_digest\n"
+                 "from diffpath.presets import demo_config_dict\n"
+                 "from diffpath.rng import standard_normals, substream\n"
+                 "assert not {'statistics', 'hashlib'} & set(sys.modules)\n"
+                 "z = standard_normals(substream(20231117, 'x_top', 3), (64, 2))\n"
+                 "print(z.tobytes().hex())\n"
+                 "print(substream(5, 'sweep', 0).integers(0, 1 << 63, size=8).tobytes().hex())\n"
+                 "print(config_digest(RunConfig.from_dict(demo_config_dict())))\n")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        normals, draws, digest = result.stdout.split()
+        assert hashlib.sha256(bytes.fromhex(normals)).hexdigest() == \
+            "ab3a945b3dc8354969b26e98199940d83aa7e06e9f85a4d1e2f8595301be9af4"
+        assert hashlib.sha256(bytes.fromhex(draws)).hexdigest() == \
+            "b8b4068903f563e245093fd0781a5b1c7bbe769e42fa6008e2daf7e80cfa34ad"
+        assert digest == "0ee8652ad6b1"  # test_config.py's pin for the demo config
 
     def test_normals_roughly_standard(self):
         g = standard_normals(substream(2, "big"), 200_000)
