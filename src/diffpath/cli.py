@@ -21,11 +21,15 @@ from typing import Callable
 
 import numpy as np
 
-# each command imports the engine pieces it runs, so a start loads only those
+# metrics, output and remote are imported by the commands that run them
 from .config import (AXIS_NAMES, RunConfig, apply_overrides, canonical_json, config_digest,
                      json_literal)
+from .edits import ManipulationConfig, prompt_switches, run_edit
 from .errors import ConfigError, ParameterError
 from .presets import demo_config_dict, preset_manipulation
+from .rng import standard_normals, substream
+from .sampler import ddim_invert, generate
+from .schedule import ScheduleSpec
 
 DEMO_SCENARIOS = ("prompt-switch", "window-grid", "schedule-grid", "guidance-grid")
 
@@ -131,8 +135,6 @@ def _pick_denoiser(args, config: RunConfig):
 
 def cmd_generate(args) -> int:
     from .output import path_csv, svg_scatter
-    from .rng import standard_normals, substream
-    from .sampler import generate
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as write:
@@ -149,8 +151,6 @@ def cmd_generate(args) -> int:
 
 def cmd_invert(args) -> int:
     from .output import path_csv, svg_scatter, table_csv
-    from .rng import substream
-    from .sampler import ddim_invert, generate
     config = _load_config(args)
     denoiser = config.build_denoiser()
     c = config.condition(args.condition)
@@ -173,10 +173,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_edit(args) -> int:
-    from .edits import run_edit
     from .metrics import path_divergence, score_edit
     from .output import svg_scatter, sweep_table_csv, table_csv
-    from .rng import standard_normals, substream
     config = _load_config(args)
     denoiser = _pick_denoiser(args, config)
     with _artifacts(config, denoiser) as write:
@@ -244,10 +242,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    from .edits import ManipulationConfig, prompt_switches
     from .output import svg_scatter, table_csv
-    from .rng import standard_normals, substream
-    from .schedule import ScheduleSpec
     config = _load_config(args)
     total = config.grid.t_sample
     if args.scenario == "guidance-grid":

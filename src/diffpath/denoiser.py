@@ -88,10 +88,9 @@ class Denoiser(abc.ABC):
         Row i must equal ``predict_noise(X[i], ConditionEmbedding(C[i]),
         alpha_bar, t)`` bit for bit; ``C`` is checked once per call.  The
         walks make every prediction through this method, one call per round.
-        This default wraps each row of ``C``, a read-only view checked with the
-        matrix, for one ``predict_noise`` call per row, in row order, so
-        wrappers and remote peers need not implement it; a subclass that
-        overrides either method must keep the two consistent.
+        This default wraps each row of ``C`` for one ``predict_noise`` call per
+        row, in row order, so wrappers and remote peers need not implement it;
+        a subclass that overrides either method must keep the two consistent.
         """
         C = _condition_matrix(C, len(X), self.m).view()
         C.setflags(write=False)  # on a view: the caller's array stays writable

@@ -12,11 +12,19 @@ given seed is pinned by numpy's Philox and the CPython build.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 #: largest double below 1; only the top grid point j = 2^53 - 1 is capped
 _U_MAX = 1.0 - 2.0**-53
+
+
+@functools.cache
+def _inv_cdf():
+    from statistics import NormalDist  # deferred: it imports fractions, decimal and random
+    return NormalDist().inv_cdf
 
 
 def substream(seed: int, *labels: object) -> np.random.Generator:
@@ -42,8 +50,7 @@ def standard_normals(gen: np.random.Generator, shape) -> np.ndarray:
     largest double below 1: every uniform lies strictly inside (0, 1) and
     every variate is finite.
     """
-    from statistics import NormalDist  # deferred: it imports fractions, decimal and random
     u = (gen.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0**-53
     u = np.minimum(u, _U_MAX)
-    return np.fromiter(map(NormalDist().inv_cdf, u.ravel().tolist()), np.float64,
+    return np.fromiter(map(_inv_cdf(), u.ravel().tolist()), np.float64,
                        count=u.size).reshape(u.shape)

@@ -2,7 +2,8 @@
 
 A mutant is a monkeypatch of one package function or object.  Each case runs a
 named test, which must pass, then plants the mutant, under which it must fail
-with a failed assertion or an error.  The test gets the fixtures its
+with a failed assertion (or the error its case names, for a test whose
+checks parse the program's output).  The test gets the fixtures its
 parameters name.  Properties run from their bodies (``.hypothesis.inner_test``)
 under a fresh ``@given`` over the same strategies, with shrinking off and no
 example database: a kill takes a fraction of a second, no mutant
@@ -90,37 +91,46 @@ def _lenient_encoder(monkeypatch):
     monkeypatch.setattr(remote, "_FRAME_ENCODER", json.JSONEncoder())
 
 
+#: case -> (mutant, test, the exceptions that count as the test catching it)
 KILLS = {
     "reversed-rows/prompt-switches": (
         _reversed_rows_at_five,
-        _quick(test_batched_walks.test_prompt_switches_batched_equal_per_row)),
+        _quick(test_batched_walks.test_prompt_switches_batched_equal_per_row),
+        AssertionError),
     "reversed-rows/inversion-report": (
         _reversed_rows_at_five,
-        _quick(test_batched_walks.test_inversion_report_batched_equals_per_row)),
+        _quick(test_batched_walks.test_inversion_report_batched_equals_per_row),
+        AssertionError),
     "stale-level-memo/affine-recursion": (
-        _stale_level_memo, test_sampler.TestGenerate().test_affine_recursion_oracle),
+        _stale_level_memo, test_sampler.TestGenerate().test_affine_recursion_oracle,
+        AssertionError),
     "blend-without-copies/signed-zeros": (
-        _blend_without_copies, test_edits.TestApplyMask().test_signed_zeros_are_copied),
+        _blend_without_copies, test_edits.TestApplyMask().test_signed_zeros_are_copied,
+        AssertionError),
     "settle-moves-kept-rows/replay-hook": (
         _settle_moves_kept_rows,
-        test_edits.TestRunEdit().test_replay_hook_tracks_reference_inside_window),
+        test_edits.TestRunEdit().test_replay_hook_tracks_reference_inside_window,
+        AssertionError),
     "settle-moves-kept-rows/mask-extremes": (
-        _settle_moves_kept_rows, test_acceptance.test_criterion_03_mask_extremes_bitwise),
+        _settle_moves_kept_rows, test_acceptance.test_criterion_03_mask_extremes_bitwise,
+        AssertionError),
     "inversion-table-unreversed/null-text-bytes": (
-        _inversion_table_unreversed, test_sampler.test_null_text_bytes_are_pinned),
+        _inversion_table_unreversed, test_sampler.test_null_text_bytes_are_pinned,
+        AssertionError),
     "lenient-encoder/strict-error-replies": (
         _lenient_encoder,
-        test_remote.TestServeStream().test_bad_frames_get_strict_error_replies),
+        test_remote.TestServeStream().test_bad_frames_get_strict_error_replies,
+        (AssertionError, ValueError)),  # the strict reply parser rejects NaN
 }
 
 
 @pytest.mark.parametrize("case", KILLS)
 def test_mutant_is_killed(case, monkeypatch, request):
-    plant, test = KILLS[case]
+    plant, test, caught = KILLS[case]
     fixtures = {name: request.getfixturevalue(name)
                 for name, param in inspect.signature(test).parameters.items()
                 if param.kind is param.POSITIONAL_OR_KEYWORD}
     test(**fixtures)  # the unplanted program passes, so the planted fault is what fails it
     plant(monkeypatch)
-    with pytest.raises(Exception):
+    with pytest.raises(caught):
         test(**fixtures)
