@@ -5,8 +5,9 @@ conditions, sampler, manipulation, output).  ``FIELDS`` is its schema: one
 walk checks every field against it, rejects unknown keys anywhere so typos
 cannot silently change a run, and names the dotted path of whatever it
 rejects.  The checked fields are built once into the objects the engine runs
-on; the canonical serialization is rendered back from those objects, is
-byte-stable, and its SHA-256 prefix is the run's digest.
+on, the manipulation into a ``ManipulationConfig``, defined here with its kinds
+and cam-hook registry so that parsing loads no walk engine.  The byte-stable
+canonical form is rendered from them; its SHA-256 prefix is the run's digest.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import warnings
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
-from .edits import ManipulationConfig, validate_mask
 from .errors import ConfigError, ParameterError, checked_number, shown
 from .schedule import (AlphaSchedule, ScheduleSpec, TimestepGrid,
                        build_linear_beta_schedule, make_timestep_grid)
@@ -102,6 +103,89 @@ def _section(name: str):
         yield
     except ValueError as err:
         raise ConfigError(f"{name}: {err}") from err
+
+
+KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
+         "cond_interp", "guidance", "attention")
+
+#: each masked kind and the blend it runs, with the mask as per-entry weights
+_MASKED_KINDS = {"noise_mask": "noise_interp", "latent_mask": "latent_interp"}
+
+
+def normalize_kind(kind: str) -> str:
+    low = kind.strip().lower()
+    if low in KINDS:
+        return low
+    raise ParameterError(f"unknown manipulation kind {kind!r}; expected one of {KINDS}")
+
+
+def validate_mask(mask, d: int) -> np.ndarray:
+    values = np.asarray(mask, dtype=np.float64)
+    if values.ndim != 1 or values.size != d:
+        raise ParameterError(f"mask must be a vector of dimension {d}")
+    if not np.all((values == 0.0) | (values == 1.0)):
+        raise ParameterError("mask entries must be exactly 0 or 1 (soft masks rejected)")
+    values.setflags(write=False)
+    return values
+
+
+#: a hook maps a step's context to the noise that steps the reference latent
+CamHook = Callable[["CamContext"], np.ndarray]  # edits.CamContext
+
+_CAM_HOOKS: dict[str, CamHook] = {"identity": lambda ctx: ctx.eps_edit,
+                                  "replay": lambda ctx: ctx.eps_ref}
+
+
+def register_cam_hook(name: str, hook: CamHook) -> None:
+    _CAM_HOOKS[name] = hook
+
+
+def cam_hook_names() -> tuple[str, ...]:
+    return tuple(sorted(_CAM_HOOKS))
+
+
+@dataclass(frozen=True)
+class ManipulationConfig:
+    """One point in the manipulation design space.
+
+    ``beta`` is required exactly for the guidance kind, ``mask`` exactly for
+    the masked kinds, ``cam_hook`` exactly for the attention kind.  Masked
+    kinds take a constant schedule only and ignore the amplitude's magnitude
+    (the window gates them; an amplitude of zero still disables them).
+    """
+
+    kind: str
+    schedule: ScheduleSpec
+    beta: float | None = None
+    mask: np.ndarray | None = None
+    cam_hook: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", normalize_kind(self.kind))
+        if self.kind == "guidance":
+            if self.beta is None:
+                raise ParameterError("guidance requires beta")
+            if not -1.0 <= self.beta <= 0.0:
+                warnings.warn(
+                    f"guidance beta={self.beta} outside [-1, 0]: extrapolating beyond "
+                    "the interpolation-equivalent range", stacklevel=2)
+        elif self.beta is not None:
+            raise ParameterError(f"beta is only meaningful for guidance, not {self.kind}")
+        if self.kind in _MASKED_KINDS:
+            if self.mask is None:
+                raise ParameterError(f"{self.kind} requires a mask")
+            if self.schedule.kind != "constant":
+                raise ParameterError(f"{self.kind} uses a constant window only")
+        elif self.mask is not None:
+            raise ParameterError(f"mask is only meaningful for masked kinds, not {self.kind}")
+        if self.kind == "attention":
+            if self.cam_hook is None:
+                raise ParameterError("attention requires a cam_hook name")
+            if self.cam_hook not in _CAM_HOOKS:
+                raise ParameterError(
+                    f"unknown cam_hook {self.cam_hook!r}; registered: {cam_hook_names()}")
+        elif self.cam_hook is not None:
+            raise ParameterError("cam_hook is only meaningful for the attention kind")
 
 
 @dataclass(frozen=True)

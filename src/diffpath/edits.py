@@ -21,10 +21,10 @@ Wherever the weight is zero the step is plain c_b denoising of the evolving
 latent, so a schedule amplitude of zero reproduces the c_b path for every
 kind.  Interpolation weights always weight the reference (first) argument.
 
-An attention hook is a plain function of a :class:`CamContext`.  It reads the
-predictions of both conditions at the reference latent (the c_b one is made
-in the step's one denoiser call, shared by every attention pass) and returns
-the step's noise.
+An attention hook is a plain function of a :class:`CamContext`, registered by
+name in ``config`` (home of ``ManipulationConfig``).  It reads both conditions'
+predictions at the reference latent (the c_b one comes from the step's one
+denoiser call, shared by every attention pass) and returns the step's noise.
 
 Noise blending draws both operands from recorded trajectories (the reference
 path under c_a and the editing path under c_b, both from the shared initial
@@ -37,29 +37,16 @@ and break that affinity.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import _CAM_HOOKS, _MASKED_KINDS, ManipulationConfig, validate_mask
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
 from .sampler import ChooseEps, PathRecord, cfg_combine, effective_noise, _down, _Step, _walk
-from .schedule import AlphaSchedule, ScheduleSpec, TimestepGrid, omega
-
-KINDS = ("noise_interp", "noise_mask", "latent_interp", "latent_mask",
-         "cond_interp", "guidance", "attention")
-
-#: each masked kind and the blend it runs, with the mask as per-entry weights
-_MASKED_KINDS = {"noise_mask": "noise_interp", "latent_mask": "latent_interp"}
-
-
-def normalize_kind(kind: str) -> str:
-    low = kind.strip().lower()
-    if low in KINDS:
-        return low
-    raise ParameterError(f"unknown manipulation kind {kind!r}; expected one of {KINDS}")
+from .schedule import AlphaSchedule, TimestepGrid, omega
 
 
 def lerp(a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
@@ -91,16 +78,6 @@ def apply_mask(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return _blend(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), mask)
 
 
-def validate_mask(mask, d: int) -> np.ndarray:
-    values = np.asarray(mask, dtype=np.float64)
-    if values.ndim != 1 or values.size != d:
-        raise ParameterError(f"mask must be a vector of dimension {d}")
-    if not np.all((values == 0.0) | (values == 1.0)):
-        raise ParameterError("mask entries must be exactly 0 or 1 (soft masks rejected)")
-    values.setflags(write=False)
-    return values
-
-
 @dataclass(frozen=True)
 class CamContext:
     """What an attention-style hook may look at for one step.
@@ -119,68 +96,6 @@ class CamContext:
     alpha_bar: float
     level: int
     sampling_step: int
-
-
-#: a hook maps a step's context to the noise that steps the reference latent
-CamHook = Callable[[CamContext], np.ndarray]
-
-_CAM_HOOKS: dict[str, CamHook] = {}
-
-
-def register_cam_hook(name: str, hook: CamHook) -> None:
-    _CAM_HOOKS[name] = hook
-
-
-def cam_hook_names() -> tuple[str, ...]:
-    return tuple(sorted(_CAM_HOOKS))
-
-
-register_cam_hook("identity", lambda ctx: ctx.eps_edit)
-register_cam_hook("replay", lambda ctx: ctx.eps_ref)
-
-
-@dataclass(frozen=True)
-class ManipulationConfig:
-    """One point in the manipulation design space.
-
-    ``beta`` is required exactly for the guidance kind, ``mask`` exactly for
-    the masked kinds, ``cam_hook`` exactly for the attention kind.  Masked
-    kinds take a constant schedule only and ignore the amplitude's magnitude
-    (the window gates them; an amplitude of zero still disables them).
-    """
-
-    kind: str
-    schedule: ScheduleSpec
-    beta: float | None = None
-    mask: np.ndarray | None = None
-    cam_hook: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", normalize_kind(self.kind))
-        if self.kind == "guidance":
-            if self.beta is None:
-                raise ParameterError("guidance requires beta")
-            if not -1.0 <= self.beta <= 0.0:
-                warnings.warn(
-                    f"guidance beta={self.beta} outside [-1, 0]: extrapolating beyond "
-                    "the interpolation-equivalent range", stacklevel=2)
-        elif self.beta is not None:
-            raise ParameterError(f"beta is only meaningful for guidance, not {self.kind}")
-        if self.kind in _MASKED_KINDS:
-            if self.mask is None:
-                raise ParameterError(f"{self.kind} requires a mask")
-            if self.schedule.kind != "constant":
-                raise ParameterError(f"{self.kind} uses a constant window only")
-        elif self.mask is not None:
-            raise ParameterError(f"mask is only meaningful for masked kinds, not {self.kind}")
-        if self.kind == "attention":
-            if self.cam_hook is None:
-                raise ParameterError("attention requires a cam_hook name")
-            if self.cam_hook not in _CAM_HOOKS:
-                raise ParameterError(
-                    f"unknown cam_hook {self.cam_hook!r}; registered: {cam_hook_names()}")
-        elif self.cam_hook is not None:
-            raise ParameterError("cam_hook is only meaningful for the attention kind")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-import socket
 import threading
 from typing import Sequence
 
@@ -177,7 +176,8 @@ def serve_tcp(denoiser: Denoiser, server: socket.socket) -> None:
         while True:
             conn, _ = server.accept()
             with conn:
-                rfile = conn.makefile("r", encoding="utf-8")
+                # undecodable bytes reach the frame decoder, as they do from sys.stdin
+                rfile = conn.makefile("r", encoding="utf-8", errors="surrogateescape")
                 wfile = conn.makefile("w", encoding="utf-8")
                 serve_stream(denoiser, rfile, wfile)
 
@@ -203,7 +203,7 @@ class _SocketTransport:
             self._sock.settimeout(timeout)
         try:
             line = self._rfile.readline()
-        except socket.timeout:
+        except TimeoutError:
             raise RemoteTimeoutError(f"no response within {timeout}s") from None
         except OSError as err:
             raise TransportClosedError(f"connection closed: {err}") from err
@@ -231,6 +231,7 @@ class _SocketTransport:
 
 def _SubprocessTransport(argv: Sequence[str]) -> _SocketTransport:
     """Start ``argv`` with one end of a socket pair as its stdin and stdout."""
+    import socket
     import subprocess  # deferred: only a client with a child process needs it
     ours, theirs = socket.socketpair()
     with theirs:
@@ -289,6 +290,7 @@ class RemoteDenoiser(Denoiser):
     @classmethod
     def from_address(cls, host: str, port: int, d: int, m: int,
                      timeout: float = 10.0) -> "RemoteDenoiser":
+        import socket
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
         except TimeoutError:

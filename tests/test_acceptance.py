@@ -13,9 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
-from diffpath.config import RunConfig, canonical_json
+from diffpath.config import ManipulationConfig, RunConfig, canonical_json
 from diffpath.denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
-from diffpath.edits import ManipulationConfig, lerp, prompt_switch, run_edit
+from diffpath.edits import lerp, prompt_switch, run_edit
 from diffpath.metrics import inversion_report, run_sweep, score_edit
 from diffpath.output import sweep_table_csv
 from diffpath.presets import demo_config_dict

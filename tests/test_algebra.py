@@ -16,7 +16,8 @@ import warnings
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diffpath.edits import ManipulationConfig, prompt_switch, run_edit, run_edits
+from diffpath.config import ManipulationConfig
+from diffpath.edits import prompt_switch, run_edit, run_edits
 from diffpath.sampler import generate
 from diffpath.schedule import ScheduleSpec
 

@@ -488,16 +488,28 @@ def _loaded(code: str, names: tuple[str, ...], stdin: str = "") -> tuple[str, st
 def test_cli_import_loads_only_what_main_needs():
     # the engine pieces and standard-library modules that only some commands run
     names = ("scipy", "diffpath.metrics", "diffpath.output", "diffpath.remote",
-             "argparse", "statistics", "hashlib", "subprocess")
+             "argparse", "statistics", "hashlib", "subprocess",
+             "diffpath.edits", "diffpath.sampler", "socket")
     assert _loaded("import diffpath.cli", names) == ("", "[]")
 
 
 def test_serve_loads_no_scoring_or_rendering():
     out, loaded = _loaded("from diffpath.cli import main; main(['serve'])",
-                          ("scipy", "diffpath.metrics", "diffpath.output"),
+                          ("scipy", "diffpath.metrics", "diffpath.output",
+                           "diffpath.edits", "diffpath.sampler", "socket"),
                           stdin='{"id": 0, "op": "hello", "d": 2, "m": 2}\n')
     assert json.loads(out) == {"id": 0, "op": "hello", "d": 2, "m": 2, "concurrent": True}
     assert loaded == "[]"
+
+
+def test_config_with_a_cam_hook_loads_no_engine():
+    # attention-local names a cam hook, so the config checks the hook registry
+    out, loaded = _loaded("from diffpath.cli import main; main(['config', '--preset', "
+                          "'attention-local'])",
+                          ("diffpath.edits", "diffpath.sampler", "diffpath.metrics",
+                           "diffpath.output", "diffpath.remote"))
+    assert json.loads(out)["manipulation"]["cam_hook"] == "identity"
+    assert loaded.splitlines()[-1] == "[]"  # after the seed and digest line
 
 
 def test_write_failing_midway_leaves_no_partial_or_temp_file(tmp_path, config_path):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffpath.config import (ManipulationConfig, cam_hook_names, normalize_kind,
+                             register_cam_hook, validate_mask)
 from diffpath.denoiser import ConditionEmbedding
-from diffpath.edits import (CamContext, ManipulationConfig, apply_mask,
-                            cam_hook_names, lerp, normalize_kind, prompt_switch,
-                            prompt_switches, register_cam_hook, run_edit, run_edits,
-                            validate_mask)
+from diffpath.edits import (CamContext, apply_mask, lerp, prompt_switch, prompt_switches,
+                            run_edit, run_edits)
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import ddim_step, generate
 from diffpath.schedule import ScheduleSpec, make_timestep_grid, omega
@@ -247,7 +247,7 @@ class TestRunEdit:
             assert seen == list(range(t, 29, -1))
             assert res.path.replay_errors(sched).max() == 0.0
         finally:
-            from diffpath.edits import _CAM_HOOKS
+            from diffpath.config import _CAM_HOOKS
             _CAM_HOOKS.pop("test-ref-a")
 
     def test_hook_reads_the_rounds_predictions(self, demo, monkeypatch):
@@ -255,7 +255,7 @@ class TestRunEdit:
         # conditions' predictions at the reference latent, bit for bit
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
         t = grid.t_sample
-        from diffpath.edits import _CAM_HOOKS
+        from diffpath.config import _CAM_HOOKS
         seen = []
 
         def recording(ctx: CamContext):
@@ -275,7 +275,7 @@ class TestRunEdit:
 
     def test_generator_hook_is_a_wrong_shape(self, demo, monkeypatch):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
-        from diffpath.edits import _CAM_HOOKS
+        from diffpath.config import _CAM_HOOKS
 
         def asking(ctx: CamContext):
             yield ctx.x_ref[None], (ctx.c_b,)
@@ -289,7 +289,7 @@ class TestRunEdit:
     def test_non_finite_hook_output_names_hook_and_step(self, demo, monkeypatch):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
         t = grid.t_sample
-        from diffpath.edits import _CAM_HOOKS
+        from diffpath.config import _CAM_HOOKS
         monkeypatch.setitem(_CAM_HOOKS, "test-nan", lambda ctx: np.full(2, np.nan))
         with pytest.raises(DenoiserError, match="cam_hook 'test-nan'") as err:
             run_edit(den, x_top, c_a, c_b,

@@ -14,6 +14,7 @@ settings.
 import inspect
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 
@@ -58,6 +59,25 @@ def _stale_level_memo(monkeypatch):
         if self._level[1] is not None:
             self._level = alpha_bar, self._level[1]
         return batch(self, X, C, alpha_bar, t)
+
+    monkeypatch.setattr(GMMDenoiser, "predict_noise_batch", mutant)
+
+
+def _probe_signs_swapped(monkeypatch):
+    """In a call of 2m+1 or 2m+2 rows the oracle swaps the answers of each +/- probe pair.
+
+    Those are null-text's calls, whose last 2m rows probe the embedding's m
+    coordinates in +/- pairs, so the mutant flips the sign of the gradient.
+    """
+    batch = GMMDenoiser.predict_noise_batch
+
+    def mutant(self, X, C, alpha_bar, t):
+        eps = batch(self, X, C, alpha_bar, t)
+        order = np.arange(len(X))
+        if len(X) in (2 * self.m + 1, 2 * self.m + 2):
+            head = len(X) - 2 * self.m
+            order[head:] = order[head:].reshape(-1, 2)[:, ::-1].ravel()
+        return eps[order]
 
     monkeypatch.setattr(GMMDenoiser, "predict_noise_batch", mutant)
 
@@ -117,6 +137,8 @@ KILLS = {
     "inversion-table-unreversed/null-text-bytes": (
         _inversion_table_unreversed, test_sampler.test_null_text_bytes_are_pinned,
         AssertionError),
+    "probe-signs/null-text-bytes": (
+        _probe_signs_swapped, test_sampler.test_null_text_bytes_are_pinned, AssertionError),
     "lenient-encoder/strict-error-replies": (
         _lenient_encoder,
         test_remote.TestServeStream().test_bad_frames_get_strict_error_replies,

@@ -17,8 +17,9 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from diffpath.config import KINDS, ManipulationConfig
 from diffpath.denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
-from diffpath.edits import KINDS, ManipulationConfig, run_edit, run_edits
+from diffpath.edits import run_edit, run_edits
 from diffpath.sampler import generate
 from diffpath.schedule import (SCHEDULE_KINDS, ScheduleSpec, build_linear_beta_schedule,
                                make_timestep_grid)

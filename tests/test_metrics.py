@@ -8,8 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from diffpath.config import ManipulationConfig
 from diffpath.denoiser import ConditionEmbedding
-from diffpath.edits import ManipulationConfig, run_edit
+from diffpath.edits import run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.metrics import (EditMetrics, derive_config, inversion_report, run_sweep,
                               score_edit, sweep_digest)

@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffpath import cli
-from diffpath.config import canonical_json
+from diffpath.config import ManipulationConfig, canonical_json
 from diffpath.denoiser import ConditionEmbedding, Denoiser
-from diffpath.edits import ManipulationConfig, run_edit
+from diffpath.edits import run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.metrics import run_sweep
 from diffpath.remote import (DimensionMismatchError, IdMismatchError,
@@ -670,6 +670,18 @@ class TestTcpTransport:
         first = RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2)
         first.close()
         # the server answers one connection at a time, so it must see the first end
+        with RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2, timeout=5.0) as second:
+            assert second.d == 2
+
+    def test_undecodable_line_gets_a_malformed_frame_reply(self, demo):
+        port = _tcp_server(demo)
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as conn, \
+                conn.makefile("rb") as replies:
+            conn.sendall(b"\xff\xfe\n")
+            assert json.loads(replies.readline()) == {"id": None, "error": "malformed frame"}
+            conn.sendall(b'{"id": 0, "op": "hello", "d": 2, "m": 2}\n')
+            assert json.loads(replies.readline())["op"] == "hello"
+        # the listener survives the bad line and serves the next connection
         with RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2, timeout=5.0) as second:
             assert second.d == 2
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from diffpath.config import KINDS
 from diffpath.denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams
-from diffpath.edits import KINDS, prompt_switch, prompt_switches, run_edit
+from diffpath.edits import prompt_switch, prompt_switches, run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import (GENERATION, INVERSION, PathRecord, cfg_combine,
                               ddim_invert, ddim_step, effective_noise, f_theta,
