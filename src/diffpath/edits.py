@@ -201,9 +201,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
         first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
         tags[np.arange(t_sample) < first[:, None]] = "noise_interp"
     columns = tags.T.tolist()
-    masked = np.array([[[c.mask is not None]] for c in configs])
-    masks = np.array([np.zeros(d) if c.mask is None else c.mask for c in configs])
-    blend = np.where(masked & weighted[..., None], masks[:, None], W[..., None])  # (n, T, d)
+    blend = _blend_table(configs, W, d)
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     ab = np.array([c_a.values, c_b.values])  # the pure rows' conditions are its first rows
 
@@ -270,6 +268,13 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
         return E
 
     return choose_eps
+
+
+def _blend_table(configs: Sequence[ManipulationConfig], W: np.ndarray, d: int) -> np.ndarray:
+    """Each blend's weights (n, T, d): a masked kind's mask where W is nonzero, else W."""
+    masked = np.array([[[c.mask is not None]] for c in configs])
+    masks = np.array([np.zeros(d) if c.mask is None else c.mask for c in configs])
+    return np.where(masked & (W != 0.0)[..., None], masks[:, None], W[..., None])
 
 
 def _settle(E: np.ndarray, x: np.ndarray, rows: np.ndarray, targets: np.ndarray,

@@ -40,6 +40,7 @@ the socket's timeout; the client starts no thread.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import threading
@@ -175,10 +176,12 @@ def serve_tcp(denoiser: Denoiser, server: socket.socket) -> None:
     with server:
         while True:
             conn, _ = server.accept()
-            with conn:
-                # undecodable bytes reach the frame decoder, as they do from sys.stdin
-                rfile = conn.makefile("r", encoding="utf-8", errors="surrogateescape")
-                wfile = conn.makefile("w", encoding="utf-8")
+            # undecodable bytes reach the frame decoder, as they do from sys.stdin
+            rfile = conn.makefile("r", encoding="utf-8", errors="surrogateescape")
+            wfile = conn.makefile("w", encoding="utf-8")
+            # a client's reset, even with replies unread, ends only its connection
+            # (closing ``wfile`` flushes it); the socket closes once both files have
+            with contextlib.suppress(ConnectionError), conn, rfile, wfile:
                 serve_stream(denoiser, rfile, wfile)
 
 

@@ -13,10 +13,10 @@ the very first hop from clean data).
 
 Every pass over a grid goes through one private stepping core, ``_walk``.
 It builds the grid's step table once (training level, sampling step and the
-two signal factors of each position, checked once per step) and walks it in
-either direction for N rows in lock-step.  The rows' latents are one (N, d)
-array, and each step is one hop of all of them: the update is elementwise,
-so every row gets the bits of a walk of its own.  A callback
+two signal factors of each position, its levels checked once per walk) and
+walks it in either direction for N rows in lock-step.  The rows' latents
+are one (N, d) array, and each step is one hop of all of them: the update
+is elementwise, so every row gets the bits of a walk of its own.  A callback
 ``choose(i, step, X, predict)`` returns the step's noises, applying its
 operators to whole groups of rows.  ``predict(latents, conditions)`` is one
 ``predict_noise_batch`` call that pairs each row of one condition matrix
@@ -53,24 +53,6 @@ def _clean(x_t: np.ndarray, eps: np.ndarray, a: float) -> np.ndarray:
     return (x_t - np.sqrt(1.0 - a) * eps) / np.sqrt(a)
 
 
-def _check_down(a_t: float, a_prev: float) -> None:
-    if not 0.0 < a_t < 1.0:
-        raise ParameterError(f"alpha_bar_t must lie in (0, 1), got {a_t}")
-    if not 0.0 < a_prev <= 1.0:
-        raise ParameterError(f"alpha_bar_prev must lie in (0, 1], got {a_prev}")
-    if a_prev < a_t:
-        raise ParameterError(
-            f"schedule order violated: alpha_bar_prev={a_prev} < alpha_bar_t={a_t}")
-
-
-def _check_up(a_t: float, a_next: float) -> None:
-    if not 0.0 < a_t <= 1.0:
-        raise ParameterError(f"alpha_bar_t must lie in (0, 1], got {a_t}")
-    if not 0.0 < a_next <= a_t:
-        raise ParameterError(
-            f"inversion requires alpha_bar_next <= alpha_bar_t, got {a_next} > {a_t}")
-
-
 def _down(x_t: np.ndarray, eps: np.ndarray, a_t: float, a_prev: float) -> np.ndarray:
     if a_prev == a_t:
         # algebraic fixed point: no noise is removed
@@ -86,23 +68,20 @@ def ddim_step(x_t: np.ndarray, eps: np.ndarray,
               alpha_bar_t: float, alpha_bar_prev: float) -> np.ndarray:
     """One deterministic update from level alpha_bar_t down to alpha_bar_prev.
 
-    The walks do not call this: their step table checks each step's levels
-    once, and every hop of a step then runs this arithmetic on all rows at
-    once.  Being elementwise, it gives each row the bits of this function.
+    The walks do not call this: their step table checks a grid's levels once
+    per walk, and every hop of a step then runs this arithmetic on all rows
+    at once.  Being elementwise, it gives each row the bits of this function.
     """
     a_t = float(alpha_bar_t)
     a_prev = float(alpha_bar_prev)
-    _check_down(a_t, a_prev)
+    if not 0.0 < a_t < 1.0:
+        raise ParameterError(f"alpha_bar_t must lie in (0, 1), got {a_t}")
+    if not 0.0 < a_prev <= 1.0:
+        raise ParameterError(f"alpha_bar_prev must lie in (0, 1], got {a_prev}")
+    if a_prev < a_t:
+        raise ParameterError(
+            f"schedule order violated: alpha_bar_prev={a_prev} < alpha_bar_t={a_t}")
     return _down(x_t, eps, a_t, a_prev)
-
-
-def invert_step(x_t: np.ndarray, eps: np.ndarray,
-                alpha_bar_t: float, alpha_bar_next: float) -> np.ndarray:
-    """One upward hop from level alpha_bar_t to the noisier alpha_bar_next."""
-    a_t = float(alpha_bar_t)
-    a_next = float(alpha_bar_next)
-    _check_up(a_t, a_next)
-    return _move(x_t, eps, a_t, a_next)
 
 
 def effective_noise(x_t: np.ndarray, x_prev: np.ndarray,
@@ -187,24 +166,22 @@ class _Step(NamedTuple):
 
 def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
                 direction: str) -> tuple[_Step, ...]:
-    """The grid's positions in walk order, each with its signal factors checked.
+    """The grid's positions in walk order, each with its two signal factors.
 
-    The checks are ``ddim_step``'s for generation and ``invert_step``'s for
-    inversion, made once per step here instead of once per hop.
+    ``AlphaSchedule`` (non-increasing within (0, 1]) and ``TimestepGrid``
+    (strictly decreasing, >= 1) order every level already.  What they leave
+    open is checked here, once per walk in either direction: the grid's top
+    must lie on the schedule, and its lowest level, the least noisy, must
+    hold noise (alpha_bar < 1), so every level does.
     """
-    if grid.level(0) > schedule.t_train:
-        raise ParameterError(
-            f"grid top {grid.level(0)} exceeds schedule length {schedule.t_train}")
     levels = grid.steps
+    if levels[0] > schedule.t_train:
+        raise ParameterError(f"grid top {levels[0]} exceeds schedule length {schedule.t_train}")
     table = tuple(map(_Step, levels, range(grid.t_sample, 0, -1), map(schedule.at, levels),
                       map(schedule.at, (*levels[1:], 0))))
-    if direction == GENERATION:
-        for step in table:
-            _check_down(step.a_t, step.a_prev)
-        return table
-    for step in table:
-        _check_up(step.a_prev, step.a_t)
-    return table[::-1]
+    if table[-1].a_t == 1.0:
+        raise ParameterError(f"grid level {levels[-1]} has alpha_bar = 1: it holds no noise")
+    return table if direction == GENERATION else table[::-1]
 
 
 def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndarray:
@@ -263,7 +240,7 @@ def _predict_rows(denoiser: Denoiser, X: np.ndarray, C: np.ndarray, step: _Step)
     level, sampling_step = step.level, step.sampling_step
     try:
         eps = denoiser.predict_noise_batch(X, C, step.a_t, level)
-    except (ParameterError, ZeroDivisionError):
+    except ParameterError:
         raise
     except DenoiserError as err:
         if err.sampling_step is None:
@@ -271,7 +248,7 @@ def _predict_rows(denoiser: Denoiser, X: np.ndarray, C: np.ndarray, step: _Step)
             raise type(err)(str(err), sampling_step=sampling_step,
                             training_step=level) from err
         raise
-    except Exception as err:  # pragma: no cover - defensive wrap
+    except Exception as err:
         raise DenoiserError(f"denoiser call failed: {err}",
                             sampling_step=sampling_step, training_step=level) from err
     eps = np.asarray(eps, dtype=np.float64)

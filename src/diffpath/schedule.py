@@ -101,10 +101,6 @@ class TimestepGrid:
     def t_sample(self) -> int:
         return len(self.steps)
 
-    def level(self, position: int) -> int:
-        """Training step at loop position ``position`` (0 = noisiest)."""
-        return self.steps[position]
-
 
 def make_timestep_grid(t_train: int, t_sample: int) -> TimestepGrid:
     """Evenly strided descending grid with ``steps[0] = t_train``.

@@ -183,6 +183,10 @@ class TestGenerateInvert:
         assert [int(r[0]) for r in rows] == [25, 50]
 
 
+#: beta_1 = 0 leaves alpha_bar = 1 at level 1, the lowest level of a 1000-step grid
+ZERO_NOISE = ["--set", "sampler.beta_min=0", "--set", "sampler.t_sample=1000"]
+
+
 class TestFailures:
     def test_validation_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -334,7 +338,7 @@ class TestFailures:
             self, tmp_path, config_path, monkeypatch, capsys):
         build = RunConfig.build_denoiser
         monkeypatch.setattr(RunConfig, "build_denoiser", lambda config: NanRowDenoiser(
-            build(config), config.grid.level(50 - 20), row=5))
+            build(config), config.grid.steps[50 - 20], row=5))
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(config_path), "--output", str(out)]) == 2
         err = capsys.readouterr().err
@@ -400,6 +404,8 @@ class TestFailures:
         ("manipulation.condition_a=5", "manipulation.condition_a must be a string, got 5"),
         ("manipulation.condition_b=c", "manipulation.condition_b: 'c' is not in conditions"),
         ("output.formats=[\"pdf\"]", "output.formats[0] must be 'csv' or 'svg', got 'pdf'"),
+        ("manipulation.cam_hook=identity",
+         "manipulation: cam_hook is only meaningful for the attention kind"),
     ])
     def test_malformed_field_exits_one_naming_its_path(self, tmp_path, override, message,
                                                        capsys):
@@ -426,6 +432,30 @@ class TestFailures:
         assert capsys.readouterr().err == \
             'diffpath-error kind=validation message="output must be an object, got 5"\n'
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", *ZERO_NOISE], "grid level 1 has alpha_bar = 1: it holds no noise"),
+        (["invert", *ZERO_NOISE], "grid level 1 has alpha_bar = 1: it holds no noise"),
+        (["report", "--t-sample", "1000", *ZERO_NOISE],
+         "grid level 1 has alpha_bar = 1: it holds no noise"),
+        (["sweep", "--axis", "schedule=linear,5"], "axis values must be mutually comparable: "
+         "'<' not supported between instances of 'int' and 'str'"),
+        (["sweep", "--axis", "t_max"], "--axis 't_max' is not of the form name=v1,v2,..."),
+        (["edit", "--remote", "cmd:"], "--remote cmd: needs a command line"),
+    ], ids=["zero-noise-generate", "zero-noise-invert", "zero-noise-report",
+            "incomparable-axis", "axis-without-values", "remote-without-command"])
+    def test_bad_input_exits_one_with_its_message(self, argv, message, tmp_path, capsys):
+        assert main([*argv, "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == \
+            f'diffpath-error kind=validation message="{message}"\n'
+        assert not (tmp_path / "x").exists()
+
+    def test_config_root_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1]")
+        assert main(["config", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == \
+            'diffpath-error kind=validation message="config root must be an object"\n'
 
     def test_bad_remote_spec_exits_one(self, config_path, capsys):
         assert main(["edit", "--config", str(config_path), "--remote", "ftp:x"]) == 1

@@ -12,6 +12,8 @@ from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import ddim_step, generate
 from diffpath.schedule import ScheduleSpec, make_timestep_grid, omega
 
+from test_call_counts import CountingDenoiser
+
 
 def _spec(t_min, t_max, total, amplitude=1.0, kind="constant"):
     return ScheduleSpec(kind, t_min, t_max, total, amplitude)
@@ -114,6 +116,12 @@ class TestRunEdit:
         return (demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_b"],
                 demo["grid"], demo["schedule"])
 
+    def test_no_configs_make_no_call(self, demo):
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        counting = CountingDenoiser(den)
+        assert run_edits(counting, x_top, c_a, c_b, (), grid, sched, with_path_b=True) == ()
+        assert counting.calls == 0
+
     def test_full_strength_noise_interp_replays_reference(self, demo):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
         t = grid.t_sample
@@ -156,9 +164,9 @@ class TestRunEdit:
         for i, w in enumerate(res.weights):
             if w != 0.0:
                 continue
-            a_t = sched.at(grid.level(i))
+            a_t = sched.at(grid.steps[i])
             a_prev = sched.at((*grid.steps, 0)[i + 1])
-            eps = den.predict_noise(res.path.latents[i], c_b, a_t, grid.level(i))
+            eps = den.predict_noise(res.path.latents[i], c_b, a_t, grid.steps[i])
             redo = ddim_step(res.path.latents[i], eps, a_t, a_prev)
             assert np.array_equal(redo, res.path.latents[i + 1])
 
@@ -174,9 +182,9 @@ class TestRunEdit:
         path_a = generate(den, x_top, c_a, grid, sched)
         x = x_top.copy()
         for i in range(t):
-            a_t = sched.at(grid.level(i))
+            a_t = sched.at(grid.steps[i])
             a_prev = sched.at((*grid.steps, 0)[i + 1])
-            eps_b = den.predict_noise(x, c_b, a_t, grid.level(i))
+            eps_b = den.predict_noise(x, c_b, a_t, grid.steps[i])
             stepped = ddim_step(x, eps_b, a_t, a_prev)
             target = w_amp * path_a.latents[i + 1] + (1 - w_amp) * stepped
             assert np.allclose(res.path.latents[i + 1], target, rtol=1e-12, atol=1e-12)
@@ -210,10 +218,10 @@ class TestRunEdit:
         # manual loop with the lerp(1 + beta) form
         x = x_top.copy()
         for i in range(t):
-            a_t = sched.at(grid.level(i))
+            a_t = sched.at(grid.steps[i])
             a_prev = sched.at((*grid.steps, 0)[i + 1])
-            eps_a = den.predict_noise(x, c_a, a_t, grid.level(i))
-            eps_b = den.predict_noise(x, c_b, a_t, grid.level(i))
+            eps_a = den.predict_noise(x, c_a, a_t, grid.steps[i])
+            eps_b = den.predict_noise(x, c_b, a_t, grid.steps[i])
             eps = (1 + beta) * eps_a + (-beta) * eps_b
             x = ddim_step(x, eps, a_t, a_prev)
             assert np.allclose(res_g.path.latents[i + 1], x, rtol=1e-12, atol=1e-14)
@@ -297,7 +305,7 @@ class TestRunEdit:
                                         cam_hook="test-nan"),
                      grid, sched)
         assert err.value.sampling_step == 50
-        assert err.value.training_step == grid.level(0)
+        assert err.value.training_step == grid.steps[0]
 
     def test_window_grid_mismatch(self, demo):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)

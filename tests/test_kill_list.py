@@ -11,6 +11,7 @@ counterexample reaches ``.hypothesis``, and the original tests keep their own
 settings.
 """
 
+import functools
 import inspect
 import json
 
@@ -20,11 +21,13 @@ from hypothesis import HealthCheck, Phase, given, settings
 
 import test_acceptance
 import test_batched_walks
+import test_call_counts
 import test_edits
 import test_remote
 import test_sampler
 from diffpath import edits, remote, sampler
 from diffpath.denoiser import GMMDenoiser
+from test_call_counts import count  # noqa: F401  (the fixture of the counts case)
 
 KILL = settings(max_examples=20, deadline=None, database=None, derandomize=True,
                 phases=[Phase.explicit, Phase.generate], suppress_health_check=list(HealthCheck))
@@ -106,6 +109,34 @@ def _inversion_table_unreversed(monkeypatch):
     monkeypatch.setattr(sampler, "_step_table", mutant)
 
 
+def _narrow_tags(monkeypatch):
+    """``_edit_noises`` builds its tags as a ``<U`` array, as wide as its longest kind.
+
+    ``np.array`` in ``edits`` drops ``dtype=object``, so next to ``"guidance"``
+    a pass above its first weighted hop is tagged ``"noise_in"``.
+    """
+    class NarrowArrays:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def array(value, dtype=None, **kwargs):
+            return np.array(value, dtype=None if dtype is object else dtype, **kwargs)
+
+    monkeypatch.setattr(edits, "np", NarrowArrays())
+
+
+def _mask_blind_to_weight(monkeypatch):
+    """The blend table puts a masked kind's mask at every hop, its zero-weight hops too."""
+    table = edits._blend_table
+
+    def mutant(configs, W, d):
+        masked = np.array([[c.mask is not None] for c in configs])
+        return table(configs, np.where(masked, 1.0, W), d)
+
+    monkeypatch.setattr(edits, "_blend_table", mutant)
+
+
 def _lenient_encoder(monkeypatch):
     """Frames are encoded by a plain ``json.JSONEncoder``, which writes NaN and Infinity."""
     monkeypatch.setattr(remote, "_FRAME_ENCODER", json.JSONEncoder())
@@ -139,6 +170,12 @@ KILLS = {
         AssertionError),
     "probe-signs/null-text-bytes": (
         _probe_signs_swapped, test_sampler.test_null_text_bytes_are_pinned, AssertionError),
+    "narrow-tags/guidance-counts": (
+        _narrow_tags, functools.partial(test_call_counts.test_run_sweep, kind="guidance"),
+        AssertionError),
+    "mask-blind-to-weight/identity-reproduction": (
+        _mask_blind_to_weight, test_acceptance.test_criterion_01_identity_reproduction,
+        AssertionError),
     "lenient-encoder/strict-error-replies": (
         _lenient_encoder,
         test_remote.TestServeStream().test_bad_frames_get_strict_error_replies,

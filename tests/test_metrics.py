@@ -106,6 +106,10 @@ class TestDeriveConfig:
         cfg = derive_config(self.BASE, {"t_max": 46, "t_m": 10})
         assert (cfg.schedule.t_max, cfg.schedule.t_min) == (46, 36)
 
+    def test_t_min_sets_the_window_bottom(self):
+        cfg = derive_config(self.BASE, {"t_min": 10})
+        assert (cfg.schedule.t_max, cfg.schedule.t_min) == (48, 10)
+
     def test_decaying_kind_pins_top(self):
         cfg = derive_config(self.BASE, {"schedule": "cosine", "t_m": 30})
         assert cfg.schedule.kind == "cosine"
@@ -213,7 +217,7 @@ class TestRunSweep:
 
     def test_bad_row_in_a_batched_step_names_the_step(self, demo):
         # row 5 of the edits' batch at sampling step 20 comes back as NaN
-        den = NanRowDenoiser(demo["denoiser"], demo["grid"].level(50 - 20), row=5)
+        den = NanRowDenoiser(demo["denoiser"], demo["grid"].steps[50 - 20], row=5)
         with pytest.raises(DenoiserError, match=r"non-finite noise \(sampling step 20,") \
                 as err:
             run_sweep(den, demo["cfg"], WINDOW_AXES)

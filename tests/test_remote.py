@@ -4,6 +4,7 @@ import math
 import select
 import shlex
 import socket
+import struct
 import sys
 import threading
 
@@ -684,6 +685,23 @@ class TestTcpTransport:
         # the listener survives the bad line and serves the next connection
         with RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2, timeout=5.0) as second:
             assert second.d == 2
+
+    def test_client_reset_with_replies_unread_ends_only_its_connection(self, demo):
+        port = _tcp_server(demo)
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as conn:
+            conn.sendall(b'{"id": 0, "op": "hello", "d": 2, "m": 2}\n' * 1000)
+            # linger 0: closing resets the connection instead of ending it
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        with RemoteDenoiser.from_address("127.0.0.1", port, d=2, m=2, timeout=5.0) as second:
+            assert second.d == 2
+
+    def test_half_closed_client_reads_its_replies_to_the_end(self, demo):
+        with socket.create_connection(("127.0.0.1", _tcp_server(demo)), timeout=5.0) as conn, \
+                conn.makefile("rb") as replies:
+            conn.sendall(b'{"id": 0, "op": "hello", "d": 2, "m": 2}\n')
+            conn.shutdown(socket.SHUT_WR)
+            # once the client's frames end, the server closes the connection
+            assert [json.loads(line)["op"] for line in replies.read().splitlines()] == ["hello"]
 
     def test_refused_connect_names_the_peer(self):
         with socket.create_server(("127.0.0.1", 0)) as listener:

@@ -11,10 +11,11 @@ from diffpath.edits import prompt_switch, prompt_switches, run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import (GENERATION, INVERSION, PathRecord, cfg_combine,
                               ddim_invert, ddim_step, effective_noise, f_theta,
-                              generate, invert_step, null_text_invert)
+                              generate, null_text_invert)
 from diffpath.schedule import build_linear_beta_schedule, make_timestep_grid
 
 from conftest import PerRowDenoiser, preset_config, single_gaussian
+from test_call_counts import CountingDenoiser
 from test_lockstep import models
 
 
@@ -108,7 +109,7 @@ class TestGenerate:
         path = generate(den, x_top, C_A, GRID, SCHED)
         factor = 1.0
         for i in range(GRID.t_sample):
-            a_t = SCHED.at(GRID.level(i))
+            a_t = SCHED.at(GRID.steps[i])
             a_prev = SCHED.at((*GRID.steps, 0)[i + 1])
             factor *= np.sqrt(a_prev * a_t) + np.sqrt((1 - a_prev) * (1 - a_t))
         assert np.allclose(path.x0, factor * x_top, rtol=1e-12)
@@ -137,11 +138,12 @@ class TestGenerate:
                           guidance=(0.0, demo["null"]))
         assert all(np.array_equal(a, b) for a, b in zip(plain.latents, guided.latents))
 
-    def test_denoiser_failure_carries_step_context(self, demo):
+    @pytest.mark.parametrize("fault", [RuntimeError, ZeroDivisionError])
+    def test_denoiser_failure_carries_step_context(self, demo, fault):
         class Broken(GMMDenoiser):
             def predict_noise(self, x, c, alpha_bar, t):
                 if t < 900:
-                    raise RuntimeError("boom")
+                    raise fault("boom")
                 return super().predict_noise(x, c, alpha_bar, t)
 
         broken = PerRowDenoiser(Broken(demo["params"]))
@@ -149,6 +151,16 @@ class TestGenerate:
             generate(broken, demo["x_top"], demo["c_a"], GRID, SCHED)
         assert err.value.sampling_step is not None
         assert err.value.training_step == 880
+
+    def test_prediction_of_the_wrong_shape_names_step(self, demo):
+        class Wide(GMMDenoiser):
+            def predict_noise_batch(self, X, C, alpha_bar, t):
+                return np.zeros((len(X), 3))
+
+        with pytest.raises(DenoiserError) as err:
+            generate(Wide(demo["params"]), demo["x_top"], demo["c_a"], GRID, SCHED)
+        assert str(err.value) == ("denoiser returned shape (1, 3), expected (1, 2) "
+                                  "(sampling step 50, training step 1000)")
 
     def test_non_finite_prediction_names_step(self, demo):
         class NaNs(GMMDenoiser):
@@ -167,6 +179,17 @@ class TestGenerate:
         with pytest.raises(ParameterError):
             generate(demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED,
                      guidance=(1.0, [demo["null"]] * 3))
+
+
+@pytest.mark.parametrize("walk", [generate, ddim_invert])
+def test_a_grid_level_without_noise_stops_either_walk(demo, walk):
+    # beta_1 = 0 leaves alpha_bar = 1 at level 1, the lowest of a 1000-step grid
+    sched = build_linear_beta_schedule(1000, 0.0, 0.02)
+    den = CountingDenoiser(demo["denoiser"])
+    with pytest.raises(ParameterError,
+                       match="^grid level 1 has alpha_bar = 1: it holds no noise$"):
+        walk(den, demo["x_top"], demo["c_a"], make_timestep_grid(1000, 1000), sched)
+    assert den.calls == 0
 
 
 ZERO2 = ((0.0, 0.0), (0.0, 0.0))
@@ -231,7 +254,7 @@ class TestInversion:
         coeff = 1.0
         for pos in range(GRID.t_sample - 1, -1, -1):
             a_cur = SCHED.at((*GRID.steps, 0)[pos + 1])
-            a_tgt = SCHED.at(GRID.level(pos))
+            a_tgt = SCHED.at(GRID.steps[pos])
             f_coef = (1 - np.sqrt(1 - a_cur) / np.sqrt(1 - a_tgt)) / np.sqrt(a_cur) \
                 if a_cur < 1.0 else 1.0
             coeff *= np.sqrt(a_tgt) * f_coef + np.sqrt(1 - a_tgt) / np.sqrt(1 - a_tgt)
@@ -261,10 +284,6 @@ class TestInversion:
         inv = ddim_invert(den, x0, C_A, grid1, SCHED)
         regen = generate(den, inv.x_top, C_A, grid1, SCHED)
         assert np.allclose(regen.x0, x0, rtol=0, atol=1e-12)
-
-    def test_invert_step_validation(self):
-        with pytest.raises(ParameterError):
-            invert_step(np.ones(2), np.ones(2), 0.5, 0.8)
 
 
 class TestNullTextInversion:
