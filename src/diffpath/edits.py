@@ -45,7 +45,8 @@ import numpy as np
 from .config import _CAM_HOOKS, _MASKED_KINDS, ManipulationConfig, validate_mask
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import DenoiserError, ParameterError
-from .sampler import ChooseEps, PathRecord, cfg_combine, effective_noise, _down, _Step, _walk
+from .sampler import (GENERATION, ChooseEps, PathRecord, cfg_combine, effective_noise, _hop,
+                      _Step, _walk)
 from .schedule import AlphaSchedule, TimestepGrid, omega
 
 
@@ -248,7 +249,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                                      for r in rows])
                 # where the evolving latent is the reference, the hook's noise steps it
                 E[rows] = eps_hook
-                _settle(E, X[rows], rows, _down(x_ref, eps_hook, step.a_t, step.a_prev),
+                _settle(E, X[rows], rows, _hop(step, x_ref, eps_hook, GENERATION),
                         (X[rows] == x_ref).all(axis=1), step)
                 continue
             got, lo = eps[lo:lo + len(rows)], lo + len(rows)
@@ -258,9 +259,9 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
             else:
                 E[rows] = got
             if kind == "latent_interp":
-                stepped = _down(X[rows], got, step.a_t, step.a_prev)
+                stepped = _hop(step, X[rows], got, GENERATION)
                 # the reference row's hop of this step, as the walk will take it
-                ref_next = _down(x_ref, eps_ref, step.a_t, step.a_prev)
+                ref_next = _hop(step, x_ref, eps_ref, GENERATION)
                 mixed = _blend(ref_next, stepped, blend[rows, i])
                 # a no-op blend keeps the directly predicted noise so the step is
                 # identical to plain denoising

@@ -55,8 +55,8 @@ def path_divergence(result: EditResult) -> tuple[float, ...]:
     Optional companion profile to the endpoint metrics; entry i covers
     ``latents[i]`` (entry 0 is always zero: shared initial noise).
     """
-    return tuple(float(np.linalg.norm(l - r)) for l, r in
-                 zip(result.path.latents, result.path_a.latents))
+    gaps = np.subtract(result.path.latents, result.path_a.latents)
+    return tuple(map(float, np.sqrt(np.vecdot(gaps, gaps))))
 
 
 def score_edit(result: EditResult, params: GMMDenoiserParams) -> EditMetrics:
@@ -180,9 +180,8 @@ def inversion_report(denoiser: GMMDenoiser, c: ConditionEmbedding,
                      direction=INVERSION)
         regens = _walk(denoiser, grid, noise_schedule, [inv.x_top for inv in invs],
                        [c] * samples)
-        # one norm per row: the axis form does not round the same way
-        errors = np.array([np.linalg.norm(regen.x0 - x0) / np.linalg.norm(x0)
-                           for regen, x0 in zip(regens, x0s)])
+        gaps = np.array([regen.x0 for regen in regens]) - x0s
+        errors = np.sqrt(np.vecdot(gaps, gaps)) / np.sqrt(np.vecdot(x0s, x0s))
         rows.append(InversionReportRow(
             t_sample=int(t_sample),
             mean_rel_error=float(errors.mean()),

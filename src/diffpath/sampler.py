@@ -12,29 +12,31 @@ the same grid upward, predicting the noise at the target level of each hop
 the very first hop from clean data).
 
 Every pass over a grid goes through one private stepping core, ``_walk``.
-It builds the grid's step table once (training level, sampling step and the
-two signal factors of each position, its levels checked once per walk) and
-walks it in either direction for N rows in lock-step.  The rows' latents
-are one (N, d) array, and each step is one hop of all of them: the update
-is elementwise, so every row gets the bits of a walk of its own.  A callback
-``choose(i, step, X, predict)`` returns the step's noises, applying its
-operators to whole groups of rows.  ``predict(latents, conditions)`` is one
-``predict_noise_batch`` call that pairs each row of one condition matrix
-(N, m) with a latent (the rows' own, or others, such as the reference
-path's).  Guided generation, null-embedding tuning and the editing
-operators are such callbacks.
+It builds the grid's step table once (training level, sampling step, the
+two signal factors of each position and their square roots, its levels
+checked once per walk) and walks it in either direction for N rows in
+lock-step.  ``_hop`` is the one hop arithmetic, with the roots from the
+table.  The rows' latents are one (N, d) array, and each step is one hop
+of all of them: the update is elementwise, so every row gets the bits of a
+walk of its own.  A callback ``choose(i, step, X, predict)`` returns the
+step's noises, applying its operators to whole groups of rows.
+``predict(latents, conditions)`` is one ``predict_noise_batch`` call that
+pairs each row of one condition matrix (N, m) with a latent (the rows'
+own, or others, such as the reference path's).  Guided generation,
+null-embedding tuning and the editing operators are such callbacks.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
-from .errors import DenoiserError, ParameterError
+from .errors import DenoiserError, ParameterError, checked_number
 from .schedule import AlphaSchedule, TimestepGrid
 
 GENERATION = "generation"
@@ -46,31 +48,17 @@ def f_theta(x_t: np.ndarray, eps: np.ndarray, alpha_bar_t: float) -> np.ndarray:
     a = float(alpha_bar_t)
     if not 0.0 < a <= 1.0:
         raise ParameterError(f"alpha_bar_t must lie in (0, 1], got {a}")
-    return _clean(x_t, eps, a)
-
-
-def _clean(x_t: np.ndarray, eps: np.ndarray, a: float) -> np.ndarray:
     return (x_t - np.sqrt(1.0 - a) * eps) / np.sqrt(a)
-
-
-def _down(x_t: np.ndarray, eps: np.ndarray, a_t: float, a_prev: float) -> np.ndarray:
-    if a_prev == a_t:
-        # algebraic fixed point: no noise is removed
-        return x_t + 0.0 * eps
-    return _move(x_t, eps, a_t, a_prev)
-
-
-def _move(x_t: np.ndarray, eps: np.ndarray, a_from: float, a_to: float) -> np.ndarray:
-    return np.sqrt(a_to) * _clean(x_t, eps, a_from) + np.sqrt(1.0 - a_to) * eps
 
 
 def ddim_step(x_t: np.ndarray, eps: np.ndarray,
               alpha_bar_t: float, alpha_bar_prev: float) -> np.ndarray:
     """One deterministic update from level alpha_bar_t down to alpha_bar_prev.
 
-    The walks do not call this: their step table checks a grid's levels once
-    per walk, and every hop of a step then runs this arithmetic on all rows
-    at once.  Being elementwise, it gives each row the bits of this function.
+    The walks do not call this: their step table checks a grid's levels and
+    takes their square roots once per walk, and every hop of a step then
+    runs ``_hop`` on all rows at once.  This checks its two levels and makes
+    the same hop, so, being elementwise, each walk row gets its bits.
     """
     a_t = float(alpha_bar_t)
     a_prev = float(alpha_bar_prev)
@@ -81,7 +69,7 @@ def ddim_step(x_t: np.ndarray, eps: np.ndarray,
     if a_prev < a_t:
         raise ParameterError(
             f"schedule order violated: alpha_bar_prev={a_prev} < alpha_bar_t={a_t}")
-    return _down(x_t, eps, a_t, a_prev)
+    return _hop(_Step.at(0, 0, a_t, a_prev), x_t, eps, GENERATION)
 
 
 def effective_noise(x_t: np.ndarray, x_prev: np.ndarray,
@@ -156,17 +144,30 @@ class PathRecord:
 
 
 class _Step(NamedTuple):
-    """One grid position: a generation hop from ``level`` down to the next level."""
+    """One grid position: a generation hop from ``level`` down to the next level.
+
+    It holds the hop's two signal factors and their four square roots, taken
+    once per walk with ``math.sqrt``, which rounds correctly as ``np.sqrt`` does.
+    """
 
     level: int
     sampling_step: int
     a_t: float
     a_prev: float
+    root_t: float  # sqrt(a_t)
+    noise_t: float  # sqrt(1 - a_t)
+    root_prev: float  # sqrt(a_prev)
+    noise_prev: float  # sqrt(1 - a_prev)
+
+    @classmethod
+    def at(cls, level: int, sampling_step: int, a_t: float, a_prev: float) -> _Step:
+        return cls(level, sampling_step, a_t, a_prev, math.sqrt(a_t), math.sqrt(1.0 - a_t),
+                   math.sqrt(a_prev), math.sqrt(1.0 - a_prev))
 
 
 def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
                 direction: str) -> tuple[_Step, ...]:
-    """The grid's positions in walk order, each with its two signal factors.
+    """The grid's positions in walk order, each with its two signal factors and their roots.
 
     ``AlphaSchedule`` (non-increasing within (0, 1]) and ``TimestepGrid``
     (strictly decreasing, >= 1) order every level already.  What they leave
@@ -177,7 +178,7 @@ def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
     levels = grid.steps
     if levels[0] > schedule.t_train:
         raise ParameterError(f"grid top {levels[0]} exceeds schedule length {schedule.t_train}")
-    table = tuple(map(_Step, levels, range(grid.t_sample, 0, -1), map(schedule.at, levels),
+    table = tuple(map(_Step.at, levels, range(grid.t_sample, 0, -1), map(schedule.at, levels),
                       map(schedule.at, (*levels[1:], 0))))
     if table[-1].a_t == 1.0:
         raise ParameterError(f"grid level {levels[-1]} has alpha_bar = 1: it holds no noise")
@@ -185,10 +186,17 @@ def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
 
 
 def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndarray:
-    """Generation steps down from ``step.level``; inversion climbs up to it."""
+    """Generation steps down from ``step.level``; inversion climbs up to it.
+
+    Either way the latent moves through the clean latent ``f`` the pair
+    (x, eps) implies at the level it leaves.
+    """
     if direction == GENERATION:
-        return _down(x, eps, step.a_t, step.a_prev)
-    return _move(x, eps, step.a_prev, step.a_t)
+        if step.a_prev == step.a_t:
+            # algebraic fixed point: no noise is removed
+            return x + 0.0 * eps
+        return step.root_prev * ((x - step.noise_t * eps) / step.root_t) + step.noise_prev * eps
+    return step.root_t * ((x - step.noise_prev * eps) / step.root_prev) + step.noise_t * eps
 
 
 #: a step's callback ``choose(i, step, X, predict)``: returns the noises of all
@@ -269,12 +277,14 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
 
     ``guidance`` is an optional ``(beta, null_embeddings)`` pair; the null
     side may be a single shared embedding or one embedding per step in loop
-    order.  The recorded noise at each step is the combined prediction that
-    actually drove the update.
+    order.  A beta that is not a finite number fails before the first
+    denoiser call.  The recorded noise at each step is the combined
+    prediction that actually drove the update.
     """
     if guidance is None:
         return _walk(denoiser, grid, schedule, [x_top], [c])[0]
     beta, nulls = guidance
+    beta = checked_number(beta, "beta")
     if not isinstance(nulls, ConditionEmbedding) and len(nulls) != grid.t_sample:
         raise ParameterError(
             f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
@@ -321,14 +331,23 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     objective does not depend on the null side and the all-zeros embedding is
     returned for every step.
 
+    ``beta``, ``step_size`` and ``iterations`` (an integer) are checked
+    before the first denoiser call.
+
     A step's predictions all share its latent, so each round goes out as
     one call: first the conditional, the initial null and its 2m probes,
     then each candidate with its own probes (none after the last
-    iteration).  The accepted null's prediction is reused for the guided hop.
-    A round's losses are one broadcast guided hop over its rows and its
-    gradient one array expression over the probe pairs; both are
-    elementwise, so each value has the bits of its one-row computation.
+    iteration).  A round's null and probe rows are one add of a per-call
+    offsets table, whose first row is -0.0 so row 0 is the null itself.
+    The accepted null's prediction is reused for the guided hop.  A round's
+    losses are one broadcast guided hop over its rows reduced by one
+    ``np.vecdot``, which runs the one-row dot's loop, and its gradient one
+    array expression over the probe pairs; so each value has the bits of
+    its one-row computation.
     """
+    beta = checked_number(beta, "beta")
+    step_size = checked_number(step_size, "step_size")
+    iterations = checked_number(iterations, "iterations", integer=True)
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
@@ -337,37 +356,35 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     diagnostics: list[str] = []
 
     half_width = 1e-4  # central-difference half-width of the gradient probes
+    # null + offsets: the null, then null +/- half_width * e_j for each coordinate j
     bumps = half_width * np.eye(denoiser.m)
+    offsets = np.full((1 + 2 * denoiser.m, denoiser.m), -0.0)
+    offsets[1::2], offsets[2::2] = bumps, -bumps
 
     def with_probes(null: np.ndarray, probe: bool) -> np.ndarray:
-        # null, then null +/- eps*e_j for each coordinate j when a gradient is needed
-        rows = np.empty((1 + 2 * null.size if probe else 1, null.size))
-        rows[0] = null
-        if probe:
-            rows[1::2] = null + bumps
-            rows[2::2] = null - bumps
-        return rows
+        return null + (offsets if probe else offsets[:1])
 
     def tune(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         x = X[0]
         target = inv.latents[step.sampling_step - 1]
 
-        def losses(eps_null: np.ndarray) -> list[float]:
+        def losses(eps_null: np.ndarray) -> tuple[float, np.ndarray]:
             guided = eps_c + beta * (eps_c - eps_null)  # cfg_combine, broadcast
-            resid = _down(x, guided, step.a_t, step.a_prev) - target
-            return [float(r @ r) for r in resid]
+            resid = _hop(step, x, guided, GENERATION) - target
+            scores = np.vecdot(resid, resid)
+            return float(scores[0]), scores[1:]
 
         null = np.zeros(denoiser.m)
         rows = np.vstack([c.values, with_probes(null, iterations > 0)])
         eps = predict(np.repeat(X, len(rows), axis=0), rows)
         eps_c, eps_best = eps[0], eps[1]
-        best, *probed = losses(eps[1:])
+        best, probed = losses(eps[1:])
         for it in range(iterations):
-            grad = np.subtract(probed[0::2], probed[1::2]) / (2.0 * half_width)
+            grad = (probed[0::2] - probed[1::2]) / (2.0 * half_width)
             candidate = null - step_size * grad
             probes = with_probes(candidate, it + 1 < iterations)
             eps_null = predict(np.repeat(X, len(probes), axis=0), probes)
-            value, *probed = losses(eps_null)
+            value, probed = losses(eps_null)
             if value > best * (1.0 + 1e-12) + 1e-300:
                 msg = (f"sampling step {step.sampling_step}: objective rose "
                        f"{best:.6e} -> {value:.6e} at iteration {it}; reverted and stopped")

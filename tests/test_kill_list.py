@@ -109,21 +109,43 @@ def _inversion_table_unreversed(monkeypatch):
     monkeypatch.setattr(sampler, "_step_table", mutant)
 
 
+class _Numpy:
+    """``np`` for one module's ``np`` global, with the functions given replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _einsum_losses(monkeypatch):
+    """The tuner reduces its losses with ``np.einsum("nd,nd->n")``, not the one-row dot's loop."""
+    monkeypatch.setattr(sampler, "np",
+                        _Numpy(vecdot=lambda a, b: np.einsum("nd,nd->n", a, b)))
+
+
+def _stale_root(monkeypatch):
+    """The step table takes each hop's sqrt(a_prev) from a_t."""
+    table = sampler._step_table
+
+    def mutant(grid, schedule, direction):
+        return tuple(step._replace(root_prev=step.root_t)
+                     for step in table(grid, schedule, direction))
+
+    monkeypatch.setattr(sampler, "_step_table", mutant)
+
+
 def _narrow_tags(monkeypatch):
     """``_edit_noises`` builds its tags as a ``<U`` array, as wide as its longest kind.
 
     ``np.array`` in ``edits`` drops ``dtype=object``, so next to ``"guidance"``
     a pass above its first weighted hop is tagged ``"noise_in"``.
     """
-    class NarrowArrays:
-        def __getattr__(self, name):
-            return getattr(np, name)
+    def array(value, dtype=None, **kwargs):
+        return np.array(value, dtype=None if dtype is object else dtype, **kwargs)
 
-        @staticmethod
-        def array(value, dtype=None, **kwargs):
-            return np.array(value, dtype=None if dtype is object else dtype, **kwargs)
-
-    monkeypatch.setattr(edits, "np", NarrowArrays())
+    monkeypatch.setattr(edits, "np", _Numpy(array=array))
 
 
 def _mask_blind_to_weight(monkeypatch):
@@ -170,6 +192,10 @@ KILLS = {
         AssertionError),
     "probe-signs/null-text-bytes": (
         _probe_signs_swapped, test_sampler.test_null_text_bytes_are_pinned, AssertionError),
+    "einsum-losses/null-text-bytes": (
+        _einsum_losses, test_sampler.test_null_text_bytes_are_pinned, AssertionError),
+    "stale-root/affine-recursion": (
+        _stale_root, test_sampler.TestGenerate().test_affine_recursion_oracle, AssertionError),
     "narrow-tags/guidance-counts": (
         _narrow_tags, functools.partial(test_call_counts.test_run_sweep, kind="guidance"),
         AssertionError),

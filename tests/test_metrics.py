@@ -12,11 +12,12 @@ from diffpath.config import ManipulationConfig
 from diffpath.denoiser import ConditionEmbedding
 from diffpath.edits import run_edit
 from diffpath.errors import DenoiserError, ParameterError
-from diffpath.metrics import (EditMetrics, derive_config, inversion_report, run_sweep,
-                              score_edit, sweep_digest)
+from diffpath.metrics import (EditMetrics, derive_config, inversion_report, path_divergence,
+                              run_sweep, score_edit, sweep_digest)
 from diffpath.output import SWEEP_CSV_HEADER, sweep_table_csv
 from diffpath.presets import EDIT_PRESETS
 from diffpath.rng import standard_normals, substream
+from diffpath.sampler import ddim_invert, generate
 from diffpath.schedule import ScheduleSpec, make_timestep_grid
 
 from conftest import (WINDOW_AXES, NanRowDenoiser, PerRowDenoiser, preset_config,
@@ -255,6 +256,25 @@ class TestInversionReport:
         with pytest.raises(ParameterError):
             inversion_report(demo["denoiser"], demo["c_a"], demo["schedule"],
                              (50,), samples=0, seed=1)
+
+
+def test_norms_per_row_have_the_bits_of_a_norm_per_row(demo):
+    # path_divergence and inversion_report take all their rows' norms as one
+    # np.vecdot expression; the reference is np.linalg.norm row by row
+    den, c_a, sched = demo["denoiser"], demo["c_a"], demo["schedule"]
+    for name in EDIT_PRESETS:
+        res = run_edit(den, demo["x_top"], c_a, demo["c_b"],
+                       preset_config(name).build_manipulation(), demo["grid"], sched)
+        assert path_divergence(res) == tuple(float(np.linalg.norm(l - r)) for l, r in
+                                             zip(res.path.latents, res.path_a.latents))
+    x0s = den.sample_clean(c_a, 5, substream(3, "inversion-report"))
+    for row in inversion_report(den, c_a, sched, (10, 50), samples=5, seed=3):
+        grid = make_timestep_grid(sched.t_train, row.t_sample)
+        regens = [generate(den, ddim_invert(den, x0, c_a, grid, sched).x_top, c_a, grid,
+                           sched).x0 for x0 in x0s]
+        errors = np.array([np.linalg.norm(x - x0) / np.linalg.norm(x0)
+                           for x, x0 in zip(regens, x0s)])
+        assert (row.mean_rel_error, row.max_rel_error) == (errors.mean(), errors.max())
 
 
 class _StubIntegers:

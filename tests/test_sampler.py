@@ -1,4 +1,6 @@
 import hashlib
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +177,14 @@ class TestGenerate:
         assert err.value.sampling_step == 44
         assert err.value.training_step == 880
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_guidance_fails_before_the_denoiser(self, demo, beta):
+        den = CountingDenoiser(demo["denoiser"])
+        with pytest.raises(ParameterError,
+                           match=f"^beta must be finite and within the float range, got {beta}$"):
+            generate(den, demo["x_top"], demo["c_a"], GRID, SCHED, guidance=(beta, demo["null"]))
+        assert den.calls == 0
+
     def test_per_step_null_count_validated(self, demo):
         with pytest.raises(ParameterError):
             generate(demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED,
@@ -347,10 +357,28 @@ class TestNullTextInversion:
 
     def test_non_finite_candidate_rejected(self, demo):
         # every round's probe rows are checked at once, with the error a
-        # single embedding raises
-        with pytest.raises(ParameterError, match="condition embedding must be finite"):
-            null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 2.0,
-                             GRID, SCHED, iterations=2, step_size=float("inf"))
+        # single embedding raises; the largest finite step overflows the candidate
+        with pytest.raises(ParameterError, match="condition embedding must be finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 7.5,
+                             GRID, SCHED, iterations=2, step_size=sys.float_info.max)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("beta", float("nan"), "beta must be finite and within the float range, got nan"),
+        ("beta", float("-inf"), "beta must be finite and within the float range, got -inf"),
+        ("step_size", float("nan"),
+         "step_size must be finite and within the float range, got nan"),
+        ("step_size", float("inf"),
+         "step_size must be finite and within the float range, got inf"),
+        ("iterations", 2.5, "iterations must be an integer, got 2.5"),
+        ("iterations", "3", "iterations must be an integer, got '3'")])
+    def test_bad_numbers_fail_before_the_denoiser(self, demo, name, value, message):
+        den = CountingDenoiser(demo["denoiser"])
+        args = {"beta": 2.0, "iterations": 2, "step_size": 0.1, name: value}
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            null_text_invert(den, np.array([0.6, -0.3]), demo["c_a"], grid=GRID, schedule=SCHED,
+                             **args)
+        assert den.calls == 0
 
     def test_negative_iterations_rejected(self, demo):
         with pytest.raises(ParameterError):
@@ -461,3 +489,97 @@ def test_null_text_batched_equals_per_row(model, t_sample, iterations, beta, ste
     grid = make_timestep_grid(1000, t_sample)
     assert (_null_text_bytes(den, x0, c, beta, grid, iterations, step_size)
             == _null_text_bytes(PerRowDenoiser(den), x0, c, beta, grid, iterations, step_size))
+
+
+def _reference_null_text(den, x0, c, beta, grid, iterations, step_size):
+    """Null-text inversion with the tuner's one-row formulas, one hop at a time.
+
+    It makes the oracle calls ``null_text_invert`` makes, but each hop takes
+    its square roots with ``np.sqrt``, a round's probe rows are three
+    assignments, its losses one ``float(r @ r)`` per row and its gradient
+    ``np.subtract`` over two lists.
+    """
+    levels, t_sample, half_width = grid.steps, grid.t_sample, 1e-4
+    alphas = [SCHED.at(t) for t in (*levels, 0)]
+    bumps = half_width * np.eye(den.m)
+
+    def predict(x, rows, j):
+        eps = den.predict_noise_batch(np.repeat(x[None], len(rows), axis=0), rows,
+                                      alphas[j], levels[j])
+        if not np.isfinite(eps).all():
+            raise DenoiserError("denoiser returned non-finite noise")
+        return eps
+
+    def down(x, eps, a_t, a_prev):
+        if a_prev == a_t:
+            return x + 0.0 * eps
+        return np.sqrt(a_prev) * ((x - np.sqrt(1.0 - a_t) * eps) / np.sqrt(a_t)) \
+            + np.sqrt(1.0 - a_prev) * eps
+
+    def with_probes(null, probe):
+        rows = np.empty((1 + 2 * null.size if probe else 1, null.size))
+        rows[0] = null
+        if probe:
+            rows[1::2] = null + bumps
+            rows[2::2] = null - bumps
+        return rows
+
+    inv = [x0]
+    for j in reversed(range(t_sample)):  # up: from level j's lower neighbour to level j
+        x, a_t, a_prev = inv[-1], alphas[j], alphas[j + 1]
+        eps = predict(x, c.values[None], j)[0]
+        inv.append(np.sqrt(a_t) * ((x - np.sqrt(1.0 - a_prev) * eps) / np.sqrt(a_prev))
+                   + np.sqrt(1.0 - a_t) * eps)
+    x, nulls, objectives, diagnostics = inv[-1], [], [], []
+    for j in range(t_sample):
+        a_t, a_prev, target = alphas[j], alphas[j + 1], inv[t_sample - j - 1]
+
+        def losses(eps_null):
+            guided = eps_c + beta * (eps_c - eps_null)
+            return [float(r @ r) for r in down(x, guided, a_t, a_prev) - target]
+
+        null = np.zeros(den.m)
+        eps = predict(x, np.vstack([c.values, with_probes(null, iterations > 0)]), j)
+        eps_c, eps_best = eps[0], eps[1]
+        best, *probed = losses(eps[1:])
+        for it in range(iterations):
+            grad = np.subtract(probed[0::2], probed[1::2]) / (2.0 * half_width)
+            candidate = null - step_size * grad
+            eps_null = predict(x, with_probes(candidate, it + 1 < iterations), j)
+            value, *probed = losses(eps_null)
+            if value > best * (1.0 + 1e-12) + 1e-300:
+                diagnostics.append(f"sampling step {t_sample - j}: objective rose {best:.6e} "
+                                   f"-> {value:.6e} at iteration {it}; reverted and stopped")
+                break
+            null, best, eps_best = candidate, value, eps_null[0]
+        nulls.append(null.tobytes())
+        objectives.append(best)
+        x = down(x, eps_c + beta * (eps_c - eps_best), a_t, a_prev)
+    return nulls, repr(tuple(objectives)), tuple(diagnostics)
+
+
+def _tuned_or_error(run):
+    try:
+        return run()
+    except (ParameterError, DenoiserError) as err:
+        return type(err)
+
+
+@given(model=models(), t_sample=st.integers(1, 40), iterations=st.integers(0, 4),
+       beta=st.one_of(st.sampled_from([0.0, -1.0, 2.0]), st.floats(-2.0, 10.0)),
+       step_size=st.one_of(st.sampled_from([0.1, 1e5]), st.floats(1e-3, 10.0)))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_null_text_equals_the_one_row_reference(model, t_sample, iterations, beta, step_size):
+    # the tuner's vecdot losses, one-add probe rows, array gradient and the
+    # step table's roots keep every bit of the one-row formulas they replace
+    den, x0, c, _ = model
+    grid = make_timestep_grid(1000, t_sample)
+
+    def tuned():
+        res = null_text_invert(den, x0, c, beta, grid, SCHED, iterations, step_size)
+        return ([e.values.tobytes() for e in res.embeddings], repr(res.objectives),
+                res.diagnostics)
+
+    assert _tuned_or_error(tuned) == _tuned_or_error(
+        lambda: _reference_null_text(den, x0, c, beta, grid, iterations, step_size))
