@@ -129,7 +129,8 @@ def validate_mask(mask, d: int) -> np.ndarray:
     return values
 
 
-#: a hook maps a step's context to the noise that steps the reference latent
+#: a hook maps a step's context to the noise that steps the reference latent; it runs
+#: once per step, for every pass that names it
 CamHook = Callable[["CamContext"], np.ndarray]  # edits.CamContext
 
 _CAM_HOOKS: dict[str, CamHook] = {"identity": lambda ctx: ctx.eps_edit,

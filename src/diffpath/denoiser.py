@@ -289,18 +289,23 @@ def _in_float_range(what: str, a: float, compute: Callable[[], np.ndarray]) -> n
 
 
 def gmm_log_density(params: GMMDenoiserParams, x: np.ndarray,
-                    c: ConditionEmbedding) -> float:
-    """Log density of the clean-data mixture at ``x`` under condition ``c``."""
+                    c: ConditionEmbedding) -> float | np.ndarray:
+    """Log density of the clean-data mixture at ``x`` under condition ``c``.
+
+    ``x`` is one latent (d,), which gives a float, or rows (n, d), which give
+    an (n,) array.  The component means and log-normalisers are computed
+    once; each row's log-sum-exp subtracts that row's own peak, so a row gets
+    the bits it gets alone.
+    """
     if np.any(params.variances == 0.0):
         raise ParameterError("log density requires strictly positive component variances")
     x = np.asarray(x, dtype=np.float64)
-    mus = params.component_means(c)
-    resid = x - mus
-    logs = (np.log(params.weights)
-            - 0.5 * params.d * np.log(2.0 * np.pi * params.variances)
-            - 0.5 * np.einsum("kd,kd->k", resid, resid) / params.variances)
-    peak = logs.max()
-    return float(peak + np.log(np.exp(logs - peak).sum()))
+    log_norm = np.log(params.weights) - 0.5 * params.d * np.log(2.0 * np.pi * params.variances)
+    resid = x[..., None, :] - params.component_means(c)                # (..., K, d)
+    logs = log_norm - 0.5 * np.einsum("...kd,...kd->...k", resid, resid) / params.variances
+    peak = np.max(logs, axis=-1, keepdims=True)
+    dens = peak[..., 0] + np.log(np.exp(logs - peak).sum(axis=-1))
+    return float(dens) if x.ndim == 1 else dens
 
 
 class GMMDenoiser(Denoiser):

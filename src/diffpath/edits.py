@@ -25,6 +25,7 @@ An attention hook is a plain function of a :class:`CamContext`, registered by
 name in ``config`` (home of ``ManipulationConfig``).  It reads both conditions'
 predictions at the reference latent (the c_b one comes from the step's one
 denoiser call, shared by every attention pass) and returns the step's noise.
+A hook runs once per step: every pass that names it takes that noise.
 
 Noise blending draws both operands from recorded trajectories (the reference
 path under c_a and the editing path under c_b, both from the shared initial
@@ -204,6 +205,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     columns = tags.T.tolist()
     blend = _blend_table(configs, W, d)
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
+    hooks = np.array([c.cam_hook for c in configs], dtype=object)
     ab = np.array([c_a.values, c_b.values])  # the pure rows' conditions are its first rows
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
@@ -245,12 +247,14 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                 ctx = CamContext(x_ref=x_ref, eps_ref=eps_ref, eps_edit=eps_edit,
                                  c_a=c_a, c_b=c_b, alpha_bar=step.a_t, level=step.level,
                                  sampling_step=step.sampling_step)
-                eps_hook = np.array([_hook_noise(configs[r].cam_hook, ctx, X.shape[1:])
-                                     for r in rows])
-                # where the evolving latent is the reference, the hook's noise steps it
-                E[rows] = eps_hook
-                _settle(E, X[rows], rows, _hop(step, x_ref, eps_hook, GENERATION),
-                        (X[rows] == x_ref).all(axis=1), step)
+                for name in dict.fromkeys(hooks[rows]):  # each hook once, in row order
+                    named = rows[hooks[rows] == name]
+                    eps_hook = _hook_noise(name, ctx, X.shape[1:])
+                    # where the evolving latent is the reference, the hook's noise steps it
+                    E[named] = eps_hook
+                    target = _hop(step, x_ref, eps_hook, GENERATION)
+                    _settle(E, X[named], named, np.broadcast_to(target, (len(named), d)),
+                            (X[named] == x_ref).all(axis=1), step)
                 continue
             got, lo = eps[lo:lo + len(rows)], lo + len(rows)
             if kind == "guidance":

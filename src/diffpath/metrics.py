@@ -65,22 +65,40 @@ def score_edit(result: EditResult, params: GMMDenoiserParams) -> EditMetrics:
     ``result`` must carry the editing path (``run_edit(..., with_path_b=True)``);
     the density is evaluated under that path's condition.
     """
-    path_b = result.path_b
-    if path_b is None:
+    if result.path_b is None:
         raise ParameterError("score_edit needs the editing path: "
                              "run the edit with with_path_b=True")
-    x_star, x_a = result.path.x0, result.path_a.x0
-    scores = {"layout_preservation": lambda: np.linalg.norm(x_star - x_a),
-              "semantic_alignment": lambda: -gmm_log_density(params, x_star, path_b.condition),
+    return _score_endpoints(result.path.x0[None], result, params)[0]
+
+
+def _score_endpoints(x_stars: np.ndarray, pure: EditResult, params: GMMDenoiserParams
+                     ) -> tuple[EditMetrics, ...]:
+    """Score edited endpoints (n, d) that share ``pure``'s two pure paths, in one pass.
+
+    Layout is one ``np.vecdot`` over the rows, the A-to-B gap one norm, and
+    semantic alignment one log density over the rows; each row gets the bits
+    of a pass of its own.
+    """
+    x_a, path_b = pure.path_a.x0, pure.path_b
+
+    def layout():
+        gaps = x_stars - x_a
+        return np.sqrt(np.vecdot(gaps, gaps))
+
+    scores = {"layout_preservation": layout,
+              "semantic_alignment": lambda: -gmm_log_density(params, x_stars, path_b.condition),
               "ab_gap": lambda: np.linalg.norm(x_a - path_b.x0)}
     with np.errstate(over="raise", invalid="raise"):
         for name, score in scores.items():
             try:
-                scores[name] = float(score())
+                scores[name] = score()
             except FloatingPointError:
                 raise ParameterError(f"{name} exceeds the float range for these "
                                      "endpoints") from None
-    return EditMetrics(**scores)
+    ab_gap = float(scores["ab_gap"])
+    return tuple(EditMetrics(distance, density, ab_gap) for distance, density in
+                 zip(scores["layout_preservation"].tolist(),
+                     scores["semantic_alignment"].tolist()))
 
 
 def derive_config(base: ManipulationConfig, assignment: Mapping[str, object]) -> ManipulationConfig:
@@ -126,7 +144,8 @@ def run_sweep(denoiser: Denoiser, config: RunConfig, axes: Mapping[str, Sequence
     its model scores the rows.  The shared initial noise is derived from its
     seed; rows are ordered by the lexicographic sort of their axis-value
     tuples.  Every grid point's edit and the two pure paths walk in
-    lock-step: one denoiser call per step for all of them.
+    lock-step: one denoiser call per step for all of them.  The grid points
+    share those pure paths, so their endpoints are scored in one pass.
     """
     base, c_a, c_b = config.edit_setup()
     axes = {name: tuple(values) for name, values in axes.items()}
@@ -142,8 +161,8 @@ def run_sweep(denoiser: Denoiser, config: RunConfig, axes: Mapping[str, Sequence
     x_top = standard_normals(substream(config.seed, "sweep", "x_top"), config.model.d)
     results = run_edits(denoiser, x_top, c_a, c_b, configs, config.grid,
                         config.noise_schedule, with_path_b=True)
-    return tuple((manip, score_edit(result, config.model))
-                 for manip, result in zip(configs, results))
+    x_stars = np.array([result.path.x0 for result in results])
+    return tuple(zip(configs, _score_endpoints(x_stars, results[0], config.model)))
 
 
 def sweep_digest(axes: Mapping[str, Sequence], base: ManipulationConfig, seed: int) -> str:

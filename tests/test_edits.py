@@ -281,6 +281,39 @@ class TestRunEdit:
                 want = den.predict_noise(ctx.x_ref, c, ctx.alpha_bar, ctx.level)
                 assert got.tobytes() == want.tobytes()
 
+    def test_hook_named_by_three_rows_runs_once_per_weighted_step(self, demo, monkeypatch):
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        t = grid.t_sample
+        from diffpath.config import _CAM_HOOKS
+        seen = []
+
+        def recording(ctx: CamContext):
+            seen.append(ctx.sampling_step)
+            return ctx.eps_edit
+
+        monkeypatch.setitem(_CAM_HOOKS, "test-recording", recording)
+        configs = [ManipulationConfig("attention", _spec(t_min, t_max, t, 1.0),
+                                      cam_hook="test-recording")
+                   for t_min, t_max in ((20, 45), (10, 30), (25, 40))]
+        run_edits(den, x_top, c_a, c_b, configs, grid, sched)
+        # the windows' union, sampling steps 45 down to 10, one call each
+        assert seen == list(range(45, 9, -1))
+
+    def test_two_hooks_in_one_step_give_their_rows_their_own_noise(self, demo, monkeypatch):
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        t = grid.t_sample
+        from diffpath.config import _CAM_HOOKS
+        monkeypatch.setitem(_CAM_HOOKS, "test-half",
+                            lambda ctx: 0.5 * (ctx.eps_ref + ctx.eps_edit))
+        configs = [ManipulationConfig("attention", _spec(t_min, t_max, t, 1.0), cam_hook=hook)
+                   for hook, t_min, t_max in (("test-half", 10, 40), ("identity", 20, 45),
+                                              ("test-half", 25, 35), ("replay", 15, 30))]
+        together = run_edits(den, x_top, c_a, c_b, configs, grid, sched)
+        for config, res in zip(configs, together):
+            alone = run_edit(den, x_top, c_a, c_b, config, grid, sched)
+            assert np.array(res.path.noises).tobytes() == np.array(alone.path.noises).tobytes()
+            assert np.array(res.path.latents).tobytes() == np.array(alone.path.latents).tobytes()
+
     def test_generator_hook_is_a_wrong_shape(self, demo, monkeypatch):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
         from diffpath.config import _CAM_HOOKS

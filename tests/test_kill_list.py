@@ -23,9 +23,10 @@ import test_acceptance
 import test_batched_walks
 import test_call_counts
 import test_edits
+import test_metrics
 import test_remote
 import test_sampler
-from diffpath import edits, remote, sampler
+from diffpath import denoiser, edits, remote, sampler
 from diffpath.denoiser import GMMDenoiser
 from test_call_counts import count  # noqa: F401  (the fixture of the counts case)
 
@@ -159,6 +160,25 @@ def _mask_blind_to_weight(monkeypatch):
     monkeypatch.setattr(edits, "_blend_table", mutant)
 
 
+def _peak_across_rows(monkeypatch):
+    """The batched log density's log-sum-exp takes one peak across all rows, not one per row."""
+    monkeypatch.setattr(denoiser, "np", _Numpy(
+        max=lambda a, axis=None, keepdims=False: np.max(a, keepdims=keepdims)))
+
+
+def _first_hook_for_every_row(monkeypatch):
+    """Every attention row of a step takes the noise of the step's first hook."""
+    hook_noise = edits._hook_noise
+    first = {}
+
+    def mutant(name, ctx, shape):
+        if first.get("ctx") is not ctx:
+            first.update(ctx=ctx, name=name)
+        return hook_noise(first["name"], ctx, shape)
+
+    monkeypatch.setattr(edits, "_hook_noise", mutant)
+
+
 def _lenient_encoder(monkeypatch):
     """Frames are encoded by a plain ``json.JSONEncoder``, which writes NaN and Infinity."""
     monkeypatch.setattr(remote, "_FRAME_ENCODER", json.JSONEncoder())
@@ -201,6 +221,15 @@ KILLS = {
         AssertionError),
     "mask-blind-to-weight/identity-reproduction": (
         _mask_blind_to_weight, test_acceptance.test_criterion_01_identity_reproduction,
+        AssertionError),
+    "peak-across-rows/batched-sweep": (
+        _peak_across_rows,
+        functools.partial(test_metrics.TestRunSweep().test_batched_sweep_equals_per_row_sweep,
+                          preset="noise-interp-local", axes=test_metrics.SCHEDULE_GRID_AXES),
+        AssertionError),
+    "first-hook/two-hooks": (
+        _first_hook_for_every_row,
+        test_edits.TestRunEdit().test_two_hooks_in_one_step_give_their_rows_their_own_noise,
         AssertionError),
     "lenient-encoder/strict-error-replies": (
         _lenient_encoder,

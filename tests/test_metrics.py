@@ -3,13 +3,16 @@ import itertools
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffpath.config import ManipulationConfig
-from diffpath.denoiser import ConditionEmbedding
+from diffpath.denoiser import ConditionEmbedding, GMMDenoiserParams, gmm_log_density
 from diffpath.edits import run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.metrics import (EditMetrics, derive_config, inversion_report, path_divergence,
@@ -27,6 +30,24 @@ from conftest import (WINDOW_AXES, NanRowDenoiser, PerRowDenoiser, preset_config
 SCHEDULE_GRID_AXES = {"schedule": ("linear", "cosine", "exponential"),
                       "t_m": (20, 25, 30, 35, 40, 45, 50)}
 GUIDANCE_GRID_AXES = {"beta": (0.7, 0.3, 0.0, -0.3, -0.7), "t_m": (10, 20, 30, 40, 50)}
+
+
+def _one_row_log_density(params, x, c):
+    """The mixture's log density at one latent (d,), shifted by its own peak."""
+    resid = x - (params.condition_maps @ c.values + params.base_means)
+    logs = (np.log(params.weights)
+            - 0.5 * params.d * np.log(2.0 * np.pi * params.variances)
+            - 0.5 * np.einsum("kd,kd->k", resid, resid) / params.variances)
+    peak = logs.max()
+    return float(peak + np.log(np.exp(logs - peak).sum()))
+
+
+def _one_row_scores(result, params):
+    """An edit's scores from its endpoints: two ``np.linalg.norm`` and one one-row density."""
+    x_star, x_a, path_b = result.path.x0, result.path_a.x0, result.path_b
+    return EditMetrics(float(np.linalg.norm(x_star - x_a)),
+                       -_one_row_log_density(params, x_star, path_b.condition),
+                       float(np.linalg.norm(x_a - path_b.x0)))
 
 
 def _config(demo, seed, base=None):
@@ -94,6 +115,48 @@ class TestScoreEdit:
                        demo["grid"], demo["schedule"], with_path_b=True)
         with pytest.raises(ParameterError, match="^layout_preservation exceeds the float range"):
             score_edit(res, demo["params"])
+
+    def test_endpoints_whose_difference_overflows_name_the_metric(self, demo):
+        # x* - x_a leaves the float range before any product is taken
+        def record(x0, condition=None):
+            return SimpleNamespace(x0=np.array(x0), condition=condition)
+
+        res = SimpleNamespace(path=record([1.7e308, 0.0]), path_a=record([-1.7e308, 0.0]),
+                              path_b=record([0.0, 0.0], demo["c_b"]))
+        with pytest.raises(ParameterError, match="^layout_preservation exceeds the float range"):
+            score_edit(res, demo["params"])
+
+    def test_coinciding_pure_endpoints_score_a_zero_gap(self, demo):
+        t = demo["grid"].t_sample
+        res = run_edit(demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_a"],
+                       ManipulationConfig("noise_interp", ScheduleSpec("constant", 28, 48, t)),
+                       demo["grid"], demo["schedule"], with_path_b=True)
+        assert score_edit(res, demo["params"]).ab_gap == 0.0
+
+
+@st.composite
+def _rows_and_mixtures(draw):
+    """A mixture with K 1-12, d 1-40, m 1-4, positive variances, and 1-30 rows whose
+    scales spread over eight orders of magnitude, so the rows' peaks differ."""
+    k, d, m = draw(st.integers(1, 12)), draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = gen.uniform(0.1, 1.0, k)
+    params = GMMDenoiserParams(weights=weights / weights.sum(),
+                               base_means=gen.uniform(-2.0, 2.0, (k, d)),
+                               condition_maps=gen.uniform(-1.0, 1.0, (k, d, m)),
+                               variances=gen.uniform(0.05, 2.0, k))
+    rows = gen.normal(size=(n, d)) * 10.0 ** gen.uniform(-4.0, 4.0, (n, 1))
+    return params, rows, ConditionEmbedding(gen.normal(size=m))
+
+
+@given(case=_rows_and_mixtures())
+@settings(max_examples=60, deadline=None)
+def test_log_density_rows_have_the_bits_of_one_row_each(case):
+    params, rows, c = case
+    want = np.array([_one_row_log_density(params, x, c) for x in rows])
+    assert gmm_log_density(params, rows, c).tobytes() == want.tobytes()
+    assert gmm_log_density(params, rows[0], c) == want[0]
 
 
 class TestDeriveConfig:
@@ -203,7 +266,8 @@ class TestRunSweep:
         per_row = PerRowDenoiser(demo["denoiser"])
         assert sweep_table_csv(batched, config.seed) == sweep_table_csv(
             run_sweep(per_row, config, axes), config.seed)
-        # the reference: one run_edit per grid point, one prediction per call
+        # the reference: one run_edit per grid point, one prediction per call,
+        # scored from its endpoints alone by the one-row formulas
         x_top = standard_normals(substream(config.seed, "sweep", "x_top"), 2)
         conds = config.build_conditions()
         edit_by_edit = []
@@ -212,7 +276,7 @@ class TestRunSweep:
             result = run_edit(per_row, x_top, conds[config.condition_a],
                               conds[config.condition_b], manip, config.grid,
                               config.noise_schedule, with_path_b=True)
-            edit_by_edit.append((manip, score_edit(result, config.model)))
+            edit_by_edit.append((manip, _one_row_scores(result, config.model)))
         assert sweep_table_csv(batched, config.seed) == sweep_table_csv(edit_by_edit,
                                                                         config.seed)
 
@@ -223,6 +287,12 @@ class TestRunSweep:
                 as err:
             run_sweep(den, demo["cfg"], WINDOW_AXES)
         assert err.value.sampling_step == 20
+
+    def test_same_conditions_sweep_to_a_zero_gap(self, demo):
+        config = replace(preset_config("noise-interp-local"), condition_b="a")
+        rows = run_sweep(demo["denoiser"], config, WINDOW_AXES)
+        assert len(rows) == 25
+        assert all(scores.ab_gap == 0.0 for _, scores in rows)
 
     def test_empty_axis_rejected(self, demo):
         with pytest.raises(ParameterError):

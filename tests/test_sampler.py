@@ -58,6 +58,10 @@ class TestDdimStep:
         with pytest.raises(ParameterError):
             ddim_step(x, eps, 0.8, 0.5)
 
+    def test_level_above_one_names_alpha_bar_prev(self):
+        with pytest.raises(ParameterError, match="^alpha_bar_prev must lie in"):
+            ddim_step(np.ones(2), np.ones(2), 0.5, 1.5)
+
     def test_effective_noise_inverts_the_step(self):
         x, eps = np.array([1.1, -2.0]), np.array([0.4, 0.6])
         a_t, a_prev = 0.55, 0.72
