@@ -315,6 +315,8 @@ class GMMDenoiser(Denoiser):
         self.params = params
         self.d = params.d
         self.m = params.m
+        self._maps = params.condition_maps[None]  # (1, K, d, m): broadcasts over rows
+        self._log_weights = np.log(params.weights)
         self._level = (None, None)  # the last batch's alpha_bar and its constants
 
     def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
@@ -326,16 +328,26 @@ class GMMDenoiser(Denoiser):
         """``predict_noise`` for every row in one vectorised pass, bit for bit.
 
         The per-row arithmetic is repeated in the same order: means through
-        broadcast ``@``, squared distances through a row-wise ``einsum``.  A
-        call with a row in the overflow limit goes row by row through the
-        per-row oracle, which holds that case.  Every marginal variance is at
-        least ``1 - a > 0`` here.  The per-row oracle keeps its own path: one
-        row through this pass took 43.4 against 40.1 microseconds (medians, 2 CPUs).
+        broadcast ``@``, squared distances through a row-wise ``einsum``;
+        the softmax and the posterior mean are formed in place, which swaps
+        only the operands of commutative products and sums.  Every marginal
+        variance is at least ``1 - a > 0`` here.  The pass runs inside one
+        ``errstate`` that raises on overflow and on invalid operations: an
+        overflow anywhere, or a row whose every component's log density is
+        -inf (its softmax takes -inf - -inf), sends the call row by row
+        through the per-row oracle.  That oracle holds the far limit and
+        raises the ParameterError, in its words, for a noise beyond the
+        float range.  ``einsum`` does not raise on overflow; a squared
+        distance it overflows is the -inf the per-row oracle sees too.  The
+        per-row oracle keeps its own path: it is this pass's fallback and the
+        reference the tests hold it to.
 
-        What depends on the level alone (``var``, ``log_norm``, ``shrink``,
-        sqrt(a) and sqrt(1 - a)) is computed once per level and kept for the
-        next call, one level at a time: a null-text step at 10 iterations
-        makes 11 calls at one level, and a walk's next step moves on.
+        What depends on the level alone (``var``, ``log_norm``, ``shrink``
+        shaped (K, 1), sqrt(a) and sqrt(1 - a)) is computed once per level
+        and kept for the next call, one level at a time: a null-text step at
+        10 iterations makes 11 calls at one level, and a walk's next step
+        moves on.  The condition maps' broadcast view and log(weights) are
+        taken once per oracle.
         """
         p = self.params
         a = _check_alpha_bar(alpha_bar, allow_one=False)
@@ -343,22 +355,33 @@ class GMMDenoiser(Denoiser):
         level, consts = self._level
         if level != a:
             var = a * p.variances + (1.0 - a)
-            consts = (var, np.log(p.weights) - 0.5 * p.d * np.log(2.0 * np.pi * var),
-                      math.sqrt(a) * p.variances / var, math.sqrt(a), math.sqrt(1.0 - a))
+            consts = (var, self._log_weights - 0.5 * p.d * np.log(2.0 * np.pi * var),
+                      (math.sqrt(a) * p.variances / var)[:, None], math.sqrt(a),
+                      math.sqrt(1.0 - a))
             self._level = a, consts
         var, log_norm, shrink, sqrt_a, sqrt_1ma = consts
         C = _condition_matrix(C, len(X), p.m)
-        mus = (p.condition_maps[None] @ C[:, None, :, None])[..., 0] + p.base_means
-        resid = X[:, None, :] - sqrt_a * mus                         # (N, K, d)
-        with np.errstate(over="ignore"):
-            log_resp = log_norm - 0.5 * np.einsum("nkd,nkd->nk", resid, resid) / var
-        peak = log_resp.max(axis=1, keepdims=True)
-        if (peak == -np.inf).any():
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                mus = np.matmul(self._maps, C[:, None, :, None])[..., 0]   # (N, K, d)
+                mus += p.base_means
+                resid = X[:, None, :] - sqrt_a * mus
+                log_resp = np.einsum("nkd,nkd->nk", resid, resid)
+                log_resp *= 0.5
+                log_resp /= var
+                np.subtract(log_norm, log_resp, out=log_resp)
+                log_resp -= np.maximum.reduce(log_resp, axis=1, keepdims=True)
+                resp = np.exp(log_resp, out=log_resp)
+                resp /= np.add.reduce(resp, axis=1, keepdims=True)
+                resid *= shrink
+                resid += mus                                             # the regression means
+                eps = np.matmul(resp[:, None, :], resid)[:, 0]           # E[x0 | x], (N, d)
+                eps *= sqrt_a
+                np.subtract(X, eps, out=eps)
+                eps /= sqrt_1ma
+                return eps
+        except FloatingPointError:
             return super().predict_noise_batch(X, C, alpha_bar, t)
-        resp = np.exp(log_resp - peak)
-        resp = resp / resp.sum(axis=1, keepdims=True)
-        return _in_float_range("noise prediction", a, lambda: (X - sqrt_a * (
-            resp[:, None, :] @ (mus + shrink[:, None] * resid))[:, 0]) / sqrt_1ma)
 
     def sample_clean(self, c: ConditionEmbedding, n: int,
                      gen: np.random.Generator) -> np.ndarray:

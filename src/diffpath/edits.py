@@ -162,19 +162,36 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
     walk_b = with_path_b or any(config.kind in ("noise_interp", "noise_mask")
                                 for config in configs)
     pure = [c_a, c_b] if walk_b else [c_a]
-    weights = [tuple(omega(config.schedule, t_sample - i) for i in range(t_sample))
-               for config in configs]
+    W = _weight_table(configs, t_sample)
     n = len(configs)
     paths = _walk(denoiser, grid, schedule, [x_top] * (n + len(pure)), [c_b] * n + pure,
-                  _edit_noises(configs, c_a, c_b, pure, weights, d))
+                  _edit_noises(configs, c_a, c_b, pure, W, d))
     path_b = paths[n + 1] if walk_b else None
-    return tuple(EditResult(path=path, path_a=paths[n], path_b=path_b, weights=w)
-                 for path, w in zip(paths, weights))
+    return tuple(EditResult(path=path, path_a=paths[n], path_b=path_b, weights=tuple(w))
+                 for path, w in zip(paths, W.tolist()))
+
+
+def _weight_table(configs: Sequence[ManipulationConfig], t_sample: int) -> np.ndarray:
+    """Each config's schedule weight at each hop (n, T); hop i is at sampling step T - i.
+
+    Constant schedules take one expression, their amplitude inside the
+    window and 0.0 outside, which is exactly what ``omega`` returns; the
+    decaying kinds keep ``omega``'s per-step ``math``.
+    """
+    steps = np.arange(t_sample, 0, -1)
+    specs = [config.schedule for config in configs]
+    t_min, t_max, amplitude = np.array([(s.t_min, s.t_max, s.amplitude)
+                                        for s in specs]).T[..., None]  # each (n, 1)
+    W = np.where((t_min <= steps) & (steps <= t_max), amplitude, 0.0)
+    for row, spec in zip(W, specs):
+        if spec.kind != "constant":
+            row[:] = [omega(spec, t) for t in range(t_sample, 0, -1)]
+    return W
 
 
 def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                  c_b: ConditionEmbedding, pure: Sequence[ConditionEmbedding],
-                 weights: list[tuple[float, ...]], d: int) -> ChooseEps:
+                 W: np.ndarray, d: int) -> ChooseEps:
     """The stepping-core callback of the manipulated passes, one row per config.
 
     The config rows are followed by one row per condition of ``pure``: path
@@ -183,15 +200,17 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     while path B is walked, rows above their first weighted hop blend the
     noises at weight zero, which copies path B's (until then the pass is
     that path); other rows of weight zero take the plain ``c_b`` prediction;
-    the rest apply their kind's operator.  Every blend reads its weights from
-    one table: a masked kind's mask where its weight is nonzero, else the
-    schedule weight.  Each group's arithmetic runs on all its rows at once
-    and is elementwise, so every row gets the bits of a walk of its own.
-    The pure rows' predictions and those of all groups go out as one call
-    per step, with one ``c_b`` prediction at the reference latent that every
-    attention row's hook reads.
+    the rest apply their kind's operator.  ``W`` holds each row's schedule
+    weight per hop.  Every blend reads its weights from one table: a masked
+    kind's mask where its weight is nonzero, else the schedule weight.  Each
+    group's arithmetic runs on all its rows at once and is elementwise, so
+    every row gets the bits of a walk of its own.  The pure rows'
+    predictions and those of all groups go out as one call per step, with
+    one ``c_b`` prediction at the reference latent that every attention
+    row's hook reads.  A hop's groups, the rows of ``X`` its call gathers
+    and their conditions depend only on its column of tags and weights, so
+    they are built once per distinct column.
     """
-    W = np.array(weights)
     n, t_sample = W.shape
     ref_a, ref_b = n, n + 1  # path B's row exists only while it is walked
     weighted = W != 0.0
@@ -203,36 +222,47 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
         first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
         tags[np.arange(t_sample) < first[:, None]] = "noise_interp"
     columns = tags.T.tolist()
+    keys = list(zip(map(tuple, columns), map(tuple, W.T.tolist())))
+    plans: dict[tuple, tuple] = {}
     blend = _blend_table(configs, W, d)
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     hooks = np.array([c.cam_hook for c in configs], dtype=object)
     ab = np.array([c_a.values, c_b.values])  # the pure rows' conditions are its first rows
 
-    def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
-        E = np.empty_like(X)
-        x_ref = X[ref_a]
-        latents, conditions = [X[n:]], [ab[:len(pure)]]
-        # a hop's groups in order of their first row, each with its row numbers
+    def plan(i: int) -> tuple[list, np.ndarray, np.ndarray]:
+        """Hop ``i``'s groups by first row, the rows of ``X`` its call takes, their conditions."""
         members: dict[str, list[int]] = {}
         for r, tag in enumerate(columns[i]):
             members.setdefault(tag, []).append(r)
         groups = [(kind, np.array(rows)) for kind, rows in members.items()]
+        gather, conditions = [np.arange(n, n + len(pure))], [ab[:len(pure)]]
         for kind, rows in groups:
             if kind == "noise_interp":
                 continue
             if kind == "attention":
-                latents.append(x_ref[None])
+                gather.append([ref_a])
                 conditions.append(ab[1:])
             elif kind == "guidance":
-                latents += [X[rows]] * 2
+                gather += [rows, rows]
                 conditions.append(np.repeat(ab, len(rows), axis=0))  # c_a rows, then c_b
             elif kind == "cond_interp":
-                latents.append(X[rows])
+                gather.append(rows)
                 conditions.append(_blend(c_a.values, c_b.values, W[rows, i, None]))
             else:  # plain, and the latent kinds' prediction before their blend
-                latents.append(X[rows])
+                gather.append(rows)
                 conditions.append(np.repeat(ab[1:], len(rows), axis=0))
-        eps = predict(np.concatenate(latents), np.concatenate(conditions))
+        conditions = np.concatenate(conditions)
+        conditions.setflags(write=False)  # shared by every hop of this column
+        return groups, np.concatenate(gather), conditions
+
+    def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
+        key = keys[i]
+        if key not in plans:
+            plans[key] = plan(i)
+        groups, gather, conditions = plans[key]
+        E = np.empty_like(X)
+        x_ref = X[ref_a]
+        eps = predict(X[gather], conditions)
         lo = len(pure)
         E[n:] = eps[:lo]
         eps_ref = E[ref_a]

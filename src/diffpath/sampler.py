@@ -334,16 +334,21 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     ``beta``, ``step_size`` and ``iterations`` (an integer) are checked
     before the first denoiser call.
 
-    A step's predictions all share its latent, so each round goes out as
-    one call: first the conditional, the initial null and its 2m probes,
-    then each candidate with its own probes (none after the last
-    iteration).  A round's null and probe rows are one add of a per-call
-    offsets table, whose first row is -0.0 so row 0 is the null itself.
-    The accepted null's prediction is reused for the guided hop.  A round's
-    losses are one broadcast guided hop over its rows reduced by one
-    ``np.vecdot``, which runs the one-row dot's loop, and its gradient one
-    array expression over the probe pairs; so each value has the bits of
-    its one-row computation.
+    A step's predictions all share its latent, which is repeated once per
+    step, and each round goes out as one call: first the conditional, the
+    all-zeros null and its 2m probes (rows that are the same at every step,
+    built once), then each candidate with its own probes on the last 2m + 1
+    repeated rows, and the last iteration's candidate alone on the step's
+    latent itself.  A round's null and probe rows are one add of a
+    per-call offsets table, whose first row is -0.0 so row 0 is the null
+    itself.  The accepted null's prediction is reused for the guided hop.
+    A round's losses are one broadcast guided hop over its rows, with its
+    guided noise formed in place, reduced by one ``np.vecdot``, which runs
+    the one-row dot's loop; its gradient and candidate are formed in place
+    over the probe pairs.  So each value has the bits of its one-row
+    computation.  A round whose candidate null the denoiser rejects, or
+    whose objective is not finite, raises a ParameterError naming the
+    sampling step, the iteration, ``step_size`` and ``beta``.
     """
     beta = checked_number(beta, "beta")
     step_size = checked_number(step_size, "step_size")
@@ -364,27 +369,50 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     def with_probes(null: np.ndarray, probe: bool) -> np.ndarray:
         return null + (offsets if probe else offsets[:1])
 
+    # every step's first round: the conditional, then the all-zeros null (and its probes)
+    first = np.vstack([c.values, with_probes(np.zeros(denoiser.m), iterations > 0)])
+
+    def overflowed(step: _Step, it: int | None, what: str) -> ParameterError:
+        at, cause = ((f"iteration {it}", f"step_size={step_size!r} with beta={beta!r}")
+                     if it is not None else ("its first round", f"beta={beta!r}"))
+        return ParameterError(f"null-text tuning overflowed at sampling step "
+                              f"{step.sampling_step}, {at}: {what}; {cause} is too large")
+
     def tune(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         x = X[0]
         target = inv.latents[step.sampling_step - 1]
 
         def losses(eps_null: np.ndarray) -> tuple[float, np.ndarray]:
-            guided = eps_c + beta * (eps_c - eps_null)  # cfg_combine, broadcast
-            resid = _hop(step, x, guided, GENERATION) - target
+            guided = eps_c - eps_null  # cfg_combine, broadcast and in place
+            guided *= beta
+            guided += eps_c
+            resid = _hop(step, x, guided, GENERATION)
+            resid -= target
             scores = np.vecdot(resid, resid)
             return float(scores[0]), scores[1:]
 
-        null = np.zeros(denoiser.m)
-        rows = np.vstack([c.values, with_probes(null, iterations > 0)])
-        eps = predict(np.repeat(X, len(rows), axis=0), rows)
+        # the step's latent, repeated once: the first round takes every row,
+        # each probing round the last 2m + 1, the last round X itself
+        latents = np.repeat(X, len(first), axis=0)
+        eps = predict(latents, first)
         eps_c, eps_best = eps[0], eps[1]
+        null = np.zeros(denoiser.m)
         best, probed = losses(eps[1:])
+        if not math.isfinite(best):
+            raise overflowed(step, None, f"the all-zeros null's objective is {best}")
         for it in range(iterations):
-            grad = (probed[0::2] - probed[1::2]) / (2.0 * half_width)
-            candidate = null - step_size * grad
-            probes = with_probes(candidate, it + 1 < iterations)
-            eps_null = predict(np.repeat(X, len(probes), axis=0), probes)
+            grad = np.subtract(probed[0::2], probed[1::2])
+            grad /= 2.0 * half_width
+            grad *= step_size
+            candidate = np.subtract(null, grad, out=grad)
+            probe = it + 1 < iterations
+            try:
+                eps_null = predict(latents[1:] if probe else X, with_probes(candidate, probe))
+            except ParameterError as err:
+                raise overflowed(step, it, f"its candidate null failed ({err})") from err
             value, probed = losses(eps_null)
+            if not math.isfinite(value):
+                raise overflowed(step, it, f"its candidate's objective is {value}")
             if value > best * (1.0 + 1e-12) + 1e-300:
                 msg = (f"sampling step {step.sampling_step}: objective rose "
                        f"{best:.6e} -> {value:.6e} at iteration {it}; reverted and stopped")

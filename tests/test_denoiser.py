@@ -239,9 +239,13 @@ class TestPredictNoiseBatch:
         try:
             rows = [den.predict_noise(x, ConditionEmbedding(c), a, 7) for x, c in zip(X, C)]
         except ParameterError as err:
-            # a noise beyond the float range: the batch fails the same way
-            with pytest.raises(type(err)):
+            # a noise beyond the float range: the batch fails the same way, in the same words
+            try:
                 den.predict_noise_batch(X, C, a, 7)
+            except ParameterError as got:
+                assert (type(got), str(got)) == (type(err), str(err))
+            else:
+                raise AssertionError(f"the batch did not raise {err!r}")
             return
         batch = den.predict_noise_batch(X, C, a, 7)
         assert batch.shape == X.shape

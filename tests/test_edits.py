@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from diffpath.config import (ManipulationConfig, cam_hook_names, normalize_kind,
                              register_cam_hook, validate_mask)
 from diffpath.denoiser import ConditionEmbedding
+from diffpath import edits
 from diffpath.edits import (CamContext, apply_mask, lerp, prompt_switch, prompt_switches,
                             run_edit, run_edits)
 from diffpath.errors import DenoiserError, ParameterError
@@ -395,6 +396,37 @@ class TestEditProperties:
             assert 0.0 <= w <= config.schedule.amplitude
         assert res.path.replay_errors(sched).max() == 0.0
         assert len(res.path.latents) == t + 1
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("total", [1, 7, 50])
+    def test_every_weight_has_omegas_bits(self, total):
+        # constant rows are one array expression, the decaying kinds' omega's
+        # math per step; every entry, at every kind, is omega's float bit for bit
+        amplitudes = (0.0, 1 / 3, 0.6, 1.0, 1)
+        specs = [_spec(lo, hi, total, amp) for lo in range(total + 1)
+                 for hi in range(lo, total + 1) for amp in amplitudes]
+        specs += [_spec(lo, total, total, amp, kind) for lo in range(total)
+                  for kind in ("linear", "cosine", "exponential") for amp in amplitudes]
+        configs = [ManipulationConfig("noise_interp", spec) for spec in specs]
+        table = edits._weight_table(configs, total)
+        assert table.shape == (len(specs), total) and table.dtype == np.float64
+        for spec, row in zip(specs, table.tolist()):
+            assert [w.hex() for w in row] == [float(omega(spec, total - i)).hex()
+                                              for i in range(total)], spec
+
+    def test_constant_schedules_make_no_omega_calls(self, demo, monkeypatch):
+        # a sweep's windows are constant: its weights take no per-step call
+        calls = []
+        monkeypatch.setattr(edits, "omega", lambda spec, t: calls.append(spec) or omega(spec, t))
+        t = demo["grid"].t_sample
+        x_top, c_a, c_b = np.array([0.3, -0.2]), demo["c_a"], demo["c_b"]
+        configs = [ManipulationConfig("cond_interp", _spec(20, hi, t, 0.5)) for hi in (30, 40)]
+        run_edits(demo["denoiser"], x_top, c_a, c_b, configs, demo["grid"], demo["schedule"])
+        assert calls == []
+        configs.append(ManipulationConfig("cond_interp", _spec(20, t, t, 0.5, "cosine")))
+        run_edits(demo["denoiser"], x_top, c_a, c_b, configs, demo["grid"], demo["schedule"])
+        assert calls == [configs[-1].schedule] * t
 
 
 class TestPromptSwitch:

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 import test_acceptance
 import test_batched_walks
 import test_call_counts
+import test_denoiser
 import test_edits
 import test_metrics
 import test_remote
@@ -34,12 +35,13 @@ KILL = settings(max_examples=20, deadline=None, database=None, derandomize=True,
                 phases=[Phase.explicit, Phase.generate], suppress_health_check=list(HealthCheck))
 
 
-def _quick(prop):
-    """``prop``'s body under its own strategies and the ``KILL`` settings."""
+def _quick(prop, *args):
+    """``prop``'s body, given ``args`` first (a method's instance), under its own
+    strategies and the ``KILL`` settings."""
     handle = prop.hypothesis
 
     def body(**kwargs):  # a bare function: the body carries its original settings
-        handle.inner_test(**kwargs)
+        handle.inner_test(*args, **kwargs)
 
     return KILL(given(**handle._given_kwargs)(body))
 
@@ -179,6 +181,44 @@ def _first_hook_for_every_row(monkeypatch):
     monkeypatch.setattr(edits, "_hook_noise", mutant)
 
 
+def _batch_never_falls_back(monkeypatch):
+    """The oracle's batched pass raises on nothing, so it never falls back to the per-row oracle.
+
+    A noise beyond the float range comes back as inf and a row in the far
+    limit, every component's log density -inf, as NaN.
+    """
+    def errstate(**kwargs):
+        if kwargs == {"over": "raise", "invalid": "raise"}:  # the batched pass's alone
+            kwargs = dict.fromkeys(kwargs, "ignore")
+        return np.errstate(**kwargs)
+
+    monkeypatch.setattr(denoiser, "np", _Numpy(errstate=errstate))
+
+
+def _stale_probe_latents(monkeypatch):
+    """Null-text's probing rounds take the previous step's repeated latents.
+
+    ``np.repeat`` in ``sampler`` returns a block whose probing rows, ``[1:]``,
+    are those of the block of the same length it returned before; the first
+    round, which takes the whole block, sees the step's own latent.
+    """
+    last = []
+
+    class Stale(np.ndarray):
+        def __getitem__(self, key):
+            if key == slice(1, None) and self.before is not None:
+                return np.asarray(self.before)[1:]
+            return super().__getitem__(key)
+
+    def repeat(a, repeats, axis=None):
+        block = np.repeat(a, repeats, axis=axis).view(Stale)
+        block.before = last[0] if last and len(last[0]) == len(block) else None
+        last[:] = [block]
+        return block
+
+    monkeypatch.setattr(sampler, "np", _Numpy(repeat=repeat))
+
+
 def _lenient_encoder(monkeypatch):
     """Frames are encoded by a plain ``json.JSONEncoder``, which writes NaN and Infinity."""
     monkeypatch.setattr(remote, "_FRAME_ENCODER", json.JSONEncoder())
@@ -230,6 +270,14 @@ KILLS = {
     "first-hook/two-hooks": (
         _first_hook_for_every_row,
         test_edits.TestRunEdit().test_two_hooks_in_one_step_give_their_rows_their_own_noise,
+        AssertionError),
+    "no-batch-fallback/per-row-oracle": (
+        _batch_never_falls_back,
+        _quick(test_denoiser.TestPredictNoiseBatch.test_rows_are_bitwise_the_per_row_oracle,
+               test_denoiser.TestPredictNoiseBatch()),
+        AssertionError),
+    "stale-probe-latents/one-row-reference": (
+        _stale_probe_latents, _quick(test_sampler.test_null_text_equals_the_one_row_reference),
         AssertionError),
     "lenient-encoder/strict-error-replies": (
         _lenient_encoder,

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import sys
 
@@ -359,13 +360,49 @@ class TestNullTextInversion:
                  for den in (demo["denoiser"], PerRow())]
         assert all(np.array_equal(a, b) for a, b in zip(paths[0].noises, paths[1].noises))
 
+    #: the largest finite step overflows the first candidate's guided hop
+    OVERFLOWED = ("null-text tuning overflowed at sampling step 50, iteration 0: its "
+                  "candidate's objective is inf; step_size=1.7976931348623157e+308 with "
+                  "beta=7.5 is too large")
+
     def test_non_finite_candidate_rejected(self, demo):
-        # every round's probe rows are checked at once, with the error a
-        # single embedding raises; the largest finite step overflows the candidate
-        with pytest.raises(ParameterError, match="condition embedding must be finite"), \
+        # the round's objective is inf, named with the step size that made it
+        with pytest.raises(ParameterError, match=f"^{re.escape(self.OVERFLOWED)}$"), \
                 np.errstate(over="ignore", invalid="ignore"):
             null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 7.5,
                              GRID, SCHED, iterations=2, step_size=sys.float_info.max)
+
+    def test_non_finite_objective_of_the_last_round_rejected(self, demo):
+        # one iteration: the probe-less round's objective is inf too; it fails
+        # here, naming the step size, not as non-finite noise that a later
+        # step blames on the denoiser (a NaN objective passes the rise test)
+        with pytest.raises(ParameterError, match=f"^{re.escape(self.OVERFLOWED)}$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 7.5,
+                             GRID, SCHED, iterations=1, step_size=sys.float_info.max)
+
+    def test_overflowing_candidate_null_is_named(self):
+        # a null side 1e3 times as steep: the first gradient step overflows the
+        # candidate itself, and the condition check's error is kept in the message
+        class Steep(Denoiser):
+            d, m = 2, 2
+
+            def predict_noise(self, x, c, alpha_bar, t):
+                return 1e3 * c.values
+
+        with pytest.raises(ParameterError, match=re.escape(
+                "sampling step 50, iteration 0: its candidate null failed (condition "
+                "embedding must be finite: conditions C hold NaN or inf); step_size=")), \
+                np.errstate(over="ignore", invalid="ignore"):
+            null_text_invert(Steep(), np.array([0.6, -0.3]), ConditionEmbedding(np.ones(2)),
+                             2.0, GRID, SCHED, iterations=2, step_size=sys.float_info.max)
+
+    def test_overflowing_guidance_is_named_before_any_step(self, demo):
+        with pytest.raises(ParameterError, match=re.escape(
+                "sampling step 50, its first round: the all-zeros null's objective is inf; "
+                "beta=1e+300 is too large")), np.errstate(over="ignore", invalid="ignore"):
+            null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 1e300,
+                             GRID, SCHED, iterations=0)
 
     @pytest.mark.parametrize("name, value, message", [
         ("beta", float("nan"), "beta must be finite and within the float range, got nan"),
@@ -499,9 +536,10 @@ def _reference_null_text(den, x0, c, beta, grid, iterations, step_size):
     """Null-text inversion with the tuner's one-row formulas, one hop at a time.
 
     It makes the oracle calls ``null_text_invert`` makes, but each hop takes
-    its square roots with ``np.sqrt``, a round's probe rows are three
-    assignments, its losses one ``float(r @ r)`` per row and its gradient
-    ``np.subtract`` over two lists.
+    its square roots with ``np.sqrt``, a round's latents are repeated for
+    that round, its probe rows are three assignments, its losses one
+    ``float(r @ r)`` per row and its gradient ``np.subtract`` over two lists.
+    A round whose objective is not finite fails, as the tuner's does.
     """
     levels, t_sample, half_width = grid.steps, grid.t_sample, 1e-4
     alphas = [SCHED.at(t) for t in (*levels, 0)]
@@ -546,11 +584,15 @@ def _reference_null_text(den, x0, c, beta, grid, iterations, step_size):
         eps = predict(x, np.vstack([c.values, with_probes(null, iterations > 0)]), j)
         eps_c, eps_best = eps[0], eps[1]
         best, *probed = losses(eps[1:])
+        if not math.isfinite(best):
+            raise ParameterError("the all-zeros null's objective overflowed")
         for it in range(iterations):
             grad = np.subtract(probed[0::2], probed[1::2]) / (2.0 * half_width)
             candidate = null - step_size * grad
             eps_null = predict(x, with_probes(candidate, it + 1 < iterations), j)
             value, *probed = losses(eps_null)
+            if not math.isfinite(value):
+                raise ParameterError("the candidate's objective overflowed")
             if value > best * (1.0 + 1e-12) + 1e-300:
                 diagnostics.append(f"sampling step {t_sample - j}: objective rose {best:.6e} "
                                    f"-> {value:.6e} at iteration {it}; reverted and stopped")
@@ -575,8 +617,9 @@ def _tuned_or_error(run):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_null_text_equals_the_one_row_reference(model, t_sample, iterations, beta, step_size):
-    # the tuner's vecdot losses, one-add probe rows, array gradient and the
-    # step table's roots keep every bit of the one-row formulas they replace
+    # the tuner's vecdot losses, one-add probe rows, in-place gradient and
+    # guided noise, latents repeated once per step and the step table's roots
+    # keep every bit of the one-row formulas they replace
     den, x0, c, _ = model
     grid = make_timestep_grid(1000, t_sample)
 
