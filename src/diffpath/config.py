@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
+from .denoiser import GMMDenoiser, GMMDenoiserParams
 from .errors import ConfigError, ParameterError, checked_number, shown
 from .schedule import (AlphaSchedule, ScheduleSpec, TimestepGrid,
                        build_linear_beta_schedule, make_timestep_grid)
@@ -195,15 +195,16 @@ class RunConfig:
 
     The ``sampler`` section lives in ``noise_schedule`` and ``grid`` and is
     rendered back from them, so the digest always describes the grid run.
-    ``conditions`` holds the declared conditions only; ``build_conditions``
-    adds the all-zeros ``null`` condition when none is declared.
+    ``conditions`` holds the declared conditions only, each a read-only float
+    (m,) array; ``build_conditions`` adds the all-zeros ``null`` condition
+    when none is declared.
     ``condition_a``/``condition_b`` name the manipulation's reference and
     editing conditions; ``output_dir`` and ``formats`` are the ``output`` section.
     """
 
     seed: int
     model: GMMDenoiserParams
-    conditions: dict[str, ConditionEmbedding]
+    conditions: dict[str, np.ndarray]
     noise_schedule: AlphaSchedule
     grid: TimestepGrid
     manipulation: ManipulationConfig | None
@@ -223,8 +224,9 @@ class RunConfig:
         with _section("model"):
             model = GMMDenoiserParams(*([comp[key] for comp in components] for key in (
                 "weight", "base_mean", "condition_map", "variance")))
-        conditions = {name: ConditionEmbedding(values)
-                      for name, values in cfg["conditions"].items()}
+        rows = np.array([*cfg["conditions"].values()], dtype=np.float64).reshape(-1, model.m)
+        rows.setflags(write=False)  # the schema checked each row's length and numbers
+        conditions = dict(zip(cfg["conditions"], rows))
         with _section("sampler"):
             grid = make_timestep_grid(sampler["t_train"], sampler["t_sample"])
             noise_schedule = build_linear_beta_schedule(
@@ -262,7 +264,7 @@ class RunConfig:
                 {"weight": w, "base_mean": b, "condition_map": cm, "variance": v}
                 for w, b, cm, v in zip(p.weights.tolist(), p.base_means.tolist(),
                                        p.condition_maps.tolist(), p.variances.tolist())]},
-            "conditions": {name: c.values.tolist() for name, c in self.conditions.items()},
+            "conditions": {name: c.tolist() for name, c in self.conditions.items()},
             "sampler": {"t_train": schedule.t_train, "t_sample": self.grid.t_sample,
                         "beta_min": schedule.beta_min, "beta_max": schedule.beta_max},
         }
@@ -284,10 +286,11 @@ class RunConfig:
     def build_denoiser(self) -> GMMDenoiser:
         return GMMDenoiser(self.model)
 
-    def build_conditions(self) -> dict[str, ConditionEmbedding]:
+    def build_conditions(self) -> dict[str, np.ndarray]:
         named = dict(self.conditions)
         if "null" not in named:
-            named["null"] = ConditionEmbedding(np.zeros(self.model.m))
+            named["null"] = np.zeros(self.model.m)
+            named["null"].setflags(write=False)
         return named
 
     def build_noise_schedule(self) -> AlphaSchedule:
@@ -301,14 +304,14 @@ class RunConfig:
             raise ConfigError("this command needs a manipulation section (or --preset)")
         return self.manipulation
 
-    def condition(self, name: str) -> ConditionEmbedding:
+    def condition(self, name: str) -> np.ndarray:
         """The condition called ``name``, ``null`` included."""
         try:
             return self.build_conditions()[name]
         except KeyError:
             raise ConfigError(f"unknown condition {name!r}") from None
 
-    def edit_setup(self) -> tuple[ManipulationConfig, ConditionEmbedding, ConditionEmbedding]:
+    def edit_setup(self) -> tuple[ManipulationConfig, np.ndarray, np.ndarray]:
         """The manipulation and its reference and editing conditions, ``c_a`` and ``c_b``."""
         return (self.build_manipulation(), self.condition(self.condition_a),
                 self.condition(self.condition_b))

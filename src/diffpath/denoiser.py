@@ -21,43 +21,24 @@ from .errors import ParameterError
 from .rng import standard_normals
 
 
-@dataclass(frozen=True)
-class ConditionEmbedding:
-    """A condition as a dense vector."""
+def _condition_matrix(C, n: int | None, m: int) -> np.ndarray:
+    """Conditions ``C`` as one read-only float array, checked once where they enter.
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ParameterError("condition embedding must be a vector")
-        if not np.isfinite(v).all():
-            raise ParameterError("condition embedding must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    @classmethod
-    def _checked_row(cls, row: np.ndarray) -> "ConditionEmbedding":
-        """A read-only row of a matrix ``_condition_matrix`` has checked, wrapped unchecked."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "values", row)
-        return c
-
-
-def _condition_matrix(C, n: int, m: int) -> np.ndarray:
-    """A batch's conditions ``C`` as one float (n, m) array, checked once for the batch."""
+    ``C`` is one condition (m,) when ``n`` is None, else a batch (n, m).  A
+    caller's float array is never made read-only: the result is a view of it.
+    """
+    form = "(m,)" if n is None else "(N, m)"
     try:
         C = np.ascontiguousarray(C, dtype=np.float64)
     except (TypeError, ValueError):
-        raise ParameterError("conditions C must be an (N, m) array of numbers") from None
-    if C.shape != (n, m):
-        raise ParameterError(f"conditions C must have shape ({n}, {m}), got {C.shape}")
+        raise ParameterError(f"conditions C must be an {form} array of numbers") from None
+    shape = (m,) if n is None else (n, m)
+    if C.shape != shape:
+        raise ParameterError(f"conditions C must have shape {shape}, got {C.shape}")
     if not np.isfinite(C).all():
         raise ParameterError("condition embedding must be finite: conditions C hold NaN or inf")
+    C = C.view()
+    C.setflags(write=False)
     return C
 
 
@@ -77,25 +58,23 @@ class Denoiser(abc.ABC):
     concurrent_safe: bool = True
 
     @abc.abstractmethod
-    def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
+    def predict_noise(self, x: np.ndarray, c: np.ndarray,
                       alpha_bar: float, t: int) -> np.ndarray:
-        """Return eps_hat(x, c) at signal level ``alpha_bar`` (training step ``t``)."""
+        """eps_hat(x, c) under condition ``c`` (m,) at level ``alpha_bar``, training step ``t``."""
 
     def predict_noise_batch(self, X: np.ndarray, C: np.ndarray,
                             alpha_bar: float, t: int) -> np.ndarray:
         """Predictions for the rows of ``X`` (N, d) under those of ``C`` (N, m), at one level.
 
-        Row i must equal ``predict_noise(X[i], ConditionEmbedding(C[i]),
-        alpha_bar, t)`` bit for bit; ``C`` is checked once per call.  The
-        walks make every prediction through this method, one call per round.
-        This default wraps each row of ``C`` for one ``predict_noise`` call per
-        row, in row order, so wrappers and remote peers need not implement it;
-        a subclass that overrides either method must keep the two consistent.
+        Row i must equal ``predict_noise(X[i], C[i], alpha_bar, t)`` bit for
+        bit; ``C`` is checked once per call.  The walks make every prediction
+        through this method, one call per round.  This default passes the
+        checked rows, read-only views, straight to one ``predict_noise`` call
+        each, in row order, so wrappers and remote peers need not implement
+        it; a subclass that overrides either method must keep the two consistent.
         """
-        C = _condition_matrix(C, len(X), self.m).view()
-        C.setflags(write=False)  # on a view: the caller's array stays writable
-        return np.array([self.predict_noise(x, ConditionEmbedding._checked_row(c), alpha_bar, t)
-                         for x, c in zip(X, C)])
+        C = _condition_matrix(C, len(X), self.m)
+        return np.array([self.predict_noise(x, c, alpha_bar, t) for x, c in zip(X, C)])
 
 
 @dataclass(frozen=True)
@@ -156,9 +135,9 @@ class GMMDenoiserParams:
     def m(self) -> int:
         return self.condition_maps.shape[2]
 
-    def component_means(self, c: ConditionEmbedding) -> np.ndarray:
-        """Per-component clean-data means under condition ``c``, shape (K, d)."""
-        return self.condition_maps @ c.values + self.base_means
+    def component_means(self, c: np.ndarray) -> np.ndarray:
+        """Per-component clean-data means under condition ``c`` (m,), checked here: (K, d)."""
+        return self.condition_maps @ _condition_matrix(c, None, self.m) + self.base_means
 
 
 def _check_alpha_bar(alpha_bar: float, *, allow_one: bool) -> float:
@@ -171,7 +150,7 @@ def _check_alpha_bar(alpha_bar: float, *, allow_one: bool) -> float:
     return a
 
 
-def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: ConditionEmbedding,
+def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: np.ndarray,
                     alpha_bar: float):
     """Means, marginal variances, residuals and responsibilities of x_t's components.
 
@@ -234,7 +213,7 @@ def _far_log_resp(x: np.ndarray, mus: np.ndarray, resid: np.ndarray, var: np.nda
 
 
 def gmm_responsibilities(params: GMMDenoiserParams, x: np.ndarray,
-                         c: ConditionEmbedding, alpha_bar: float) -> np.ndarray:
+                         c: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Posterior component weights of x_t under the noised mixture."""
     resp = _noised_mixture(params, x, c, alpha_bar)[3]
     if resp is None:
@@ -244,7 +223,7 @@ def gmm_responsibilities(params: GMMDenoiserParams, x: np.ndarray,
 
 
 def gmm_posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
-                       c: ConditionEmbedding, alpha_bar: float) -> np.ndarray:
+                       c: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Bayes-optimal E[x_0 | x_t, c] for the mixture data law.
 
     Each component contributes its joint-Gaussian regression mean
@@ -256,7 +235,7 @@ def gmm_posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
 
 
 def _posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
-                    c: ConditionEmbedding, alpha_bar: float) -> np.ndarray:
+                    c: np.ndarray, alpha_bar: float) -> np.ndarray:
     mus, var, resid, resp = _noised_mixture(params, x, c, alpha_bar)
     if resp is None:
         if params.k == 1:
@@ -268,7 +247,7 @@ def _posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
 
 
 def predict_noise(params: GMMDenoiserParams, x: np.ndarray,
-                  c: ConditionEmbedding, alpha_bar: float) -> np.ndarray:
+                  c: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Optimal noise prediction for the mixture data law.
 
     eps = (x - sqrt(a) * E[x_0 | x, c]) / sqrt(1 - a); undefined at a = 1.
@@ -289,7 +268,7 @@ def _in_float_range(what: str, a: float, compute: Callable[[], np.ndarray]) -> n
 
 
 def gmm_log_density(params: GMMDenoiserParams, x: np.ndarray,
-                    c: ConditionEmbedding) -> float | np.ndarray:
+                    c: np.ndarray) -> float | np.ndarray:
     """Log density of the clean-data mixture at ``x`` under condition ``c``.
 
     ``x`` is one latent (d,), which gives a float, or rows (n, d), which give
@@ -319,7 +298,7 @@ class GMMDenoiser(Denoiser):
         self._log_weights = np.log(params.weights)
         self._level = (None, None)  # the last batch's alpha_bar and its constants
 
-    def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
+    def predict_noise(self, x: np.ndarray, c: np.ndarray,
                       alpha_bar: float, t: int) -> np.ndarray:
         return predict_noise(self.params, x, c, alpha_bar)
 
@@ -383,7 +362,7 @@ class GMMDenoiser(Denoiser):
         except FloatingPointError:
             return super().predict_noise_batch(X, C, alpha_bar, t)
 
-    def sample_clean(self, c: ConditionEmbedding, n: int,
+    def sample_clean(self, c: np.ndarray, n: int,
                      gen: np.random.Generator) -> np.ndarray:
         """Draw ``n`` clean latents from the mixture under condition ``c``."""
         mus = self.params.component_means(c)

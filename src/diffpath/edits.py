@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import _CAM_HOOKS, _MASKED_KINDS, ManipulationConfig, validate_mask
-from .denoiser import ConditionEmbedding, Denoiser
+from .denoiser import Denoiser, _condition_matrix
 from .errors import DenoiserError, ParameterError
 from .sampler import (GENERATION, ChooseEps, PathRecord, cfg_combine, effective_noise, _hop,
                       _Step, _walk)
@@ -87,14 +87,14 @@ class CamContext:
     Both predictions are at the reference latent ``x_ref``: ``eps_ref`` is
     the reference condition's (path A's noise of this step) and ``eps_edit``
     the editing condition's, asked for in the step's one denoiser call.  All
-    three arrays are read-only.
+    five arrays, the conditions ``c_a`` and ``c_b`` (m,) among them, are read-only.
     """
 
     x_ref: np.ndarray
     eps_ref: np.ndarray
     eps_edit: np.ndarray
-    c_a: ConditionEmbedding
-    c_b: ConditionEmbedding
+    c_a: np.ndarray
+    c_b: np.ndarray
     alpha_bar: float
     level: int
     sampling_step: int
@@ -116,8 +116,8 @@ class EditResult:
     weights: tuple[float, ...]
 
 
-def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
-             c_b: ConditionEmbedding, config: ManipulationConfig,
+def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
+             c_b: np.ndarray, config: ManipulationConfig,
              grid: TimestepGrid, schedule: AlphaSchedule, *,
              with_path_b: bool = False) -> EditResult:
     """Run one manipulated generation pass from the shared initial noise.
@@ -132,8 +132,8 @@ def run_edit(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
                      with_path_b=with_path_b)[0]
 
 
-def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
-              c_b: ConditionEmbedding, configs: Sequence[ManipulationConfig],
+def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
+              c_b: np.ndarray, configs: Sequence[ManipulationConfig],
               grid: TimestepGrid, schedule: AlphaSchedule, *,
               with_path_b: bool = False) -> tuple[EditResult, ...]:
     """``run_edit`` for each config, all passes walked in lock-step.
@@ -146,8 +146,10 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
     ``run_edit`` gives for its config alone, and its ``path_a``/``path_b``
     are the pure rows' records.  While the editing path is walked, every hop
     above a pass's first weighted step is a noise blend of weight zero, which
-    takes that path's noise: until then the pass is that path.
+    takes that path's noise: until then the pass is that path.  ``c_a`` and
+    ``c_b`` are checked before any denoiser call.
     """
+    ab = _pair(denoiser, c_a, c_b)
     t_sample = grid.t_sample
     d = np.asarray(x_top).size
     for config in configs:
@@ -161,14 +163,21 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
 
     walk_b = with_path_b or any(config.kind in ("noise_interp", "noise_mask")
                                 for config in configs)
-    pure = [c_a, c_b] if walk_b else [c_a]
+    n_pure = 1 + walk_b  # path A, then path B if it is walked
     W = _weight_table(configs, t_sample)
     n = len(configs)
-    paths = _walk(denoiser, grid, schedule, [x_top] * (n + len(pure)), [c_b] * n + pure,
-                  _edit_noises(configs, c_a, c_b, pure, W, d))
+    paths = _walk(denoiser, grid, schedule, [x_top] * (n + n_pure),
+                  [ab[1]] * n + [*ab[:n_pure]], _edit_noises(configs, ab, n_pure, W, d))
     path_b = paths[n + 1] if walk_b else None
     return tuple(EditResult(path=path, path_a=paths[n], path_b=path_b, weights=tuple(w))
                  for path, w in zip(paths, W.tolist()))
+
+
+def _pair(denoiser: Denoiser, c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
+    """``c_a`` and ``c_b``, each checked, as the rows of one read-only (2, m) array."""
+    ab = np.array([_condition_matrix(c, None, denoiser.m) for c in (c_a, c_b)])
+    ab.setflags(write=False)
+    return ab
 
 
 def _weight_table(configs: Sequence[ManipulationConfig], t_sample: int) -> np.ndarray:
@@ -189,13 +198,13 @@ def _weight_table(configs: Sequence[ManipulationConfig], t_sample: int) -> np.nd
     return W
 
 
-def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
-                 c_b: ConditionEmbedding, pure: Sequence[ConditionEmbedding],
+def _edit_noises(configs: Sequence[ManipulationConfig], ab: np.ndarray, n_pure: int,
                  W: np.ndarray, d: int) -> ChooseEps:
     """The stepping-core callback of the manipulated passes, one row per config.
 
-    The config rows are followed by one row per condition of ``pure``: path
-    A under ``c_a``, then path B under ``c_b`` if it is walked; each steps
+    ``ab`` holds the conditions ``c_a`` and ``c_b`` as its rows.  The config
+    rows are followed by ``n_pure`` pure rows: path A under ``c_a``, then
+    path B under ``c_b`` if it is walked; each steps
     with its prediction.  At each hop the config rows fall into groups:
     while path B is walked, rows above their first weighted hop blend the
     noises at weight zero, which copies path B's (until then the pass is
@@ -218,7 +227,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     # may be too narrow for "noise_interp"
     tags = np.where(weighted, np.array([[_MASKED_KINDS.get(c.kind, c.kind)] for c in configs],
                                        dtype=object), "plain")
-    if len(pure) > 1:
+    if n_pure > 1:
         first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
         tags[np.arange(t_sample) < first[:, None]] = "noise_interp"
     columns = tags.T.tolist()
@@ -227,7 +236,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
     blend = _blend_table(configs, W, d)
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     hooks = np.array([c.cam_hook for c in configs], dtype=object)
-    ab = np.array([c_a.values, c_b.values])  # the pure rows' conditions are its first rows
+    c_a, c_b = ab
 
     def plan(i: int) -> tuple[list, np.ndarray, np.ndarray]:
         """Hop ``i``'s groups by first row, the rows of ``X`` its call takes, their conditions."""
@@ -235,7 +244,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
         for r, tag in enumerate(columns[i]):
             members.setdefault(tag, []).append(r)
         groups = [(kind, np.array(rows)) for kind, rows in members.items()]
-        gather, conditions = [np.arange(n, n + len(pure))], [ab[:len(pure)]]
+        gather, conditions = [np.arange(n, n + n_pure)], [ab[:n_pure]]
         for kind, rows in groups:
             if kind == "noise_interp":
                 continue
@@ -247,7 +256,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
                 conditions.append(np.repeat(ab, len(rows), axis=0))  # c_a rows, then c_b
             elif kind == "cond_interp":
                 gather.append(rows)
-                conditions.append(_blend(c_a.values, c_b.values, W[rows, i, None]))
+                conditions.append(_blend(c_a, c_b, W[rows, i, None]))
             else:  # plain, and the latent kinds' prediction before their blend
                 gather.append(rows)
                 conditions.append(np.repeat(ab[1:], len(rows), axis=0))
@@ -263,7 +272,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], c_a: ConditionEmbedding,
         E = np.empty_like(X)
         x_ref = X[ref_a]
         eps = predict(X[gather], conditions)
-        lo = len(pure)
+        lo = n_pure
         E[n:] = eps[:lo]
         eps_ref = E[ref_a]
         for kind, rows in groups:
@@ -332,8 +341,8 @@ def _hook_noise(name: str, ctx: CamContext, shape: tuple[int, ...]) -> np.ndarra
     return eps_hook
 
 
-def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
-                  c_b: ConditionEmbedding, k: int, grid: TimestepGrid,
+def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
+                  c_b: np.ndarray, k: int, grid: TimestepGrid,
                   schedule: AlphaSchedule) -> PathRecord:
     """Denoise the first ``k`` steps under ``c_a`` and the rest under ``c_b``.
 
@@ -343,8 +352,8 @@ def prompt_switch(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding
     return prompt_switches(denoiser, x_top, c_a, c_b, (k,), grid, schedule)[0]
 
 
-def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbedding,
-                    c_b: ConditionEmbedding, ks: Sequence[int], grid: TimestepGrid,
+def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
+                    c_b: np.ndarray, ks: Sequence[int], grid: TimestepGrid,
                     schedule: AlphaSchedule) -> tuple[PathRecord, ...]:
     """``prompt_switch`` for each switch point in ``ks``, walked in lock-step.
 
@@ -352,13 +361,13 @@ def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbeddi
     so one ``c_a`` prediction serves them; each record is bitwise the one
     ``prompt_switch`` gives alone.
     """
+    ab = _pair(denoiser, c_a, c_b)
     t_sample = grid.t_sample
     ks = tuple(ks)
     for k in ks:
         if not 0 <= k <= t_sample:
             raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
     switch = np.array(ks)
-    ab = np.array([c_a.values, c_b.values])
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
         under_a = switch > i
@@ -372,4 +381,4 @@ def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: ConditionEmbeddi
         return E
 
     return tuple(_walk(denoiser, grid, schedule, [x_top] * len(ks),
-                       [c_b if k < t_sample else c_a for k in ks], choose_eps))
+                       [ab[int(k < t_sample)] for k in ks], choose_eps))

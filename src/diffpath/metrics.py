@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import AXIS_NAMES, RunConfig
-from .denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density
+from .denoiser import Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density
 from .edits import EditResult, ManipulationConfig, run_edits
 from .errors import ParameterError, checked_number
 from .rng import standard_normals, substream
@@ -179,7 +179,7 @@ class InversionReportRow:
     max_rel_error: float
 
 
-def inversion_report(denoiser: GMMDenoiser, c: ConditionEmbedding,
+def inversion_report(denoiser: GMMDenoiser, c: np.ndarray,
                      noise_schedule: AlphaSchedule, t_sample_values: Sequence[int],
                      samples: int, seed: int) -> tuple[InversionReportRow, ...]:
     """Round-trip reconstruction errors per grid resolution.

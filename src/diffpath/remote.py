@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .denoiser import ConditionEmbedding, Denoiser, _condition_matrix
+from .denoiser import Denoiser, _condition_matrix
 from .errors import DenoiserError, ParameterError, checked_number
 
 
@@ -147,7 +147,7 @@ def serve_stream(denoiser: Denoiser, rfile, wfile) -> None:
                 alpha_bar = checked_number(msg["alpha_bar"], "alpha_bar")
                 if op == "predict_noise":
                     x = _numbers(msg["x"], (denoiser.d,), "x")
-                    c = ConditionEmbedding(_numbers(msg["c"], (denoiser.m,), "c"))
+                    c = _numbers(msg["c"], (denoiser.m,), "c")
                     eps = denoiser.predict_noise(x, c, alpha_bar, t)
                     reply = {"id": msg_id, "eps": [float(v) for v in eps]}
                 else:
@@ -330,15 +330,14 @@ class RemoteDenoiser(Denoiser):
                 f"expected reply id {msg_id}, got {reply.get('id')!r}")
         return reply
 
-    def predict_noise(self, x: np.ndarray, c: ConditionEmbedding,
+    def predict_noise(self, x: np.ndarray, c: np.ndarray,
                       alpha_bar: float, t: int) -> np.ndarray:
         x = _finite_latents(x, "latent x")
-        if c.m != self.m:
-            raise ParameterError(f"condition has dimension {c.m}, expected {self.m}")
+        c = _condition_matrix(c, None, self.m)
         reply = self._round_trip({
             "op": "predict_noise",
             "x": [float(v) for v in x],
-            "c": c.values.tolist(),
+            "c": c.tolist(),
             "t": int(t),
             "alpha_bar": float(alpha_bar),
         })

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .denoiser import ConditionEmbedding, Denoiser
+from .denoiser import Denoiser, _condition_matrix
 from .errors import DenoiserError, ParameterError, checked_number
 from .schedule import AlphaSchedule, TimestepGrid
 
@@ -105,13 +105,13 @@ class PathRecord:
     the order is ascending and ``latents[i]`` sits at sampling index i.  Each
     ``noises[i]`` is the prediction consumed by the hop from ``latents[i]`` to
     ``latents[i+1]``, so replaying the hops reproduces the stored latents
-    exactly.  Entries are read-only (a walk's are views of its two buffers).
+    exactly.  Entries and ``condition`` are read-only (a walk's are views).
     """
 
     grid: TimestepGrid
     latents: tuple[np.ndarray, ...]
     noises: tuple[np.ndarray, ...]
-    condition: ConditionEmbedding
+    condition: np.ndarray
     direction: str
 
     def __post_init__(self):
@@ -205,7 +205,7 @@ ChooseEps = Callable[[int, _Step, np.ndarray, Callable], np.ndarray]
 
 
 def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
-          starts: Sequence[np.ndarray], conditions: Sequence[ConditionEmbedding],
+          starts: Sequence[np.ndarray], conditions: Sequence[np.ndarray],
           choose: ChooseEps | None = None, direction: str = GENERATION) -> list[PathRecord]:
     """The stepping core: N rows, from ``starts`` under ``conditions``, walk in lock-step.
 
@@ -214,13 +214,14 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     returns, one row each; ``predict(latents, conditions)`` is one denoiser
     call for one prediction per condition row (N, m) at the paired latent (a
     row of ``X``, or any other latent, such as a reference path's).  The
-    default callback predicts row r under ``conditions[r]``.  Generation
-    visits the step table top down, inversion bottom up; the records hold
-    views of one read-only buffer of latents (N, T+1, d) and one of noises.
+    default callback predicts row r under ``conditions[r]``, which are checked
+    once, as one matrix.  Generation visits the step table top down,
+    inversion bottom up; the records hold views of one read-only buffer of
+    latents (N, T+1, d), one of noises and one of the checked conditions.
     """
     if not len(starts):
         return []
-    C = np.array([c.values for c in conditions])  # the default callback's, once per walk
+    C = _condition_matrix(conditions, len(starts), denoiser.m)
     choose = choose or (lambda i, step, X, predict: predict(X, C))
     X = np.array(starts, dtype=np.float64)
     if X.ndim != 2:
@@ -237,7 +238,7 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     latents.setflags(write=False)
     noises.setflags(write=False)
     return [PathRecord(grid=grid, latents=tuple(latents[r]), noises=tuple(noises[r]),
-                       condition=c, direction=direction) for r, c in enumerate(conditions)]
+                       condition=c, direction=direction) for r, c in enumerate(C)]
 
 
 def _predict_rows(denoiser: Denoiser, X: np.ndarray, C: np.ndarray, step: _Step) -> np.ndarray:
@@ -270,34 +271,39 @@ def _predict_rows(denoiser: Denoiser, X: np.ndarray, C: np.ndarray, step: _Step)
     return eps
 
 
-def generate(denoiser: Denoiser, x_top: np.ndarray, c: ConditionEmbedding,
+def generate(denoiser: Denoiser, x_top: np.ndarray, c: np.ndarray,
              grid: TimestepGrid, schedule: AlphaSchedule,
              guidance: tuple[float, object] | None = None) -> PathRecord:
     """Run the full deterministic pass from noise to data, recording the path.
 
-    ``guidance`` is an optional ``(beta, null_embeddings)`` pair; the null
-    side may be a single shared embedding or one embedding per step in loop
-    order.  A beta that is not a finite number fails before the first
-    denoiser call.  The recorded noise at each step is the combined
-    prediction that actually drove the update.
+    ``guidance`` is an optional ``(beta, nulls)`` pair.  The null side is a
+    single null (m,) shared by every step, or one null per step in loop
+    order: a (T, m) array or a sequence of T nulls (m,).  A beta that is not
+    a finite number, or a condition that is not a finite (m,) row, fails
+    before the first denoiser call.  The recorded noise at each step is the
+    combined prediction that actually drove the update.
     """
     if guidance is None:
         return _walk(denoiser, grid, schedule, [x_top], [c])[0]
     beta, nulls = guidance
     beta = checked_number(beta, "beta")
-    if not isinstance(nulls, ConditionEmbedding) and len(nulls) != grid.t_sample:
-        raise ParameterError(
-            f"need one null embedding per step ({grid.t_sample}), got {len(nulls)}")
+    try:
+        shared = np.ndim(nulls) == 1
+    except ValueError:  # ragged rows: the (T, m) check names them
+        shared = False
+    pairs = np.empty((grid.t_sample, 2, denoiser.m))
+    pairs[:, 0] = _condition_matrix(c, None, denoiser.m)
+    pairs[:, 1] = _condition_matrix(nulls, None if shared else grid.t_sample, denoiser.m)
+    pairs.setflags(write=False)
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
-        null = nulls if isinstance(nulls, ConditionEmbedding) else nulls[i]
-        eps = predict(np.repeat(X, 2, axis=0), np.array([c.values, null.values]))
+        eps = predict(np.repeat(X, 2, axis=0), pairs[i])
         return cfg_combine(eps[:1], eps[1:], beta)
 
     return _walk(denoiser, grid, schedule, [x_top], [c], choose_eps)[0]
 
 
-def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
+def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: np.ndarray,
                 grid: TimestepGrid, schedule: AlphaSchedule) -> PathRecord:
     """Walk the grid upward from clean data to the fully noised latent.
 
@@ -309,14 +315,14 @@ def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
 
 @dataclass(frozen=True)
 class NullTextResult:
-    """Per-step optimized empty-condition embeddings, in generation loop order."""
+    """Per-step optimized empty-condition embeddings, read-only (m,) arrays in loop order."""
 
-    embeddings: tuple[ConditionEmbedding, ...]
+    embeddings: tuple[np.ndarray, ...]
     objectives: tuple[float, ...]
     diagnostics: tuple[str, ...] = field(default=())
 
 
-def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
+def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: np.ndarray,
                      beta: float, grid: TimestepGrid, schedule: AlphaSchedule,
                      iterations: int = 10, step_size: float = 0.1) -> NullTextResult:
     """Optimize per-step empty-condition embeddings for guided reconstruction.
@@ -356,7 +362,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
     if iterations < 0:
         raise ParameterError("iterations must be >= 0")
     inv = ddim_invert(denoiser, x0, c, grid, schedule)
-    embeddings: list[ConditionEmbedding] = []
+    embeddings: list[np.ndarray] = []
     objectives: list[float] = []
     diagnostics: list[str] = []
 
@@ -370,7 +376,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
         return null + (offsets if probe else offsets[:1])
 
     # every step's first round: the conditional, then the all-zeros null (and its probes)
-    first = np.vstack([c.values, with_probes(np.zeros(denoiser.m), iterations > 0)])
+    first = np.vstack([inv.condition, with_probes(np.zeros(denoiser.m), iterations > 0)])
 
     def overflowed(step: _Step, it: int | None, what: str) -> ParameterError:
         at, cause = ((f"iteration {it}", f"step_size={step_size!r} with beta={beta!r}")
@@ -419,10 +425,13 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
                 diagnostics.append(msg)
                 break
             null, best, eps_best = candidate, value, eps_null[0]
-        embeddings.append(ConditionEmbedding(null))
+        null.setflags(write=False)
+        embeddings.append(null)
         objectives.append(best)
         return cfg_combine(eps_c, eps_best, beta)[None]
 
-    _walk(denoiser, grid, schedule, [inv.x_top], [c], tune)
+    # an overflowed round warns nothing: each value is checked right after, and it raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        _walk(denoiser, grid, schedule, [inv.x_top], [c], tune)
     return NullTextResult(embeddings=tuple(embeddings), objectives=tuple(objectives),
                           diagnostics=tuple(diagnostics))

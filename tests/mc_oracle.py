@@ -8,11 +8,11 @@ E[eps | x_t, c].
 
 import numpy as np
 
-from diffpath.denoiser import ConditionEmbedding, GMMDenoiserParams
+from diffpath.denoiser import GMMDenoiserParams
 
 
 def mc_predict_noise(params: GMMDenoiserParams, x: np.ndarray,
-                     c: ConditionEmbedding, alpha_bar: float, n_samples: int,
+                     c: np.ndarray, alpha_bar: float, n_samples: int,
                      gen: np.random.Generator) -> np.ndarray:
     mus = params.component_means(c)
     counts = np.round(params.weights * n_samples).astype(int)

@@ -16,7 +16,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diffpath.denoiser import ConditionEmbedding
 from diffpath.edits import prompt_switches
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.metrics import inversion_report
@@ -54,7 +53,7 @@ def test_generate_batched_equals_per_row(model, t_sample, beta, null, seed):
     den, x_top, c, _ = model
     grid = make_timestep_grid(1000, t_sample)
     gen = np.random.default_rng(seed)
-    shared = ConditionEmbedding(np.zeros(den.m) if null == "zeros" else gen.normal(size=den.m))
+    shared = np.zeros(den.m) if null == "zeros" else gen.normal(size=den.m)
     for guidance in (None, (beta, shared)):
         runs = [_bytes(lambda: [generate(d, x_top, c, grid, SCHEDULE, guidance=guidance)])
                 for d in (den, PerRowDenoiser(den))]

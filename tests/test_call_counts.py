@@ -11,11 +11,12 @@ m = 2).
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
 from diffpath import cli
 from diffpath.config import RunConfig
-from diffpath.denoiser import Denoiser
+from diffpath.denoiser import Denoiser, gmm_log_density
 from diffpath.edits import prompt_switch, run_edit
 from diffpath.errors import ParameterError
 from diffpath.metrics import inversion_report, run_sweep
@@ -168,6 +169,51 @@ def test_bad_sweep_axis_costs_no_call(demo):
     config = preset_config("noise-interp-local")
     with pytest.raises(ParameterError, match="sweep axis 't_m' must be an integer"):
         run_sweep(counting, config, {"t_m": ("abc",)})
+    assert (counting.calls, counting.rows) == (0, 0)
+
+
+GUIDANCE = preset_config("guidance-default").build_manipulation()
+
+#: every public entry point that takes a condition, called with ``bad`` in one condition's place
+CONDITION_ENTRIES = {
+    "generate": lambda den, demo, bad: generate(den, demo["x_top"], bad, demo["grid"],
+                                                demo["schedule"]),
+    "generate-guided": lambda den, demo, bad: generate(
+        den, demo["x_top"], bad, demo["grid"], demo["schedule"], guidance=(2.0, demo["null"])),
+    "generate-null": lambda den, demo, bad: generate(
+        den, demo["x_top"], demo["c_a"], demo["grid"], demo["schedule"], guidance=(2.0, bad)),
+    "ddim_invert": lambda den, demo, bad: ddim_invert(den, demo["x_top"], bad, demo["grid"],
+                                                      demo["schedule"]),
+    "null_text_invert": lambda den, demo, bad: null_text_invert(
+        den, demo["x_top"], bad, 2.0, demo["grid"], demo["schedule"]),
+    "run_edit-c_a": lambda den, demo, bad: run_edit(
+        den, demo["x_top"], bad, demo["c_b"], GUIDANCE, demo["grid"], demo["schedule"]),
+    "run_edit-c_b": lambda den, demo, bad: run_edit(
+        den, demo["x_top"], demo["c_a"], bad, GUIDANCE, demo["grid"], demo["schedule"]),
+    "prompt_switch-c_a": lambda den, demo, bad: prompt_switch(
+        den, demo["x_top"], bad, demo["c_b"], 20, demo["grid"], demo["schedule"]),
+    "prompt_switch-c_b": lambda den, demo, bad: prompt_switch(
+        den, demo["x_top"], demo["c_a"], bad, 20, demo["grid"], demo["schedule"]),
+    "inversion_report": lambda den, demo, bad: inversion_report(den, bad, demo["schedule"],
+                                                                (50,), 2, seed=3),
+    # the oracle's own: its means check the condition
+    "GMMDenoiser.predict_noise": lambda den, demo, bad: demo["denoiser"].predict_noise(
+        demo["x_top"], bad, 0.5, 500),
+    "GMMDenoiser.sample_clean": lambda den, demo, bad: demo["denoiser"].sample_clean(
+        bad, 2, np.random.default_rng(0)),
+    "gmm_log_density": lambda den, demo, bad: gmm_log_density(demo["params"], demo["x_top"], bad),
+}
+
+#: a condition of the wrong width, one holding NaN, and a 2-D one, for the demo's m = 2
+BAD_CONDITIONS = {"width": np.zeros(3), "nan": np.array([np.nan, 0.0]), "2-D": np.zeros((1, 2))}
+
+
+@pytest.mark.parametrize("bad", BAD_CONDITIONS)
+@pytest.mark.parametrize("entry", CONDITION_ENTRIES)
+def test_bad_condition_costs_no_call(demo, entry, bad):
+    counting = CountingDenoiser(demo["denoiser"])
+    with pytest.raises(ParameterError, match="conditions C"):
+        CONDITION_ENTRIES[entry](counting, demo, BAD_CONDITIONS[bad])
     assert (counting.calls, counting.rows) == (0, 0)
 
 

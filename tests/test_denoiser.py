@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffpath.denoiser import (ConditionEmbedding, Denoiser, GMMDenoiser,
-                               GMMDenoiserParams, gmm_log_density,
-                               gmm_posterior_mean, gmm_responsibilities,
-                               predict_noise)
+from diffpath.denoiser import (Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density,
+                               gmm_posterior_mean, gmm_responsibilities, predict_noise)
 from diffpath.errors import ParameterError
 from conftest import PerRowDenoiser
 from mc_oracle import mc_predict_noise
@@ -25,7 +23,7 @@ def _k1(base_mean, cond_map, variance):
 
 
 ZERO_MAP = ((0.0, 0.0), (0.0, 0.0))
-C = ConditionEmbedding(np.array([0.4, -1.1]))
+C = np.array([0.4, -1.1])
 
 
 class TestPosteriorMean:
@@ -62,7 +60,7 @@ class TestPosteriorMean:
 
     def test_mean_beyond_the_float_range_is_a_parameter_error(self):
         # E[x0 | x] is about 1.41 * x here; no inf and no RuntimeWarning
-        params, c = _k1([0.0], [[0.0]], 441766.0), ConditionEmbedding(np.zeros(1))
+        params, c = _k1([0.0], [[0.0]], 441766.0), np.zeros(1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="posterior mean exceeds the float range"):
@@ -182,7 +180,7 @@ class TestResponsibilities:
                                    base_means=np.array([[2.45], [1.12], [-1.63], [1.34]]),
                                    condition_maps=np.zeros((4, 1, 1)),
                                    variances=np.zeros(4))
-        c = ConditionEmbedding(np.zeros(1))
+        c = np.zeros(1)
         for x in (-1e308, -1.7e308):
             assert gmm_responsibilities(params, np.array([x]), c, 0.5).tolist() \
                 == [0.0, 0.0, 1.0, 0.0]
@@ -200,7 +198,7 @@ class TestResponsibilities:
         assert gmm_responsibilities(params, x, C, a).tolist() == [0.0, 1.0]
         eps = predict_noise(params, x, C, a)
         batch = GMMDenoiser(params).predict_noise_batch(np.array([x, x / 2]),
-                                                        np.array([C.values] * 2), a, 1)
+                                                        np.array([C] * 2), a, 1)
         assert np.all(np.isfinite(eps)) and np.array_equal(batch[0], eps)
         assert np.all(np.isfinite(batch))
 
@@ -237,7 +235,7 @@ class TestPredictNoiseBatch:
         params, X, C, a = case
         den = GMMDenoiser(params)
         try:
-            rows = [den.predict_noise(x, ConditionEmbedding(c), a, 7) for x, c in zip(X, C)]
+            rows = [den.predict_noise(x, c, a, 7) for x, c in zip(X, C)]
         except ParameterError as err:
             # a noise beyond the float range: the batch fails the same way, in the same words
             try:
@@ -255,29 +253,29 @@ class TestPredictNoiseBatch:
     def test_noise_beyond_the_float_range_is_a_parameter_error(self):
         # eps = x / sqrt(1 - a) is about 2.1e308 for a point mass at the origin
         params, x, a = _k1([0.0], [[0.0]], 0.0), np.array([3.7e307]), 0.96875
-        c = ConditionEmbedding(np.zeros(1))
+        c = np.zeros(1)
         with pytest.raises(ParameterError, match="float range"):
             predict_noise(params, x, c, a)
         with pytest.raises(ParameterError, match="float range"):
             GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]),
-                                                    np.array([c.values] * 2), a, 1)
+                                                    np.array([c] * 2), a, 1)
 
     def test_posterior_mean_beyond_the_float_range_is_a_parameter_error(self):
         # E[x0 | x] is about 1.41 * x here, beyond the float range
         params, x, a = _k1([0.0], [[0.0]], 441766.0), np.array([1.28e308]), 0.5
-        c = ConditionEmbedding(np.zeros(1))
+        c = np.zeros(1)
         with pytest.raises(ParameterError, match="float range"):
             predict_noise(params, x, c, a)
         with pytest.raises(ParameterError, match="float range"):
             GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]),
-                                                    np.array([c.values] * 2), a, 1)
+                                                    np.array([c] * 2), a, 1)
 
     def test_interleaved_levels_are_a_fresh_oracles_bits(self, demo):
         # the constants of the last level are kept; a call at another level
         # must not see them, and a bad level still fails before they are read
         den = GMMDenoiser(demo["params"])
         X = np.array([[0.3, -0.2], [1.5, 0.25], [-2.0, 4.0]])
-        C = np.array([demo[name].values for name in ("c_a", "c_b", "null")])
+        C = np.array([demo[name] for name in ("c_a", "c_b", "null")])
         for a, t in ((0.3, 700), (0.8, 200), (0.3, 700), (0.3, 700), (0.8, 200)):
             fresh = GMMDenoiser(demo["params"]).predict_noise_batch(X, C, a, t)
             assert den.predict_noise_batch(X, C, a, t).tobytes() == fresh.tobytes()
@@ -292,7 +290,7 @@ class TestPredictNoiseBatch:
         # distinct levels the oracle keeps its attributes and one level's
         # constants, the last one's
         den = GMMDenoiser(demo["params"])
-        X, C = np.array([[0.3, -0.2]]), demo["c_a"].values[None]
+        X, C = np.array([[0.3, -0.2]]), demo["c_a"][None]
         attributes = set(vars(den))
         for a in np.linspace(1e-4, 1.0 - 1e-4, 10_000).tolist():
             den.predict_noise_batch(X, C, a, 1)
@@ -304,7 +302,7 @@ class TestPredictNoiseBatch:
         # and replaced as one pair, so no call sees another level's constants
         den = GMMDenoiser(demo["params"])
         X = np.array([[0.3, -0.2], [1.5, 0.25]])
-        C = np.array([demo["c_a"].values, demo["c_b"].values])
+        C = np.array([demo["c_a"], demo["c_b"]])
         want = {a: GMMDenoiser(demo["params"]).predict_noise_batch(X, C, a, 1).tobytes()
                 for a in (0.2, 0.4, 0.6, 0.8)}
         wrong = []
@@ -335,11 +333,11 @@ class TestPredictNoiseBatch:
                 self.seen = []
 
             def predict_noise(self, x, c, alpha_bar, t):
-                self.seen.append((tuple(x), tuple(c.values)))
+                self.seen.append((tuple(x), tuple(c)))
                 return demo["denoiser"].predict_noise(x, c, alpha_bar, t)
 
         X = np.array([[0.3, -0.2], [1.5, 0.25], [-2.0, 4.0]])
-        C = np.array([demo[name].values for name in ("c_a", "c_b", "null")])
+        C = np.array([demo[name] for name in ("c_a", "c_b", "null")])
         den = PerRow()
         batch = den.predict_noise_batch(X, C, 0.4, 600)
         assert den.seen == [(tuple(x), tuple(c)) for x, c in zip(X, C)]
@@ -351,10 +349,10 @@ class TestPredictNoiseBatch:
             rows = []
 
             def predict_noise(self, x, c, alpha_bar, t):
-                self.rows.append(c.values)
+                self.rows.append(c)
                 return np.zeros(2)
 
-        C = np.array([demo["c_a"].values, demo["c_b"].values])
+        C = np.array([demo["c_a"], demo["c_b"]])
         Rows().predict_noise_batch(np.zeros((2, 2)), C, 0.4, 600)
         assert [(r.tobytes(), r.flags.writeable, np.shares_memory(r, C)) for r in Rows.rows] \
             == [(c.tobytes(), False, True) for c in C]
@@ -367,10 +365,17 @@ class TestPredictNoiseBatch:
         den = GMMDenoiser(demo["params"])
         den = PerRowDenoiser(den) if per_row else den
         X = np.array([[0.3, -0.2], [1.5, 0.25]])
-        C = np.array([demo["c_a"].values, demo["c_b"].values])
-        for bad in (C[:, :1], C[:1], np.hstack([C, C]), C[0], [demo["c_a"], demo["c_b"]]):
-            with pytest.raises(ParameterError, match="conditions C must"):
+        C = np.array([demo["c_a"], demo["c_b"]])
+        for bad in (C[:, :1], C[:1], np.hstack([C, C]), C[0]):
+            with pytest.raises(ParameterError, match=r"conditions C must have shape \(2, 2\)"):
                 den.predict_noise_batch(X, bad, 0.5, 1)
+        for bad in ([demo["c_a"], demo["c_b"][:1]], [demo["c_a"], ["0.5", "x"]]):
+            with pytest.raises(ParameterError, match=r"must be an \(N, m\) array of numbers"):
+                den.predict_noise_batch(X, bad, 0.5, 1)
+        # one condition (m,), as predict_noise takes it
+        for bad in (C[0, :1], C[:1]):
+            with pytest.raises(ParameterError, match=r"conditions C must have shape \(2,\), got"):
+                den.predict_noise(X[0], bad, 0.5, 1)
         C[1, 0] = np.nan
         with pytest.raises(ParameterError, match="finite: conditions C hold NaN or inf"):
             den.predict_noise_batch(X, C, 0.5, 1)
@@ -391,7 +396,7 @@ def oracle_cases(draw):
     x = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                min_size=d, max_size=d)))
     a = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    return params, x, ConditionEmbedding(gen.normal(size=m)), a
+    return params, x, gen.normal(size=m), a
 
 
 class TestOracleProperty:
@@ -407,10 +412,10 @@ class TestOracleProperty:
                 eps = predict_noise(params, x, c, a)
             except ParameterError as err:
                 with pytest.raises(type(err)):
-                    GMMDenoiser(params).predict_noise_batch(x[None], c.values[None], a, 1)
+                    GMMDenoiser(params).predict_noise_batch(x[None], c[None], a, 1)
                 return
             assert np.all(np.isfinite(eps))
-            batch = GMMDenoiser(params).predict_noise_batch(x[None], c.values[None], a, 1)
+            batch = GMMDenoiser(params).predict_noise_batch(x[None], c[None], a, 1)
         assert np.array_equal(batch[0], eps)
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from diffpath.config import (ManipulationConfig, cam_hook_names, normalize_kind,
                              register_cam_hook, validate_mask)
-from diffpath.denoiser import ConditionEmbedding
 from diffpath import edits
 from diffpath.edits import (CamContext, apply_mask, lerp, prompt_switch, prompt_switches,
                             run_edit, run_edits)
@@ -451,7 +450,7 @@ class TestPromptSwitch:
         ks = range(grid.t_sample, -1, -1)
         for k, path in zip(ks, prompt_switches(den, *args, ks, grid, sched), strict=True):
             alone = prompt_switch(den, *args, k, grid, sched)
-            assert np.array_equal(path.condition.values, alone.condition.values)
+            assert np.array_equal(path.condition, alone.condition)
             assert all(a.tobytes() == b.tobytes() for a, b in
                        zip(path.latents + path.noises, alone.latents + alone.noises))
 

@@ -14,6 +14,7 @@ settings.
 import functools
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -219,6 +220,18 @@ def _stale_probe_latents(monkeypatch):
     monkeypatch.setattr(sampler, "np", _Numpy(repeat=repeat))
 
 
+def _walk_takes_conditions_unchecked(monkeypatch):
+    """``_walk`` skips its condition check: only the denoiser's per-call check is left."""
+    check = sampler._condition_matrix
+
+    def mutant(C, n, m):
+        if sys._getframe(1).f_code is sampler._walk.__code__:
+            return np.array(C, dtype=np.float64)
+        return check(C, n, m)
+
+    monkeypatch.setattr(sampler, "_condition_matrix", mutant)
+
+
 def _lenient_encoder(monkeypatch):
     """Frames are encoded by a plain ``json.JSONEncoder``, which writes NaN and Infinity."""
     monkeypatch.setattr(remote, "_FRAME_ENCODER", json.JSONEncoder())
@@ -278,6 +291,11 @@ KILLS = {
         AssertionError),
     "stale-probe-latents/one-row-reference": (
         _stale_probe_latents, _quick(test_sampler.test_null_text_equals_the_one_row_reference),
+        AssertionError),
+    "unchecked-walk-conditions/no-call": (
+        _walk_takes_conditions_unchecked,
+        functools.partial(test_call_counts.test_bad_condition_costs_no_call,
+                          entry="ddim_invert", bad="nan"),
         AssertionError),
     "lenient-encoder/strict-error-replies": (
         _lenient_encoder,

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diffpath.config import KINDS, ManipulationConfig
-from diffpath.denoiser import ConditionEmbedding, GMMDenoiser, GMMDenoiserParams
+from diffpath.denoiser import GMMDenoiser, GMMDenoiserParams
 from diffpath.edits import run_edit, run_edits
 from diffpath.sampler import generate
 from diffpath.schedule import (SCHEDULE_KINDS, ScheduleSpec, build_linear_beta_schedule,
@@ -41,7 +41,7 @@ def models(draw):
         base_means=gen.uniform(-2.0, 2.0, (k, d)),
         condition_maps=gen.uniform(-1.0, 1.0, (k, d, m)),
         variances=np.where(zero, 0.0, gen.uniform(0.05, 2.0, k)))
-    c_a, c_b = (ConditionEmbedding(gen.normal(size=m)) for _ in range(2))
+    c_a, c_b = (gen.normal(size=m) for _ in range(2))
     return GMMDenoiser(params), gen.normal(size=d), c_a, c_b
 
 

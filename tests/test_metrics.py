@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffpath.config import ManipulationConfig
-from diffpath.denoiser import ConditionEmbedding, GMMDenoiserParams, gmm_log_density
+from diffpath.denoiser import GMMDenoiserParams, gmm_log_density
 from diffpath.edits import run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.metrics import (EditMetrics, derive_config, inversion_report, path_divergence,
@@ -34,7 +34,7 @@ GUIDANCE_GRID_AXES = {"beta": (0.7, 0.3, 0.0, -0.3, -0.7), "t_m": (10, 20, 30, 4
 
 def _one_row_log_density(params, x, c):
     """The mixture's log density at one latent (d,), shifted by its own peak."""
-    resid = x - (params.condition_maps @ c.values + params.base_means)
+    resid = x - (params.condition_maps @ c + params.base_means)
     logs = (np.log(params.weights)
             - 0.5 * params.d * np.log(2.0 * np.pi * params.variances)
             - 0.5 * np.einsum("kd,kd->k", resid, resid) / params.variances)
@@ -108,7 +108,7 @@ class TestScoreEdit:
             score_edit(res, demo["params"])
 
     def test_endpoints_too_far_apart_name_the_metric(self, demo):
-        far = ConditionEmbedding(np.array([1e200, 0.0]))
+        far = np.array([1e200, 0.0])
         t = demo["grid"].t_sample
         res = run_edit(demo["denoiser"], demo["x_top"], far, demo["c_b"],
                        ManipulationConfig("noise_interp", ScheduleSpec("constant", 28, 48, t)),
@@ -147,7 +147,7 @@ def _rows_and_mixtures(draw):
                                condition_maps=gen.uniform(-1.0, 1.0, (k, d, m)),
                                variances=gen.uniform(0.05, 2.0, k))
     rows = gen.normal(size=(n, d)) * 10.0 ** gen.uniform(-4.0, 4.0, (n, 1))
-    return params, rows, ConditionEmbedding(gen.normal(size=m))
+    return params, rows, gen.normal(size=m)
 
 
 @given(case=_rows_and_mixtures())
@@ -305,7 +305,7 @@ class TestInversionReport:
                               cond_map=((0.0, 0.0), (0.0, 0.0)), variance=0.0)
         from diffpath.schedule import build_linear_beta_schedule
         sched = build_linear_beta_schedule(1000, 1e-4, 0.02)
-        c = ConditionEmbedding(np.array([1.0, 0.25]))
+        c = np.array([1.0, 0.25])
         rows = inversion_report(den, c, sched, (50,), samples=3, seed=9)
         assert rows[0].max_rel_error <= 1e-9
 

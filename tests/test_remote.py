@@ -5,6 +5,7 @@ import select
 import shlex
 import socket
 import struct
+import subprocess
 import sys
 import threading
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from diffpath import cli
 from diffpath.config import ManipulationConfig, canonical_json
-from diffpath.denoiser import ConditionEmbedding, Denoiser
+from diffpath.denoiser import Denoiser
 from diffpath.edits import run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.metrics import run_sweep
@@ -141,7 +142,7 @@ class TestLoopback:
         def run(den):
             res = null_text_invert(den, x0, c, 2.0, grid, sched, iterations=2)
             path = generate(den, x_top, c, grid, sched, guidance=(2.0, res.embeddings))
-            return ([e.values.tobytes() for e in res.embeddings], repr(res.objectives),
+            return ([e.tobytes() for e in res.embeddings], repr(res.objectives),
                     res.diagnostics, [a.tobytes() for a in (*path.latents, *path.noises)])
 
         counting = CountingDenoiser(demo["denoiser"])
@@ -430,7 +431,6 @@ if mode == "hangup":  # wait for the hello, then exit without reading it
 if mode == "oracle":  # the demo model, served as by a peer without the batch op
     import numpy as np
     from diffpath.config import RunConfig
-    from diffpath.denoiser import ConditionEmbedding
     from diffpath.presets import demo_config_dict
     oracle = RunConfig.from_dict(demo_config_dict()).build_denoiser()
 #: eps replies as written on the wire
@@ -459,7 +459,7 @@ for line in sys.stdin:
         print('{"id": %d, "eps": %s}' % (msg["id"], RAW_EPS[mode]), flush=True)
     elif mode == "oracle":
         if msg["op"] == "predict_noise":
-            eps = oracle.predict_noise(np.array(msg["x"]), ConditionEmbedding(np.array(msg["c"])),
+            eps = oracle.predict_noise(np.array(msg["x"]), np.array(msg["c"]),
                                        msg["alpha_bar"], msg["t"])
             reply = {"id": msg["id"], "eps": [float(v) for v in eps]}
         else:
@@ -495,6 +495,11 @@ for line in sys.stdin:
 def fake_server(tmp_path_factory):
     path = tmp_path_factory.mktemp("fake") / "fake_server.py"
     path.write_text(FAKE_SERVER)
+    # a transport sends the peer's stderr nowhere: a script that cannot run
+    # fails here once, with its traceback, not as every test's closed transport
+    ran = subprocess.run([sys.executable, str(path), "oracle"], input="",
+                         capture_output=True, text=True, timeout=60)
+    assert ran.returncode == 0 and not ran.stderr, ran.stderr
     return path
 
 
@@ -542,13 +547,13 @@ class TestProtocolErrors:
         with _fake(fake_server, "batch-short") as remote:
             assert remote.batched
             with pytest.raises(DimensionMismatchError, match="training step 640"):
-                remote.predict_noise_batch(np.zeros((2, 2)), np.array([demo["c_a"].values] * 2),
+                remote.predict_noise_batch(np.zeros((2, 2)), np.array([demo["c_a"]] * 2),
                                           0.5, 640)
 
     def test_batch_reply_of_non_numbers_is_malformed(self, fake_server, demo):
         with _fake(fake_server, "batch-str") as remote:
             with pytest.raises(MalformedFrameError, match="training step 640"):
-                remote.predict_noise_batch(np.zeros((2, 2)), np.array([demo["c_a"].values] * 2),
+                remote.predict_noise_batch(np.zeros((2, 2)), np.array([demo["c_a"]] * 2),
                                           0.5, 640)
 
     @pytest.mark.parametrize("mode", ["serve", "oracle"])
@@ -559,13 +564,15 @@ class TestProtocolErrors:
             assert remote.batched == (mode == "serve")
             with pytest.raises(ParameterError, match=r"conditions C must have shape \(2, 2\)"):
                 remote.predict_noise_batch(np.zeros((2, 2)), np.zeros((2, 3)), 0.5, 640)
+            with pytest.raises(ParameterError, match=r"conditions C must have shape \(2,\)"):
+                remote.predict_noise(np.zeros(2), np.zeros(3), 0.5, 640)
         assert [json.loads(line)["op"] for line in transport.sent] == ["hello"]
 
     @pytest.mark.parametrize("mode", ["serve", "oracle"])
     def test_non_finite_latents_send_no_frame(self, fake_server, config_file, demo, mode):
         # strict JSON has no NaN or Infinity, and 1e309 overflows to infinity
         transport = _recorded_peer(fake_server, config_file, mode)
-        C = np.array([demo["c_a"].values] * 2)
+        C = np.array([demo["c_a"]] * 2)
         with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
             for bad in (math.nan, math.inf, -math.inf, float("1e309")):
                 X = np.zeros((2, 2))

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diffpath.config import KINDS
-from diffpath.denoiser import ConditionEmbedding, Denoiser, GMMDenoiser, GMMDenoiserParams
+from diffpath.denoiser import Denoiser, GMMDenoiser, GMMDenoiserParams
 from diffpath.edits import prompt_switch, prompt_switches, run_edit
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import (GENERATION, INVERSION, PathRecord, cfg_combine,
@@ -95,7 +95,7 @@ class TestCfgCombine:
 
 SCHED = build_linear_beta_schedule(1000, 1e-4, 0.02)
 GRID = make_timestep_grid(1000, 50)
-C_A = ConditionEmbedding(np.array([1.0, 0.25]))
+C_A = np.array([1.0, 0.25])
 
 
 class TestGenerate:
@@ -191,9 +191,19 @@ class TestGenerate:
         assert den.calls == 0
 
     def test_per_step_null_count_validated(self, demo):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError,
+                           match=r"^conditions C must have shape \(50, 2\), got \(3, 2\)$"):
             generate(demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED,
                      guidance=(1.0, [demo["null"]] * 3))
+
+    def test_null_forms_give_one_walk(self, demo):
+        # a single null (m,), and T nulls as a (T, m) array or as a sequence
+        args = (demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED)
+        nulls = np.tile(demo["null"], (GRID.t_sample, 1))
+        runs = [[a.tobytes() for a in generate(*args, guidance=(2.0, null)).noises]
+                for null in (demo["null"], nulls, list(nulls))]
+        assert runs[0] == runs[1] == runs[2]
+        assert nulls.flags.writeable
 
 
 @pytest.mark.parametrize("walk", [generate, ddim_invert])
@@ -306,12 +316,12 @@ class TestNullTextInversion:
         x0 = np.array([0.5, 0.1])
         res = null_text_invert(demo["denoiser"], x0, demo["c_a"], 2.0, GRID, SCHED,
                                iterations=0)
-        assert all(np.array_equal(e.values, demo["null"].values) for e in res.embeddings)
+        assert all(np.array_equal(e, demo["null"]) for e in res.embeddings)
 
     def test_zero_guidance_is_inert(self, demo):
         x0 = np.array([0.5, 0.1])
         res = null_text_invert(demo["denoiser"], x0, demo["c_a"], 0.0, GRID, SCHED)
-        assert all(np.array_equal(e.values, demo["null"].values) for e in res.embeddings)
+        assert all(np.array_equal(e, demo["null"]) for e in res.embeddings)
         # reconstruction equals the plain round trip when guidance is off
         inv = ddim_invert(demo["denoiser"], x0, demo["c_a"], GRID, SCHED)
         plain = generate(demo["denoiser"], inv.x_top, demo["c_a"], GRID, SCHED)
@@ -353,7 +363,7 @@ class TestNullTextInversion:
         runs = [null_text_invert(den, x0, demo["c_a"], 2.0, GRID, SCHED, iterations=4)
                 for den in (demo["denoiser"], PerRow())]
         assert runs[0].objectives == runs[1].objectives
-        assert all(np.array_equal(a.values, b.values)
+        assert all(np.array_equal(a, b)
                    for a, b in zip(runs[0].embeddings, runs[1].embeddings))
         paths = [generate(den, demo["x_top"], demo["c_a"], GRID, SCHED,
                           guidance=(2.0, runs[0].embeddings))
@@ -367,8 +377,7 @@ class TestNullTextInversion:
 
     def test_non_finite_candidate_rejected(self, demo):
         # the round's objective is inf, named with the step size that made it
-        with pytest.raises(ParameterError, match=f"^{re.escape(self.OVERFLOWED)}$"), \
-                np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(self.OVERFLOWED)}$"):
             null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 7.5,
                              GRID, SCHED, iterations=2, step_size=sys.float_info.max)
 
@@ -376,8 +385,7 @@ class TestNullTextInversion:
         # one iteration: the probe-less round's objective is inf too; it fails
         # here, naming the step size, not as non-finite noise that a later
         # step blames on the denoiser (a NaN objective passes the rise test)
-        with pytest.raises(ParameterError, match=f"^{re.escape(self.OVERFLOWED)}$"), \
-                np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match=f"^{re.escape(self.OVERFLOWED)}$"):
             null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 7.5,
                              GRID, SCHED, iterations=1, step_size=sys.float_info.max)
 
@@ -388,19 +396,18 @@ class TestNullTextInversion:
             d, m = 2, 2
 
             def predict_noise(self, x, c, alpha_bar, t):
-                return 1e3 * c.values
+                return 1e3 * c
 
         with pytest.raises(ParameterError, match=re.escape(
                 "sampling step 50, iteration 0: its candidate null failed (condition "
-                "embedding must be finite: conditions C hold NaN or inf); step_size=")), \
-                np.errstate(over="ignore", invalid="ignore"):
-            null_text_invert(Steep(), np.array([0.6, -0.3]), ConditionEmbedding(np.ones(2)),
+                "embedding must be finite: conditions C hold NaN or inf); step_size=")):
+            null_text_invert(Steep(), np.array([0.6, -0.3]), np.ones(2),
                              2.0, GRID, SCHED, iterations=2, step_size=sys.float_info.max)
 
     def test_overflowing_guidance_is_named_before_any_step(self, demo):
         with pytest.raises(ParameterError, match=re.escape(
                 "sampling step 50, its first round: the all-zeros null's objective is inf; "
-                "beta=1e+300 is too large")), np.errstate(over="ignore", invalid="ignore"):
+                "beta=1e+300 is too large")):
             null_text_invert(demo["denoiser"], np.array([0.6, -0.3]), demo["c_a"], 1e300,
                              GRID, SCHED, iterations=0)
 
@@ -469,7 +476,7 @@ def test_every_walk_is_batch_calls_with_the_oracles_bits(demo):
         records += [run_edit(den, x_top, c_a, c_b, m, GRID, SCHED).path for m in manips]
         tuned = null_text_invert(den, x0, c_a, 2.0, GRID, SCHED, iterations=2)
         arrays = [a for r in records for a in (*r.latents, *r.noises, r.replay_errors(SCHED))]
-        return [a.tobytes() for a in arrays] + [e.values.tobytes() for e in tuned.embeddings] \
+        return [a.tobytes() for a in arrays] + [e.tobytes() for e in tuned.embeddings] \
             + [repr(tuned.objectives)]
 
     assert walks(BatchOnly(oracle)) == walks(oracle)
@@ -498,7 +505,7 @@ def test_null_text_bytes_are_pinned(demo):
             reverted.add(step_size)
         x_top = ddim_invert(den, x0s[sample], c, GRID, SCHED).x_top
         path = generate(den, x_top, c, GRID, SCHED, guidance=(beta, res.embeddings))
-        for part in (*(e.values for e in res.embeddings), *path.latents, *path.noises):
+        for part in (*res.embeddings, *path.latents, *path.noises):
             digest.update(part.tobytes())
         digest.update(repr(res.objectives).encode())
         digest.update("\n".join(res.diagnostics).encode())
@@ -514,7 +521,7 @@ def _null_text_bytes(den, x0, c, beta, grid, iterations, step_size):
         return type(err), str(err)
     path = generate(den, ddim_invert(den, x0, c, grid, SCHED).x_top, c, grid, SCHED,
                     guidance=(beta, res.embeddings))
-    return ([e.values.tobytes() for e in res.embeddings], repr(res.objectives),
+    return ([e.tobytes() for e in res.embeddings], repr(res.objectives),
             res.diagnostics, [a.tobytes() for a in (*path.latents, *path.noises)])
 
 
@@ -569,7 +576,7 @@ def _reference_null_text(den, x0, c, beta, grid, iterations, step_size):
     inv = [x0]
     for j in reversed(range(t_sample)):  # up: from level j's lower neighbour to level j
         x, a_t, a_prev = inv[-1], alphas[j], alphas[j + 1]
-        eps = predict(x, c.values[None], j)[0]
+        eps = predict(x, c[None], j)[0]
         inv.append(np.sqrt(a_t) * ((x - np.sqrt(1.0 - a_prev) * eps) / np.sqrt(a_prev))
                    + np.sqrt(1.0 - a_t) * eps)
     x, nulls, objectives, diagnostics = inv[-1], [], [], []
@@ -581,7 +588,7 @@ def _reference_null_text(den, x0, c, beta, grid, iterations, step_size):
             return [float(r @ r) for r in down(x, guided, a_t, a_prev) - target]
 
         null = np.zeros(den.m)
-        eps = predict(x, np.vstack([c.values, with_probes(null, iterations > 0)]), j)
+        eps = predict(x, np.vstack([c, with_probes(null, iterations > 0)]), j)
         eps_c, eps_best = eps[0], eps[1]
         best, *probed = losses(eps[1:])
         if not math.isfinite(best):
@@ -625,7 +632,7 @@ def test_null_text_equals_the_one_row_reference(model, t_sample, iterations, bet
 
     def tuned():
         res = null_text_invert(den, x0, c, beta, grid, SCHED, iterations, step_size)
-        return ([e.values.tobytes() for e in res.embeddings], repr(res.objectives),
+        return ([e.tobytes() for e in res.embeddings], repr(res.objectives),
                 res.diagnostics)
 
     assert _tuned_or_error(tuned) == _tuned_or_error(
