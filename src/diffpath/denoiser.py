@@ -13,7 +13,6 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -140,18 +139,17 @@ class GMMDenoiserParams:
         return self.condition_maps @ _condition_matrix(c, None, self.m) + self.base_means
 
 
-def _check_alpha_bar(alpha_bar: float, *, allow_one: bool) -> float:
+def _check_alpha_bar(alpha_bar: float) -> float:
     a = float(alpha_bar)
     if not 0.0 < a <= 1.0:
         raise ParameterError(f"alpha_bar must lie in (0, 1], got {a}")
-    if a == 1.0 and not allow_one:
+    if a == 1.0:
         raise ZeroDivisionError(
             "noise prediction is undefined at alpha_bar = 1 (clean endpoint)")
     return a
 
 
-def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: np.ndarray,
-                    alpha_bar: float):
+def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: np.ndarray, a: float):
     """Means, marginal variances, residuals and responsibilities of x_t's components.
 
     The marginal of x_t is a mixture of N(sqrt(a)*mu_k, (a*s2_k + 1 - a) I);
@@ -159,15 +157,13 @@ def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: np.ndarray,
     subtracting the max so it is stable at any noise level.  A squared
     distance too large for a float makes its component's log density -inf;
     when that holds for every component, ``_far_log_resp`` takes the limit.
-    The responsibilities are None when a marginal variance is zero.
+    The caller has checked the level ``a``: below 1, every marginal variance
+    is at least 1 - a > 0.
     """
-    a = _check_alpha_bar(alpha_bar, allow_one=True)
     x = np.asarray(x, dtype=np.float64)
     mus = params.component_means(c)                      # (K, d)
     var = a * params.variances + (1.0 - a)               # (K,)
     resid = x - math.sqrt(a) * mus                       # (K, d)
-    if a == 1.0 and (var == 0.0).any():  # below 1, every var >= 1 - a > 0
-        return mus, var, resid, None
     log_norm = np.log(params.weights) - 0.5 * params.d * np.log(2.0 * np.pi * var)
     with np.errstate(over="ignore"):
         log_resp = log_norm - 0.5 * np.einsum("kd,kd->k", resid, resid) / var
@@ -212,37 +208,16 @@ def _far_log_resp(x: np.ndarray, mus: np.ndarray, resid: np.ndarray, var: np.nda
     return log_resp
 
 
-def gmm_responsibilities(params: GMMDenoiserParams, x: np.ndarray,
-                         c: np.ndarray, alpha_bar: float) -> np.ndarray:
-    """Posterior component weights of x_t under the noised mixture."""
-    resp = _noised_mixture(params, x, c, alpha_bar)[3]
-    if resp is None:
-        raise ParameterError(
-            "degenerate mixture (zero marginal variance) at alpha_bar = 1")
-    return resp
-
-
-def gmm_posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
-                       c: np.ndarray, alpha_bar: float) -> np.ndarray:
+def _posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
+                    c: np.ndarray, a: float) -> np.ndarray:
     """Bayes-optimal E[x_0 | x_t, c] for the mixture data law.
 
     Each component contributes its joint-Gaussian regression mean
     mu_k + sqrt(a)*s2_k / (a*s2_k + 1 - a) * (x - sqrt(a)*mu_k), weighted by
     its responsibility.
     """
-    return _in_float_range("posterior mean", alpha_bar,
-                           lambda: _posterior_mean(params, x, c, alpha_bar))
-
-
-def _posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
-                    c: np.ndarray, alpha_bar: float) -> np.ndarray:
-    mus, var, resid, resp = _noised_mixture(params, x, c, alpha_bar)
-    if resp is None:
-        if params.k == 1:
-            return mus[0].copy()
-        raise ParameterError(
-            "degenerate mixture (zero marginal variance) with K > 1 at alpha_bar = 1")
-    shrink = math.sqrt(float(alpha_bar)) * params.variances / var  # (K,)
+    mus, var, resid, resp = _noised_mixture(params, x, c, a)
+    shrink = math.sqrt(a) * params.variances / var  # (K,)
     return resp @ (mus + shrink[:, None] * resid)
 
 
@@ -251,20 +226,16 @@ def predict_noise(params: GMMDenoiserParams, x: np.ndarray,
     """Optimal noise prediction for the mixture data law.
 
     eps = (x - sqrt(a) * E[x_0 | x, c]) / sqrt(1 - a); undefined at a = 1.
+    An overflow anywhere in it is a ParameterError.
     """
-    a = _check_alpha_bar(alpha_bar, allow_one=False)
+    a = _check_alpha_bar(alpha_bar)
     x = np.asarray(x, dtype=np.float64)
-    return _in_float_range("noise prediction", a, lambda: (
-        x - math.sqrt(a) * _posterior_mean(params, x, c, a)) / math.sqrt(1.0 - a))
-
-
-def _in_float_range(what: str, a: float, compute: Callable[[], np.ndarray]) -> np.ndarray:
-    """``compute()``; an overflow anywhere in it is a ParameterError naming ``what``."""
     try:  # raising on overflow costs less than checking the result
         with np.errstate(over="raise"):
-            return compute()
+            return (x - math.sqrt(a) * _posterior_mean(params, x, c, a)) / math.sqrt(1.0 - a)
     except FloatingPointError:
-        raise ParameterError(f"{what} exceeds the float range at alpha_bar = {a}") from None
+        raise ParameterError(
+            f"noise prediction exceeds the float range at alpha_bar = {a}") from None
 
 
 def gmm_log_density(params: GMMDenoiserParams, x: np.ndarray,
@@ -329,7 +300,7 @@ class GMMDenoiser(Denoiser):
         taken once per oracle.
         """
         p = self.params
-        a = _check_alpha_bar(alpha_bar, allow_one=False)
+        a = _check_alpha_bar(alpha_bar)
         X = np.asarray(X, dtype=np.float64)
         level, consts = self._level
         if level != a:

@@ -51,33 +51,14 @@ from .sampler import (GENERATION, ChooseEps, PathRecord, cfg_combine, effective_
 from .schedule import AlphaSchedule, TimestepGrid, omega
 
 
-def lerp(a: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
-    """w * a + (1 - w) * b; w weights the first (reference) argument.
-
-    The endpoints return the corresponding operand exactly.
-    """
-    if not 0.0 <= w <= 1.0:
-        raise ParameterError(f"interpolation weight must lie in [0, 1], got {w}")
-    if np.shape(a) != np.shape(b):
-        raise ParameterError("interpolation operands must share a shape")
-    return _blend(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), w)
-
-
 def _blend(a: np.ndarray, b: np.ndarray, w) -> np.ndarray:
-    """``lerp``'s arithmetic; ``w`` may hold per-row (n, 1) or per-entry (n, d) weights.
+    """w * a + (1 - w) * b; ``w`` weights the first (reference) operand.
 
-    A weight of exactly 1 or 0 copies its operand: ``1.0 * a + 0.0 * b`` is
-    not ``a`` where ``a`` is -0.0.
+    ``w`` may be a scalar, per-row (n, 1) or per-entry (n, d) weights, a
+    binary mask among them.  A weight of exactly 1 or 0 copies its operand:
+    ``1.0 * a + 0.0 * b`` is not ``a`` where ``a`` is -0.0.
     """
     return np.where(w == 1.0, a, np.where(w == 0.0, b, w * a + (1.0 - w) * b))
-
-
-def apply_mask(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Elementwise mask*a + (1-mask)*b for a binary mask: ``lerp`` with per-entry weights."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if np.shape(a) != np.shape(b) or np.shape(a) != mask.shape:
-        raise ParameterError("mask and operands must share a shape")
-    return _blend(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), mask)
 
 
 @dataclass(frozen=True)
@@ -151,7 +132,7 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
     """
     ab = _pair(denoiser, c_a, c_b)
     t_sample = grid.t_sample
-    d = np.asarray(x_top).size
+    d = denoiser.d
     for config in configs:
         if config.schedule.total != t_sample:
             raise ParameterError(

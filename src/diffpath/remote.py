@@ -26,7 +26,8 @@ booleans or strings) of the expected length, ``t`` is an integer and
 ``alpha_bar`` a number; a frame that breaks this gets an error reply, and a
 reply that breaks it is a :class:`MalformedFrameError` or, for numbers of
 the wrong shape, a :class:`DimensionMismatchError`.  A request holding a NaN
-or infinite number is a :class:`ParameterError` and sends no frame.
+or infinite number, or a latent or condition of the wrong width, is a
+:class:`ParameterError` and sends no frame.
 
 Floats survive the trip exactly because JSON rendering uses shortest
 round-trip representations, so a loopback server wrapping the in-process
@@ -333,6 +334,8 @@ class RemoteDenoiser(Denoiser):
     def predict_noise(self, x: np.ndarray, c: np.ndarray,
                       alpha_bar: float, t: int) -> np.ndarray:
         x = _finite_latents(x, "latent x")
+        if x.shape != (self.d,):
+            raise ParameterError(f"latent x must have shape ({self.d},), got {x.shape}")
         c = _condition_matrix(c, None, self.m)
         reply = self._round_trip({
             "op": "predict_noise",
@@ -349,8 +352,8 @@ class RemoteDenoiser(Denoiser):
         X = _finite_latents(X, "latents X")
         if not (self.batched and len(X)):
             return super().predict_noise_batch(X, C, alpha_bar, t)
-        if X.ndim != 2:
-            raise ParameterError(f"latents must be rows (N, d), got shape {X.shape}")
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ParameterError(f"latents must be rows (N, {self.d}), got shape {X.shape}")
         C = _condition_matrix(C, len(X), self.m)
         reply = self._round_trip({
             "op": "predict_noise_batch",

@@ -43,38 +43,9 @@ GENERATION = "generation"
 INVERSION = "inversion"
 
 
-def f_theta(x_t: np.ndarray, eps: np.ndarray, alpha_bar_t: float) -> np.ndarray:
-    """Predicted clean latent implied by (x_t, eps) at level alpha_bar_t."""
-    a = float(alpha_bar_t)
-    if not 0.0 < a <= 1.0:
-        raise ParameterError(f"alpha_bar_t must lie in (0, 1], got {a}")
-    return (x_t - np.sqrt(1.0 - a) * eps) / np.sqrt(a)
-
-
-def ddim_step(x_t: np.ndarray, eps: np.ndarray,
-              alpha_bar_t: float, alpha_bar_prev: float) -> np.ndarray:
-    """One deterministic update from level alpha_bar_t down to alpha_bar_prev.
-
-    The walks do not call this: their step table checks a grid's levels and
-    takes their square roots once per walk, and every hop of a step then
-    runs ``_hop`` on all rows at once.  This checks its two levels and makes
-    the same hop, so, being elementwise, each walk row gets its bits.
-    """
-    a_t = float(alpha_bar_t)
-    a_prev = float(alpha_bar_prev)
-    if not 0.0 < a_t < 1.0:
-        raise ParameterError(f"alpha_bar_t must lie in (0, 1), got {a_t}")
-    if not 0.0 < a_prev <= 1.0:
-        raise ParameterError(f"alpha_bar_prev must lie in (0, 1], got {a_prev}")
-    if a_prev < a_t:
-        raise ParameterError(
-            f"schedule order violated: alpha_bar_prev={a_prev} < alpha_bar_t={a_t}")
-    return _hop(_Step.at(0, 0, a_t, a_prev), x_t, eps, GENERATION)
-
-
 def effective_noise(x_t: np.ndarray, x_prev: np.ndarray,
                     alpha_bar_t: float, alpha_bar_prev: float) -> np.ndarray:
-    """Solve ddim_step(x_t, eps, a_t, a_prev) = x_prev for eps.
+    """Solve the update from level a_t down to a_prev, which lands on x_prev, for eps.
 
     The update is affine in eps with slope
     gamma = sqrt(1 - a_prev) - sqrt(a_prev * (1 - a_t) / a_t), which is
@@ -224,8 +195,9 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     C = _condition_matrix(conditions, len(starts), denoiser.m)
     choose = choose or (lambda i, step, X, predict: predict(X, C))
     X = np.array(starts, dtype=np.float64)
-    if X.ndim != 2:
-        raise ParameterError("latent must be a vector")
+    if X.shape[1:] != (denoiser.d,):
+        raise ParameterError(f"latent must be a vector of {denoiser.d} entries, "
+                             f"got shape {X.shape[1:]}")
     if not np.isfinite(X).all():
         raise ParameterError("latent entries must be finite")
     latents, noises = [X], []

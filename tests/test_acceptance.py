@@ -15,7 +15,7 @@ import pytest
 
 from diffpath.config import ManipulationConfig, RunConfig, canonical_json
 from diffpath.denoiser import GMMDenoiser, GMMDenoiserParams
-from diffpath.edits import lerp, prompt_switch, run_edit
+from diffpath.edits import prompt_switch, run_edit
 from diffpath.metrics import inversion_report, run_sweep, score_edit
 from diffpath.output import sweep_table_csv
 from diffpath.presets import demo_config_dict
@@ -25,6 +25,7 @@ from diffpath.sampler import cfg_combine, ddim_invert, generate, null_text_inver
 from diffpath.schedule import ScheduleSpec, omega
 from conftest import single_gaussian
 from mc_oracle import mc_predict_noise
+from references import gmm_posterior_mean, lerp
 
 SEED = 20240
 
@@ -169,7 +170,6 @@ def test_criterion_05_oracle_vs_monte_carlo(demo):
             assert err <= 0.02, f"point {point}: {err:.4%}"
 
         # degenerate and symmetric cases are exact
-        from diffpath.denoiser import gmm_posterior_mean
         point_mass = single_gaussian(base_mean=(0.7, -0.4),
                                      cond_map=((0, 0), (0, 0)), variance=0.0)
         got = gmm_posterior_mean(point_mass.params, np.array([9.0, 9.0]),

@@ -9,6 +9,7 @@ m = 2).
 """
 
 import contextlib
+import dataclasses
 import io
 
 import numpy as np
@@ -214,6 +215,48 @@ def test_bad_condition_costs_no_call(demo, entry, bad):
     counting = CountingDenoiser(demo["denoiser"])
     with pytest.raises(ParameterError, match="conditions C"):
         CONDITION_ENTRIES[entry](counting, demo, BAD_CONDITIONS[bad])
+    assert (counting.calls, counting.rows) == (0, 0)
+
+
+NOISE_MASK = preset_config("noise-mask-demo").build_manipulation()
+
+#: every public entry point that walks from a given latent, called with ``bad`` in its place
+LATENT_ENTRIES = {
+    "generate": lambda den, demo, bad: generate(den, bad, demo["c_a"], demo["grid"],
+                                                demo["schedule"]),
+    "generate-guided": lambda den, demo, bad: generate(
+        den, bad, demo["c_a"], demo["grid"], demo["schedule"], guidance=(2.0, demo["null"])),
+    "ddim_invert": lambda den, demo, bad: ddim_invert(den, bad, demo["c_a"], demo["grid"],
+                                                      demo["schedule"]),
+    "null_text_invert": lambda den, demo, bad: null_text_invert(
+        den, bad, demo["c_a"], 2.0, demo["grid"], demo["schedule"]),
+    "run_edit": lambda den, demo, bad: run_edit(
+        den, bad, demo["c_a"], demo["c_b"], GUIDANCE, demo["grid"], demo["schedule"]),
+    "prompt_switch": lambda den, demo, bad: prompt_switch(
+        den, bad, demo["c_a"], demo["c_b"], 20, demo["grid"], demo["schedule"]),
+}
+
+#: latents of the wrong width for the demo's d = 2
+BAD_LATENTS = {"(1,)": np.zeros(1), "(3,)": np.zeros(3)}
+
+
+@pytest.mark.parametrize("bad", BAD_LATENTS)
+@pytest.mark.parametrize("entry", LATENT_ENTRIES)
+def test_bad_latent_width_costs_no_call(demo, entry, bad):
+    counting = CountingDenoiser(demo["denoiser"])
+    with pytest.raises(ParameterError, match="latent must be a vector of 2 entries"):
+        LATENT_ENTRIES[entry](counting, demo, BAD_LATENTS[bad])
+    assert (counting.calls, counting.rows) == (0, 0)
+
+
+@pytest.mark.parametrize("bad", BAD_LATENTS)
+def test_mask_of_the_latents_width_is_checked_against_the_denoiser(demo, bad):
+    # a mask as wide as a wrong latent is still not as wide as the denoiser's
+    counting = CountingDenoiser(demo["denoiser"])
+    manip = dataclasses.replace(NOISE_MASK, mask=np.ones(BAD_LATENTS[bad].size))
+    with pytest.raises(ParameterError, match="mask must be a vector of dimension 2"):
+        run_edit(counting, BAD_LATENTS[bad], demo["c_a"], demo["c_b"], manip, demo["grid"],
+                 demo["schedule"])
     assert (counting.calls, counting.rows) == (0, 0)
 
 

@@ -569,6 +569,22 @@ class TestProtocolErrors:
         assert [json.loads(line)["op"] for line in transport.sent] == ["hello"]
 
     @pytest.mark.parametrize("mode", ["serve", "oracle"])
+    def test_latents_of_the_wrong_width_send_no_frame(self, fake_server, config_file, demo,
+                                                      mode):
+        transport = _recorded_peer(fake_server, config_file, mode)
+        C = np.array([demo["c_a"]] * 2)
+        # a batch peer checks the rows; the per-row loop checks each latent
+        rows = (r"latents must be rows \(N, 2\)" if mode == "serve"
+                else r"latent x must have shape \(2,\)")
+        with RemoteDenoiser(transport, d=2, m=2, timeout=30.0) as remote:
+            for width in (1, 3):
+                with pytest.raises(ParameterError, match=rows):
+                    remote.predict_noise_batch(np.zeros((2, width)), C, 0.5, 640)
+                with pytest.raises(ParameterError, match=r"latent x must have shape \(2,\)"):
+                    remote.predict_noise(np.zeros(width), demo["c_a"], 0.5, 640)
+        assert [json.loads(line)["op"] for line in transport.sent] == ["hello"]
+
+    @pytest.mark.parametrize("mode", ["serve", "oracle"])
     def test_non_finite_latents_send_no_frame(self, fake_server, config_file, demo, mode):
         # strict JSON has no NaN or Infinity, and 1e309 overflows to infinity
         transport = _recorded_peer(fake_server, config_file, mode)
