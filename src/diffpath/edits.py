@@ -46,8 +46,7 @@ import numpy as np
 from .config import _CAM_HOOKS, _MASKED_KINDS, ManipulationConfig, validate_mask
 from .denoiser import Denoiser, _condition_matrix
 from .errors import DenoiserError, ParameterError
-from .sampler import (GENERATION, ChooseEps, PathRecord, cfg_combine, effective_noise, _hop,
-                      _Step, _walk)
+from .sampler import ChooseEps, PathRecord, cfg_combine, effective_noise, _hop, _Step, _walk
 from .schedule import AlphaSchedule, TimestepGrid, omega
 
 
@@ -272,7 +271,7 @@ def _edit_noises(configs: Sequence[ManipulationConfig], ab: np.ndarray, n_pure: 
                     eps_hook = _hook_noise(name, ctx, X.shape[1:])
                     # where the evolving latent is the reference, the hook's noise steps it
                     E[named] = eps_hook
-                    target = _hop(step, x_ref, eps_hook, GENERATION)
+                    target = _hop(step, x_ref, eps_hook)
                     _settle(E, X[named], named, np.broadcast_to(target, (len(named), d)),
                             (X[named] == x_ref).all(axis=1), step)
                 continue
@@ -283,9 +282,9 @@ def _edit_noises(configs: Sequence[ManipulationConfig], ab: np.ndarray, n_pure: 
             else:
                 E[rows] = got
             if kind == "latent_interp":
-                stepped = _hop(step, X[rows], got, GENERATION)
+                stepped = _hop(step, X[rows], got)
                 # the reference row's hop of this step, as the walk will take it
-                ref_next = _hop(step, x_ref, eps_ref, GENERATION)
+                ref_next = _hop(step, x_ref, eps_ref)
                 mixed = _blend(ref_next, stepped, blend[rows, i])
                 # a no-op blend keeps the directly predicted noise so the step is
                 # identical to plain denoising

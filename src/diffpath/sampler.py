@@ -1,25 +1,25 @@
 """Deterministic sampling, inversion, and guided-regeneration optimization.
 
-One sampling step maps x_t to x_{t-1} with
+One hop moves a latent from one level of the schedule to another with
 
-    x_{t-1} = sqrt(a_prev) * f(x_t, eps, a_t) + sqrt(1 - a_prev) * eps,
-    f(x_t, eps, a_t) = (x_t - sqrt(1 - a_t) * eps) / sqrt(a_t),
+    x_to = sqrt(a_to) * f(x, eps, a_from) + sqrt(1 - a_to) * eps,
+    f(x, eps, a_from) = (x - sqrt(1 - a_from) * eps) / sqrt(a_from),
 
-where a is the cumulative signal factor of the step's training index and
-``f`` is the clean latent implied by the pair (x_t, eps).  Inversion walks
-the same grid upward, predicting the noise at the target level of each hop
-(evaluating at the current level would hit the undefined a = 1 endpoint on
-the very first hop from clean data).
+where a is the cumulative signal factor of a training index and ``f`` is
+the clean latent implied by the pair (x, eps).  Generation hops down the
+grid; inversion runs the same update up it, predicting the noise at the
+target level of each hop (evaluating at the current level would hit the
+undefined a = 1 endpoint on the very first hop from clean data).
 
 Every pass over a grid goes through one private stepping core, ``_walk``.
 It builds the grid's step table once (training level, sampling step, the
-two signal factors of each position and their square roots, its levels
-checked once per walk) and walks it in either direction for N rows in
-lock-step.  ``_hop`` is the one hop arithmetic, with the roots from the
-table.  The rows' latents are one (N, d) array, and each step is one hop
-of all of them: the update is elementwise, so every row gets the bits of a
-walk of its own.  A callback ``choose(i, step, X, predict)`` returns the
-step's noises, applying its operators to whole groups of rows.
+two signal factors of each position and the roots of the levels each hop
+leaves and lands on, its levels checked once per walk) and walks it for N
+rows in lock-step.  ``_hop`` is the one hop arithmetic for both directions.
+The rows' latents are one (N, d) array, and each step is one hop of all of
+them: the update is elementwise, so every row gets the bits of a walk of
+its own.  A callback ``choose(i, step, X, predict)`` returns the step's
+noises, applying its operators to whole groups of rows.
 ``predict(latents, conditions)`` is one ``predict_noise_batch`` call that
 pairs each row of one condition matrix (N, m) with a latent (the rows'
 own, or others, such as the reference path's).  Guided generation,
@@ -76,7 +76,8 @@ class PathRecord:
     the order is ascending and ``latents[i]`` sits at sampling index i.  Each
     ``noises[i]`` is the prediction consumed by the hop from ``latents[i]`` to
     ``latents[i+1]``, so replaying the hops reproduces the stored latents
-    exactly.  Entries and ``condition`` are read-only (a walk's are views).
+    exactly.  A walk's entries and ``condition`` are read-only views of its
+    buffers; a record built by hand keeps the arrays it is given.
     """
 
     grid: TimestepGrid
@@ -92,9 +93,6 @@ class PathRecord:
             raise ParameterError("need exactly one more latent than noise entries")
         if len(self.noises) != self.grid.t_sample:
             raise ParameterError("trajectory length must match the grid")
-        for arr in (*self.latents, *self.noises):
-            if arr.flags.writeable:
-                arr.setflags(write=False)
 
     @property
     def x0(self) -> np.ndarray:
@@ -109,65 +107,65 @@ class PathRecord:
     def replay_errors(self, schedule: AlphaSchedule) -> np.ndarray:
         """Max-abs replay residual per hop; all-zero for a consistent record."""
         steps = _step_table(self.grid, schedule, self.direction)
-        return np.array([np.max(np.abs(_hop(step, x, eps, self.direction) - after))
+        return np.array([np.max(np.abs(_hop(step, x, eps) - after))
                          for step, x, eps, after in
                          zip(steps, self.latents, self.noises, self.latents[1:])])
 
 
 class _Step(NamedTuple):
-    """One grid position: a generation hop from ``level`` down to the next level.
+    """One hop of a walk, between ``level`` and the level one grid position below it.
 
-    It holds the hop's two signal factors and their four square roots, taken
-    once per walk with ``math.sqrt``, which rounds correctly as ``np.sqrt`` does.
+    ``a_t`` is the signal factor at ``level``, where the noise is predicted,
+    and ``a_prev`` the factor one level down.  The ``from`` roots belong to
+    the level the hop leaves and the ``to`` roots to the level it lands on:
+    generation goes from a_t to a_prev, inversion from a_prev to a_t.
     """
 
     level: int
     sampling_step: int
     a_t: float
     a_prev: float
-    root_t: float  # sqrt(a_t)
-    noise_t: float  # sqrt(1 - a_t)
-    root_prev: float  # sqrt(a_prev)
-    noise_prev: float  # sqrt(1 - a_prev)
-
-    @classmethod
-    def at(cls, level: int, sampling_step: int, a_t: float, a_prev: float) -> _Step:
-        return cls(level, sampling_step, a_t, a_prev, math.sqrt(a_t), math.sqrt(1.0 - a_t),
-                   math.sqrt(a_prev), math.sqrt(1.0 - a_prev))
+    root_from: float  # sqrt(a) of the level the hop leaves
+    noise_from: float  # sqrt(1 - a) of that level
+    root_to: float  # sqrt(a) of the level the hop lands on
+    noise_to: float  # sqrt(1 - a) of that level
 
 
 def _step_table(grid: TimestepGrid, schedule: AlphaSchedule,
                 direction: str) -> tuple[_Step, ...]:
-    """The grid's positions in walk order, each with its two signal factors and their roots.
+    """The grid's hops in walk order; inversion's run bottom up, each with its roots swapped.
 
-    ``AlphaSchedule`` (non-increasing within (0, 1]) and ``TimestepGrid``
-    (strictly decreasing, >= 1) order every level already.  What they leave
-    open is checked here, once per walk in either direction: the grid's top
-    must lie on the schedule, and its lowest level, the least noisy, must
-    hold noise (alpha_bar < 1), so every level does.
+    Each level's ``alpha_bar`` is read once and its two roots taken once with
+    ``math.sqrt``, which rounds correctly as ``np.sqrt`` does.  ``AlphaSchedule``
+    (non-increasing in (0, 1]) and ``TimestepGrid`` (strictly decreasing, >= 1)
+    order every level already; what they leave open is checked here, once per
+    walk: the grid's top must lie on the schedule, and its lowest level, the
+    least noisy, must hold noise (alpha_bar < 1), so every level does.
     """
     levels = grid.steps
     if levels[0] > schedule.t_train:
         raise ParameterError(f"grid top {levels[0]} exceeds schedule length {schedule.t_train}")
-    table = tuple(map(_Step.at, levels, range(grid.t_sample, 0, -1), map(schedule.at, levels),
-                      map(schedule.at, (*levels[1:], 0))))
-    if table[-1].a_t == 1.0:
+    alphas = [*map(schedule.at, levels), schedule.at(0)]
+    if alphas[-2] == 1.0:
         raise ParameterError(f"grid level {levels[-1]} has alpha_bar = 1: it holds no noise")
-    return table if direction == GENERATION else table[::-1]
-
-
-def _hop(step: _Step, x: np.ndarray, eps: np.ndarray, direction: str) -> np.ndarray:
-    """Generation steps down from ``step.level``; inversion climbs up to it.
-
-    Either way the latent moves through the clean latent ``f`` the pair
-    (x, eps) implies at the level it leaves.
-    """
+    roots = [(math.sqrt(a), math.sqrt(1.0 - a)) for a in alphas]
+    hops = zip(levels, range(grid.t_sample, 0, -1), alphas, alphas[1:], roots, roots[1:])
     if direction == GENERATION:
-        if step.a_prev == step.a_t:
-            # algebraic fixed point: no noise is removed
-            return x + 0.0 * eps
-        return step.root_prev * ((x - step.noise_t * eps) / step.root_t) + step.noise_prev * eps
-    return step.root_t * ((x - step.noise_prev * eps) / step.root_prev) + step.noise_t * eps
+        return tuple(_Step(*pos, *upper, *lower) for *pos, upper, lower in hops)
+    return tuple(_Step(*pos, *lower, *upper) for *pos, upper, lower in hops)[::-1]
+
+
+def _hop(step: _Step, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Move ``x`` from the level ``step`` leaves to the level it lands on.
+
+    The latent passes through the clean latent ``f`` the pair (x, eps)
+    implies at the level it leaves.  Across a flat stretch of the schedule
+    it comes through bit for bit, in either direction.
+    """
+    if step.a_prev == step.a_t:
+        # algebraic fixed point: no noise is removed or added
+        return x + 0.0 * eps
+    return step.root_to * ((x - step.noise_from * eps) / step.root_from) + step.noise_to * eps
 
 
 #: a step's callback ``choose(i, step, X, predict)``: returns the noises of all
@@ -203,7 +201,7 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     latents, noises = [X], []
     for i, step in enumerate(_step_table(grid, schedule, direction)):
         eps = choose(i, step, X, functools.partial(_predict_rows, denoiser, step=step))
-        X = _hop(step, X, eps, direction)
+        X = _hop(step, X, eps)
         noises.append(eps)
         latents.append(X)
     latents, noises = np.stack(latents, axis=1), np.stack(noises, axis=1)
@@ -364,7 +362,7 @@ def null_text_invert(denoiser: Denoiser, x0: np.ndarray, c: np.ndarray,
             guided = eps_c - eps_null  # cfg_combine, broadcast and in place
             guided *= beta
             guided += eps_c
-            resid = _hop(step, x, guided, GENERATION)
+            resid = _hop(step, x, guided)
             resid -= target
             scores = np.vecdot(resid, resid)
             return float(scores[0]), scores[1:]

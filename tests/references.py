@@ -6,9 +6,11 @@
     f(x_t, eps, a_t) = (x_t - sqrt(1 - a_t) * eps) / sqrt(a_t),
 
 so a walk compared with them bit for bit is checked against a second,
-separate computation.  The others are thin wrappers over the private engine
-code they exercise, looked up through its module when called, so that a
-monkeypatch of that code reaches them.  None checks its arguments.
+separate computation.  Inversion hops are checked against ``ddim_step``
+too, run upward: from the level a hop leaves to the level it lands on.
+The others are thin wrappers over the private engine code they exercise,
+looked up through its module when called, so that a monkeypatch of that
+code reaches them.  None checks its arguments.
 """
 
 import numpy as np

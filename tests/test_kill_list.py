@@ -130,14 +130,22 @@ def _einsum_losses(monkeypatch):
 
 
 def _stale_root(monkeypatch):
-    """The step table takes each hop's sqrt(a_prev) from a_t."""
+    """The step table takes each hop's landing root from the level it leaves."""
     table = sampler._step_table
 
     def mutant(grid, schedule, direction):
-        return tuple(step._replace(root_prev=step.root_t)
+        return tuple(step._replace(root_to=step.root_from)
                      for step in table(grid, schedule, direction))
 
     monkeypatch.setattr(sampler, "_step_table", mutant)
+
+
+def _hop_without_flat_branch(monkeypatch):
+    """``_hop`` takes a flat stretch of the schedule through the update's formula."""
+    def mutant(step, x, eps):
+        return step.root_to * ((x - step.noise_from * eps) / step.root_from) + step.noise_to * eps
+
+    monkeypatch.setattr(sampler, "_hop", mutant)
 
 
 def _narrow_tags(monkeypatch):
@@ -269,6 +277,11 @@ KILLS = {
         _einsum_losses, test_sampler.test_null_text_bytes_are_pinned, AssertionError),
     "stale-root/affine-recursion": (
         _stale_root, test_sampler.TestGenerate().test_affine_recursion_oracle, AssertionError),
+    "hop-without-flat-branch/inverted-flat-stretch": (
+        _hop_without_flat_branch,
+        functools.partial(test_sampler.TestDdimStep().test_equal_levels_fixed_point,
+                          walk=sampler.ddim_invert),
+        AssertionError),
     "narrow-tags/guidance-counts": (
         _narrow_tags, functools.partial(test_call_counts.test_run_sweep, kind="guidance"),
         AssertionError),

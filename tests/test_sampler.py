@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diffpath.config import KINDS
 from diffpath.denoiser import Denoiser, GMMDenoiser, GMMDenoiserParams
-from diffpath.edits import prompt_switch, prompt_switches, run_edit
+from diffpath.edits import prompt_switch, prompt_switches, run_edit, run_edits
 from diffpath.errors import DenoiserError, ParameterError
 from diffpath.sampler import (GENERATION, INVERSION, PathRecord, cfg_combine,
                               ddim_invert, effective_noise, generate, null_text_invert)
@@ -43,14 +43,21 @@ class TestDdimStep:
         x, eps = np.array([1.4, -0.3]), np.array([0.2, 0.9])
         assert np.array_equal(ddim_step(x, eps, 0.37, 1.0), f_theta(x, eps, 0.37))
 
-    def test_equal_levels_fixed_point(self):
-        # a flat stretch of the schedule: the walk's hop from level 3 to level
-        # 2 removes no noise, so the latent comes through it bit for bit (from
-        # this start, the update's formula would move both entries by an ulp)
+    @pytest.mark.parametrize("walk", [generate, ddim_invert])
+    def test_equal_levels_fixed_point(self, walk):
+        # a flat stretch of the schedule: the hop between levels 3 and 2
+        # removes or adds no noise, so either walk takes the latent through it
+        # bit for bit (from these starts, the update's formula would move it
+        # by an ulp); generation's latent at level 3 is latents[1], inversion's
+        # latents[3], and both walks' latent at level 2 is latents[2]
         sched = AlphaSchedule(np.array([1.0, 0.9, 0.37, 0.37, 0.2]))
-        path = generate(single_gaussian(), np.array([0.109, 4.105]), C_A,
-                        TimestepGrid((4, 3, 2, 1)), sched)
-        assert path.latents[2].tobytes() == path.latents[1].tobytes()
+        start, at_3 = {generate: ((0.109, 4.105), 1), ddim_invert: ((0.211, -1.861), 3)}[walk]
+        path = walk(single_gaussian(), np.array(start), C_A, TimestepGrid((4, 3, 2, 1)), sched)
+        level_3, level_2 = path.latents[at_3], path.latents[2]
+        assert level_3.tobytes() == level_2.tobytes()
+        # so generating down from level 3 comes back to the walk's level-2 latent
+        back = generate(single_gaussian(), level_3, C_A, TimestepGrid((3, 2, 1)), sched)
+        assert back.latents[1].tobytes() == level_2.tobytes()
 
     def test_scalar_value(self):
         # independent evaluation of the update:
@@ -239,23 +246,35 @@ class TestPathRecord:
             assert np.flatnonzero(errs).tolist() == [6, 7], direction
 
     def test_a_walks_records_are_read_only_views_of_one_buffer(self, demo):
-        # prompt_switches walks its records together; each record's latents
-        # are views into the walk's one latent buffer, its noises into the
-        # noise buffer
-        records = prompt_switches(demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_b"],
-                                  (0, 10, GRID.t_sample), GRID, SCHED)
-        latents, noises = records[0].latents[0].base, records[0].noises[0].base
-        assert latents.shape == (3, GRID.t_sample + 1, 2)
-        assert noises.shape == (3, GRID.t_sample, 2)
-        for record in records:
-            assert type(record.latents) is tuple and type(record.noises) is tuple
-            for buffer, rows in ((latents, record.latents), (noises, record.noises)):
-                assert all(row.base is buffer and np.shares_memory(row, buffer)
-                           for row in rows)
-                assert not buffer.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    rows[3][0] = 1.0
-        assert not np.shares_memory(latents, noises)
+        # every entry point's records of one walk: each record's latents are
+        # views into the walk's one latent buffer (N, T+1, d), its noises into
+        # the noise buffer (N, T, d)
+        den, x_top, c_a, c_b = demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_b"]
+        manips = [preset_config(name).build_manipulation()
+                  for name in ("noise-interp-local", "guidance-default")]
+        results = run_edits(den, x_top, c_a, c_b, manips, GRID, SCHED)
+        walks = {
+            "prompt_switches": (3, prompt_switches(den, x_top, c_a, c_b,
+                                                   (0, 10, GRID.t_sample), GRID, SCHED)),
+            "generate": (1, [generate(den, x_top, c_a, GRID, SCHED)]),
+            "ddim_invert": (1, [ddim_invert(den, x_top, c_a, GRID, SCHED)]),
+            # two passes, then the pure rows under c_a and c_b
+            "run_edits": (4, [*(res.path for res in results), results[0].path_a,
+                              results[0].path_b]),
+        }
+        for walk, (n, records) in walks.items():
+            latents, noises = records[0].latents[0].base, records[0].noises[0].base
+            assert latents.shape == (n, GRID.t_sample + 1, 2), walk
+            assert noises.shape == (n, GRID.t_sample, 2), walk
+            for record in records:
+                assert type(record.latents) is tuple and type(record.noises) is tuple
+                for buffer, rows in ((latents, record.latents), (noises, record.noises)):
+                    assert all(row.base is buffer and np.shares_memory(row, buffer)
+                               for row in rows), walk
+                    assert not buffer.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        rows[3][0] = 1.0
+            assert not np.shares_memory(latents, noises)
 
     def test_endpoint_accessors(self, demo):
         path = generate(demo["denoiser"], demo["x_top"], demo["c_a"], GRID, SCHED)
@@ -287,6 +306,15 @@ class TestInversion:
         inv = ddim_invert(demo["denoiser"], x0, demo["c_a"], GRID, SCHED)
         assert inv.direction == INVERSION
         assert inv.replay_errors(SCHED).max() == 0.0
+
+    def test_hops_are_the_update_run_upward(self, demo):
+        # every hop equals the reference formula from the level it leaves to
+        # the level it lands on, bit for bit
+        inv = ddim_invert(demo["denoiser"], np.array([0.3, -0.2]), demo["c_a"], GRID, SCHED)
+        alphas = [SCHED.at(level) for level in (0, *GRID.steps[::-1])]
+        for i, (x, eps) in enumerate(zip(inv.latents, inv.noises)):
+            stepped = ddim_step(x, eps, alphas[i], alphas[i + 1])
+            assert stepped.tobytes() == inv.latents[i + 1].tobytes(), i
 
     def test_round_trip_error_small(self, demo):
         gen = np.random.Generator(np.random.Philox(key=77))
