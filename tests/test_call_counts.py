@@ -15,9 +15,9 @@ import io
 import numpy as np
 import pytest
 
-from diffpath import cli
+from diffpath import cli, denoiser
 from diffpath.config import RunConfig
-from diffpath.denoiser import Denoiser, gmm_log_density
+from diffpath.denoiser import Denoiser, GMMDenoiser, gmm_log_density
 from diffpath.edits import prompt_switch, run_edit
 from diffpath.errors import ParameterError
 from diffpath.metrics import inversion_report, run_sweep
@@ -140,6 +140,42 @@ def test_run_edit(demo, count, kind):
 def test_run_sweep(count, kind):
     config = preset_config(KIND_PRESETS[kind])
     assert count(lambda den: run_sweep(den, config, WINDOW_AXES)) == RUN_SWEEP_COUNTS[kind]
+
+
+@pytest.fixture()
+def level_builds(monkeypatch):
+    """The levels the oracle checks, one per level whose constants it builds."""
+    levels = []
+    check = denoiser._check_alpha_bar
+
+    def spy(alpha_bar):
+        levels.append(alpha_bar)
+        return check(alpha_bar)
+
+    monkeypatch.setattr(denoiser, "_check_alpha_bar", spy)
+    return levels
+
+
+def test_null_text_op_builds_each_level_once_per_oracle(demo, level_builds):
+    # null-text inversion at 10 iterations, then the guided regeneration: the
+    # inversion builds the grid's 50 levels; the tuning, the regeneration and
+    # a second op on the same oracle only read them
+    x0 = generate(demo["denoiser"], demo["x_top"], demo["c_a"], demo["grid"],
+                  demo["schedule"]).x0
+    den = GMMDenoiser(demo["params"])
+    for builds in (50, 0):
+        level_builds.clear()
+        tuned = null_text_invert(den, x0, demo["c_a"], 2.0, demo["grid"], demo["schedule"],
+                                 iterations=10)
+        generate(den, demo["x_top"], demo["c_a"], demo["grid"], demo["schedule"],
+                 guidance=(2.0, tuned.embeddings))
+        assert (len(level_builds), len(set(level_builds))) == (builds, builds)
+
+
+def test_sweep_builds_each_level_once(level_builds):
+    config = preset_config("noise-interp-local")
+    run_sweep(GMMDenoiser(config.model), config, WINDOW_AXES)
+    assert (len(level_builds), len(set(level_builds))) == (50, 50)
 
 
 @pytest.fixture()

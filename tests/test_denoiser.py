@@ -1,12 +1,14 @@
+import math
 import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from diffpath import denoiser
 from diffpath.denoiser import (Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density,
                                predict_noise)
 from diffpath.errors import ParameterError
@@ -223,27 +225,95 @@ def batch_cases(draw):
     return params, X, C, a
 
 
+def _zero_log_normaliser(weights, variance, d, a):
+    """``variance`` with its first entry moved by the fewest ulps that make component
+    0's log normaliser exactly 0 at level ``a``, as the oracle forms it; else None."""
+    lo = hi = variance[0]
+    for _ in range(300):
+        for v0 in (lo, hi):
+            var = a * np.concatenate([[v0], variance[1:]]) + (1.0 - a)
+            if (np.log(weights) - 0.5 * d * np.log(2.0 * np.pi * var))[0] == 0.0:
+                return np.concatenate([[v0], variance[1:]])
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return None
+
+
+@st.composite
+def tiny_distance_cases(draw):
+    """Rows at a zero, subnormal or overflowing squared distance from some component.
+
+    Component 0 has a log normaliser of exactly 0 at the level, so nothing
+    absorbs its subnormal distances; it and component 1 have means near
+    1e-155, close enough to 0 that a row within 1e-160 of sqrt(a) * mean
+    is not rounded onto it, and component 2 sits near 1e170.
+    """
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d, m = draw(st.integers(3, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12))
+    raw = gen.uniform(0.2, 1.0, size=k)
+    weights = raw / raw.sum()
+    # the variance of component 0 that makes 2*pi*var_0 = w_0^(2/d), and a level it can reach
+    target = math.exp(2.0 * math.log(weights[0]) / d) / (2.0 * math.pi)
+    a = 1.0 - gen.uniform(0.05, 0.95) * target
+    variances = gen.uniform(0.0, 2.0, size=k)
+    variances[0] = (target - (1.0 - a)) / a
+    variances = _zero_log_normaliser(weights, variances, d, a)
+    assume(variances is not None)
+    base_means = gen.normal(size=(k, d)) * 3.0
+    base_means[:2] *= 1e-155
+    base_means[2] *= 1e170
+    maps = gen.normal(size=(k, d, m))
+    maps[:3] = 0.0
+    params = GMMDenoiserParams(weights=weights, base_means=base_means, condition_maps=maps,
+                               variances=variances)
+    C = gen.normal(size=(n, m))
+    X = gen.normal(size=(n, d))
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["zero", "subnormal", "plain"]),
+                                           min_size=n, max_size=n))):
+        if kind == "zero":
+            X[i] = math.sqrt(a) * params.component_means(C[i])[draw(st.integers(0, k - 1))]
+        elif kind == "subnormal":
+            X[i] = math.sqrt(a) * params.base_means[draw(st.integers(0, 1))] \
+                + gen.uniform(-1e-160, 1e-160, size=d)
+    # every row overflows component 2's distance; one far out overflows every
+    # component's, which sends the call through the per-row oracle
+    if draw(st.integers(0, 3)) == 0:
+        X[draw(st.integers(0, n - 1))] = gen.choice([-1.0, 1.0], size=d) * 10.0 ** gen.uniform(
+            154.0, 308.0)
+    return params, X, C, a
+
+
+def _assert_batch_is_per_row(params, X, C, a):
+    den = GMMDenoiser(params)
+    try:
+        rows = [den.predict_noise(x, c, a, 7) for x, c in zip(X, C)]
+    except ParameterError as err:
+        # a noise beyond the float range: the batch fails the same way, in the same words
+        try:
+            den.predict_noise_batch(X, C, a, 7)
+        except ParameterError as got:
+            assert (type(got), str(got)) == (type(err), str(err))
+        else:
+            raise AssertionError(f"the batch did not raise {err!r}")
+        return
+    batch = den.predict_noise_batch(X, C, a, 7)
+    assert batch.shape == X.shape
+    for i, row in enumerate(rows):
+        assert np.array_equal(batch[i], row), i
+
+
 class TestPredictNoiseBatch:
     @given(case=batch_cases())
     @settings(max_examples=150, deadline=None)
     def test_rows_are_bitwise_the_per_row_oracle(self, case):
-        params, X, C, a = case
-        den = GMMDenoiser(params)
-        try:
-            rows = [den.predict_noise(x, c, a, 7) for x, c in zip(X, C)]
-        except ParameterError as err:
-            # a noise beyond the float range: the batch fails the same way, in the same words
-            try:
-                den.predict_noise_batch(X, C, a, 7)
-            except ParameterError as got:
-                assert (type(got), str(got)) == (type(err), str(err))
-            else:
-                raise AssertionError(f"the batch did not raise {err!r}")
-            return
-        batch = den.predict_noise_batch(X, C, a, 7)
-        assert batch.shape == X.shape
-        for i, row in enumerate(rows):
-            assert np.array_equal(batch[i], row), i
+        _assert_batch_is_per_row(*case)
+
+    @given(case=tiny_distance_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_tiny_and_overflowing_distances_are_the_per_row_bits(self, case):
+        # the pass divides a squared distance by 2 * var where the per-row
+        # oracle halves it first: the two differ only for a subnormal distance
+        _assert_batch_is_per_row(*case)
 
     def test_noise_beyond_the_float_range_is_a_parameter_error(self):
         # eps = x / sqrt(1 - a) is about 2.1e308 for a point mass at the origin
@@ -266,8 +336,8 @@ class TestPredictNoiseBatch:
                                                     np.array([c] * 2), a, 1)
 
     def test_interleaved_levels_are_a_fresh_oracles_bits(self, demo):
-        # the constants of the last level are kept; a call at another level
-        # must not see them, and a bad level still fails before they are read
+        # the constants of every level seen are kept; a call at one level
+        # must not see another's, and a bad level still fails
         den = GMMDenoiser(demo["params"])
         X = np.array([[0.3, -0.2], [1.5, 0.25], [-2.0, 4.0]])
         C = np.array([demo[name] for name in ("c_a", "c_b", "null")])
@@ -282,19 +352,60 @@ class TestPredictNoiseBatch:
 
     def test_level_memo_is_bounded(self, demo):
         # a long-lived server answers any level a peer sends: over 10,000
-        # distinct levels the oracle keeps its attributes and one level's
-        # constants, the last one's
+        # distinct levels the oracle keeps its attributes, and its level
+        # table holds the level just called and never more than 1,024 levels
         den = GMMDenoiser(demo["params"])
         X, C = np.array([[0.3, -0.2]]), demo["c_a"][None]
         attributes = set(vars(den))
+        sizes = set()
         for a in np.linspace(1e-4, 1.0 - 1e-4, 10_000).tolist():
             den.predict_noise_batch(X, C, a, 1)
-            level, constants = den._level
-            assert level == a and len(constants) == 5 and set(vars(den)) == attributes
+            assert a in den._levels and set(vars(den)) == attributes
+            sizes.add(len(den._levels))
+        assert max(sizes) == 1024 and min(sizes) == 1
+
+    def test_bad_levels_are_never_kept(self, demo):
+        # a bad level fails on every call, after good levels too, and never
+        # enters the level table
+        den = GMMDenoiser(demo["params"])
+        X, C = np.array([[0.3, -0.2]]), demo["c_a"][None]
+        for a in (0.3, 0.8):
+            den.predict_noise_batch(X, C, a, 1)
+        for a, error in ((0.0, ParameterError), (float("nan"), ParameterError),
+                         (1.5, ParameterError), (1.0, ZeroDivisionError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    den.predict_noise_batch(X, C, a, 1)
+        assert sorted(den._levels) == [0.3, 0.8]
+        assert den.predict_noise_batch(X, C, 0.3, 1).tobytes() \
+            == GMMDenoiser(demo["params"]).predict_noise_batch(X, C, 0.3, 1).tobytes()
+
+    def test_fallback_checks_conditions_once(self, demo, monkeypatch):
+        # a call that overflows goes row by row through the per-row oracle
+        # with the rows its own check passed: C is checked once, and the far
+        # limit and the float-range error are the per-row oracle's
+        checks = []
+        check = denoiser._condition_matrix
+        monkeypatch.setattr(denoiser, "_condition_matrix",
+                            lambda C, n, m: checks.append(n) or check(C, n, m))
+        den = GMMDenoiser(demo["params"])
+        X = np.array([[0.3, -0.2], [1e200, -3e300], [-1e300, 1e300]])
+        C = np.array([demo[name] for name in ("c_a", "c_b", "null")])
+        batch = den.predict_noise_batch(X, C, 0.5, 500)
+        assert checks == [3]
+        rows = [predict_noise(demo["params"], x, c, 0.5) for x, c in zip(X, C)]
+        assert batch.tobytes() == np.array(rows).tobytes()
+        params, x, c = _k1([0.0], [[0.0]], 0.0), np.array([3.7e307]), np.zeros(1)
+        checks.clear()
+        with pytest.raises(ParameterError) as err:
+            GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]), np.array([c] * 2),
+                                                    0.96875, 1)
+        assert checks == [2]
+        assert str(err.value) == "noise prediction exceeds the float range at alpha_bar = 0.96875"
 
     def test_threads_at_different_levels_get_their_own_bits(self, demo):
-        # the oracle is concurrent_safe: a level and its constants are read
-        # and replaced as one pair, so no call sees another level's constants
+        # the oracle is concurrent_safe: a level's constants are read and
+        # stored under that level alone, so no call sees another level's
         den = GMMDenoiser(demo["params"])
         X = np.array([[0.3, -0.2], [1.5, 0.25]])
         C = np.array([demo["c_a"], demo["c_b"]])

@@ -59,15 +59,27 @@ def _reversed_rows_at_five(monkeypatch):
 
 
 def _stale_level_memo(monkeypatch):
-    """The oracle's level memo hands its first level's constants to every later level."""
+    """The oracle's level table keeps every later level under its first level's constants."""
     batch = GMMDenoiser.predict_noise_batch
 
     def mutant(self, X, C, alpha_bar, t):
-        if self._level[1] is not None:
-            self._level = alpha_bar, self._level[1]
+        if self._levels:
+            self._levels.setdefault(float(alpha_bar), next(iter(self._levels.values())))
         return batch(self, X, C, alpha_bar, t)
 
     monkeypatch.setattr(GMMDenoiser, "predict_noise_batch", mutant)
+
+
+def _unchecked_level(monkeypatch):
+    """A level the oracle's level table misses is built and kept without ``_check_alpha_bar``."""
+    check = denoiser._check_alpha_bar
+
+    def mutant(alpha_bar):
+        if sys._getframe(1).f_code is GMMDenoiser.predict_noise_batch.__code__:
+            return float(alpha_bar)
+        return check(alpha_bar)
+
+    monkeypatch.setattr(denoiser, "_check_alpha_bar", mutant)
 
 
 def _probe_signs_swapped(monkeypatch):
@@ -258,6 +270,9 @@ KILLS = {
     "stale-level-memo/affine-recursion": (
         _stale_level_memo, test_sampler.TestGenerate().test_affine_recursion_oracle,
         AssertionError),
+    "unchecked-level/bad-levels-never-kept": (
+        _unchecked_level, test_denoiser.TestPredictNoiseBatch().test_bad_levels_are_never_kept,
+        (AssertionError, pytest.fail.Exception)),  # a bad level that returns fails pytest.raises
     "blend-without-copies/signed-zeros": (
         _blend_without_copies, test_edits.TestApplyMask().test_signed_zeros_are_copied,
         AssertionError),
