@@ -149,32 +149,6 @@ def _check_alpha_bar(alpha_bar: float) -> float:
     return a
 
 
-def _noised_mixture(params: GMMDenoiserParams, x: np.ndarray, c: np.ndarray, a: float):
-    """Means, marginal variances, residuals and responsibilities of x_t's components.
-
-    The marginal of x_t is a mixture of N(sqrt(a)*mu_k, (a*s2_k + 1 - a) I);
-    the softmax over its component log densities is evaluated after
-    subtracting the max so it is stable at any noise level.  A squared
-    distance too large for a float makes its component's log density -inf;
-    when that holds for every component, ``_far_log_resp`` takes the limit.
-    The caller has checked the condition ``c`` and the level ``a``: below 1,
-    every marginal variance is at least 1 - a > 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mus = params.condition_maps @ c + params.base_means  # (K, d), as component_means
-    var = a * params.variances + (1.0 - a)               # (K,)
-    resid = x - math.sqrt(a) * mus                       # (K, d)
-    log_norm = np.log(params.weights) - 0.5 * params.d * np.log(2.0 * np.pi * var)
-    with np.errstate(over="ignore"):
-        log_resp = log_norm - 0.5 * np.einsum("kd,kd->k", resid, resid) / var
-        peak = log_resp.max()
-        if peak == -np.inf:
-            log_resp = _far_log_resp(x, mus, resid, var, log_norm, np.sqrt(a))
-            peak = log_resp.max()
-    resp = np.exp(log_resp - peak)
-    return mus, var, resid, resp / resp.sum()
-
-
 def _far_log_resp(x: np.ndarray, mus: np.ndarray, resid: np.ndarray, var: np.ndarray,
                   log_norm: np.ndarray, sqrt_a: float) -> np.ndarray:
     """Log-responsibilities, up to a shared shift, when every squared distance overflows.
@@ -206,41 +180,6 @@ def _far_log_resp(x: np.ndarray, mus: np.ndarray, resid: np.ndarray, var: np.nda
     log_resp[tied] = log_norm[tied]
     log_resp[same] -= gap(nearest) / scale
     return log_resp
-
-
-def _posterior_mean(params: GMMDenoiserParams, x: np.ndarray,
-                    c: np.ndarray, a: float) -> np.ndarray:
-    """Bayes-optimal E[x_0 | x_t, c] for the mixture data law.
-
-    Each component contributes its joint-Gaussian regression mean
-    mu_k + sqrt(a)*s2_k / (a*s2_k + 1 - a) * (x - sqrt(a)*mu_k), weighted by
-    its responsibility.
-    """
-    mus, var, resid, resp = _noised_mixture(params, x, c, a)
-    shrink = math.sqrt(a) * params.variances / var  # (K,)
-    return resp @ (mus + shrink[:, None] * resid)
-
-
-def predict_noise(params: GMMDenoiserParams, x: np.ndarray,
-                  c: np.ndarray, alpha_bar: float) -> np.ndarray:
-    """Optimal noise prediction for the mixture data law.
-
-    eps = (x - sqrt(a) * E[x_0 | x, c]) / sqrt(1 - a); undefined at a = 1.
-    An overflow anywhere in it is a ParameterError.
-    """
-    a = _check_alpha_bar(alpha_bar)
-    x = np.asarray(x, dtype=np.float64)
-    return _row_noise(params, x, _condition_matrix(c, None, params.m), a)
-
-
-def _row_noise(params: GMMDenoiserParams, x: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
-    """``predict_noise`` for a float latent, a condition and a level the caller has checked."""
-    try:  # raising on overflow costs less than checking the result
-        with np.errstate(over="raise"):
-            return (x - math.sqrt(a) * _posterior_mean(params, x, c, a)) / math.sqrt(1.0 - a)
-    except FloatingPointError:
-        raise ParameterError(
-            f"noise prediction exceeds the float range at alpha_bar = {a}") from None
 
 
 def gmm_log_density(params: GMMDenoiserParams, x: np.ndarray,
@@ -280,29 +219,41 @@ class GMMDenoiser(Denoiser):
 
     def predict_noise(self, x: np.ndarray, c: np.ndarray,
                       alpha_bar: float, t: int) -> np.ndarray:
-        return predict_noise(self.params, x, c, alpha_bar)
+        """The one-row case of ``predict_noise_batch``, for one condition ``c`` (m,)."""
+        level = self._level(alpha_bar)
+        x = np.asarray(x, dtype=np.float64)
+        c = _condition_matrix(c, None, self.m)
+        return self._noise(x[None], c[None], alpha_bar, level)[0]
 
     def predict_noise_batch(self, X: np.ndarray, C: np.ndarray,
                             alpha_bar: float, t: int) -> np.ndarray:
-        """``predict_noise`` for every row in one vectorised pass, bit for bit.
+        """The oracle's closed form for every row, in one vectorised pass.
 
-        The per-row arithmetic is repeated in the same order: means through
-        broadcast ``@``, squared distances through a row-wise ``einsum``;
-        the softmax and the posterior mean are formed in place, which swaps
-        only the operands of commutative products and sums.  Halving a
-        squared distance and dividing it by ``var`` is one division by
-        ``2 * var``, which differs only for a subnormal distance: the log
-        normaliser absorbs it, or, where that is 0, ``exp`` takes it to 1.0.
-        Every marginal variance is at least ``1 - a > 0`` here.  The pass
-        runs inside one ``errstate`` that raises on overflow and on invalid
-        operations: an overflow anywhere, or a row whose every component's
-        log density is -inf (its softmax takes -inf - -inf), sends the
-        checked rows one by one through the per-row oracle.  That oracle
-        holds the far limit and raises the ParameterError, in its words, for
-        a noise beyond the float range.  ``einsum`` does not raise on
-        overflow; a squared distance it overflows is the -inf the per-row
-        oracle sees too.  The per-row oracle keeps its own path: it is this
-        pass's fallback and the reference the tests hold it to.
+        eps = (x - sqrt(a) * E[x_0 | x, c]) / sqrt(1 - a).  The marginal of
+        x_t is a mixture of N(sqrt(a)*mu_k, (a*s2_k + 1 - a) I); each
+        component contributes its joint-Gaussian regression mean
+        mu_k + sqrt(a)*s2_k / (a*s2_k + 1 - a) * (x - sqrt(a)*mu_k), weighted
+        by its responsibility, a softmax over the component log densities
+        taken after subtracting the row's peak.  Every marginal variance is
+        at least ``1 - a > 0``, and no row's arithmetic reads another row.
+
+        The pass runs inside one ``errstate`` that raises on overflow and on
+        invalid operations.  An overflow anywhere, or a row whose every
+        component's log density is -inf (its softmax takes -inf - -inf),
+        re-runs the pass on the same checked rows in its far-limit form:
+        there a log density may overflow to -inf, each row whose log
+        densities are all -inf takes its log-responsibilities from
+        ``_far_log_resp``, and any other overflow is a ParameterError, the
+        noise exceeding the float range.  ``einsum`` does not raise on
+        overflow; a squared distance it overflows is a -inf log density in
+        either form.
+        """
+        level = self._level(alpha_bar)
+        X = np.asarray(X, dtype=np.float64)
+        return self._noise(X, _condition_matrix(C, len(X), self.m), alpha_bar, level)
+
+    def _level(self, alpha_bar: float) -> tuple:
+        """The constants of level ``alpha_bar``, from this oracle's level table.
 
         What depends on the level alone (``2 * var``, ``log_norm``,
         ``shrink`` shaped (K, 1), sqrt(a) and sqrt(1 - a)) is built, after
@@ -314,41 +265,60 @@ class GMMDenoiser(Denoiser):
         racing thread) and is cleared when full.  The condition maps'
         broadcast view and log(weights) are taken once per oracle.
         """
-        p = self.params
         a = float(alpha_bar)
-        consts = self._levels.get(a)
-        if consts is None:
+        level = self._levels.get(a)
+        if level is None:
             _check_alpha_bar(a)
+            p = self.params
             var = a * p.variances + (1.0 - a)
-            consts = (2.0 * var, self._log_weights - 0.5 * p.d * np.log(2.0 * np.pi * var),
-                      (math.sqrt(a) * p.variances / var)[:, None], math.sqrt(a),
-                      math.sqrt(1.0 - a))
+            level = (2.0 * var, self._log_weights - 0.5 * p.d * np.log(2.0 * np.pi * var),
+                     (math.sqrt(a) * p.variances / var)[:, None], math.sqrt(a),
+                     math.sqrt(1.0 - a))
             if len(self._levels) >= _LEVELS:
                 self._levels.clear()
-            self._levels[a] = consts
-        twice_var, log_norm, shrink, sqrt_a, sqrt_1ma = consts
-        X = np.asarray(X, dtype=np.float64)
-        C = _condition_matrix(C, len(X), p.m)
-        try:
+            self._levels[a] = level
+        return level
+
+    def _noise(self, X: np.ndarray, C: np.ndarray, alpha_bar: float, level: tuple) -> np.ndarray:
+        """The pass over checked rows, in its far-limit form if the plain one raises."""
+        try:  # raising on overflow costs less than checking the result
             with np.errstate(over="raise", invalid="raise"):
-                mus = np.matmul(self._maps, C[:, None, :, None])[..., 0]   # (N, K, d)
-                mus += p.base_means
-                resid = X[:, None, :] - sqrt_a * mus
-                log_resp = np.einsum("nkd,nkd->nk", resid, resid)
+                return self._pass(X, C, level)
+        except FloatingPointError:
+            try:
+                with np.errstate(over="raise"):
+                    return self._pass(X, C, level, far=True)
+            except FloatingPointError:
+                raise ParameterError("noise prediction exceeds the float range at "
+                                     f"alpha_bar = {float(alpha_bar)}") from None
+
+    def _pass(self, X: np.ndarray, C: np.ndarray, level: tuple, far: bool = False) -> np.ndarray:
+        """The closed form over checked rows; ``far`` is its far-limit form."""
+        twice_var, log_norm, shrink, sqrt_a, sqrt_1ma = level
+        mus = np.matmul(self._maps, C[:, None, :, None])[..., 0]   # (N, K, d)
+        mus += self.params.base_means
+        resid = X[:, None, :] - sqrt_a * mus
+        log_resp = np.einsum("nkd,nkd->nk", resid, resid)
+        if far:
+            with np.errstate(over="ignore"):  # a log density may be -inf
                 log_resp /= twice_var
                 np.subtract(log_norm, log_resp, out=log_resp)
-                log_resp -= np.maximum.reduce(log_resp, axis=1, keepdims=True)
-                resp = np.exp(log_resp, out=log_resp)
-                resp /= np.add.reduce(resp, axis=1, keepdims=True)
-                resid *= shrink
-                resid += mus                                             # the regression means
-                eps = np.matmul(resp[:, None, :], resid)[:, 0]           # E[x0 | x], (N, d)
-                eps *= sqrt_a
-                np.subtract(X, eps, out=eps)
-                eps /= sqrt_1ma
-                return eps
-        except FloatingPointError:
-            return np.array([_row_noise(p, x, c, a) for x, c in zip(X, C)])
+                for i in np.flatnonzero(np.maximum.reduce(log_resp, axis=1) == -np.inf):
+                    log_resp[i] = _far_log_resp(X[i], mus[i], resid[i], 0.5 * twice_var,
+                                                log_norm, sqrt_a)
+        else:
+            log_resp /= twice_var
+            np.subtract(log_norm, log_resp, out=log_resp)
+        log_resp -= np.maximum.reduce(log_resp, axis=1, keepdims=True)
+        resp = np.exp(log_resp, out=log_resp)
+        resp /= np.add.reduce(resp, axis=1, keepdims=True)
+        resid *= shrink
+        resid += mus                                             # the regression means
+        eps = np.matmul(resp[:, None, :], resid)[:, 0]           # E[x0 | x], (N, d)
+        eps *= sqrt_a
+        np.subtract(X, eps, out=eps)
+        eps /= sqrt_1ma
+        return eps
 
     def sample_clean(self, c: np.ndarray, n: int,
                      gen: np.random.Generator) -> np.ndarray:

@@ -153,6 +153,7 @@ def test_criterion_04_schedule_formulas():
 def test_criterion_05_oracle_vs_monte_carlo(demo):
     with criterion(5, "analytic noise prediction vs 200k-sample Monte Carlo"):
         params = demo["params"]
+        den = GMMDenoiser(params)
         gen = np.random.Generator(np.random.Philox(key=SEED + 5))
         for point in range(10):
             a = gen.uniform(0.05, 0.8)
@@ -161,8 +162,7 @@ def test_criterion_05_oracle_vs_monte_carlo(demo):
             k = gen.choice(params.k, p=params.weights)
             x0 = mus[k] + np.sqrt(params.variances[k]) * gen.normal(size=2)
             x = np.sqrt(a) * x0 + np.sqrt(1 - a) * gen.normal(size=2)
-            from diffpath.denoiser import predict_noise
-            exact = predict_noise(params, x, c, a)
+            exact = den.predict_noise(x, c, a, 1)
             approx = mc_predict_noise(params, x, c, a, 200_000, gen)
             # relative with a unit floor: eps is a unit-scale quantity and the
             # MC reference carries O(1/sqrt(ESS)) absolute noise

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffpath import denoiser
-from diffpath.denoiser import (Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density,
-                               predict_noise)
+import references
+from diffpath.denoiser import Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density
 from diffpath.errors import ParameterError
 from conftest import PerRowDenoiser
 from mc_oracle import mc_predict_noise
@@ -61,7 +61,7 @@ class TestPosteriorMean:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="noise prediction exceeds the float range"):
-                predict_noise(params, np.array([1.28e308]), c, 0.5)
+                GMMDenoiser(params).predict_noise(np.array([1.28e308]), c, 0.5, 1)
 
 
 class TestPredictNoise:
@@ -70,7 +70,7 @@ class TestPredictNoise:
         params = _k1((0.0, 0.0), ZERO_MAP, 1.0)
         x = np.array([0.9, 2.2])
         for a in (0.15, 0.6, 0.99):
-            assert np.allclose(predict_noise(params, x, C, a),
+            assert np.allclose(GMMDenoiser(params).predict_noise(x, C, a, 1),
                                np.sqrt(1.0 - a) * x, rtol=1e-13)
 
     def test_point_mass_noise(self):
@@ -79,24 +79,25 @@ class TestPredictNoise:
         x = np.array([2.0, 1.0])
         a = 0.64
         expect = (x - np.sqrt(a) * mu) / np.sqrt(1.0 - a)
-        assert np.allclose(predict_noise(params, x, C, a), expect, rtol=1e-14)
+        assert np.allclose(GMMDenoiser(params).predict_noise(x, C, a, 1), expect, rtol=1e-14)
 
     def test_clean_endpoint_is_undefined(self):
         params = _k1((0.0, 0.0), ZERO_MAP, 1.0)
         with pytest.raises(ZeroDivisionError):
-            predict_noise(params, np.zeros(2), C, 1.0)
+            GMMDenoiser(params).predict_noise(np.zeros(2), C, 1.0, 0)
 
     def test_affine_in_latent_for_single_component(self, affine_denoiser):
-        params = affine_denoiser.params
-        a = 0.42
+        den = GMMDenoiser(affine_denoiser.params)
+        a, t = 0.42, 580
         x1 = np.array([0.3, -0.9])
         x2 = np.array([-1.2, 0.4])
-        lhs = predict_noise(params, x1 + x2, C, a) + predict_noise(params, np.zeros(2), C, a)
-        rhs = predict_noise(params, x1, C, a) + predict_noise(params, x2, C, a)
+        lhs = den.predict_noise(x1 + x2, C, a, t) + den.predict_noise(np.zeros(2), C, a, t)
+        rhs = den.predict_noise(x1, C, a, t) + den.predict_noise(x2, C, a, t)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_matches_monte_carlo_reference(self, demo):
         params = demo["params"]
+        den = GMMDenoiser(params)
         gen = np.random.default_rng(2057)
         for _ in range(3):
             a = gen.uniform(0.1, 0.75)
@@ -104,7 +105,7 @@ class TestPredictNoise:
             k = gen.choice(params.k, p=params.weights)
             x0 = mus[k] + np.sqrt(params.variances[k]) * gen.normal(size=2)
             x = np.sqrt(a) * x0 + np.sqrt(1 - a) * gen.normal(size=2)
-            exact = predict_noise(params, x, demo["c_a"], a)
+            exact = den.predict_noise(x, demo["c_a"], a, 1)
             approx = mc_predict_noise(params, x, demo["c_a"], a, 100_000, gen)
             assert np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1.0) < 0.03
 
@@ -119,6 +120,25 @@ def random_mixtures(draw):
         base_means=gen.normal(size=(k, 2)),
         condition_maps=gen.normal(size=(k, 2, 2)),
         variances=gen.uniform(0.05, 2.0, size=k))
+
+
+def _outcome(call):
+    """What ``call()`` gives: its array's bytes, or its ParameterError's type and words."""
+    try:
+        return call().tobytes()
+    except ParameterError as err:
+        return type(err), str(err)
+
+
+def _assert_package_is_reference(params, x, c, a):
+    """The package's noise for row ``x``, alone and in a batch after a row at the
+    origin, is the per-row reference's bits, or its ParameterError in its words."""
+    den, near = GMMDenoiser(params), np.zeros_like(x)
+    near_eps, want = (_outcome(lambda: references.predict_noise(params, row, c, a))
+                      for row in (near, x))
+    assert _outcome(lambda: den.predict_noise(x, c, a, 1)) == want
+    assert _outcome(lambda: den.predict_noise_batch(np.array([near, x]), np.array([c, c]), a, 1)) \
+        == (want if isinstance(want, tuple) else near_eps + want)
 
 
 class TestResponsibilities:
@@ -159,6 +179,8 @@ class TestResponsibilities:
         # equal distances: the quadratic terms cancel, leaving the weights
         assert np.allclose(gmm_responsibilities(mixture([0.5, 0.5]), x, C, 0.5),
                            [0.3, 0.7], rtol=1e-15)
+        for variances in ([2.0, 0.5], [0.5, 0.5]):
+            _assert_package_is_reference(mixture(variances), x, C, 0.5)
 
     def test_overflow_ties_go_to_the_nearer_mean(self):
         # the residuals agree to float precision, yet component 1 is nearer
@@ -170,6 +192,8 @@ class TestResponsibilities:
         x = np.array([1e200, 0.0])
         assert gmm_responsibilities(params, x, C, 0.5).tolist() == [0.0, 1.0]
         assert gmm_responsibilities(params, -x, C, 0.5).tolist() == [1.0, 0.0]
+        for row in (x, -x):
+            _assert_package_is_reference(params, row, C, 0.5)
 
     def test_overflowing_gaps_keep_the_nearest_component(self):
         # at x = -1e308 two of the gaps from component 0 overflow to -inf
@@ -183,6 +207,8 @@ class TestResponsibilities:
                 == [0.0, 0.0, 1.0, 0.0]
         assert gmm_responsibilities(params, np.array([1.7e308]), c, 0.5).tolist() \
             == [1.0, 0.0, 0.0, 0.0]
+        for x in (-1e308, -1.7e308, 1.7e308):
+            _assert_package_is_reference(params, np.array([x]), c, 0.5)
 
     def test_tiny_marginal_variance_warns_nothing(self):
         # the zero-variance component's squared distance over a variance of
@@ -193,7 +219,8 @@ class TestResponsibilities:
                                    variances=np.array([0.0, 1.0]))
         x, a = np.array([1e150, 1e150]), 1.0 - 1e-12
         assert gmm_responsibilities(params, x, C, a).tolist() == [0.0, 1.0]
-        eps = predict_noise(params, x, C, a)
+        _assert_package_is_reference(params, x, C, a)
+        eps = GMMDenoiser(params).predict_noise(x, C, a, 1)
         batch = GMMDenoiser(params).predict_noise_batch(np.array([x, x / 2]),
                                                         np.array([C] * 2), a, 1)
         assert np.all(np.isfinite(eps)) and np.array_equal(batch[0], eps)
@@ -284,22 +311,14 @@ def tiny_distance_cases(draw):
 
 
 def _assert_batch_is_per_row(params, X, C, a):
+    # each row alone and the whole batch give the per-row reference's bits;
+    # a noise beyond the float range fails them the same way, in the same words
     den = GMMDenoiser(params)
-    try:
-        rows = [den.predict_noise(x, c, a, 7) for x, c in zip(X, C)]
-    except ParameterError as err:
-        # a noise beyond the float range: the batch fails the same way, in the same words
-        try:
-            den.predict_noise_batch(X, C, a, 7)
-        except ParameterError as got:
-            assert (type(got), str(got)) == (type(err), str(err))
-        else:
-            raise AssertionError(f"the batch did not raise {err!r}")
-        return
-    batch = den.predict_noise_batch(X, C, a, 7)
-    assert batch.shape == X.shape
-    for i, row in enumerate(rows):
-        assert np.array_equal(batch[i], row), i
+    rows = [_outcome(lambda: references.predict_noise(params, x, c, a)) for x, c in zip(X, C)]
+    assert [_outcome(lambda: den.predict_noise(x, c, a, 7)) for x, c in zip(X, C)] == rows
+    errors = [row for row in rows if isinstance(row, tuple)]
+    assert _outcome(lambda: den.predict_noise_batch(X, C, a, 7)) \
+        == (errors[0] if errors else b"".join(rows))
 
 
 class TestPredictNoiseBatch:
@@ -320,7 +339,7 @@ class TestPredictNoiseBatch:
         params, x, a = _k1([0.0], [[0.0]], 0.0), np.array([3.7e307]), 0.96875
         c = np.zeros(1)
         with pytest.raises(ParameterError, match="float range"):
-            predict_noise(params, x, c, a)
+            GMMDenoiser(params).predict_noise(x, c, a, 1)
         with pytest.raises(ParameterError, match="float range"):
             GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]),
                                                     np.array([c] * 2), a, 1)
@@ -330,7 +349,7 @@ class TestPredictNoiseBatch:
         params, x, a = _k1([0.0], [[0.0]], 441766.0), np.array([1.28e308]), 0.5
         c = np.zeros(1)
         with pytest.raises(ParameterError, match="float range"):
-            predict_noise(params, x, c, a)
+            GMMDenoiser(params).predict_noise(x, c, a, 1)
         with pytest.raises(ParameterError, match="float range"):
             GMMDenoiser(params).predict_noise_batch(np.array([[1.0], x]),
                                                     np.array([c] * 2), a, 1)
@@ -381,9 +400,9 @@ class TestPredictNoiseBatch:
             == GMMDenoiser(demo["params"]).predict_noise_batch(X, C, 0.3, 1).tobytes()
 
     def test_fallback_checks_conditions_once(self, demo, monkeypatch):
-        # a call that overflows goes row by row through the per-row oracle
-        # with the rows its own check passed: C is checked once, and the far
-        # limit and the float-range error are the per-row oracle's
+        # a call that overflows re-runs the pass in its far-limit form on the
+        # rows its own check passed: C is checked once, and the far limit and
+        # the float-range error are the per-row reference's
         checks = []
         check = denoiser._condition_matrix
         monkeypatch.setattr(denoiser, "_condition_matrix",
@@ -393,7 +412,7 @@ class TestPredictNoiseBatch:
         C = np.array([demo[name] for name in ("c_a", "c_b", "null")])
         batch = den.predict_noise_batch(X, C, 0.5, 500)
         assert checks == [3]
-        rows = [predict_noise(demo["params"], x, c, 0.5) for x, c in zip(X, C)]
+        rows = [references.predict_noise(demo["params"], x, c, 0.5) for x, c in zip(X, C)]
         assert batch.tobytes() == np.array(rows).tobytes()
         params, x, c = _k1([0.0], [[0.0]], 0.0), np.array([3.7e307]), np.zeros(1)
         checks.clear()
@@ -405,17 +424,24 @@ class TestPredictNoiseBatch:
 
     def test_threads_at_different_levels_get_their_own_bits(self, demo):
         # the oracle is concurrent_safe: a level's constants are read and
-        # stored under that level alone, so no call sees another level's
+        # stored under that level alone, so no call, one-row or batched,
+        # sees another level's
         den = GMMDenoiser(demo["params"])
         X = np.array([[0.3, -0.2], [1.5, 0.25]])
         C = np.array([demo["c_a"], demo["c_b"]])
-        want = {a: GMMDenoiser(demo["params"]).predict_noise_batch(X, C, a, 1).tobytes()
-                for a in (0.2, 0.4, 0.6, 0.8)}
+        want = {}
+        for a in (0.2, 0.4, 0.6, 0.8):
+            fresh = GMMDenoiser(demo["params"])
+            want[a] = [fresh.predict_noise(x, c, a, 1).tobytes() for x, c in zip(X, C)] \
+                + [fresh.predict_noise_batch(X, C, a, 1).tobytes()]
         wrong = []
 
         def calls(a):
-            for _ in range(2000):
-                if den.predict_noise_batch(X, C, a, 1).tobytes() != want[a]:
+            for i in range(3000):
+                row = i % 3  # rows 0 and 1 alone, then both in one batch
+                got = den.predict_noise_batch(X, C, a, 1) if row == 2 \
+                    else den.predict_noise(X[row], C[row], a, 1)
+                if got.tobytes() != want[a][row]:
                     wrong.append(a)
 
         interval = sys.getswitchinterval()
@@ -514,15 +540,12 @@ class TestOracleProperty:
             warnings.simplefilter("error")
             resp = gmm_responsibilities(params, x, c, a)
             assert np.all(np.isfinite(resp)) and abs(resp.sum() - 1.0) < 1e-12
-            try:
-                eps = predict_noise(params, x, c, a)
-            except ParameterError as err:
-                with pytest.raises(type(err)):
-                    GMMDenoiser(params).predict_noise_batch(x[None], c[None], a, 1)
-                return
-            assert np.all(np.isfinite(eps))
-            batch = GMMDenoiser(params).predict_noise_batch(x[None], c[None], a, 1)
-        assert np.array_equal(batch[0], eps)
+            want = _outcome(lambda: references.predict_noise(params, x, c, a))
+            if not isinstance(want, tuple):
+                assert np.all(np.isfinite(np.frombuffer(want)))
+            den = GMMDenoiser(params)
+            assert _outcome(lambda: den.predict_noise(x, c, a, 1)) == want
+            assert _outcome(lambda: den.predict_noise_batch(x[None], c[None], a, 1)) == want
 
 
 class TestLogDensity:

@@ -75,7 +75,7 @@ def _unchecked_level(monkeypatch):
     check = denoiser._check_alpha_bar
 
     def mutant(alpha_bar):
-        if sys._getframe(1).f_code is GMMDenoiser.predict_noise_batch.__code__:
+        if sys._getframe(1).f_code is GMMDenoiser._level.__code__:
             return float(alpha_bar)
         return check(alpha_bar)
 
@@ -202,15 +202,25 @@ def _first_hook_for_every_row(monkeypatch):
     monkeypatch.setattr(edits, "_hook_noise", mutant)
 
 
-def _batch_never_falls_back(monkeypatch):
-    """The oracle's batched pass raises on nothing, so it never falls back to the per-row oracle.
+def _pass_never_goes_far(monkeypatch):
+    """The oracle's pass raises on nothing, so it never takes its far-limit form.
 
     A noise beyond the float range comes back as inf and a row in the far
     limit, every component's log density -inf, as NaN.
     """
     def errstate(**kwargs):
-        if kwargs == {"over": "raise", "invalid": "raise"}:  # the batched pass's alone
+        if kwargs == {"over": "raise", "invalid": "raise"}:  # the plain pass's alone
             kwargs = dict.fromkeys(kwargs, "ignore")
+        return np.errstate(**kwargs)
+
+    monkeypatch.setattr(denoiser, "np", _Numpy(errstate=errstate))
+
+
+def _overflow_unraised(monkeypatch):
+    """The pass's far-limit form ignores overflow: a noise beyond the float range is inf."""
+    def errstate(**kwargs):
+        if kwargs == {"over": "raise"}:  # the far-limit form's alone
+            kwargs = {"over": "ignore"}
         return np.errstate(**kwargs)
 
     monkeypatch.setattr(denoiser, "np", _Numpy(errstate=errstate))
@@ -313,10 +323,14 @@ KILLS = {
         test_edits.TestRunEdit().test_two_hooks_in_one_step_give_their_rows_their_own_noise,
         AssertionError),
     "no-batch-fallback/per-row-oracle": (
-        _batch_never_falls_back,
+        _pass_never_goes_far,
         _quick(test_denoiser.TestPredictNoiseBatch.test_rows_are_bitwise_the_per_row_oracle,
                test_denoiser.TestPredictNoiseBatch()),
         AssertionError),
+    "overflow-unraised/float-range": (
+        _overflow_unraised,
+        test_denoiser.TestPredictNoiseBatch().test_noise_beyond_the_float_range_is_a_parameter_error,
+        (AssertionError, pytest.fail.Exception)),  # an inf noise fails pytest.raises
     "stale-probe-latents/one-row-reference": (
         _stale_probe_latents, _quick(test_sampler.test_null_text_equals_the_one_row_reference),
         AssertionError),

@@ -5,7 +5,9 @@ A public top-level function or class of ``src/diffpath`` that nothing in
 engine arithmetic that no run reaches.  Such references live in
 ``tests/references.py``.  The scan is by name: a definition counts as used
 when its name appears anywhere in those files as a name, an attribute or an
-imported name (docstrings and comments do not count).
+imported name (docstrings and comments do not count).  So no public
+function may share its name with a method of a package class: a call of the
+method would count as a call of the function.
 """
 
 import ast
@@ -47,3 +49,16 @@ def test_every_public_definition_has_a_caller():
     assert not extra, f"public, but nothing in src/ or bench/ names them: {extra}"
     stale = sorted(ENTRY_POINTS.keys() - uncalled)
     assert not stale, f"listed as uncalled entry points, but gone or called now: {stale}"
+
+
+def test_no_public_function_is_named_like_a_method():
+    functions, methods = {}, set()
+    for path in sorted((ROOT / "src" / "diffpath").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                methods.update(item.name for item in node.body
+                               if isinstance(item, ast.FunctionDef))
+    shared = sorted(key for key, name in functions.items() if name in methods)
+    assert not shared, f"public functions named like a method of a package class: {shared}"
