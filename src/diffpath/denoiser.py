@@ -71,9 +71,11 @@ class Denoiser(abc.ABC):
         checked rows, read-only views, straight to one ``predict_noise`` call
         each, in row order, so wrappers and remote peers need not implement
         it; a subclass that overrides either method must keep the two consistent.
+        No rows give the (0, d) answer.
         """
         C = _condition_matrix(C, len(X), self.m)
-        return np.array([self.predict_noise(x, c, alpha_bar, t) for x, c in zip(X, C)])
+        eps = [self.predict_noise(x, c, alpha_bar, t) for x, c in zip(X, C)]
+        return np.array(eps) if eps else np.empty((0, self.d))
 
 
 @dataclass(frozen=True)

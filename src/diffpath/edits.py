@@ -184,114 +184,104 @@ def _edit_noises(configs: Sequence[ManipulationConfig], ab: np.ndarray, n_pure: 
 
     ``ab`` holds the conditions ``c_a`` and ``c_b`` as its rows.  The config
     rows are followed by ``n_pure`` pure rows: path A under ``c_a``, then
-    path B under ``c_b`` if it is walked; each steps
-    with its prediction.  At each hop the config rows fall into groups:
-    while path B is walked, rows above their first weighted hop blend the
+    path B under ``c_b`` if it is walked.  ``W`` holds each row's schedule
+    weight per hop.  Every hop's denoiser call is laid out before the walk,
+    from one boolean request table (one line per request, one column per
+    hop), whose lines are, in the order each call asks for them:
+
+    1. the pure rows, each at its own latent under its own condition;
+    2. every config row that is neither a noise blend nor an attention row,
+       at its own latent under ``blend(c_a, c_b, u)``: u is the weight for
+       ``cond_interp``, 1.0 at a weighted ``guidance`` hop, else 0.0;
+    3. guidance's second row, under ``c_b``;
+    4. one ``c_b`` row at the reference latent if any attention row is
+       weighted; every attention row's hook reads it.
+
+    The table's nonzero entries, cut at each hop's count, give each call's
+    latent rows and its read-only conditions; the same cut over the kind
+    masks gives each hop's noise, latent, guidance and attention rows.
+    While path B is walked, rows above their first weighted hop blend the
     noises at weight zero, which copies path B's (until then the pass is
-    that path); other rows of weight zero take the plain ``c_b`` prediction;
-    the rest apply their kind's operator.  ``W`` holds each row's schedule
-    weight per hop.  Every blend reads its weights from one table: a masked
+    that path).  Every blend reads its weights from one table: a masked
     kind's mask where its weight is nonzero, else the schedule weight.  Each
     group's arithmetic runs on all its rows at once and is elementwise, so
-    every row gets the bits of a walk of its own.  The pure rows'
-    predictions and those of all groups go out as one call per step, with
-    one ``c_b`` prediction at the reference latent that every attention
-    row's hook reads.  A hop's groups, the rows of ``X`` its call gathers
-    and their conditions depend only on its column of tags and weights, so
-    they are built once per distinct column.
+    every row gets the bits of a walk of its own.
     """
     n, t_sample = W.shape
     ref_a, ref_b = n, n + 1  # path B's row exists only while it is walked
+    kinds = np.array([_MASKED_KINDS.get(c.kind, c.kind) for c in configs])[:, None]
     weighted = W != 0.0
-    # object strings: a "<U" array is only as wide as its longest kind, which
-    # may be too narrow for "noise_interp"
-    tags = np.where(weighted, np.array([[_MASKED_KINDS.get(c.kind, c.kind)] for c in configs],
-                                       dtype=object), "plain")
+    noise, latent, guided, attention = (weighted & (kinds == kind) for kind in
+                                        ("noise_interp", "latent_interp", "guidance", "attention"))
     if n_pure > 1:
-        first = np.where(weighted.any(axis=1), weighted.argmax(axis=1), t_sample)
-        tags[np.arange(t_sample) < first[:, None]] = "noise_interp"
-    columns = tags.T.tolist()
-    keys = list(zip(map(tuple, columns), map(tuple, W.T.tolist())))
-    plans: dict[tuple, tuple] = {}
+        noise |= ~np.logical_or.accumulate(weighted, axis=1)  # above the first weighted hop
+    # the request table's four blocks of lines, and the row of X each line predicts at
+    requests = np.concatenate([np.ones((n_pure, t_sample), dtype=bool), ~(noise | attention),
+                               guided, attention.any(axis=0, keepdims=True)])
+    rows = np.concatenate([np.arange(n, n + n_pure), np.arange(n), np.arange(n), [ref_a]])
+    u = np.zeros(requests.shape)  # each request's condition is blend(c_a, c_b, u)
+    u[0] = 1.0  # path A's
+    u[n_pure:n_pure + n] = np.where(kinds == "cond_interp", W, guided)
+    hops, lines = np.nonzero(requests.T)  # hop by hop, each hop's lines in order
+    conditions = _blend(*ab, u[lines, hops, None])
+    conditions.setflags(write=False)
+    counts = requests.sum(axis=0)
+    calls = list(zip(_per_hop(rows[lines], counts), _per_hop(conditions, counts),
+                     requests[:n_pure + n].sum(axis=0).tolist(),
+                     *map(_hop_rows, (noise, latent, guided, attention))))
     blend = _blend_table(configs, W, d)
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     hooks = np.array([c.cam_hook for c in configs], dtype=object)
     c_a, c_b = ab
 
-    def plan(i: int) -> tuple[list, np.ndarray, np.ndarray]:
-        """Hop ``i``'s groups by first row, the rows of ``X`` its call takes, their conditions."""
-        members: dict[str, list[int]] = {}
-        for r, tag in enumerate(columns[i]):
-            members.setdefault(tag, []).append(r)
-        groups = [(kind, np.array(rows)) for kind, rows in members.items()]
-        gather, conditions = [np.arange(n, n + n_pure)], [ab[:n_pure]]
-        for kind, rows in groups:
-            if kind == "noise_interp":
-                continue
-            if kind == "attention":
-                gather.append([ref_a])
-                conditions.append(ab[1:])
-            elif kind == "guidance":
-                gather += [rows, rows]
-                conditions.append(np.repeat(ab, len(rows), axis=0))  # c_a rows, then c_b
-            elif kind == "cond_interp":
-                gather.append(rows)
-                conditions.append(_blend(c_a, c_b, W[rows, i, None]))
-            else:  # plain, and the latent kinds' prediction before their blend
-                gather.append(rows)
-                conditions.append(np.repeat(ab[1:], len(rows), axis=0))
-        conditions = np.concatenate(conditions)
-        conditions.setflags(write=False)  # shared by every hop of this column
-        return groups, np.concatenate(gather), conditions
-
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
-        key = keys[i]
-        if key not in plans:
-            plans[key] = plan(i)
-        groups, gather, conditions = plans[key]
+        gather, conditions, head, noised, latents, guides, hooked = calls[i]
         E = np.empty_like(X)
-        x_ref = X[ref_a]
         eps = predict(X[gather], conditions)
-        lo = n_pure
-        E[n:] = eps[:lo]
-        eps_ref = E[ref_a]
-        for kind, rows in groups:
-            if kind == "noise_interp":
-                E[rows] = _blend(eps_ref, E[ref_b], blend[rows, i])
-                continue
-            if kind == "attention":
-                eps_edit, lo = eps[lo], lo + 1
-                for shown in (x_ref, eps_ref, eps_edit):
-                    shown.setflags(write=False)
-                ctx = CamContext(x_ref=x_ref, eps_ref=eps_ref, eps_edit=eps_edit,
-                                 c_a=c_a, c_b=c_b, alpha_bar=step.a_t, level=step.level,
-                                 sampling_step=step.sampling_step)
-                for name in dict.fromkeys(hooks[rows]):  # each hook once, in row order
-                    named = rows[hooks[rows] == name]
-                    eps_hook = _hook_noise(name, ctx, X.shape[1:])
-                    # where the evolving latent is the reference, the hook's noise steps it
-                    E[named] = eps_hook
-                    target = _hop(step, x_ref, eps_hook)
-                    _settle(E, X[named], named, np.broadcast_to(target, (len(named), d)),
-                            (X[named] == x_ref).all(axis=1), step)
-                continue
-            got, lo = eps[lo:lo + len(rows)], lo + len(rows)
-            if kind == "guidance":
-                E[rows] = cfg_combine(got, eps[lo:lo + len(rows)], betas[rows])
-                lo += len(rows)
-            else:
-                E[rows] = got
-            if kind == "latent_interp":
-                stepped = _hop(step, X[rows], got)
-                # the reference row's hop of this step, as the walk will take it
-                ref_next = _hop(step, x_ref, eps_ref)
-                mixed = _blend(ref_next, stepped, blend[rows, i])
-                # a no-op blend keeps the directly predicted noise so the step is
-                # identical to plain denoising
-                _settle(E, X[rows], rows, mixed, (mixed == stepped).all(axis=1), step)
+        E[gather[:head]] = eps[:head]  # the pure rows and those at their own latents
+        x_ref, eps_ref = X[ref_a], E[ref_a]
+        if len(noised):
+            E[noised] = _blend(eps_ref, E[ref_b], blend[noised, i])
+        if len(guides):
+            E[guides] = cfg_combine(E[guides], eps[head:head + len(guides)], betas[guides])
+        if len(latents):
+            stepped = _hop(step, X[latents], E[latents])
+            # the reference row's hop of this step, as the walk will take it
+            ref_next = _hop(step, x_ref, eps_ref)
+            mixed = _blend(ref_next, stepped, blend[latents, i])
+            # a no-op blend keeps the directly predicted noise so the step is
+            # identical to plain denoising
+            _settle(E, X[latents], latents, mixed, (mixed == stepped).all(axis=1), step)
+        if len(hooked):
+            eps_edit = eps[-1]
+            for shown in (x_ref, eps_ref, eps_edit):
+                shown.setflags(write=False)
+            ctx = CamContext(x_ref=x_ref, eps_ref=eps_ref, eps_edit=eps_edit,
+                             c_a=c_a, c_b=c_b, alpha_bar=step.a_t, level=step.level,
+                             sampling_step=step.sampling_step)
+            for name in dict.fromkeys(hooks[hooked]):  # each hook once, in row order
+                named = hooked[hooks[hooked] == name]
+                eps_hook = _hook_noise(name, ctx, X.shape[1:])
+                # where the evolving latent is the reference, the hook's noise steps it
+                E[named] = eps_hook
+                target = _hop(step, x_ref, eps_hook)
+                _settle(E, X[named], named, np.broadcast_to(target, (len(named), d)),
+                        (X[named] == x_ref).all(axis=1), step)
         return E
 
     return choose_eps
+
+
+def _per_hop(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """``values`` cut in order into one piece per hop, of ``counts`` (T,) entries each."""
+    ends = np.cumsum(counts).tolist()
+    return [values[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _hop_rows(mask: np.ndarray) -> list[np.ndarray]:
+    """The rows ``mask`` (n, T) sets at each hop, ascending; a mask with none is not cut."""
+    rows = np.nonzero(mask.T)[1]
+    return _per_hop(rows, mask.sum(axis=0)) if len(rows) else [rows] * mask.shape[1]
 
 
 def _blend_table(configs: Sequence[ManipulationConfig], W: np.ndarray, d: int) -> np.ndarray:

@@ -254,6 +254,15 @@ def test_bad_condition_costs_no_call(demo, entry, bad):
     assert (counting.calls, counting.rows) == (0, 0)
 
 
+def test_ragged_nulls_cost_no_call(demo):
+    counting = CountingDenoiser(demo["denoiser"])
+    nulls = [demo["null"]] * (demo["grid"].t_sample - 1) + [np.zeros(3)]
+    with pytest.raises(ParameterError, match="conditions C"):
+        generate(counting, demo["x_top"], demo["c_a"], demo["grid"], demo["schedule"],
+                 guidance=(2.0, nulls))
+    assert (counting.calls, counting.rows) == (0, 0)
+
+
 NOISE_MASK = preset_config("noise-mask-demo").build_manipulation()
 
 #: every public entry point that walks from a given latent, called with ``bad`` in its place

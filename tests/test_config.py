@@ -20,6 +20,17 @@ def test_demo_config_parses_and_builds(demo_cfg):
     assert manip.schedule.total == demo_cfg.grid.t_sample
 
 
+def test_build_conditions_adds_a_read_only_zero_null():
+    data = demo_config_dict()
+    del data["conditions"]["null"]
+    cfg = RunConfig.from_dict(data)
+    declared, digest = cfg.to_dict(), config_digest(cfg)
+    null = cfg.build_conditions()["null"]
+    assert null.tobytes() == np.zeros(cfg.model.m).tobytes() and not null.flags.writeable
+    assert "null" not in cfg.conditions
+    assert (cfg.to_dict(), config_digest(cfg)) == (declared, digest)
+
+
 def test_round_trip_is_canonical():
     cfg = RunConfig.from_dict(json.loads(json.dumps(demo_config_dict())))
     once = canonical_json(cfg)

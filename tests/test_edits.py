@@ -12,7 +12,8 @@ from diffpath.sampler import generate
 from diffpath.schedule import ScheduleSpec, make_timestep_grid, omega
 
 from references import apply_mask, ddim_step, lerp
-from test_call_counts import CountingDenoiser
+from conftest import preset_config
+from test_call_counts import KIND_PRESETS, CountingDenoiser
 
 
 def _spec(t_min, t_max, total, amplitude=1.0, kind="constant"):
@@ -105,6 +106,18 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             ManipulationConfig("attention", _spec(0, 50, 50), cam_hook="missing")
         assert {"identity", "replay"} <= set(cam_hook_names())
+
+
+class ConditionSpy(CountingDenoiser):
+    """Counts like ``CountingDenoiser`` and records whether each batch's conditions are writeable."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.writeable = []
+
+    def predict_noise_batch(self, X, C, alpha_bar, t):
+        self.writeable.append(C.flags.writeable)
+        return super().predict_noise_batch(X, C, alpha_bar, t)
 
 
 class TestRunEdit:
@@ -222,6 +235,30 @@ class TestRunEdit:
             x = ddim_step(x, eps, a_t, a_prev)
             assert np.allclose(res_g.path.latents[i + 1], x, rtol=1e-12, atol=1e-14)
             x = res_g.path.latents[i + 1]
+
+    def test_guidance_weight_is_a_gate(self, demo):
+        # inside its window guidance predicts under c_a and c_b at any nonzero
+        # weight: the weight switches the extrapolation on, beta sets it
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        t = grid.t_sample
+        half, full = (run_edit(den, x_top, c_a, c_b,
+                               ManipulationConfig("guidance", _spec(20, 50, t, amplitude),
+                                                  beta=-0.3), grid, sched)
+                      for amplitude in (0.5, 1.0))
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(half.path.latents + half.path.noises,
+                       full.path.latents + full.path.noises, strict=True))
+        assert half.weights == tuple(w / 2 for w in full.weights) != full.weights
+
+    def test_denoiser_gets_read_only_conditions(self, demo):
+        den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
+        spy = ConditionSpy(den)
+        configs = [preset_config(preset).build_manipulation() for preset in KIND_PRESETS.values()]
+        run_edits(spy, x_top, c_a, c_b, configs, grid, sched, with_path_b=True)
+        for config in configs:
+            run_edit(spy, x_top, c_a, c_b, config, grid, sched)
+        generate(spy, x_top, c_a, grid, sched, guidance=(2.0, demo["null"]))
+        assert spy.writeable == [False] * (9 * 50)
 
     def test_replay_hook_tracks_reference_inside_window(self, demo):
         den, x_top, c_a, c_b, grid, sched = self._ctx(demo)
@@ -439,6 +476,12 @@ class TestPromptSwitch:
         all_b = prompt_switch(den, demo["x_top"], demo["c_a"], demo["c_b"], 0, grid, sched)
         assert np.array_equal(all_a.x0, pure_a.x0)
         assert np.array_equal(all_b.x0, pure_b.x0)
+
+    def test_no_switch_points_make_no_call(self, demo):
+        counting = CountingDenoiser(demo["denoiser"])
+        assert prompt_switches(counting, demo["x_top"], demo["c_a"], demo["c_b"], (),
+                               demo["grid"], demo["schedule"]) == ()
+        assert counting.calls == 0
 
     def test_switch_points_together_equal_one_at_a_time(self, demo):
         den, grid, sched = demo["denoiser"], demo["grid"], demo["schedule"]

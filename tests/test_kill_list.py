@@ -15,6 +15,7 @@ import functools
 import inspect
 import json
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -160,16 +161,29 @@ def _hop_without_flat_branch(monkeypatch):
     monkeypatch.setattr(sampler, "_hop", mutant)
 
 
-def _narrow_tags(monkeypatch):
-    """``_edit_noises`` builds its tags as a ``<U`` array, as wide as its longest kind.
+def _pre_window_predicted(monkeypatch):
+    """``_edit_noises`` drops the walk-B rule: rows above their first weighted hop are predicted.
 
-    ``np.array`` in ``edits`` drops ``dtype=object``, so next to ``"guidance"``
-    a pass above its first weighted hop is tagged ``"noise_in"``.
+    ``np.logical_or.accumulate`` in ``edits`` marks every hop as at or after a
+    row's first weighted hop, so no row copies path B's noise above it.
     """
-    def array(value, dtype=None, **kwargs):
-        return np.array(value, dtype=None if dtype is object else dtype, **kwargs)
+    monkeypatch.setattr(edits, "np", _Numpy(
+        logical_or=types.SimpleNamespace(accumulate=lambda a, axis: np.ones_like(a))))
 
-    monkeypatch.setattr(edits, "np", _Numpy(array=array))
+
+def _guidance_term_blended(monkeypatch):
+    """Guidance's first request is under ``blend(c_a, c_b, w)``: its u is the weight, not 1.
+
+    The ``np.where`` that ``_edit_noises`` calls itself, which picks each
+    request's u, takes the weight at weighted guidance hops as it does for
+    ``cond_interp``.
+    """
+    def where(condition, x, y):
+        if sys._getframe(1).f_code is edits._edit_noises.__code__:
+            return np.where(condition | y, x, 0.0)
+        return np.where(condition, x, y)
+
+    monkeypatch.setattr(edits, "np", _Numpy(where=where))
 
 
 def _mask_blind_to_weight(monkeypatch):
@@ -307,8 +321,11 @@ KILLS = {
         functools.partial(test_sampler.TestDdimStep().test_equal_levels_fixed_point,
                           walk=sampler.ddim_invert),
         AssertionError),
-    "narrow-tags/guidance-counts": (
-        _narrow_tags, functools.partial(test_call_counts.test_run_sweep, kind="guidance"),
+    "pre-window-predicted/guidance-counts": (
+        _pre_window_predicted, functools.partial(test_call_counts.test_run_sweep, kind="guidance"),
+        AssertionError),
+    "guidance-term-blended/weight-gate": (
+        _guidance_term_blended, test_edits.TestRunEdit().test_guidance_weight_is_a_gate,
         AssertionError),
     "mask-blind-to-weight/identity-reproduction": (
         _mask_blind_to_weight, test_acceptance.test_criterion_01_identity_reproduction,

@@ -27,7 +27,7 @@ from diffpath.remote import (DimensionMismatchError, IdMismatchError,
 from diffpath.sampler import ddim_invert, generate, null_text_invert
 from diffpath.schedule import ScheduleSpec
 
-from conftest import WINDOW_AXES, preset_config
+from conftest import WINDOW_AXES, PerRowDenoiser, preset_config
 from test_artifact_bytes import DIGESTS, _run
 from test_call_counts import CountingDenoiser
 
@@ -154,6 +154,15 @@ class TestLoopback:
             assert run(remote) == local
         frames = len(transport.sent) - 1
         assert frames == (counting.calls if mode == "serve" else counting.rows)
+
+    def test_empty_batch_is_zero_rows_of_d(self, config_file, demo):
+        # the oracle's pass, the base class's per-row loop, and a remote peer,
+        # which routes an empty batch to that loop
+        none = np.empty((0, 2))
+        with _spawn_server(config_file) as remote:
+            for den in (demo["denoiser"], PerRowDenoiser(demo["denoiser"]), remote):
+                eps = den.predict_noise_batch(none, none, 0.5, 500)
+                assert (eps.shape, eps.dtype) == ((0, 2), np.float64), type(den).__name__
 
     def test_client_starts_no_thread(self, config_file, demo):
         before = set(threading.enumerate())
