@@ -46,7 +46,8 @@ import numpy as np
 from .config import _CAM_HOOKS, _MASKED_KINDS, ManipulationConfig, validate_mask
 from .denoiser import Denoiser, _condition_matrix
 from .errors import DenoiserError, ParameterError
-from .sampler import ChooseEps, PathRecord, cfg_combine, effective_noise, _hop, _Step, _walk
+from .sampler import (ChooseEps, PathRecord, cfg_combine, effective_noise, _hop, _records, _Step,
+                      _walk)
 from .schedule import AlphaSchedule, TimestepGrid, omega
 
 
@@ -127,11 +128,26 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
     are the pure rows' records.  While the editing path is walked, every hop
     above a pass's first weighted step is a noise blend of weight zero, which
     takes that path's noise: until then the pass is that path.  ``c_a`` and
-    ``c_b`` are checked before any denoiser call.
+    ``c_b`` are checked before any call; only here do the walk's buffers become records.
+    """
+    if not (edit := _edit_walk(denoiser, x_top, c_a, c_b, configs, grid, schedule, with_path_b)):
+        return ()
+    walked, W, walk_b = edit
+    paths, n = _records(grid, walked), len(configs)
+    path_b = paths[n + 1] if walk_b else None
+    return tuple(EditResult(path=path, path_a=paths[n], path_b=path_b, weights=tuple(w))
+                 for path, w in zip(paths, W.tolist()))
+
+
+def _edit_walk(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray, c_b: np.ndarray,
+               configs: Sequence[ManipulationConfig], grid: TimestepGrid,
+               schedule: AlphaSchedule, with_path_b: bool) -> tuple | None:
+    """``run_edits``' checks and walk: its buffers, ``W`` and ``walk_b``, or None for no configs.
+
+    The buffers' rows are the configs', then path A's, then path B's if walked (``walk_b``).
     """
     ab = _pair(denoiser, c_a, c_b)
-    t_sample = grid.t_sample
-    d = denoiser.d
+    t_sample, d = grid.t_sample, denoiser.d
     for config in configs:
         if config.schedule.total != t_sample:
             raise ParameterError(
@@ -139,18 +155,13 @@ def run_edits(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
         if config.mask is not None:
             validate_mask(config.mask, d)
     if not configs:
-        return ()
+        return None
 
-    walk_b = with_path_b or any(config.kind in ("noise_interp", "noise_mask")
-                                for config in configs)
+    walk_b = with_path_b or any(c.kind in ("noise_interp", "noise_mask") for c in configs)
     n_pure = 1 + walk_b  # path A, then path B if it is walked
-    W = _weight_table(configs, t_sample)
-    n = len(configs)
-    paths = _walk(denoiser, grid, schedule, [x_top] * (n + n_pure),
-                  [ab[1]] * n + [*ab[:n_pure]], _edit_noises(configs, ab, n_pure, W, d))
-    path_b = paths[n + 1] if walk_b else None
-    return tuple(EditResult(path=path, path_a=paths[n], path_b=path_b, weights=tuple(w))
-                 for path, w in zip(paths, W.tolist()))
+    W, n = _weight_table(configs, t_sample), len(configs)
+    return _walk(denoiser, grid, schedule, [x_top] * (n + n_pure), [ab[1]] * n + [*ab[:n_pure]],
+                 _edit_noises(configs, ab, n_pure, W, d)), W, walk_b
 
 
 def _pair(denoiser: Denoiser, c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
@@ -197,9 +208,9 @@ def _edit_noises(configs: Sequence[ManipulationConfig], ab: np.ndarray, n_pure: 
     4. one ``c_b`` row at the reference latent if any attention row is
        weighted; every attention row's hook reads it.
 
-    The table's nonzero entries, cut at each hop's count, give each call's
-    latent rows and its read-only conditions; the same cut over the kind
-    masks gives each hop's noise, latent, guidance and attention rows.
+    The table's nonzero entries, hop by hop, give the calls' latent rows
+    and read-only conditions, and the kind masks' give the noise, latent,
+    guidance and attention rows; a hop slices them at its offsets.
     While path B is walked, rows above their first weighted hop blend the
     noises at weight zero, which copies path B's (until then the pass is
     that path).  Every blend reads its weights from one table: a masked
@@ -225,26 +236,31 @@ def _edit_noises(configs: Sequence[ManipulationConfig], ab: np.ndarray, n_pure: 
     hops, lines = np.nonzero(requests.T)  # hop by hop, each hop's lines in order
     conditions = _blend(*ab, u[lines, hops, None])
     conditions.setflags(write=False)
-    counts = requests.sum(axis=0)
-    calls = list(zip(_per_hop(rows[lines], counts), _per_hop(conditions, counts),
-                     requests[:n_pure + n].sum(axis=0).tolist(),
-                     *map(_hop_rows, (noise, latent, guided, attention))))
+    gather, heads = rows[lines], requests[:n_pure + n].sum(axis=0).tolist()
+    groups = (noise, latent, guided, attention)
+    noise_rows, latent_rows, guided_rows, hooked_rows = (g.T.nonzero()[1] for g in groups)
+    # where each hop's lines and group rows start (T + 1 each); a hop cuts only groups it has
+    line_at, noise_at, latent_at, guided_at, hooked_at = (
+        [0, *mask.sum(axis=0).cumsum().tolist()] for mask in (requests, *groups))
     blend = _blend_table(configs, W, d)
     betas = np.array([[0.0 if c.beta is None else c.beta] for c in configs])
     hooks = np.array([c.cam_hook for c in configs], dtype=object)
     c_a, c_b = ab
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
-        gather, conditions, head, noised, latents, guides, hooked = calls[i]
+        lo, hi, head = line_at[i], line_at[i + 1], heads[i]
         E = np.empty_like(X)
-        eps = predict(X[gather], conditions)
-        E[gather[:head]] = eps[:head]  # the pure rows and those at their own latents
+        eps = predict(X[gather[lo:hi]], conditions[lo:hi])
+        E[gather[lo:lo + head]] = eps[:head]  # the pure rows and those at their own latents
         x_ref, eps_ref = X[ref_a], E[ref_a]
-        if len(noised):
+        if (lo := noise_at[i]) < (hi := noise_at[i + 1]):
+            noised = noise_rows[lo:hi]
             E[noised] = _blend(eps_ref, E[ref_b], blend[noised, i])
-        if len(guides):
-            E[guides] = cfg_combine(E[guides], eps[head:head + len(guides)], betas[guides])
-        if len(latents):
+        if (lo := guided_at[i]) < (hi := guided_at[i + 1]):
+            guides = guided_rows[lo:hi]
+            E[guides] = cfg_combine(E[guides], eps[head:head + hi - lo], betas[guides])
+        if (lo := latent_at[i]) < (hi := latent_at[i + 1]):
+            latents = latent_rows[lo:hi]
             stepped = _hop(step, X[latents], E[latents])
             # the reference row's hop of this step, as the walk will take it
             ref_next = _hop(step, x_ref, eps_ref)
@@ -252,7 +268,8 @@ def _edit_noises(configs: Sequence[ManipulationConfig], ab: np.ndarray, n_pure: 
             # a no-op blend keeps the directly predicted noise so the step is
             # identical to plain denoising
             _settle(E, X[latents], latents, mixed, (mixed == stepped).all(axis=1), step)
-        if len(hooked):
+        if (lo := hooked_at[i]) < (hi := hooked_at[i + 1]):
+            hooked = hooked_rows[lo:hi]
             eps_edit = eps[-1]
             for shown in (x_ref, eps_ref, eps_edit):
                 shown.setflags(write=False)
@@ -270,18 +287,6 @@ def _edit_noises(configs: Sequence[ManipulationConfig], ab: np.ndarray, n_pure: 
         return E
 
     return choose_eps
-
-
-def _per_hop(values: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """``values`` cut in order into one piece per hop, of ``counts`` (T,) entries each."""
-    ends = np.cumsum(counts).tolist()
-    return [values[start:end] for start, end in zip([0, *ends], ends)]
-
-
-def _hop_rows(mask: np.ndarray) -> list[np.ndarray]:
-    """The rows ``mask`` (n, T) sets at each hop, ascending; a mask with none is not cut."""
-    rows = np.nonzero(mask.T)[1]
-    return _per_hop(rows, mask.sum(axis=0)) if len(rows) else [rows] * mask.shape[1]
 
 
 def _blend_table(configs: Sequence[ManipulationConfig], W: np.ndarray, d: int) -> np.ndarray:
@@ -337,6 +342,8 @@ def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
     for k in ks:
         if not 0 <= k <= t_sample:
             raise ParameterError(f"k must lie in [0, {t_sample}], got {k}")
+    if not ks:
+        return ()
     switch = np.array(ks)
 
     def choose_eps(i: int, step: _Step, X: np.ndarray, predict: Callable) -> np.ndarray:
@@ -350,5 +357,5 @@ def prompt_switches(denoiser: Denoiser, x_top: np.ndarray, c_a: np.ndarray,
         E[under_b] = eps[len(shared):]
         return E
 
-    return tuple(_walk(denoiser, grid, schedule, [x_top] * len(ks),
-                       [ab[int(k < t_sample)] for k in ks], choose_eps))
+    return tuple(_records(grid, _walk(denoiser, grid, schedule, [x_top] * len(ks),
+                                      [ab[int(k < t_sample)] for k in ks], choose_eps)))

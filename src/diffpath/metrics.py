@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import AXIS_NAMES, RunConfig
 from .denoiser import Denoiser, GMMDenoiser, GMMDenoiserParams, gmm_log_density
-from .edits import EditResult, ManipulationConfig, run_edits
+from .edits import EditResult, ManipulationConfig, _edit_walk
 from .errors import ParameterError, checked_number
 from .rng import standard_normals, substream
 from .sampler import INVERSION, _walk
@@ -68,26 +68,26 @@ def score_edit(result: EditResult, params: GMMDenoiserParams) -> EditMetrics:
     if result.path_b is None:
         raise ParameterError("score_edit needs the editing path: "
                              "run the edit with with_path_b=True")
-    return _score_endpoints(result.path.x0[None], result, params)[0]
+    return _score_endpoints(result.path.x0[None], result.path_a.x0, result.path_b.x0,
+                            result.path_b.condition, params)[0]
 
 
-def _score_endpoints(x_stars: np.ndarray, pure: EditResult, params: GMMDenoiserParams
-                     ) -> tuple[EditMetrics, ...]:
-    """Score edited endpoints (n, d) that share ``pure``'s two pure paths, in one pass.
+def _score_endpoints(x_stars: np.ndarray, x_a: np.ndarray, x_b: np.ndarray, c_b: np.ndarray,
+                     params: GMMDenoiserParams) -> tuple[EditMetrics, ...]:
+    """Score edited endpoints (n, d) against the pure endpoints ``x_a`` and ``x_b``, in one pass.
 
-    Layout is one ``np.vecdot`` over the rows, the A-to-B gap one norm, and
-    semantic alignment one log density over the rows; each row gets the bits
-    of a pass of its own.
+    ``c_b`` is path B's condition.  Layout is one ``np.vecdot`` over the
+    rows, the A-to-B gap one norm, and semantic alignment one log density
+    over the rows; each row gets the bits of a pass of its own.
     """
-    x_a, path_b = pure.path_a.x0, pure.path_b
 
     def layout():
         gaps = x_stars - x_a
         return np.sqrt(np.vecdot(gaps, gaps))
 
     scores = {"layout_preservation": layout,
-              "semantic_alignment": lambda: -gmm_log_density(params, x_stars, path_b.condition),
-              "ab_gap": lambda: np.linalg.norm(x_a - path_b.x0)}
+              "semantic_alignment": lambda: -gmm_log_density(params, x_stars, c_b),
+              "ab_gap": lambda: np.linalg.norm(x_a - x_b)}
     with np.errstate(over="raise", invalid="raise"):
         for name, score in scores.items():
             try:
@@ -145,7 +145,8 @@ def run_sweep(denoiser: Denoiser, config: RunConfig, axes: Mapping[str, Sequence
     seed; rows are ordered by the lexicographic sort of their axis-value
     tuples.  Every grid point's edit and the two pure paths walk in
     lock-step: one denoiser call per step for all of them.  The grid points
-    share those pure paths, so their endpoints are scored in one pass.
+    share those pure paths, so their endpoints are read from the walk's
+    buffers, with no record built, and scored in one pass.
     """
     base, c_a, c_b = config.edit_setup()
     axes = {name: tuple(values) for name, values in axes.items()}
@@ -159,10 +160,10 @@ def run_sweep(denoiser: Denoiser, config: RunConfig, axes: Mapping[str, Sequence
         raise ParameterError(f"axis values must be mutually comparable: {err}") from err
     configs = [derive_config(base, dict(zip(names, combo))) for combo in combos]
     x_top = standard_normals(substream(config.seed, "sweep", "x_top"), config.model.d)
-    results = run_edits(denoiser, x_top, c_a, c_b, configs, config.grid,
-                        config.noise_schedule, with_path_b=True)
-    x_stars = np.array([result.path.x0 for result in results])
-    return tuple(zip(configs, _score_endpoints(x_stars, results[0], config.model)))
+    (latents, _, C), _, _ = _edit_walk(denoiser, x_top, c_a, c_b, configs, config.grid,
+                                       config.noise_schedule, with_path_b=True)
+    ends = latents[:, -1]  # the configs' rows, then path A's, then path B's
+    return tuple(zip(configs, _score_endpoints(ends[:-2], *ends[-2:], C[-1], config.model)))
 
 
 def sweep_digest(axes: Mapping[str, Sequence], base: ManipulationConfig, seed: int) -> str:
@@ -186,7 +187,7 @@ def inversion_report(denoiser: GMMDenoiser, c: np.ndarray,
 
     The same clean latents, drawn from the denoiser's mixture under ``c``,
     are inverted and regenerated at each grid size, all samples in lock-step;
-    relative errors are measured at the clean endpoint.
+    relative errors are measured at the clean endpoint, read from the buffers.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -195,11 +196,9 @@ def inversion_report(denoiser: GMMDenoiser, c: np.ndarray,
     rows = []
     for t_sample in t_sample_values:
         grid = make_timestep_grid(noise_schedule.t_train, t_sample)
-        invs = _walk(denoiser, grid, noise_schedule, x0s, [c] * samples,
-                     direction=INVERSION)
-        regens = _walk(denoiser, grid, noise_schedule, [inv.x_top for inv in invs],
-                       [c] * samples)
-        gaps = np.array([regen.x0 for regen in regens]) - x0s
+        x_tops = _walk(denoiser, grid, noise_schedule, x0s, [c] * samples,
+                       direction=INVERSION)[0][:, -1]
+        gaps = _walk(denoiser, grid, noise_schedule, x_tops, [c] * samples)[0][:, -1] - x0s
         errors = np.sqrt(np.vecdot(gaps, gaps)) / np.sqrt(np.vecdot(x0s, x0s))
         rows.append(InversionReportRow(
             t_sample=int(t_sample),

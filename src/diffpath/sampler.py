@@ -175,7 +175,7 @@ ChooseEps = Callable[[int, _Step, np.ndarray, Callable], np.ndarray]
 
 def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
           starts: Sequence[np.ndarray], conditions: Sequence[np.ndarray],
-          choose: ChooseEps | None = None, direction: str = GENERATION) -> list[PathRecord]:
+          choose: ChooseEps | None = None, direction: str = GENERATION) -> tuple[np.ndarray, ...]:
     """The stepping core: N rows, from ``starts`` under ``conditions``, walk in lock-step.
 
     The rows' latents are one (N, d) array ``X`` and each step is one hop of
@@ -185,11 +185,9 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     row of ``X``, or any other latent, such as a reference path's).  The
     default callback predicts row r under ``conditions[r]``, which are checked
     once, as one matrix.  Generation visits the step table top down,
-    inversion bottom up; the records hold views of one read-only buffer of
-    latents (N, T+1, d), one of noises and one of the checked conditions.
+    inversion bottom up.  It returns read-only buffers of latents (N, T+1, d), noises
+    (N, T, d) and checked conditions (N, m); only callers returning records call ``_records``.
     """
-    if not len(starts):
-        return []
     C = _condition_matrix(conditions, len(starts), denoiser.m)
     choose = choose or (lambda i, step, X, predict: predict(X, C))
     X = np.array(starts, dtype=np.float64)
@@ -207,6 +205,12 @@ def _walk(denoiser: Denoiser, grid: TimestepGrid, schedule: AlphaSchedule,
     latents, noises = np.stack(latents, axis=1), np.stack(noises, axis=1)
     latents.setflags(write=False)
     noises.setflags(write=False)
+    return latents, noises, C
+
+
+def _records(grid: TimestepGrid, walked: tuple, direction: str = GENERATION) -> list[PathRecord]:
+    """One record per row of a walk's buffers, its entries read-only views of them."""
+    latents, noises, C = walked
     return [PathRecord(grid=grid, latents=tuple(latents[r]), noises=tuple(noises[r]),
                        condition=c, direction=direction) for r, c in enumerate(C)]
 
@@ -254,7 +258,7 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: np.ndarray,
     combined prediction that actually drove the update.
     """
     if guidance is None:
-        return _walk(denoiser, grid, schedule, [x_top], [c])[0]
+        return _records(grid, _walk(denoiser, grid, schedule, [x_top], [c]))[0]
     beta, nulls = guidance
     beta = checked_number(beta, "beta")
     try:
@@ -270,7 +274,7 @@ def generate(denoiser: Denoiser, x_top: np.ndarray, c: np.ndarray,
         eps = predict(np.repeat(X, 2, axis=0), pairs[i])
         return cfg_combine(eps[:1], eps[1:], beta)
 
-    return _walk(denoiser, grid, schedule, [x_top], [c], choose_eps)[0]
+    return _records(grid, _walk(denoiser, grid, schedule, [x_top], [c], choose_eps))[0]
 
 
 def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: np.ndarray,
@@ -280,7 +284,7 @@ def ddim_invert(denoiser: Denoiser, x0: np.ndarray, c: np.ndarray,
     Each hop raises the level from the grid's previous index to its step
     index, predicting the noise at the target level.
     """
-    return _walk(denoiser, grid, schedule, [x0], [c], direction=INVERSION)[0]
+    return _records(grid, _walk(denoiser, grid, schedule, [x0], [c], None, INVERSION), INVERSION)[0]
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ import pytest
 from diffpath import cli, denoiser
 from diffpath.config import RunConfig
 from diffpath.denoiser import Denoiser, GMMDenoiser, gmm_log_density
-from diffpath.edits import prompt_switch, run_edit
+from diffpath.edits import EditResult, prompt_switch, run_edit, run_edits
 from diffpath.errors import ParameterError
 from diffpath.metrics import inversion_report, run_sweep
-from diffpath.sampler import ddim_invert, generate, null_text_invert
+from diffpath.sampler import PathRecord, ddim_invert, generate, null_text_invert
 
 from conftest import WINDOW_AXES, preset_config
 
@@ -176,6 +176,52 @@ def test_sweep_builds_each_level_once(level_builds):
     config = preset_config("noise-interp-local")
     run_sweep(GMMDenoiser(config.model), config, WINDOW_AXES)
     assert (len(level_builds), len(set(level_builds))) == (50, 50)
+
+
+@pytest.fixture()
+def records(monkeypatch):
+    """How many ``PathRecord``s and ``EditResult``s are built while the fixture is active."""
+    made = {"PathRecord": 0, "EditResult": 0}
+    post_init, init = PathRecord.__post_init__, EditResult.__init__
+
+    def counting_post_init(self):
+        made["PathRecord"] += 1
+        post_init(self)
+
+    def counting_init(self, *args, **kwargs):
+        made["EditResult"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PathRecord, "__post_init__", counting_post_init)
+    monkeypatch.setattr(EditResult, "__init__", counting_init)
+    return made
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PRESETS))
+def test_run_sweep_builds_no_record(records, kind):
+    # the sweep scores endpoints read from the walk's buffers; a walk of the
+    # 25 edits and both pure paths that packaged its rows would build 27
+    # records and 25 results
+    config = preset_config(KIND_PRESETS[kind])
+    run_sweep(GMMDenoiser(config.model), config, WINDOW_AXES)
+    assert records == {"PathRecord": 0, "EditResult": 0}
+
+
+def test_inversion_report_builds_no_record(demo, records):
+    inversion_report(demo["denoiser"], demo["c_a"], demo["schedule"], (50, 100), 4, seed=3)
+    assert records == {"PathRecord": 0, "EditResult": 0}
+
+
+@pytest.mark.parametrize("with_path_b", [False, True])
+def test_run_edits_builds_a_record_per_row(demo, records, with_path_b):
+    # one record per edit and one for path A, and one for path B if it is
+    # walked: the bare kinds below walk it only when asked
+    configs = [preset_config(KIND_PRESETS[kind]).build_manipulation()
+               for kind in ("latent_interp", "latent_mask", "cond_interp", "guidance", "attention")]
+    n = len(configs)
+    run_edits(demo["denoiser"], demo["x_top"], demo["c_a"], demo["c_b"], configs, demo["grid"],
+              demo["schedule"], with_path_b=with_path_b)
+    assert records == {"PathRecord": n + 1 + with_path_b, "EditResult": n}
 
 
 @pytest.fixture()

@@ -183,6 +183,13 @@ class TestResponsibilities:
             _assert_package_is_reference(mixture(variances), x, C, 0.5)
 
     def test_overflow_ties_go_to_the_nearer_mean(self):
+        """Far-limit ties are split by the exact gap of the halved squared distances.
+
+        At |x| = 1e200 a mean of order 1 is below one ulp of the noise, so the
+        package's noise bits do not depend on which component wins: this test
+        pins the shared ``_far_log_resp`` only through the reference's
+        responsibilities, not through the package's noise.
+        """
         # the residuals agree to float precision, yet component 1 is nearer
         # by a log-responsibility gap of about 2.8e200
         params = GMMDenoiserParams(weights=np.array([0.3, 0.7]),
@@ -196,6 +203,12 @@ class TestResponsibilities:
             _assert_package_is_reference(params, row, C, 0.5)
 
     def test_overflowing_gaps_keep_the_nearest_component(self):
+        """A gap that overflows when unscaled leaves its component no mass.
+
+        At |x| of 1e308 and more the means are below one ulp of the noise, so
+        this test, like the tie test, pins the shared ``_far_log_resp`` only
+        through the reference's responsibilities.
+        """
         # at x = -1e308 two of the gaps from component 0 overflow to -inf
         params = GMMDenoiserParams(weights=np.full(4, 0.25),
                                    base_means=np.array([[2.45], [1.12], [-1.63], [1.34]]),
@@ -209,6 +222,29 @@ class TestResponsibilities:
             == [1.0, 0.0, 0.0, 0.0]
         for x in (-1e308, -1.7e308, 1.7e308):
             _assert_package_is_reference(params, np.array([x]), c, 0.5)
+
+    def test_far_limit_winner_sets_the_noise_bits(self):
+        """Far out, the nearest component takes all the mass, and which one wins shows.
+
+        At |x| of about 2e154 every squared distance overflows, yet the means,
+        +/-1e150, are far more than one ulp of the noise apart: each
+        component alone gives other noise bits, so a far limit that left the
+        mass with the weights would too.  One row and a batch are the
+        reference's bits, and each side's noise is its winner's alone.
+        """
+        means = np.array([[1e150, 0.0], [-1e150, 0.0]])
+        params = GMMDenoiserParams(weights=np.array([0.3, 0.7]), base_means=means,
+                                   condition_maps=np.zeros((2, 2, 2)),
+                                   variances=np.array([0.5, 0.5]))
+        x = np.array([2e154, 3e153])
+        for row, winner in ((x, 0), (-x, 1)):
+            assert gmm_responsibilities(params, row, C, 0.5)[winner] == 1.0
+            alone = [GMMDenoiser(_k1(mu, ZERO_MAP, 0.5)).predict_noise(row, C, 0.5, 1)
+                     for mu in means]
+            assert alone[0].tobytes() != alone[1].tobytes()
+            assert GMMDenoiser(params).predict_noise(row, C, 0.5, 1).tobytes() \
+                == alone[winner].tobytes()
+            _assert_package_is_reference(params, row, C, 0.5)
 
     def test_tiny_marginal_variance_warns_nothing(self):
         # the zero-variance component's squared distance over a variance of

@@ -230,6 +230,22 @@ def _pass_never_goes_far(monkeypatch):
     monkeypatch.setattr(denoiser, "np", _Numpy(errstate=errstate))
 
 
+def _weights_only_far_limit(monkeypatch):
+    """The pass's far-limit form leaves each far row's mass with the weights.
+
+    Its rows take ``log_norm`` as their log-responsibilities, with no
+    ``_far_log_resp``; the per-row reference still calls it.
+    """
+    far = denoiser._far_log_resp
+
+    def mutant(x, mus, resid, var, log_norm, sqrt_a):
+        if sys._getframe(1).f_code is GMMDenoiser._pass.__code__:
+            return log_norm.copy()
+        return far(x, mus, resid, var, log_norm, sqrt_a)
+
+    monkeypatch.setattr(denoiser, "_far_log_resp", mutant)
+
+
 def _overflow_unraised(monkeypatch):
     """The pass's far-limit form ignores overflow: a noise beyond the float range is inf."""
     def errstate(**kwargs):
@@ -343,6 +359,10 @@ KILLS = {
         _pass_never_goes_far,
         _quick(test_denoiser.TestPredictNoiseBatch.test_rows_are_bitwise_the_per_row_oracle,
                test_denoiser.TestPredictNoiseBatch()),
+        AssertionError),
+    "weights-only-far-limit/far-winner": (
+        _weights_only_far_limit,
+        test_denoiser.TestResponsibilities().test_far_limit_winner_sets_the_noise_bits,
         AssertionError),
     "overflow-unraised/float-range": (
         _overflow_unraised,
